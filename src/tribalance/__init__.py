@@ -40,10 +40,13 @@ from .factors import FactorIndex, SaturationRule, factor_index, scan_distinct_fa
 from .numeration import (
     ZeckendorfRep,
     is_valid_rep,
+    is_valid_rep_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
+    zeckendorf_decode_many,
     zeckendorf_encode,
+    zeckendorf_encode_many,
 )
 from .special import (
     BoundarySet,

@@ -65,6 +65,16 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -
     return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _rule(args) -> SaturationRule:
     return SaturationRule(position_cap=args.scan_cap)
 
@@ -183,22 +193,21 @@ def cmd_special(args, parser) -> int:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
     buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     rule = _rule(args)
+    m = buf.alphabet_size
+    # The Parikh columns keep the paper's (i, j, k) names for the Tribonacci
+    # word; the complexity-3 closed form is Tribonacci-only.
+    letters = ["i", "j", "k"] if m == 3 else [f"count_{a}" for a in range(m)]
+    closed_form = ["rho3_closed_form"] if m == 3 else []
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["n", "right_special_word", "i", "j", "k", "bispecial", "rho", "rho3_closed_form"]
-        )
+        writer.writerow(["n", "right_special_word", *letters, "bispecial", "rho", *closed_form])
         for n in range(args.n_from, args.n_to + 1):
             record = special.right_special_factor(buf, n - 1, rule)
             rho = abelian.abelian_complexity(buf, n, rule)
-            writer.writerow([
-                n,
-                word_to_text(record.word),
-                *record.parikh,
-                int(record.is_bispecial),
-                rho,
-                int(special.is_min_complexity_length(n)),
-            ])
+            row = [n, word_to_text(record.word), *record.parikh, int(record.is_bispecial), rho]
+            if closed_form:
+                row.append(int(special.is_min_complexity_length(n)))
+            writer.writerow(row)
     return EXIT_OK
 
 
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out: bool = True):
         if out:
             p.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
                        help="parallelism cap for per-length analyses")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
         p.add_argument("--max-buffer", type=int, default=DEFAULT_MAX_SYMBOLS,

@@ -5,13 +5,19 @@ three).  Every natural number N has a unique expansion N = sum(p_k * T_k)
 with binary digits p_k subject to the rule that two consecutive 1-digits
 force a 0 two places below: p_k = p_{k-1} = 1 implies p_{k-2} = 0.
 Digits are stored least-significant first throughout.
+
+The scalar codec (``zeckendorf_encode``, ``zeckendorf_decode``,
+``is_valid_rep``) is the reference; the ``*_many`` functions apply the same
+rules to a whole array of values at once, one row of digits per value.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import InvalidInputError, InvalidRepresentationError
+import numpy as np
+
+from .errors import InvalidInputError, InvalidRepresentationError, InvariantViolationError
 
 # Shared, append-only cache of 1, 2, 4, 7, 13, ...  Safe under a
 # single-writer / multi-reader discipline: entries are only appended.
@@ -123,3 +129,78 @@ def zeckendorf_decode(rep) -> int:
         return 0
     _extend_cache(limit_index=len(digits) - 1)
     return sum(t for d, t in zip(digits, _TRIBO_CACHE) if d)
+
+
+#: Widest digit row whose terms all fit in int64.
+_MAX_WIDTH = len(tribonacci_numbers_upto(np.iinfo(np.int64).max))
+
+
+def zeckendorf_encode_many(ns) -> np.ndarray:
+    """Greedy expansions of many integers at once.
+
+    Returns a ``(len(ns), width)`` uint8 array whose row i holds the digits
+    of ``ns[i]``, least significant first, zero-padded to the width of
+    ``max(ns)``; each row equals ``zeckendorf_encode(ns[i]).digits``
+    followed by zeros.  Inputs must be non-negative integers that fit in
+    int64.
+    """
+    arr = np.asarray(ns)
+    if arr.ndim != 1:
+        raise InvalidInputError(f"expected a 1-D sequence of integers, got shape {arr.shape}")
+    if arr.size == 0:
+        return np.zeros((0, 0), dtype=np.uint8)
+    if arr.dtype.kind not in "iu":
+        raise InvalidInputError(f"expected integers that fit in int64, got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and arr.min() < 0:
+        raise InvalidInputError(f"cannot encode negative integer {arr.min()}")
+    if arr.max() > np.iinfo(np.int64).max:
+        raise InvalidInputError(f"{arr.max()} does not fit in int64")
+    remainder = arr.astype(np.int64)
+    terms = np.array(tribonacci_numbers_upto(int(remainder.max())), dtype=np.int64)
+    digits = np.zeros((arr.size, terms.size), dtype=np.uint8)
+    # Top-down greedy: after taking T_k the remainder is below T_k, so each
+    # term is taken at most once and the digits obey the no-111 rule.
+    for k in range(terms.size - 1, -1, -1):
+        take = remainder >= terms[k]
+        digits[:, k] = take
+        np.subtract(remainder, terms[k], out=remainder, where=take)
+    if remainder.any():
+        raise InvariantViolationError("greedy expansion left a non-zero remainder")
+    return digits
+
+
+def is_valid_rep_many(digits) -> np.ndarray:
+    """Row-wise ``is_valid_rep`` over a 2-D digit array: True where every
+    digit is 0 or 1 and no three consecutive digits are all 1."""
+    d = np.asarray(digits)
+    if d.ndim != 2 or (d.size and d.dtype.kind not in "biu"):
+        raise InvalidInputError(f"expected a 2-D integer digit array, got {d.dtype} {d.shape}")
+    bits = ((d == 0) | (d == 1)).all(axis=1)
+    runs = (d[:, 2:] & d[:, 1:-1] & d[:, :-2]).any(axis=1)
+    return bits & ~runs
+
+
+def zeckendorf_decode_many(digits) -> np.ndarray:
+    """Row-wise ``zeckendorf_decode`` of a 2-D digit array, as int64.
+
+    Any row that violates the numeration constraint raises
+    ``InvalidRepresentationError``, as the scalar decoder does.
+    """
+    d = np.asarray(digits)
+    valid = is_valid_rep_many(d)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        raise InvalidRepresentationError(
+            f"digit row {row} violates the numeration constraint: {d[row].tolist()}"
+        )
+    width = d.shape[1]
+    if width > _MAX_WIDTH:
+        raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
+    _extend_cache(limit_index=width)
+    values = np.zeros(d.shape[0], dtype=np.int64)
+    # Column by column, so no (rows, width) int64 temporary is formed.
+    for k, term in enumerate(_TRIBO_CACHE[:width]):
+        np.add(values, term, out=values, where=d[:, k] == 1)
+    if (values < 0).any():
+        raise InvalidInputError("decoded value does not fit in int64")
+    return values

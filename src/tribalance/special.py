@@ -104,13 +104,24 @@ def right_special_factor(buffer: WordBuffer, length: int,
     )
 
 
+def _require_tribonacci(buffer: WordBuffer, what: str) -> None:
+    if buffer.alphabet_size != 3:
+        raise InvalidInputError(
+            f"{what} applies to the 3-letter Tribonacci word, "
+            f"got a {buffer.alphabet_size}-letter buffer"
+        )
+
+
 def bispecial_lengths(max_len: int, buffer: WordBuffer | None = None) -> list[int]:
     """Lengths of the bispecial factors up to max_len, by the closed form
     (T_m + T_{m+2} - 3) / 2.
 
     With a buffer, each listed length is cross-checked against the
-    extension-counted bispecial flag.
+    extension-counted bispecial flag; the buffer must hold the Tribonacci
+    word (3 letters), the only word the closed form describes.
     """
+    if buffer is not None:
+        _require_tribonacci(buffer, "bispecial_lengths")
     out: list[int] = []
     m = 0
     while True:
@@ -291,8 +302,10 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
     maximal-subset enumeration is reported alongside: it finds one further
     maximal triangle, spanned by the three boundary vectors, which no
     realized set may need on its own -- if one does, an
-    ``InvariantViolationError`` is raised.
+    ``InvariantViolationError`` is raised.  Only the 3-letter Tribonacci
+    word is accepted.
     """
+    _require_tribonacci(buffer, "twelve_vector_geometry")
     if pset is None:
         pset = parikh_set(buffer, n, rule)
     if base is None:

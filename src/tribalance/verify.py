@@ -10,12 +10,13 @@ downgrades resource failures (a buffer or scan cap too small) to
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import abelian, numeration, special, spectral
 from .errors import BufferLimitError, SaturationError, TribalanceError
@@ -298,12 +299,36 @@ def _claim_prefix_balance(ctx: SuiteContext):
     return ok_below and fails_at_185, observed, {"holds_up_to_184": True, "fails_at_185": True}
 
 
+#: Values per batch of the round-trip claim; keeps each batch's digit
+#: array and int64 temporaries well under a megabyte.
+ROUNDTRIP_CHUNK = 1 << 14
+
+#: Every N divisible by this is also checked against the scalar codec.
+ROUNDTRIP_SCALAR_STRIDE = 997
+
+
 def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
+    # Exhaustive over N <= 10^6 with the batch codec, which also raises if
+    # the greedy walk leaves a remainder.  A failing row is one with an
+    # invalid digit string, a decode that misses N, or (on the fixed
+    # sample) digits that differ from the scalar reference codec.
+    limit = 1_000_000
     bad = None
-    for n in range(1_000_001):
-        rep = numeration.zeckendorf_encode(n)
-        if not numeration.is_valid_rep(rep.digits) or numeration.zeckendorf_decode(rep) != n:
-            bad = n
+    for start in range(0, limit + 1, ROUNDTRIP_CHUNK):
+        ns = np.arange(start, min(start + ROUNDTRIP_CHUNK, limit + 1), dtype=np.int64)
+        digits = numeration.zeckendorf_encode_many(ns)
+        valid = numeration.is_valid_rep_many(digits)
+        decoded = np.full(ns.size, -1, dtype=np.int64)
+        decoded[valid] = numeration.zeckendorf_decode_many(digits[valid])
+        failed = decoded != ns
+        first_sample = -start % ROUNDTRIP_SCALAR_STRIDE
+        for i in range(first_sample, ns.size, ROUNDTRIP_SCALAR_STRIDE):
+            scalar = numeration.zeckendorf_encode(start + i).digits
+            row = digits[i]
+            if row[: len(scalar)].tolist() != scalar or row[len(scalar):].any():
+                failed[i] = True
+        if failed.any():
+            bad = start + int(np.argmax(failed))
             break
     return bad is None, {"first_failure": bad}, {"first_failure": None}
 
@@ -311,17 +336,14 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
 def _claim_zeckendorf_uniqueness(ctx: SuiteContext):
     # Exhaustive: every valid digit string short enough to matter, counted
     # per represented value.  16 digits cover every N <= 10^4.
-    width = 16
-    terms = [numeration.tribonacci_number(k) for k in range(width)]
-    seen: dict[int, int] = {}
-    for bits in itertools.product((0, 1), repeat=width):
-        if not numeration.is_valid_rep(list(bits)):
-            continue
-        value = sum(t for b, t in zip(bits, terms) if b)
-        if value <= 10_000:
-            seen[value] = seen.get(value, 0) + 1
-    non_unique = [n for n in range(10_001) if seen.get(n, 0) != 1]
-    return not non_unique, {"non_unique_count": len(non_unique)}, {"non_unique_count": 0}
+    width, limit = 16, 10_000
+    terms = np.array([numeration.tribonacci_number(k) for k in range(width)], dtype=np.int64)
+    codes = np.arange(2**width, dtype=np.uint16)
+    bits = ((codes[:, None] >> np.arange(width, dtype=np.uint16)) & 1).astype(np.uint8)
+    values = bits[numeration.is_valid_rep_many(bits)] @ terms
+    seen = np.bincount(values[values <= limit], minlength=limit + 1)
+    non_unique = int(np.count_nonzero(seen != 1))
+    return not non_unique, {"non_unique_count": non_unique}, {"non_unique_count": 0}
 
 
 def _claim_saturation_soundness(ctx: SuiteContext):

@@ -101,7 +101,7 @@ def test_criterion_10_prefix_balance_threshold(report):
 
 def test_criterion_11_numeration(report):
     _check(report, 11, "numeration round trip to 10^6; uniqueness to 10^4; digit law",
-           ["zeckendorf_roundtrip_1e6", "zeckendorf_uniqueness_1e4"])
+           ["zeckendorf_roundtrip_1e6", "zeckendorf_uniqueness_1e4"], budget_ms=5_000)
 
 
 def test_criterion_12_saturation(report):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,14 @@ def test_rho_range(capsys):
     code, out, _ = run(capsys, "rho", "tribonacci", "1", "6", "--threads", "1")
     assert code == 0
     assert out.splitlines() == ["n,rho", "1,3", "2,3", "3,4", "4,3", "5,4", "6,4"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rho", "tribonacci", "1", "5", "--threads", threads])
+    assert excinfo.value.code == 2
+    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_rho_single(capsys):
@@ -132,6 +141,27 @@ def test_special_report(capsys):
     assert lines[1] == "1,,0,0,0,1,3,1"
     assert lines[2] == "2,0,1,0,0,1,3,1"
     assert lines[4] == "4,010,2,1,0,1,3,1"
+
+
+def test_special_report_tribonacci_bytes(capsys):
+    # Golden digest: the Tribonacci report is byte-stable whatever the
+    # column layout chosen for other alphabet sizes.
+    code, out, _ = run(capsys, "special", "tribonacci", "1", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "167c0acee963da712c72e3142abcbf0a1b93df5e367e4efe49cd131b76da84ba"
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_special_report_columns_follow_alphabet(capsys, m):
+    code, out, _ = run(capsys, "special", f"mbonacci:{m}", "1", "12")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == 12
+    assert all(len(row) == len(header) for row in rows)
+    assert len(header) == 4 + m + (m == 3)
+    assert ("rho3_closed_form" in header) == (m == 3)
 
 
 def test_verify_subset_passes(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +10,13 @@ from tribalance import (
     InvalidRepresentationError,
     ZeckendorfRep,
     is_valid_rep,
+    is_valid_rep_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
+    zeckendorf_decode_many,
     zeckendorf_encode,
+    zeckendorf_encode_many,
 )
 
 
@@ -98,3 +102,59 @@ def test_uniqueness_small_exhaustive():
     for value in range(max_covered + 1):
         assert len(reps[value]) == 1
         assert list(reps[value][0]) == zeckendorf_encode(value).digits
+
+
+def _assert_batch_matches_scalar(ns):
+    digits = zeckendorf_encode_many(ns)
+    assert digits.dtype == np.uint8
+    assert digits.shape == (len(ns), len(zeckendorf_encode(max(ns)).digits))
+    assert is_valid_rep_many(digits).all()
+    assert zeckendorf_decode_many(digits).tolist() == list(ns)
+    for n, row in zip(ns, digits.tolist()):
+        scalar = zeckendorf_encode(n).digits
+        assert row == scalar + [0] * (len(row) - len(scalar))
+
+
+_tribonacci_values = st.sampled_from([0] + tribonacci_numbers_upto(10**9))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**9) | _tribonacci_values,
+                min_size=1, max_size=50))
+def test_batch_codec_matches_scalar(ns):
+    _assert_batch_matches_scalar(ns)
+
+
+def test_batch_codec_matches_scalar_exhaustive():
+    _assert_batch_matches_scalar(range(20_001))
+
+
+def test_batch_validity_examples():
+    rows = [[1, 1, 0, 1, 1], [1, 1, 1, 0, 0], [0, 2, 0, 0, 0], [0, 0, 0, 0, 0]]
+    assert is_valid_rep_many(rows).tolist() == [is_valid_rep(r) for r in rows]
+
+
+@pytest.mark.parametrize("row", [[1, 1, 1], [0, 2, 0], [0, 0, 1, 1, 1, 0]])
+def test_batch_decode_rejects_invalid(row):
+    digits = np.zeros((3, len(row)), dtype=np.uint8)
+    digits[1] = row
+    with pytest.raises(InvalidRepresentationError):
+        zeckendorf_decode_many(digits)
+
+
+@pytest.mark.parametrize("ns", [[-1], [5, -3, 7], [1.5], [[1, 2]]])
+def test_batch_encode_rejects_bad_input(ns):
+    with pytest.raises(InvalidInputError):
+        zeckendorf_encode_many(ns)
+
+
+def test_batch_codec_int64_limit():
+    top = np.iinfo(np.int64).max
+    digits = zeckendorf_encode_many([top])
+    assert digits[0].tolist() == zeckendorf_encode(top).digits
+    assert zeckendorf_decode_many(digits).tolist() == [top]
+    with pytest.raises(InvalidInputError):
+        zeckendorf_encode_many(np.array([top + 1], dtype=np.uint64))
+    overflow = np.zeros((1, digits.shape[1]), dtype=np.uint8)
+    overflow[0, -2:] = 1
+    with pytest.raises(InvalidInputError):
+        zeckendorf_decode_many(overflow)

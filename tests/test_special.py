@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_factors
 from tribalance import (
+    InvalidInputError,
     InvariantViolationError,
     abelian_profile,
     bispecial_lengths,
@@ -70,6 +71,11 @@ def test_bispecial_lengths_closed_form(tribo):
     assert bispecial_lengths(30, buffer=tribo) == [1, 3, 7, 14, 27]
 
 
+def test_bispecial_lengths_refuses_non_tribonacci(fibo):
+    with pytest.raises(InvalidInputError):
+        bispecial_lengths(50, buffer=fibo)
+
+
 def test_bispecial_lengths_are_palindromic_prefixes(tribo):
     for length in bispecial_lengths(200):
         prefix = tribo.slice(0, length)
@@ -123,6 +129,11 @@ def test_twelve_vector_geometry(tribo):
     assert len(g.extra_cliques) == 1
     (extra,) = g.extra_cliques
     assert set(boundary_set(tribo, 10).vectors) <= extra
+
+
+def test_twelve_vector_geometry_refuses_non_tribonacci(fourbo):
+    with pytest.raises(InvalidInputError):
+        twelve_vector_geometry(fourbo, 10)
 
 
 def test_geometry_at_full_complexity(tribo):
