@@ -12,6 +12,7 @@ contains every factor of the relevant length.
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -114,11 +115,12 @@ def abelian_complexity(buffer: WordBuffer, n: int, rule: SaturationRule = Satura
 def certified_window_bound(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> int:
     """Last window start that must be scanned to see every length-n factor.
 
-    Uses a cached factor index when one covers the full position cap for n,
-    otherwise a direct scan.
+    Uses the factor index cached on the buffer when it covers n (its region
+    holds every factor of each length through n, with exact
+    first-occurrence bounds), otherwise a direct scan.
     """
     index = getattr(buffer, "_index_cache", None)
-    if index is not None and index.region_len >= rule.resolved_cap(n) + n:
+    if index is not None and index.covers(n, rule):
         return index.certify(n, rule)
     return scan_distinct_factors(buffer, n, rule).last_new_position
 
@@ -147,49 +149,63 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
                     collect_vectors: bool = False) -> list[ProfileRow]:
     """Certified ``ProfileRow`` for every n in [n_from, n_to].
 
-    The heavy path: one factor index over the whole range, then a numpy
-    window pass per length.  Per-length work is independent, so the range
-    is chunked across threads when ``threads > 1``.
+    One factor index covers the whole range and certifies every window
+    bound up front.  Per length, the window letter counts vary only within
+    the imbalance, so each window is keyed densely by its offsets from the
+    per-letter minima (the last letter is n minus the others) and
+    ``np.bincount`` counts the distinct Parikh vectors without sorting.
+    When ``threads > 1``, each worker takes a strided share of the lengths
+    and only reads the prefix counts and the bounds.
     """
     if n_from < 1 or n_to < n_from:
         raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
     index = factor_index(buffer, n_to, rule)
+    tasks = [(n, index.certify(n, rule)) for n in range(n_from, n_to + 1)]
     pc = buffer.prefix_counts  # materialize once, shared read-only
 
-    def one(n: int) -> ProfileRow:
-        bound = index.certify(n, rule)
+    def one(n: int, bound: int) -> ProfileRow:
         counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
-        imb = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
-        key = _combine_rows(counts, n)
-        if key is None:
-            _, first = np.unique(counts.T, axis=0, return_index=True)
-        else:
-            _, first = np.unique(key, return_index=True)
-        if collect_vectors:
-            vecs = tuple(
-                tuple(int(x) for x in counts[:, i])
-                for i in sorted(int(j) for j in first)
-            )
-            return ProfileRow(n, len(first), imb, vectors=vecs)
-        return ProfileRow(n, len(first), imb)
+        span, rho, first = _window_classes(counts, collect_vectors)
+        vecs = None if first is None else tuple(
+            tuple(int(x) for x in counts[:, i]) for i in first
+        )
+        return ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs)
 
-    ns = range(n_from, n_to + 1)
-    if threads <= 1 or len(ns) < 8:
-        return [one(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, ns))
+    workers = min(threads, len(tasks))
+    if workers <= 1 or len(tasks) < 8:
+        return [one(n, bound) for n, bound in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shares = list(pool.map(lambda t: [one(n, bound) for n, bound in tasks[t::workers]],
+                               range(workers)))
+    rows: list[ProfileRow] = [None] * len(tasks)
+    for t, share in enumerate(shares):
+        rows[t::workers] = share
+    return rows
 
 
-def _combine_rows(counts: np.ndarray, n: int) -> np.ndarray | None:
-    """Injective int64 key per window column, or None if it cannot fit."""
-    m = counts.shape[0]
-    base = n + 2
-    if base ** m >= 2 ** 62:
-        return None
-    key = counts[0].astype(np.int64)
-    for a in range(1, m):
-        key = key * base + counts[a]
-    return key
+def _window_classes(counts: np.ndarray, positions: bool):
+    """Per-letter imbalance of the window columns of ``counts``, their
+    number of distinct Parikh vectors and, with ``positions``, the sorted
+    column of each vector's first occurrence (else None).
+
+    Each column is keyed by its offsets from the per-letter minima in the
+    mixed radix span + 1, dropping the last letter (it is the window length
+    minus the others).  When that key range exceeds the window count, the
+    columns are deduplicated by sorting instead.
+    """
+    lo = counts.min(axis=1)
+    span = counts.max(axis=1) - lo
+    size = math.prod(int(s) + 1 for s in span[:-1])
+    if size > counts.shape[1]:
+        _, first = np.unique(counts.T, axis=0, return_index=True)
+    else:
+        key = counts[0] - lo[0]
+        for a in range(1, len(span) - 1):
+            key = key * (int(span[a]) + 1) + (counts[a] - lo[a])
+        if not positions:
+            return span, int(np.count_nonzero(np.bincount(key))), None
+        _, first = np.unique(key, return_index=True)
+    return span, len(first), (np.sort(first) if positions else None)
 
 
 def balance_profile(buffer: WordBuffer, max_len: int,

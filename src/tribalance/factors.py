@@ -325,6 +325,21 @@ class FactorIndex:
 
     # -- queries -----------------------------------------------------------
 
+    def covers(self, n: int, rule: SaturationRule = SaturationRule()) -> bool:
+        """True when the region holds the rule's target count of length-n
+        factors and ``cover_end`` is exact through n.
+
+        With the target equal to the word's factor complexity, the region
+        then holds every factor of each length through n, since each is a
+        prefix of a length-n factor.  ``cover_end`` is a running maximum over
+        lengths, so a short factor first ending near the region end could
+        raise it; with ``cover_end[n] + n <= region_len`` every such factor
+        extends inside the region to a length-n factor that ends no earlier.
+        """
+        return (n <= self.region_len
+                and self.counts[n] == rule.resolved_target(self.alphabet_size, n)
+                and self.cover_end[n] + n <= self.region_len)
+
     def factor_count(self, n: int) -> int:
         """Distinct substrings of length n in the indexed region."""
         return int(self.counts[n])
@@ -417,14 +432,25 @@ class FactorIndex:
 
 def factor_index(buffer: WordBuffer, n_max: int,
                  rule: SaturationRule = SaturationRule()) -> FactorIndex:
-    """Index covering every length up to n_max (with the extension margin
-    needed for special-factor analysis at n_max).  Reuses a cached index on
-    the buffer when one large enough exists."""
-    cap = rule.resolved_cap(n_max + 1)
-    region = cap + n_max + 1
+    """Index that covers every length up to n_max + 1 (the extra length is
+    the extension margin special-factor analysis at n_max needs).
+
+    The region starts at 8(n_max + 1) + 1024 symbols and doubles until the
+    index ``covers`` n_max + 1, but never goes past the position cap plus
+    n_max + 1 symbols.  When even that region does not saturate, the index
+    is built on exactly that region, so ``certify`` reports the shortfall.
+    Reuses the index cached on the buffer when it already covers
+    n_max + 1.
+    """
+    k = n_max + 1
     cached = buffer._index_cache
-    if cached is not None and cached.region_len >= region:
+    if cached is not None and cached.covers(k, rule):
         return cached
+    full = rule.resolved_cap(k) + k
+    region = min(full, 8 * k + 1024)
     index = FactorIndex(buffer, region)
+    while region < full and not index.covers(k, rule):
+        region = min(full, 2 * region)
+        index = FactorIndex(buffer, region)
     buffer._index_cache = index
     return index

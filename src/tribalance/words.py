@@ -145,7 +145,7 @@ class WordBuffer:
         self.max_symbols = max_symbols
         self._symbols: bytes = bytes((seed,))
         self._prefix_counts: np.ndarray | None = None
-        self._index_cache = None  # largest FactorIndex built over this buffer
+        self._index_cache = None  # FactorIndex most recently built over this buffer
 
     def __len__(self) -> int:
         return len(self._symbols)

@@ -3,16 +3,21 @@
 The oracles are deliberately primitive: direct window enumeration over a
 materialized prefix, and counting with ``collections.Counter``.  They never
 touch prefix sums, fingerprints, or the factor index, so agreement with
-the library is meaningful.
+the library is meaningful.  The one exception is ``unique_profile``, the
+sorting route the dense profile pass replaced: it reads window bounds from
+an index over the full capped region and deduplicates count columns with
+``np.unique``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word
+from tribalance.factors import FactorIndex, default_position_cap
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +54,24 @@ def brute_parikh(word, m: int) -> tuple[int, ...]:
 
 def brute_parikh_set(symbols: bytes, n: int, m: int) -> set[tuple[int, ...]]:
     return {brute_parikh(w, m) for w in brute_factors(symbols, n)}
+
+
+def full_region_index(buffer, n_max: int) -> FactorIndex:
+    """Index over the whole capped region for lengths up to n_max + 1."""
+    return FactorIndex(buffer, default_position_cap(n_max + 1) + n_max + 1)
+
+
+def unique_profile(buffer, n_max: int):
+    """(n, rho, max_imbalance, vectors) for n = 1..n_max, vectors in
+    first-occurrence order, by sorting the window count columns."""
+    index = full_region_index(buffer, n_max)
+    pc = buffer.prefix_counts
+    rows = []
+    for n in range(1, n_max + 1):
+        bound = index.certify(n)
+        counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
+        _, first = np.unique(counts.T, axis=0, return_index=True)
+        vectors = tuple(tuple(int(x) for x in counts[:, i]) for i in sorted(first))
+        imbalance = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
+        rows.append((n, len(vectors), imbalance, vectors))
+    return rows

@@ -1,10 +1,13 @@
+import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_parikh, brute_parikh_set
+from conftest import brute_parikh, brute_parikh_set, unique_profile
 from tribalance import (
     DesubForm,
     InvalidInputError,
@@ -19,12 +22,14 @@ from tribalance import (
     desubstitute,
     imbalance_witness_search,
     is_tribonacci_factor,
+    mbonacci_word,
     parikh,
     parikh_set,
     prefix_balance_check,
     verify_witness,
     window_parikh,
 )
+from tribalance.abelian import _window_classes
 from tribalance.factors import SaturationRule, scan_distinct_factors
 
 
@@ -107,6 +112,52 @@ def test_profile_matches_scanner_route(tribo):
             assert set(row.vectors) == parikh_set(tribo, row.n).vectors
 
 
+@pytest.mark.parametrize("m, n_max", [(3, 600), (2, 200), (4, 200), (5, 200), (6, 200)])
+def test_dense_profile_matches_sorting_oracle(m, n_max):
+    oracle = unique_profile(mbonacci_word(m), n_max)
+    buf = mbonacci_word(m)
+    rows = abelian_profile(buf, 1, n_max, collect_vectors=True)
+    # Vectors compare as tuples, so they must also be in first-occurrence order.
+    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows] == oracle
+    plain = abelian_profile(buf, 1, n_max, threads=3)
+    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in plain] == \
+        [(n, rho, imbalance, None) for n, rho, imbalance, _ in oracle]
+
+
+def test_window_classes_sorting_fallback():
+    # Windows of length 10 over 3 letters: the key range 11 * 11 of the
+    # first two letters exceeds the 5 columns, so the columns are sorted.
+    counts = np.array([[0, 10, 5, 0, 3], [10, 0, 5, 10, 3], [0, 0, 0, 0, 4]])
+    span, rho, first = _window_classes(counts, True)
+    assert math.prod(int(s) + 1 for s in span[:-1]) > counts.shape[1]
+    assert tuple(span) == (10, 10, 4)
+    assert (rho, list(first)) == (4, [0, 1, 2, 4])
+    span, rho, first = _window_classes(counts, False)
+    assert (rho, first) == (4, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda m: st.lists(
+           st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1),
+           min_size=1, max_size=40)),
+       st.booleans())
+def test_window_classes_match_dict_oracle(columns, positions):
+    # Both the dense key and the sorting fallback (short, spread matrices)
+    # against a first-occurrence dict; every column sums to the same length.
+    n = 3 * len(columns[0])
+    counts = np.array([c + [n - sum(c)] for c in columns], dtype=np.int64).T
+    firsts: dict[tuple[int, ...], int] = {}
+    for i, column in enumerate(counts.T.tolist()):
+        firsts.setdefault(tuple(column), i)
+    span, rho, first = _window_classes(counts, positions)
+    assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
+    assert rho == len(firsts)
+    if positions:
+        assert list(first) == sorted(firsts.values())
+    else:
+        assert first is None
+
+
 def test_balance_profile_values(tribo):
     rows = balance_profile(tribo, 50)
     assert rows[0].max_imbalance == (1, 1, 1)  # single letters differ by <= 1
@@ -116,7 +167,13 @@ def test_balance_profile_values(tribo):
 
 def test_balance_profile_threads_agree(tribo):
     seq = balance_profile(tribo, 80)
-    par = balance_profile(tribo, 80, threads=4)
+    # More workers than cores, switching threads as often as possible.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = balance_profile(tribo, 80, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
     assert [(r.n, r.rho, r.max_imbalance) for r in seq] == \
         [(r.n, r.rho, r.max_imbalance) for r in par]
 

@@ -99,10 +99,51 @@ def test_resource_exit_code(capsys):
     assert "resource failure" in err
 
 
+def test_max_buffer_covers_adaptive_region(capsys):
+    # The index region starts near 8n symbols, so a cap well below the
+    # 64n + 4096 position cap suffices and changes no output byte.
+    code, out, _ = run(capsys, "rho", "tribonacci", "1", "500", "--max-buffer", "10000")
+    assert code == 0
+    assert out == run(capsys, "rho", "tribonacci", "1", "500")[1]
+
+
 def test_saturation_cap_exit_code(capsys):
     code, _, err = run(capsys, "rho", "tribonacci", "200", "200", "--scan-cap", "10")
     assert code == 3
-    assert "200" in err
+    assert err == ("resource failure: region of 211 symbols holds 12 factors of "
+                   "length 200, target 401\n")
+
+
+def test_saturation_cap_exit_code_balance(capsys):
+    code, _, err = run(capsys, "balance", "mbonacci:4", "400", "--scan-cap", "2000")
+    assert code == 3
+    assert err == ("resource failure: region of 2401 symbols holds 675 factors of "
+                   "length 225, target 676\n")
+
+
+@pytest.mark.parametrize("argv", [["rho", "tribonacci", "1", "300"],
+                                  ["balance", "mbonacci:4", "300"]])
+def test_csv_bytes_independent_of_threads(capsys, argv):
+    code1, out1, err1 = run(capsys, *argv, "--threads", "1")
+    code4, out4, err4 = run(capsys, *argv, "--threads", "4")
+    assert code1 == code4 == 0
+    assert (out1, err1) == (out4, err4)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_full_size_csv_golden_digests(capsys):
+    # The paper's full certified profiles; these digests were taken from
+    # the sorting pass over the full capped index region.
+    code, out, _ = run(capsys, "rho", "tribonacci", "1", "7199", "--threads", "2")
+    assert code == 0
+    assert _sha256(out) == "fbaa502158be5751916ee034f1245e44d57195ef6d8406d4ad7649c40e89ec25"
+    code, out, err = run(capsys, "balance", "mbonacci:4", "3305", "--threads", "2")
+    assert code == 0
+    assert _sha256(out) == "e58f4746dd2b6eee0ffb87e56966230e0f15156d9ff5218f91f5ce788c853381"
+    assert err.splitlines()[-1] == "imbalance witness: 1,3305,2663,9048,891,888"
 
 
 def test_discrepancy(capsys):

@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_factors
-from tribalance import SaturationError, factor_index, scan_distinct_factors
+from conftest import brute_factors, full_region_index
+from tribalance import (
+    SaturationError,
+    factor_index,
+    mbonacci_word,
+    scan_distinct_factors,
+    tribonacci_word,
+)
 from tribalance.factors import FactorIndex, SaturationRule, default_position_cap, default_target
 
 
@@ -141,3 +149,54 @@ def test_index_cache_reuse(tribo):
     small = factor_index(tribo, 10)
     again = factor_index(tribo, 5)
     assert again is small
+
+
+def test_index_cache_accepts_covering_index(monkeypatch):
+    import tribalance.abelian as abelian
+
+    buf = tribonacci_word()
+    index = factor_index(buf, 300)
+    # The region grows from 8(n_max + 1) + 1024 symbols, far short of the
+    # capped region, yet it serves every length it covers.
+    assert index.region_len == 8 * 301 + 1024
+    assert index.region_len < default_position_cap(201) + 201
+    assert factor_index(buf, 200) is index
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("covered length sent to the scanner")
+
+    monkeypatch.setattr(abelian, "scan_distinct_factors", no_scan)
+    for n in (1, 200, 301):
+        assert abelian.certified_window_bound(buf, n) == index.certify(n)
+
+
+def test_index_covers_needs_saturation_and_margin():
+    end = int(factor_index(tribonacci_word(), 100).cover_end[100])
+    assert FactorIndex(tribonacci_word(), end + 100).covers(100)
+    # Saturated, but without n symbols past the bound.
+    assert not FactorIndex(tribonacci_word(), end + 99).covers(100)
+    # One length-100 factor first ends at ``end``.
+    assert not FactorIndex(tribonacci_word(), end - 1).covers(100)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 400))
+@example(6, 251)
+def test_adaptive_index_agrees_with_full_region(m, n_max):
+    index = factor_index(mbonacci_word(m), n_max)
+    full = full_region_index(mbonacci_word(m), n_max)
+    k_max = n_max + 1
+    assert index.region_len <= full.region_len
+    assert index.covers(k_max)
+    assert (index.counts[: k_max + 1] == full.counts[: k_max + 1]).all()
+    assert (index.cover_end[: k_max + 1] == full.cover_end[: k_max + 1]).all()
+    for k in range(1, k_max + 1):
+        assert index.certify(k) == full.certify(k)
+    # The extension degree at k needs every factor of length k + 1, so the
+    # right-special table is promised through n_max only (at m = 6,
+    # n_max = 251 the adaptive region misses one extension at k_max).
+    for k in range(n_max + 1):
+        assert index.right_special_end(k) == full.right_special_end(k)
+    region = index.buffer.symbols[: index.region_len]
+    for k in {1, k_max // 2 + 1, k_max}:
+        assert index.factor_count(k) == len(brute_factors(region, k)) == default_target(m, k)
