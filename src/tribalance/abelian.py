@@ -12,13 +12,14 @@ contains every factor of the relevant length.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BufferLimitError,
     InvalidInputError,
     NotAFactorError,
     RangeError,
@@ -150,36 +151,27 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
     """Certified ``ProfileRow`` for every n in [n_from, n_to].
 
     One factor index covers the whole range and certifies every window
-    bound up front.  Per length, the window letter counts vary only within
-    the imbalance, so each window is keyed densely by its offsets from the
-    per-letter minima (the last letter is n minus the others) and
-    ``np.bincount`` counts the distinct Parikh vectors without sorting.
-    When ``threads > 1``, each worker takes a strided share of the lengths
-    and only reads the prefix counts and the bounds.
+    bound up front; the prefix counts those windows read are copied once to
+    int32.  Per length, the window letter counts vary only within the
+    imbalance, so each window is keyed densely by its offsets from the
+    per-letter minima (the last letter is n minus the others) and the
+    distinct Parikh vectors are counted without sorting.  Rows are computed
+    in the calling thread; ``threads`` does not change the output.
     """
     if n_from < 1 or n_to < n_from:
         raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
     index = factor_index(buffer, n_to, rule)
     tasks = [(n, index.certify(n, rule)) for n in range(n_from, n_to + 1)]
-    pc = buffer.prefix_counts  # materialize once, shared read-only
-
-    def one(n: int, bound: int) -> ProfileRow:
+    end = max(n + bound for n, bound in tasks) + 1
+    if end >= 2**31:
+        raise BufferLimitError(f"profile windows reach {end} symbols, beyond int32 prefix counts")
+    pc = buffer.prefix_counts[:, :end].astype(np.int32)
+    rows = []
+    for n, bound in tasks:
         counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
         span, rho, first = _window_classes(counts, collect_vectors)
-        vecs = None if first is None else tuple(
-            tuple(int(x) for x in counts[:, i]) for i in first
-        )
-        return ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs)
-
-    workers = min(threads, len(tasks))
-    if workers <= 1 or len(tasks) < 8:
-        return [one(n, bound) for n, bound in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = list(pool.map(lambda t: [one(n, bound) for n, bound in tasks[t::workers]],
-                               range(workers)))
-    rows: list[ProfileRow] = [None] * len(tasks)
-    for t, share in enumerate(shares):
-        rows[t::workers] = share
+        vecs = None if first is None else tuple(map(tuple, counts[:, first].T.tolist()))
+        rows.append(ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs))
     return rows
 
 
@@ -190,8 +182,9 @@ def _window_classes(counts: np.ndarray, positions: bool):
 
     Each column is keyed by its offsets from the per-letter minima in the
     mixed radix span + 1, dropping the last letter (it is the window length
-    minus the others).  When that key range exceeds the window count, the
-    columns are deduplicated by sorting instead.
+    minus the others) and counted as the set bits of an OR over ``1 << key``
+    (at most 31 keys) or with ``np.bincount``.  When the key range exceeds
+    the window count, the columns are deduplicated by sorting instead.
     """
     lo = counts.min(axis=1)
     span = counts.max(axis=1) - lo
@@ -203,6 +196,8 @@ def _window_classes(counts: np.ndarray, positions: bool):
         for a in range(1, len(span) - 1):
             key = key * (int(span[a]) + 1) + (counts[a] - lo[a])
         if not positions:
+            if size <= 31:
+                return span, int(np.bitwise_or.reduce(np.left_shift(1, key))).bit_count(), None
             return span, int(np.count_nonzero(np.bincount(key))), None
         _, first = np.unique(key, return_index=True)
     return span, len(first), (np.sort(first) if positions else None)
@@ -215,7 +210,7 @@ def balance_profile(buffer: WordBuffer, max_len: int,
 
     The imbalance at length n for letter a is max - min of the letter-a
     count over all length-n factors, which equals the largest pairwise
-    count difference.
+    count difference.  ``threads`` does not change the output.
     """
     return abelian_profile(buffer, 1, max_len, rule, threads=threads)
 
@@ -246,16 +241,20 @@ def verify_witness(buffer: WordBuffer, letter: int, pos_u: int, pos_v: int,
 
 def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
                              max_len: int, scan_len: int | None = None,
-                             rule: SaturationRule = SaturationRule()) -> BalanceWitness | None:
+                             rule: SaturationRule = SaturationRule(),
+                             n_from: int = 1) -> BalanceWitness | None:
     """Smallest-length witness with count difference >= target_diff, or None.
 
-    For each length up to ``max_len`` the scan tracks min and max counts of
+    For each length from ``n_from`` (a caller that knows no shorter length
+    reaches the target) to ``max_len`` the scan tracks min and max counts of
     the letter (with positions) over all windows in the first ``scan_len``
     symbols; ``scan_len=None`` uses the certified per-length bound instead.
     """
+    if n_from < 1:
+        raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
     if scan_len is not None and scan_len > len(buffer):
         raise RangeError(f"scan_len {scan_len} exceeds buffer length {len(buffer)}")
-    for n in range(1, max_len + 1):
+    for n in range(n_from, max_len + 1):
         if scan_len is None:
             bound = certified_window_bound(buffer, n, rule)
         else:
@@ -332,14 +331,9 @@ class Desubstitution:
         return w
 
 
-_shared_buffer: WordBuffer | None = None
-
-
+@functools.cache
 def _tribonacci_shared() -> WordBuffer:
-    global _shared_buffer
-    if _shared_buffer is None:
-        _shared_buffer = tribonacci_word(4096)
-    return _shared_buffer
+    return tribonacci_word(4096)
 
 
 def is_tribonacci_factor(w: WordLike) -> bool:

@@ -2,9 +2,9 @@
 numeration codec, spectral constants, special-factor reports, and the
 claim-verification suite.
 
-Exit codes: 0 success, 1 claim failure, 2 usage error, 3 resource or
-saturation failure.  Data (CSV, digit strings) goes to --out or stdout;
-progress and summaries go to stderr so piped output stays clean.  Real
+Exit codes: 0 success, 1 claim failure, 2 usage error (including an
+unwritable output path), 3 resource or saturation failure.  Data (CSV,
+digit strings) goes to --out or stdout; progress and summaries go to stderr so piped output stays clean.  Real
 numbers are printed with 12 significant digits, deterministically.
 """
 
@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import abelian, numeration, special, spectral, verify
-from .errors import BufferLimitError, SaturationError, TribalanceError
+from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
 from .factors import SaturationRule
 from .words import (
     DEFAULT_MAX_SYMBOLS,
@@ -45,9 +45,13 @@ def _progress(message: str) -> None:
 def _open_out(path: str | None):
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as err:
+        raise InvalidInputError(f"cannot write {path}: {err.strerror}") from None
+    with handle:
+        yield handle
 
 
 def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -> WordBuffer:
@@ -65,7 +69,7 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -
     return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols)
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -125,10 +129,11 @@ def cmd_balance(args, parser) -> int:
     if global_max >= 3:
         # The word is not 2-balanced in the scanned range; exhibit the
         # first witness in wire form letter,length,pos_u,pos_v,count_u,count_v.
+        # The certified rows prove no shorter length reaches imbalance 3.
         n, letter = next(
             (row.n, a) for row in rows for a in range(m) if row.max_imbalance[a] >= 3
         )
-        w = abelian.imbalance_witness_search(buf, letter, 3, n, rule=rule)
+        w = abelian.imbalance_witness_search(buf, letter, 3, n, rule=rule, n_from=n)
         print(
             f"imbalance witness: {w.letter},{w.length},{w.pos_u},{w.pos_v},"
             f"{w.count_u},{w.count_v}",
@@ -224,7 +229,7 @@ def cmd_verify(args, parser) -> int:
         print(f"{claim.status.upper():7s} {claim.claim_id} ({claim.runtime_ms:.0f} ms): "
               f"{claim.description}")
     if args.json:
-        with open(args.json, "w") as handle:
+        with _open_out(args.json) as handle:
             handle.write(report.to_json())
             handle.write("\n")
     passed = sum(c.status == "pass" for c in report.claims)
@@ -242,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out: bool = True):
         if out:
             p.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
-        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
-                       help="parallelism cap for per-length analyses")
+        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                       help="validated and accepted; does not change the output")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-        p.add_argument("--max-buffer", type=int, default=DEFAULT_MAX_SYMBOLS,
+        p.add_argument("--max-buffer", type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
                        help="hard cap on materialized symbols")
-        p.add_argument("--scan-cap", type=int, default=None,
+        p.add_argument("--scan-cap", type=_positive_int, default=None,
                        help="fixed position cap for factor scans (default 64n + 4096)")
 
     p = sub.add_parser("generate", help="write a prefix of a word")
@@ -310,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except TribalanceError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CLAIM_FAILURE
+        return EXIT_USAGE if isinstance(err, InvalidInputError) else EXIT_CLAIM_FAILURE
 
 
 if __name__ == "__main__":

@@ -435,19 +435,19 @@ def factor_index(buffer: WordBuffer, n_max: int,
     """Index that covers every length up to n_max + 1 (the extra length is
     the extension margin special-factor analysis at n_max needs).
 
-    The region starts at 8(n_max + 1) + 1024 symbols and doubles until the
+    On m letters the region starts at 2**max(m, 3) * (n_max + 1) + 1024
+    symbols (measured to cover at once for m <= 6) and doubles until the
     index ``covers`` n_max + 1, but never goes past the position cap plus
     n_max + 1 symbols.  When even that region does not saturate, the index
     is built on exactly that region, so ``certify`` reports the shortfall.
-    Reuses the index cached on the buffer when it already covers
-    n_max + 1.
+    Reuses the index cached on the buffer when it already covers n_max + 1.
     """
     k = n_max + 1
     cached = buffer._index_cache
     if cached is not None and cached.covers(k, rule):
         return cached
     full = rule.resolved_cap(k) + k
-    region = min(full, 8 * k + 1024)
+    region = min(full, 2 ** max(buffer.alphabet_size, 3) * k + 1024)
     index = FactorIndex(buffer, region)
     while region < full and not index.covers(k, rule):
         region = min(full, 2 * region)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_parikh, brute_parikh_set, unique_profile
 from tribalance import (
+    BufferLimitError,
     DesubForm,
     InvalidInputError,
     NotAFactorError,
@@ -122,6 +123,13 @@ def test_dense_profile_matches_sorting_oracle(m, n_max):
     plain = abelian_profile(buf, 1, n_max, threads=3)
     assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in plain] == \
         [(n, rho, imbalance, None) for n, rho, imbalance, _ in oracle]
+    # Key spaces of at most 31 values take the bitmask route, wider ones
+    # np.bincount: m <= 4 never leaves the first, m = 5, 6 reach the second.
+    sizes = [math.prod(s + 1 for s in r.max_imbalance[:-1]) for r in plain]
+    if m <= 4:
+        assert max(sizes) <= 27
+    else:
+        assert max(sizes) > 31
 
 
 def test_window_classes_sorting_fallback():
@@ -156,6 +164,42 @@ def test_window_classes_match_dict_oracle(columns, positions):
         assert list(first) == sorted(firsts.values())
     else:
         assert first is None
+
+
+def _span_shapes(free: int) -> list[tuple[int, ...]]:
+    """Spans of the ``free`` keyed letters whose key spaces have 27, 31
+    (the widest bitmask), 32 (the narrowest np.bincount) and more values."""
+    def pad(*spans):
+        return spans + (0,) * (free - len(spans))
+    shapes = [pad(30), pad(31), pad(40)]
+    if free >= 2:
+        shapes += [pad(1, 15), pad(3, 7), pad(6, 6)]
+    if free >= 3:
+        shapes += [pad(2, 2, 2), pad(1, 1, 7), pad(2, 2, 3)]
+    if free >= 5:
+        shapes += [pad(1, 1, 1, 1, 1), pad(1, 1, 1, 1, 2)]
+    return shapes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(
+           lambda m: st.sampled_from(_span_shapes(m - 1)).flatmap(st.permutations)),
+       st.integers(0, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.int32, np.int64]), st.booleans())
+def test_window_classes_key_space_routes(spans, extra, seed, dtype, positions):
+    # At least as many columns as keys, so the dense key is used; the zero
+    # and the full-span columns pin every keyed letter's span exactly.
+    spans = np.array(spans)
+    size = math.prod(int(s) + 1 for s in spans)
+    rng = np.random.default_rng(seed)
+    keyed = np.column_stack([np.zeros_like(spans), spans,
+                             rng.integers(0, spans[:, None] + 1, size=(len(spans), size + extra))])
+    n = int(spans.sum()) + 5
+    counts = np.vstack([keyed, n - keyed.sum(axis=0)]).astype(dtype)
+    span, rho, _ = _window_classes(counts, positions)
+    assert tuple(span[:-1]) == tuple(spans)
+    assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
+    assert rho == len(set(map(tuple, counts.T.tolist())))
 
 
 def test_balance_profile_values(tribo):
@@ -206,6 +250,30 @@ def test_witness_search_finds_fourbonacci_imbalance(fourbo):
     # The witness recomputes against the buffer.
     check = verify_witness(fourbo, 1, w.pos_u, w.pos_v, w.length)
     assert check.diff == w.diff
+
+
+def test_witness_search_from_known_length(fourbo):
+    # The balance profile proves no length below 3305 reaches imbalance 3,
+    # so a search started there finds the same first witness.
+    w = imbalance_witness_search(fourbo, 1, 3, 3305, n_from=3305)
+    assert (w.letter, w.length, w.pos_u, w.pos_v, w.count_u, w.count_v) == \
+        (1, 3305, 2663, 9048, 891, 888)
+    assert imbalance_witness_search(fourbo, 1, 3, 3304, n_from=3305) is None
+    assert imbalance_witness_search(fourbo, 1, 1, 20, n_from=7).length == 7
+    with pytest.raises(InvalidInputError):
+        imbalance_witness_search(fourbo, 1, 3, 10, n_from=0)
+
+
+def test_profile_refuses_windows_past_int32(monkeypatch):
+    import tribalance.abelian as abelian
+
+    class FarIndex:
+        def certify(self, n, rule):
+            return 2**31 - n - 1
+
+    monkeypatch.setattr(abelian, "factor_index", lambda *args: FarIndex())
+    with pytest.raises(BufferLimitError):
+        abelian_profile(mbonacci_word(3), 1, 2)
 
 
 def test_witness_search_trivial(tribo):

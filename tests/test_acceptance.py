@@ -60,7 +60,7 @@ def test_criterion_03_two_balanced(report):
     # The balance table shares criterion 2's certified profile; the budget
     # covers that build (charged to the first claim that triggered it).
     _check(report, 3, "maximum imbalance over lengths <= 2000 is exactly 2",
-           ["balance_max_n2000_is_2"], budget_ms=4_000,
+           ["balance_max_n2000_is_2"], budget_ms=2_000,
            budget_claim_ids=["balance_max_n2000_is_2", "rho_min_5_is_30"])
 
 

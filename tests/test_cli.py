@@ -56,6 +56,43 @@ def test_threads_below_one_usage_error(capsys, threads):
     assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["generate", "mbonacci:300", "5"], 2),
+    (["generate", "tribonacci", "5", "--max-buffer", "2"], 3),
+    (["rho", "tribonacci", "1", "5", "--out", "MISSING"], 2),
+    (["rho", "tribonacci", "1", "5", "--max-buffer", "0"], 2),
+    (["rho", "tribonacci", "1", "5", "--max-buffer", "-1"], 2),
+    (["balance", "mbonacci:300", "5"], 2),
+    (["balance", "tribonacci", "5", "--scan-cap", "0"], 2),
+    (["balance", "tribonacci", "5", "--scan-cap", "-5"], 2),
+    (["discrepancy", "3", "10"], 2),
+    (["discrepancy", "0", "10", "--max-buffer", "5"], 3),
+    (["zeckendorf", "-1"], 2),
+    (["constants", "--out", "MISSING"], 2),
+    (["special", "mbonacci:300", "1", "3"], 2),
+    (["special", "tribonacci", "1", "5", "--scan-cap", "1"], 3),
+    (["verify", "--json", "MISSING"], 2),
+])
+def test_bad_input_exits_without_traceback(capsys, monkeypatch, tmp_path, argv, expected):
+    import tribalance.verify as verify
+
+    monkeypatch.setattr(verify, "CLAIMS", tuple(
+        c for c in verify.CLAIMS if c.claim_id == "spectral_constants_5dp"))
+    argv = [str(tmp_path / "missing" / "x") if a == "MISSING" else a for a in argv]
+    # Any exception other than SystemExit escaping main() would be a traceback.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("resource failure: " if expected == 3 else ("error: ", "tribalance"))
+    if any(a.endswith("missing/x") for a in argv):
+        assert last.startswith("error: cannot write ") and "missing/x: " in last
+
+
 def test_rho_single(capsys):
     code, out, _ = run(capsys, "rho", "tribonacci", "30", "30")
     assert code == 0

@@ -170,6 +170,23 @@ def test_index_cache_accepts_covering_index(monkeypatch):
         assert abelian.certified_window_bound(buf, n) == index.certify(n)
 
 
+@pytest.mark.parametrize("m, n_max", [(4, 3305), (5, 1000)])
+def test_index_built_once_for_larger_alphabets(monkeypatch, m, n_max):
+    # The start region 2**m * (n_max + 1) + 1024 already covers, so the
+    # doubling fallback never throws a build away.
+    regions = []
+    init = FactorIndex.__init__
+
+    def counting_init(self, buffer, region_len):
+        regions.append(region_len)
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(FactorIndex, "__init__", counting_init)
+    index = factor_index(mbonacci_word(m), n_max)
+    assert regions == [2**m * (n_max + 1) + 1024]
+    assert index.covers(n_max + 1)
+
+
 def test_index_covers_needs_saturation_and_margin():
     end = int(factor_index(tribonacci_word(), 100).cover_end[100])
     assert FactorIndex(tribonacci_word(), end + 100).covers(100)
