@@ -25,7 +25,7 @@ from .errors import (
     RangeError,
     SaturationError,
 )
-from .factors import SaturationRule, factor_index, scan_distinct_factors
+from .factors import SaturationRule, factor_index
 from .words import (
     WordBuffer,
     WordLike,
@@ -60,8 +60,8 @@ def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
 class ParikhSet:
     """Parikh vectors of the distinct factors of one length.
 
-    ``certified`` records whether the scan provably saw every factor
-    (reached the complexity target); only then does
+    ``certified`` records whether every factor of the length was provably
+    seen (the complexity target was reached); only then does
     ``len(vectors)`` equal the abelian complexity.
     """
 
@@ -78,52 +78,33 @@ class ParikhSet:
 def parikh_set(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> ParikhSet:
     """Set of Parikh vectors over the distinct length-n factors.
 
-    Scans windows left to right with exact distinct counting and stops at
-    the complexity target; a certified result is complete.  If the position
-    cap is reached first, the raised ``SaturationError`` carries the
-    partial set.
+    One certified profile row over the factor index; a region that misses
+    the complexity target raises ``SaturationError``.
     """
-    if n < 1:
-        raise InvalidInputError(f"factor length must be >= 1, got {n}")
-    try:
-        scan = scan_distinct_factors(buffer, n, rule)
-    except SaturationError as err:
-        partial = err.partial
-        err.partial = _vectors_from_positions(buffer, n, partial)
-        raise
-    return _vectors_from_positions(buffer, n, scan)
-
-
-def _vectors_from_positions(buffer: WordBuffer, n: int, scan) -> ParikhSet:
-    pc = buffer.prefix_counts
-    pos = np.asarray(scan.first_positions, dtype=np.int64)
-    vecs = (pc[:, pos + n] - pc[:, pos]).T
-    vectors = frozenset(tuple(int(x) for x in v) for v in vecs)
+    (row,) = abelian_profile(buffer, n, n, rule, collect_vectors=True)
+    index = factor_index(buffer, n, rule)
     return ParikhSet(
         n=n,
-        vectors=vectors,
-        factor_count=scan.count,
-        certified=scan.certified,
-        last_new_position=scan.last_new_position,
+        vectors=frozenset(row.vectors),
+        factor_count=index.factor_count(n),
+        certified=True,
+        last_new_position=index.certify(n, rule),
     )
 
 
 def abelian_complexity(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> int:
     """Number of distinct Parikh vectors among length-n factors."""
-    return len(parikh_set(buffer, n, rule).vectors)
+    return abelian_profile(buffer, n, n, rule)[0].rho
 
 
 def certified_window_bound(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> int:
     """Last window start that must be scanned to see every length-n factor.
 
-    Uses the factor index cached on the buffer when it covers n (its region
-    holds every factor of each length through n, with exact
-    first-occurrence bounds), otherwise a direct scan.
+    Read off the factor index that covers n (the buffer's cached one when
+    it does), which raises ``SaturationError`` when the capped region
+    misses the complexity target.
     """
-    index = getattr(buffer, "_index_cache", None)
-    if index is not None and index.covers(n, rule):
-        return index.certify(n, rule)
-    return scan_distinct_factors(buffer, n, rule).last_new_position
+    return factor_index(buffer, n, rule).certify(n, rule)
 
 
 def _window_counts(buffer: WordBuffer, n: int, bound: int) -> np.ndarray:

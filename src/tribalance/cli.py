@@ -14,7 +14,7 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import abelian, numeration, special, spectral, verify
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
@@ -100,9 +100,9 @@ def cmd_rho(args, parser) -> int:
     buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     if args.n_to > 1000:
         _progress(f"certifying factor sets up to length {args.n_to}")
-    rows = abelian.abelian_profile(buf, args.n_from, args.n_to, _rule(args),
-                                   threads=args.threads)
     with _open_out(args.out) as out:
+        rows = abelian.abelian_profile(buf, args.n_from, args.n_to, _rule(args),
+                                       threads=args.threads)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"])
         for row in rows:
@@ -117,9 +117,9 @@ def cmd_balance(args, parser) -> int:
     rule = _rule(args)
     if args.max_len > 1000:
         _progress(f"certifying factor sets up to length {args.max_len}")
-    rows = abelian.balance_profile(buf, args.max_len, rule, threads=args.threads)
     m = buf.alphabet_size
     with _open_out(args.out) as out:
+        rows = abelian.balance_profile(buf, args.max_len, rule, threads=args.threads)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"] + [f"max_imbalance_{a}" for a in range(m)])
         for row in rows:
@@ -206,10 +206,10 @@ def cmd_special(args, parser) -> int:
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "right_special_word", *letters, "bispecial", "rho", *closed_form])
-        for n in range(args.n_from, args.n_to + 1):
+        for prow in abelian.abelian_profile(buf, args.n_from, args.n_to, rule):
+            n = prow.n
             record = special.right_special_factor(buf, n - 1, rule)
-            rho = abelian.abelian_complexity(buf, n, rule)
-            row = [n, word_to_text(record.word), *record.parikh, int(record.is_bispecial), rho]
+            row = [n, word_to_text(record.word), *record.parikh, int(record.is_bispecial), prow.rho]
             if closed_form:
                 row.append(int(special.is_min_complexity_length(n)))
             writer.writerow(row)
@@ -224,12 +224,12 @@ def cmd_verify(args, parser) -> int:
         scan_cap=args.scan_cap,
         progress=_progress,
     )
-    report = verify.run_suite(args.suite, config)
-    for claim in report.claims:
-        print(f"{claim.status.upper():7s} {claim.claim_id} ({claim.runtime_ms:.0f} ms): "
-              f"{claim.description}")
-    if args.json:
-        with _open_out(args.json) as handle:
+    with _open_out(args.json) if args.json else nullcontext() as handle:
+        report = verify.run_suite(args.suite, config)
+        for claim in report.claims:
+            print(f"{claim.status.upper():7s} {claim.claim_id} ({claim.runtime_ms:.0f} ms): "
+                  f"{claim.description}")
+        if handle is not None:
             handle.write(report.to_json())
             handle.write("\n")
     passed = sum(c.status == "pass" for c in report.claims)

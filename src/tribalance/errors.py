@@ -23,8 +23,9 @@ class RangeError(TribalanceError, IndexError):
 
 
 class SaturationError(TribalanceError, RuntimeError):
-    """A factor scan hit its position cap before reaching the complexity
-    target.  ``partial`` carries whatever was collected before the cap."""
+    """A factor scan or factor-index region hit its position cap before
+    reaching the complexity target.  ``partial`` carries the scan result
+    collected before the cap; only ``scan_distinct_factors`` sets it."""
 
     def __init__(self, message, *, n=None, partial=None, positions_scanned=None):
         super().__init__(message)

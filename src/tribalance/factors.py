@@ -2,18 +2,21 @@
 
 Two independent mechanisms are provided.
 
+``FactorIndex`` builds a suffix automaton over a fixed prefix region and
+answers, for every length at once: how many distinct factors the region
+contains, how long a prefix suffices to contain them all, and where the
+unique right special factor first occurs with its right and left extension
+counts.  Every per-length query of the package (Parikh sets, window
+bounds, special factors, profiles) goes through ``factor_index``.
+
 ``scan_distinct_factors`` slides a 127-bit rolling fingerprint over the
 buffer and counts distinct windows, confirming every fingerprint match by
 symbol comparison so the count is exact, never probabilistic.  It stops as
 soon as the factor count reaches the complexity target, which for an
 Arnoux-Rauzy word on m letters is (m-1)*n + 1; reaching the target
-certifies that every factor of that length has been seen.
-
-``FactorIndex`` builds a suffix automaton over a fixed prefix region and
-answers, for every length at once: how many distinct factors the region
-contains, and how long a prefix suffices to contain them all.  This is the
-bulk path used when thousands of lengths are analyzed together; the
-scanner is the per-query path and the cross-check for the index.
+certifies that every factor of that length has been seen.  It shares no
+code with the index and backs only the saturation-soundness claim, which
+asks whether scanning past the target finds anything new.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class SaturationRule:
     None means the Arnoux-Rauzy count (m-1)*n + 1.
     ``position_cap``: number of window start positions to examine before
     failing; None means 64n + 4096.
-    ``certified``: if False, run a fixed scan over all capped positions and
-    report what was found without any completeness claim.
+    ``certified``: if False, ``scan_distinct_factors`` runs a fixed scan
+    over all capped positions and reports what was found without any
+    completeness claim.  The factor index always certifies.
     """
 
     target: int | None = None
@@ -216,7 +220,7 @@ class FactorIndex:
     substrings of one right-extension class, with lengths filling the
     interval (shortest-1, longest]; aggregating states by that interval
     yields per-length distinct counts, first-occurrence bounds, and
-    right-extension degrees without ever materializing factor sets.
+    right- and left-extension counts without ever materializing factor sets.
     """
 
     def __init__(self, buffer: WordBuffer, region_len: int):
@@ -226,7 +230,7 @@ class FactorIndex:
         self.alphabet_size = buffer.alphabet_size
         self._build(buffer.symbols[:region_len], buffer.alphabet_size)
         self._aggregate()
-        self._rs_end: np.ndarray | None = None  # lazy right-special table
+        self._rs_state: np.ndarray | None = None  # lazy right-special table
 
     # -- construction ------------------------------------------------------
 
@@ -376,43 +380,37 @@ class FactorIndex:
             )
         return bound
 
-    def right_special_end(self, n: int) -> tuple[int, int]:
-        """First-occurrence end and extension degree of the unique
-        right-special factor of length n.
+    def right_special_end(self, n: int) -> tuple[int, int, int]:
+        """First-occurrence end, right extension degree and left extension
+        count of the unique right-special factor of length n.
 
-        The caller is responsible for having certified saturation at n and
-        n + 1; uniqueness failure signals a scanner bug or a word outside
-        the Arnoux-Rauzy family.
+        The left count needs no scan: a word shorter than the longest word
+        of its state has the same left neighbour at every occurrence, and
+        the longest one extends to the left by one letter per child of its
+        state in the suffix-link tree.  The caller is responsible for having
+        certified saturation at n and n + 1; uniqueness failure signals a
+        word outside the Arnoux-Rauzy family.
         """
-        if n == 0:
-            return 0, int(self._outdeg[0])
         if self._special_count[n] != 1:
             raise InvariantViolationError(
                 f"expected exactly one right-special factor of length {n}, "
                 f"found {int(self._special_count[n])}"
             )
         self._ensure_rs_table(n)
-        end = int(self._rs_end[n])
-        deg = int(self._rs_deg[n])
-        return end, deg
+        s = int(self._rs_state[n])
+        left = 1 if n < self._len[s] else int(self._children[s])
+        return int(self._first_end[s]), int(self._outdeg[s]), left
 
     def _ensure_rs_table(self, n_max: int) -> None:
-        if self._rs_end is not None and len(self._rs_end) > n_max:
+        if self._rs_state is not None and len(self._rs_state) > n_max:
             return
         size = min(self.region_len, max(2 * n_max, 1024)) + 1
-        rs_end = np.zeros(size, dtype=np.int64)
-        rs_deg = np.zeros(size, dtype=np.int64)
-        special = np.flatnonzero(self._outdeg >= 2)
-        for s in special:
-            lo = int(self._min_len[s])
+        rs_state = np.zeros(size, dtype=np.int64)
+        for s in np.flatnonzero(self._outdeg >= 2):
             hi = min(int(self._len[s]), size - 1)
-            if lo > hi:
-                continue
-            lo = max(lo, 1)
-            rs_end[lo : hi + 1] = self._first_end[s]
-            rs_deg[lo : hi + 1] = self._outdeg[s]
-        self._rs_end = rs_end
-        self._rs_deg = rs_deg
+            rs_state[int(self._min_len[s]) : hi + 1] = s
+        self._rs_state = rs_state
+        self._children = np.bincount(self._link[1:], minlength=self.n_states)
 
     def walk(self, word) -> int | None:
         """Automaton state reached by reading ``word`` from the root, or

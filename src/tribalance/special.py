@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import ParikhSet, ParikhVector, parikh, parikh_set
+from .abelian import ParikhSet, ParikhVector, abelian_profile, parikh_set
 from .errors import (
     InvalidInputError,
     InvariantViolationError,
     VerificationFailureError,
 )
-from .factors import SaturationRule, scan_distinct_factors
+from .factors import SaturationRule, factor_index
 from .numeration import tribonacci_number
 from .words import WordBuffer, apply_morphism
 
@@ -65,42 +65,36 @@ class SpecialFactorRecord:
 
 def right_special_factor(buffer: WordBuffer, length: int,
                          rule: SaturationRule = SaturationRule()) -> SpecialFactorRecord:
-    """Find the unique right special factor of the given length by
-    extension counting over the saturated factor set one longer.
+    """The unique right special factor of the given length, read off the
+    factor index with saturation certified through ``length + 1``.
 
-    Grouping the certified set of (length+1)-factors by their length-long
-    prefix counts right extensions; grouping by suffix counts left
-    extensions.  Exactly one factor with at least two right extensions may
-    exist, and it must be extendable by every letter; anything else
-    signals a scanner bug or a word outside the certified family.
+    Exactly one factor with at least two right extensions may exist, and it
+    must be extendable by every letter; anything else signals a word
+    outside the certified family.
     """
+    if length < 0:
+        raise InvalidInputError(f"length must be >= 0, got {length}")
+    return _special_record(buffer, factor_index(buffer, length, rule), length, rule)
+
+
+def _special_record(buffer: WordBuffer, index, length: int,
+                    rule: SaturationRule) -> SpecialFactorRecord:
     m = buffer.alphabet_size
-    scan = scan_distinct_factors(buffer, length + 1, rule)
-    sym = buffer.symbols
-    right: dict[bytes, set[int]] = {}
-    left: dict[bytes, set[int]] = {}
-    for p in scan.first_positions:
-        w = sym[p : p + length + 1]
-        right.setdefault(w[:length], set()).add(w[-1])
-        left.setdefault(w[1:], set()).add(w[0])
-    specials = [w for w, exts in right.items() if len(exts) >= 2]
-    if len(specials) != 1:
+    index.certify(length, rule)
+    index.certify(length + 1, rule)
+    end, deg, left = index.right_special_end(length)
+    if deg != m:
         raise InvariantViolationError(
-            f"expected exactly one right special factor of length {length}, found {len(specials)}"
+            f"right special factor of length {length} extends by {deg} letters, expected {m}"
         )
-    word = specials[0]
-    if len(right[word]) != m:
-        raise InvariantViolationError(
-            f"right special factor of length {length} extends by {len(right[word])} letters, expected {m}"
-        )
-    left_ext = len(left.get(word, set()))
+    pc = buffer.prefix_counts
     return SpecialFactorRecord(
         length=length,
-        word=word,
-        parikh=parikh(word, m),
-        right_extensions=len(right[word]),
-        left_extensions=left_ext,
-        is_bispecial=left_ext >= 2,
+        word=buffer.symbols[end - length : end],
+        parikh=tuple(int(x) for x in pc[:, end] - pc[:, end - length]),
+        right_extensions=deg,
+        left_extensions=left,
+        is_bispecial=left >= 2,
     )
 
 
@@ -357,24 +351,9 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
 
 
 def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector:
-    """Parikh vector of the unique right special factor, from a factor
-    index (the bulk route; extension counting happens on automaton states).
-
-    Requires the index region to saturate both ``length`` and
-    ``length + 1`` so the state out-degrees reflect true extensions.
-    """
-    m = buffer.alphabet_size
-    if length == 0:
-        return (0,) * m
-    index.certify(length)
-    index.certify(length + 1)
-    end, deg = index.right_special_end(length)
-    if deg != m:
-        raise InvariantViolationError(
-            f"right special factor of length {length} extends by {deg} letters, expected {m}"
-        )
-    pc = buffer.prefix_counts
-    return tuple(int(x) for x in pc[:, end] - pc[:, end - length])
+    """Parikh vector of the unique right special factor, from a given
+    factor index whose region saturates ``length`` and ``length + 1``."""
+    return _special_record(buffer, index, length, SaturationRule()).parikh
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +436,17 @@ def verify_equivalences(buffer: WordBuffer, n_max: int,
     minimal abelian complexity agree; raises ``VerificationFailureError``
     naming the first disagreeing length."""
     rows = []
-    for n in range(1, n_max + 1):
+    if n_max < 1:
+        return rows
+    for prow in abelian_profile(buffer, 1, n_max, rule, collect_vectors=True):
+        n = prow.n
         record = right_special_factor(buffer, n - 1, rule)
-        pset = parikh_set(buffer, n, rule)
-        coords = list(zip(*pset.vectors))
-        one_balanced = all(max(c) - min(c) <= 1 for c in coords)
         row = EquivalenceRow(
             n=n,
-            one_balanced=one_balanced,
-            complexity_is_min=len(pset.vectors) == 3,
+            one_balanced=max(prow.max_imbalance) <= 1,
+            complexity_is_min=prow.rho == 3,
             boundary_disjoint=not (
-                set(_boundary_vectors(record.parikh)) & pset.vectors
+                set(_boundary_vectors(record.parikh)) & set(prow.vectors)
             ),
             bispecial_exists=record.is_bispecial,
             closed_form=is_min_complexity_length(n),

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,38 @@ def test_special_report_tribonacci_bytes(capsys):
     )
 
 
+@pytest.mark.parametrize("word_spec, n_to, digest", [
+    ("tribonacci", 2000, "1a55f31d6b28b470828c03647f6a035d1b9a65d65f186b67dd65cd94c3696c96"),
+    ("mbonacci:4", 200, "f3691b4ed03df61cdc731b3ee7ce0e3052ad4289f92d266c5a3ff9e83848acb5"),
+    ("mbonacci:2", 300, "bf1e847b850be4f033cbc5a0da764c4084ffeea464ccdaf9b6f57268c56ea4ec"),
+])
+def test_special_report_golden_digests(capsys, word_spec, n_to, digest):
+    # Digests taken from the per-length scanner route the index replaced.
+    code, out, _ = run(capsys, "special", word_spec, "1", str(n_to))
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_outputs_opened_before_computing(capsys, monkeypatch, tmp_path):
+    # An unwritable --out or --json path fails before any profile or claim
+    # runs.
+    import tribalance.abelian as abelian
+    import tribalance.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output was opened")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    monkeypatch.setattr(abelian, "abelian_profile", refuse)
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["verify", "--json", missing],
+                 ["rho", "tribonacci", "1", "50", "--out", missing],
+                 ["balance", "tribonacci", "50", "--out", missing]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {missing}: ")
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_special_report_columns_follow_alphabet(capsys, m):
     code, out, _ = run(capsys, "special", f"mbonacci:{m}", "1", "12")
@@ -284,3 +320,21 @@ def test_verify_degraded_mode_skips_and_fails(capsys, tmp_path, monkeypatch):
     statuses = {c["claim_id"]: c["status"] for c in report["claims"]}
     assert statuses["rho_sequence_1_42"] == "skipped"
     assert statuses["spectral_constants_5dp"] == "pass"
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    # The benchmark tracer wraps every layer's functions by name and fails
+    # on a name the package no longer has, so one traced run checks that a
+    # refactor kept every name it wraps.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
+         "--", "special", "tribonacci", "1", "30"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {s["name"] for s in json.loads(spans.read_text())["spans"]}
+    assert {"special.right_special", "factors.factor_index", "abelian.profile"} <= names

@@ -162,12 +162,17 @@ def test_index_cache_accepts_covering_index(monkeypatch):
     assert index.region_len < default_position_cap(201) + 201
     assert factor_index(buf, 200) is index
 
-    def no_scan(*args, **kwargs):
-        raise AssertionError("covered length sent to the scanner")
+    builds = []
+    init = FactorIndex.__init__
 
-    monkeypatch.setattr(abelian, "scan_distinct_factors", no_scan)
-    for n in (1, 200, 301):
+    def counting_init(self, buffer, region_len):
+        builds.append(region_len)
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(FactorIndex, "__init__", counting_init)
+    for n in (1, 200, 300, 301):
         assert abelian.certified_window_bound(buf, n) == index.certify(n)
+    assert builds == []
 
 
 @pytest.mark.parametrize("m, n_max", [(4, 3305), (5, 1000)])

@@ -38,19 +38,29 @@ def test_right_special_small(tribo):
     assert not r2.is_bispecial
 
 
-def test_right_special_matches_brute_force(tribo):
-    # Oracle: group every factor of length n+1 (from a long prefix) by its
-    # length-n prefix and count extension letters.
-    sym = tribo.symbols[:30_000]
-    for n in (1, 4, 9, 25, 60):
-        ext: dict[bytes, set[int]] = {}
-        for w in brute_factors(sym, n + 1):
-            ext.setdefault(w[:n], set()).add(w[-1])
-        specials = [w for w, s in ext.items() if len(s) >= 2]
-        assert len(specials) == 1
-        record = right_special_factor(tribo, n)
-        assert record.word == specials[0]
-        assert record.right_extensions == 3
+def test_right_special_matches_brute_force(fibo, tribo, fourbo):
+    # Oracle: group every factor of length n+1 of a long prefix by its
+    # length-n prefix (right extensions) and by its length-n suffix (left
+    # extensions).  The prefix holds all (m-1)(n+1)+1 factors, so the
+    # oracle sees the whole factor set.
+    for m, buf in ((2, fibo), (3, tribo), (4, fourbo)):
+        sym = buf.symbols[:12_000]
+        for n in range(0, 121):
+            factors = brute_factors(sym, n + 1)
+            assert len(factors) == (m - 1) * (n + 1) + 1
+            right: dict[bytes, set[int]] = {}
+            left: dict[bytes, set[int]] = {}
+            for w in factors:
+                right.setdefault(w[:n], set()).add(w[-1])
+                left.setdefault(w[1:], set()).add(w[0])
+            specials = [w for w, s in right.items() if len(s) >= 2]
+            assert len(specials) == 1
+            (word,) = specials
+            record = right_special_factor(buf, n)
+            assert record.word == word
+            assert record.right_extensions == len(right[word]) == m
+            assert record.left_extensions == len(left[word])
+            assert record.is_bispecial == (len(left[word]) >= 2)
 
 
 def test_right_special_extension_degree(tribo):
