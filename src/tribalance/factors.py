@@ -7,7 +7,8 @@ answers, for every length at once: how many distinct factors the region
 contains, how long a prefix suffices to contain them all, and where the
 unique right special factor first occurs with its right and left extension
 counts.  Every per-length query of the package (Parikh sets, window
-bounds, special factors, profiles) goes through ``factor_index``.
+bounds, special factors, profiles, the saturation claim) goes through
+the index.
 
 ``scan_distinct_factors`` slides a 127-bit rolling fingerprint over the
 buffer and counts distinct windows, confirming every fingerprint match by
@@ -15,8 +16,8 @@ symbol comparison so the count is exact, never probabilistic.  It stops as
 soon as the factor count reaches the complexity target, which for an
 Arnoux-Rauzy word on m letters is (m-1)*n + 1; reaching the target
 certifies that every factor of that length has been seen.  It shares no
-code with the index and backs only the saturation-soundness claim, which
-asks whether scanning past the target finds anything new.
+code with the index and backs no claim: the tests use it as an oracle for
+the index, and the benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations

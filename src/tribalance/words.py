@@ -40,7 +40,10 @@ def as_word(w: WordLike) -> bytes:
             return bytes(int(c) for c in w)
         except ValueError:
             raise InvalidInputError(f"word text must be decimal digits, got {w!r}") from None
-    return bytes(w)
+    try:
+        return bytes(w)
+    except ValueError:
+        raise InvalidInputError("word symbols must be integers in 0..255") from None
 
 
 def word_to_text(w: WordLike) -> str:
@@ -83,11 +86,19 @@ class Morphism:
 
 
 def apply_morphism(morphism: Morphism, w: WordLike) -> bytes:
-    """Concatenation of the images of the symbols of w, in order."""
-    w = as_word(w)
-    if any(c >= morphism.alphabet_size for c in w):
+    """Concatenation of the images of the symbols of w, in order: each
+    symbol picks its row of a zero-padded image table, and a mask of the
+    image lengths keeps the image part of each row, in row-major order."""
+    data = np.frombuffer(as_word(w), dtype=np.uint8)
+    if data.size and data.max() >= morphism.alphabet_size:
         raise InvalidInputError("word uses symbols outside the morphism's alphabet")
-    return b"".join(morphism.images[c] for c in w)
+    images = morphism.images
+    lengths = np.array([len(im) for im in images])
+    table = np.zeros((len(images), lengths.max()), dtype=np.uint8)
+    for a, im in enumerate(images):
+        table[a, : len(im)] = np.frombuffer(im, dtype=np.uint8)
+    mask = np.arange(table.shape[1]) < lengths[:, None]
+    return table[data][mask[data]].tobytes()
 
 
 def mbonacci_morphism(m: int) -> Morphism:

@@ -42,6 +42,11 @@ def sd():
 
 # -- oracles ----------------------------------------------------------------
 
+def concat_images(morphism, word) -> bytes:
+    """The images of the symbols of word, joined one by one."""
+    return b"".join(morphism.images[c] for c in word)
+
+
 def brute_factors(symbols: bytes, n: int) -> set[bytes]:
     """Every distinct length-n window of the materialized symbols."""
     return {symbols[i : i + n] for i in range(len(symbols) - n + 1)}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_parikh, brute_parikh_set, unique_profile
+from conftest import brute_factors, brute_parikh, brute_parikh_set, unique_profile
 from tribalance import (
     BufferLimitError,
     DesubForm,
@@ -102,15 +102,19 @@ def test_abelian_complexity_range(tribo):
     assert all(3 <= row.rho <= 7 for row in rows)
     for value in (3, 4, 5, 6):
         assert any(row.rho == value for row in rows)
+    # Oracle: the Parikh vectors of every window of the whole buffer, which
+    # holds all 2n + 1 factors of each length checked.
     for n in (17, 170, 1700):
-        assert rows[n - 1].rho == abelian_complexity(tribo, n)
+        assert len(brute_factors(tribo.symbols, n)) == 2 * n + 1
+        assert rows[n - 1].rho == len(brute_parikh_set(tribo.symbols, n, 3))
+        assert abelian_complexity(tribo, n) == rows[n - 1].rho
 
 
-def test_profile_matches_scanner_route(tribo):
+def test_profile_matches_brute_parikh_sets(tribo):
     rows = abelian_profile(tribo, 1, 60, collect_vectors=True)
     for row in rows:
         if row.n % 7 == 0:
-            assert set(row.vectors) == parikh_set(tribo, row.n).vectors
+            assert set(row.vectors) == brute_parikh_set(tribo.symbols[:20_000], row.n, 3)
 
 
 @pytest.mark.parametrize("m, n_max", [(3, 600), (2, 200), (4, 200), (5, 200), (6, 200)])

@@ -106,7 +106,7 @@ def test_criterion_11_numeration(report):
 
 def test_criterion_12_saturation(report):
     _check(report, 12, "factor counts are exactly 2n+1 at 20 seeded lengths",
-           ["factor_count_saturation_20_samples"])
+           ["factor_count_saturation_20_samples"], budget_ms=1_000)
 
 
 def test_criterion_13_value7_recurs(report):

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import brute_factors
+from conftest import brute_factors, brute_parikh
 from tribalance import (
     InvalidInputError,
     InvariantViolationError,
@@ -69,10 +70,18 @@ def test_right_special_extension_degree(tribo):
 
 
 def test_right_special_index_route_agrees(tribo):
+    # Oracle: the one length-n word with two right extensions among all
+    # 2(n + 1) + 1 factors of length n + 1 of a long prefix.
     index = factor_index(tribo, 300)
+    sym = tribo.symbols[:20_000]
     rng = random.Random(11)
     for n in [0, 1, 2, 3] + [rng.randrange(4, 300) for _ in range(25)]:
-        assert right_special_parikh(tribo, index, n) == right_special_factor(tribo, n).parikh
+        factors = brute_factors(sym, n + 1)
+        assert len(factors) == 2 * (n + 1) + 1
+        prefixes = Counter(w[:n] for w in factors)
+        (word,) = [w for w, count in prefixes.items() if count >= 2]
+        assert right_special_parikh(tribo, index, n) == brute_parikh(word, 3)
+        assert right_special_factor(tribo, n).parikh == brute_parikh(word, 3)
 
 
 def test_bispecial_lengths_closed_form(tribo):

@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_parikh
+from conftest import brute_parikh, concat_images
 from tribalance import (
     BufferLimitError,
     ConfigurationError,
@@ -11,9 +14,11 @@ from tribalance import (
     Morphism,
     RangeError,
     apply_morphism,
+    as_word,
     fixed_point_prefix,
     incidence_matrix,
     mbonacci_morphism,
+    mbonacci_word,
     parikh,
     tribonacci_morphism,
     tribonacci_number,
@@ -38,6 +43,57 @@ def test_apply_morphism_rejects_bad_symbol():
     tau = tribonacci_morphism()
     with pytest.raises(InvalidInputError):
         apply_morphism(tau, [3])
+
+
+# m-bonacci for m = 2..6, Thue-Morse, images of length 3 and 4, an empty image.
+_MORPHISMS = [mbonacci_morphism(m) for m in range(2, 7)] + [
+    Morphism(["01", "10"]),
+    Morphism(["012", "2", "1200"]),
+    Morphism(["01", "", "2210"]),
+]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_MORPHISMS), st.data())
+def test_apply_morphism_matches_concatenation(morphism, data):
+    word = data.draw(st.lists(st.integers(0, morphism.alphabet_size - 1), max_size=300))
+    assert apply_morphism(morphism, word) == concat_images(morphism, word)
+    assert apply_morphism(morphism, bytes(word)) == concat_images(morphism, word)
+
+
+def test_apply_morphism_edge_words():
+    for morphism in _MORPHISMS:
+        m = morphism.alphabet_size
+        assert apply_morphism(morphism, b"") == b""
+        every = bytes(range(m))
+        assert apply_morphism(morphism, every) == concat_images(morphism, every)
+        with pytest.raises(InvalidInputError):
+            apply_morphism(morphism, [0, m])
+        with pytest.raises(InvalidInputError):
+            apply_morphism(morphism, [300])
+
+
+def test_grown_prefixes_match_goldens():
+    # sha256 of the symbols as grown by joining the images one by one.
+    goldens = [
+        (tribonacci_word(1_000_001),
+         "3eb38e480ca76bf45f6bf5e9765f890d1beffb81e08da4831cdf36fc0d318f6d"),
+        (mbonacci_word(4, 200_000),
+         "c2d98fa263ad5275b6bb246e2c8653f883c6565b80556bb439fc08864c2b0dca"),
+        (mbonacci_word(6, 200_000),
+         "cb9c6981cb79f8ea97221e7000dbba5180f864132c1d9ee4593fa510eff1f587"),
+    ]
+    for buf, digest in goldens:
+        assert hashlib.sha256(buf.symbols).hexdigest() == digest
+
+
+def test_as_word_rejects_symbols_outside_a_byte():
+    assert as_word([0, 255]) == b"\x00\xff"
+    for bad in ([300], [-1], [0, 1, 256]):
+        with pytest.raises(InvalidInputError):
+            as_word(bad)
+    with pytest.raises(InvalidInputError):
+        parikh([300], 3)
 
 
 def test_mbonacci_examples():
