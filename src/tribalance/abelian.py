@@ -117,7 +117,11 @@ def _window_counts(buffer: WordBuffer, n: int, bound: int) -> np.ndarray:
 
 @dataclass
 class ProfileRow:
-    """Per-length summary: abelian complexity and per-letter imbalance."""
+    """Per-length summary: abelian complexity and per-letter imbalance.
+
+    ``vectors`` holds the distinct Parikh vectors of the length in
+    increasing lexicographic order when the profile collected them.
+    """
 
     n: int
     rho: int
@@ -136,7 +140,8 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
     int32.  Per length, the window letter counts vary only within the
     imbalance, so each window is keyed densely by its offsets from the
     per-letter minima (the last letter is n minus the others) and the
-    distinct Parikh vectors are counted without sorting.  Rows are computed
+    distinct Parikh vectors are counted without sorting; ``collect_vectors``
+    decodes the keys back into each row's ``vectors``.  Rows are computed
     in the calling thread; ``threads`` does not change the output.
     """
     if n_from < 1 or n_to < n_from:
@@ -150,38 +155,49 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
     rows = []
     for n, bound in tasks:
         counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
-        span, rho, first = _window_classes(counts, collect_vectors)
-        vecs = None if first is None else tuple(map(tuple, counts[:, first].T.tolist()))
+        span, rho, vectors = _window_classes(counts, collect_vectors)
+        vecs = None if vectors is None else tuple(map(tuple, vectors.tolist()))
         rows.append(ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs))
     return rows
 
 
-def _window_classes(counts: np.ndarray, positions: bool):
+def _window_classes(counts: np.ndarray, vectors: bool):
     """Per-letter imbalance of the window columns of ``counts``, their
-    number of distinct Parikh vectors and, with ``positions``, the sorted
-    column of each vector's first occurrence (else None).
+    number of distinct Parikh vectors and, with ``vectors``, those vectors
+    as the rows of an array in increasing lexicographic order (else None).
 
     Each column is keyed by its offsets from the per-letter minima in the
     mixed radix span + 1, dropping the last letter (it is the window length
-    minus the others) and counted as the set bits of an OR over ``1 << key``
-    (at most 31 keys) or with ``np.bincount``.  When the key range exceeds
-    the window count, the columns are deduplicated by sorting instead.
+    minus the others), so key order is lexicographic vector order.  The
+    keys present are the set bits of an OR over ``1 << key`` (at most 31
+    keys) or the nonzero bins of ``np.bincount``; counting them gives the
+    number of vectors, and decoding them gives the vectors.  When the key
+    range exceeds the window count, the columns are deduplicated by sorting
+    instead.
     """
     lo = counts.min(axis=1)
     span = counts.max(axis=1) - lo
-    size = math.prod(int(s) + 1 for s in span[:-1])
+    radix = tuple(int(s) + 1 for s in span[:-1])
+    size = math.prod(radix)
     if size > counts.shape[1]:
-        _, first = np.unique(counts.T, axis=0, return_index=True)
+        unique = np.unique(counts.T, axis=0)
+        return span, len(unique), (unique if vectors else None)
+    key = counts[0] - lo[0]
+    for a in range(1, len(span) - 1):
+        key = key * radix[a] + (counts[a] - lo[a])
+    if size <= 31:
+        mask = int(np.bitwise_or.reduce(np.left_shift(1, key)))
+        if not vectors:
+            return span, mask.bit_count(), None
+        keys = np.flatnonzero((mask >> np.arange(size)) & 1)
     else:
-        key = counts[0] - lo[0]
-        for a in range(1, len(span) - 1):
-            key = key * (int(span[a]) + 1) + (counts[a] - lo[a])
-        if not positions:
-            if size <= 31:
-                return span, int(np.bitwise_or.reduce(np.left_shift(1, key))).bit_count(), None
-            return span, int(np.count_nonzero(np.bincount(key))), None
-        _, first = np.unique(key, return_index=True)
-    return span, len(first), (np.sort(first) if positions else None)
+        bins = np.bincount(key)
+        if not vectors:
+            return span, int(np.count_nonzero(bins)), None
+        keys = np.flatnonzero(bins)
+    head = np.column_stack(np.unravel_index(keys, radix)) + lo[:-1]
+    last = int(counts[:, 0].sum()) - head.sum(axis=1)
+    return span, len(keys), np.column_stack([head, last])
 
 
 def balance_profile(buffer: WordBuffer, max_len: int,

@@ -178,15 +178,7 @@ def cmd_zeckendorf(args, parser) -> int:
 
 
 def cmd_constants(args, parser) -> int:
-    sd = spectral.compute_spectral_data()
-    values = {
-        "beta": sd.beta,
-        "abs_alpha": sd.abs_alpha,
-        "abs_a_alpha": sd.abs_coeff_alpha,
-        "factor_i0": abs(sd.mixing_factor(0)),
-        "factor_i1": abs(sd.mixing_factor(1)),
-        "factor_i2": abs(sd.mixing_factor(2)),
-    }
+    values = spectral.named_constants(spectral.compute_spectral_data())
     with _open_out(args.out) as out:
         for name, value in values.items():
             out.write(f"{name}={_fmt(value)}\n")

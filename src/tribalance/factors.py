@@ -137,14 +137,10 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, rule: SaturationRule = Sat
     firsts = [0]
     count = 1
     last_new = 0
-    stop_at = None
-    if target is not None and count >= target:
-        if extend_after <= 0:
-            cap = 1
-        stop_at = extend_after
+    stop_at = extend_after if target is not None and count >= target else None
     p = 0
     limit = cap - 1
-    while p < limit:
+    while p < limit and (stop_at is None or p < stop_at):
         p += 1
         if p + n > len(sym):
             want = min(limit + n, max(2 * len(sym), p + n))
@@ -173,11 +169,7 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, rule: SaturationRule = Sat
             firsts.append(p)
             last_new = p
         if target is not None and count >= target and stop_at is None:
-            if extend_after <= 0:
-                break
             stop_at = p + extend_after
-        if stop_at is not None and p >= stop_at:
-            break
     positions_scanned = p + 1
     # Exceeding the target means the complexity assumption behind it was
     # wrong, so completeness cannot be claimed either.
@@ -231,7 +223,6 @@ class FactorIndex:
         self.alphabet_size = buffer.alphabet_size
         self._build(buffer.symbols[:region_len], buffer.alphabet_size)
         self._aggregate()
-        self._rs_state: np.ndarray | None = None  # lazy right-special table
 
     # -- construction ------------------------------------------------------
 
@@ -312,21 +303,20 @@ class FactorIndex:
         self.cover_end = np.maximum.accumulate(new_max)[: R + 1]
         self.cover_end[0] = 0
 
-        self._min_len = min_len
         self._outdeg = (self._trans >= 0).sum(axis=1)
 
-        # Per-length counts of right-special substrings (>= 2 extensions)
-        # and of fully-extendable ones (all m extensions).
-        special = self._outdeg >= 2
-        full = self._outdeg == self.alphabet_size
+        # Per-length count of right-special substrings (>= 2 extensions),
+        # the state holding one of each length, and each state's number of
+        # children in the suffix-link tree.
+        special = np.flatnonzero(self._outdeg >= 2)
         d2 = np.zeros(R + 2, dtype=np.int64)
-        d3 = np.zeros(R + 2, dtype=np.int64)
         np.add.at(d2, min_len[special], 1)
         np.add.at(d2, self._len[special] + 1, -1)
-        np.add.at(d3, min_len[full], 1)
-        np.add.at(d3, self._len[full] + 1, -1)
         self._special_count = np.cumsum(d2)[: R + 1]
-        self._full_special_count = np.cumsum(d3)[: R + 1]
+        self._rs_state = np.zeros(R + 1, dtype=np.int64)
+        for s in special:
+            self._rs_state[min_len[s] : self._len[s] + 1] = s
+        self._children = np.bincount(self._link[1:], minlength=self.n_states)
 
     # -- queries -----------------------------------------------------------
 
@@ -397,21 +387,9 @@ class FactorIndex:
                 f"expected exactly one right-special factor of length {n}, "
                 f"found {int(self._special_count[n])}"
             )
-        self._ensure_rs_table(n)
         s = int(self._rs_state[n])
         left = 1 if n < self._len[s] else int(self._children[s])
         return int(self._first_end[s]), int(self._outdeg[s]), left
-
-    def _ensure_rs_table(self, n_max: int) -> None:
-        if self._rs_state is not None and len(self._rs_state) > n_max:
-            return
-        size = min(self.region_len, max(2 * n_max, 1024)) + 1
-        rs_state = np.zeros(size, dtype=np.int64)
-        for s in np.flatnonzero(self._outdeg >= 2):
-            hi = min(int(self._len[s]), size - 1)
-            rs_state[int(self._min_len[s]) : hi + 1] = s
-        self._rs_state = rs_state
-        self._children = np.bincount(self._link[1:], minlength=self.n_states)
 
     def walk(self, word) -> int | None:
         """Automaton state reached by reading ``word`` from the root, or

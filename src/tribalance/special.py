@@ -18,10 +18,11 @@ bound the abelian complexity by 7.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import takewhile
 
-from .abelian import ParikhSet, ParikhVector, abelian_profile, parikh_set
+from .abelian import ParikhVector, abelian_profile, parikh_set
 from .errors import (
     InvalidInputError,
     InvariantViolationError,
@@ -39,6 +40,8 @@ __all__ = [
     "BoundarySet",
     "central_set",
     "boundary_set",
+    "central_vectors",
+    "boundary_vectors",
     "GeometryRegion",
     "GeometryClassification",
     "twelve_vector_geometry",
@@ -106,6 +109,14 @@ def _require_tribonacci(buffer: WordBuffer, what: str) -> None:
         )
 
 
+def _closed_form_lengths(c: int) -> Iterator[int]:
+    """The increasing lengths (T_m + T_{m+2} - c) / 2 for m = 0, 1, 2, ..."""
+    m = 0
+    while True:
+        yield (tribonacci_number(m) + tribonacci_number(m + 2) - c) // 2
+        m += 1
+
+
 def bispecial_lengths(max_len: int, buffer: WordBuffer | None = None) -> list[int]:
     """Lengths of the bispecial factors up to max_len, by the closed form
     (T_m + T_{m+2} - 3) / 2.
@@ -116,14 +127,7 @@ def bispecial_lengths(max_len: int, buffer: WordBuffer | None = None) -> list[in
     """
     if buffer is not None:
         _require_tribonacci(buffer, "bispecial_lengths")
-    out: list[int] = []
-    m = 0
-    while True:
-        v = (tribonacci_number(m) + tribonacci_number(m + 2) - 3) // 2
-        if v > max_len:
-            break
-        out.append(v)
-        m += 1
+    out = list(takewhile(lambda v: v <= max_len, _closed_form_lengths(3)))
     if buffer is not None:
         for length in out:
             if not right_special_factor(buffer, length).is_bispecial:
@@ -151,26 +155,27 @@ class BoundarySet:
     vectors: tuple[ParikhVector, ParikhVector, ParikhVector]
 
 
-def _central_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
+def central_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
+    """The central triple over the special factor's Parikh vector ``base``."""
     i, j, k = base
     return ((i + 1, j, k), (i, j + 1, k), (i, j, k + 1))
 
 
-def _boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
+def boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
+    """The boundary triple over the special factor's Parikh vector ``base``."""
     i, j, k = base
     return ((i - 1, j + 1, k + 1), (i + 1, j - 1, k + 1), (i + 1, j + 1, k - 1))
 
 
 def central_set(buffer: WordBuffer, n: int,
-                rule: SaturationRule = SaturationRule(),
-                pset: ParikhSet | None = None) -> CentralSet:
+                rule: SaturationRule = SaturationRule()) -> CentralSet:
     """Central vector triple at length n, with the containment assertion
     that every one of the three is realized."""
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
     record = right_special_factor(buffer, n - 1, rule)
-    vectors = _central_vectors(record.parikh)
-    realized = (pset or parikh_set(buffer, n, rule)).vectors
+    vectors = central_vectors(record.parikh)
+    realized = parikh_set(buffer, n, rule).vectors
     for v in vectors:
         if v not in realized:
             raise InvariantViolationError(
@@ -184,7 +189,7 @@ def boundary_set(buffer: WordBuffer, n: int,
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
     record = right_special_factor(buffer, n - 1, rule)
-    return BoundarySet(n, _boundary_vectors(record.parikh))
+    return BoundarySet(n, boundary_vectors(record.parikh))
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +249,34 @@ def _maximal_cliques(vectors: list[ParikhVector]) -> list[frozenset[ParikhVector
     return cliques
 
 
-_CENTRAL_OFFSETS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_CENTRAL_OFFSETS = central_vectors((0, 0, 0))
 
 
-@lru_cache(maxsize=None)
-def _offset_structure(offsets: tuple[ParikhVector, ...]):
-    """Region decomposition of a neighborhood given relative to its base
-    point.  The structure is translation invariant, so it is computed once
-    per distinct offset configuration.
+def _offset_structure():
+    """The neighborhood relative to the special factor's Parikh vector and
+    its region decomposition.  The structure is translation invariant, so
+    it is built once, when the module is imported.
 
-    Returns (regions, extra_cliques, clique_sizes) where regions is a tuple
-    of (kind, anchor_letter, offset_frozenset).  The hexagon anchored at
-    letter c is the closed unit max-norm ball around the central offset
-    incrementing c; the triangle anchored at c holds the offsets whose only
-    negative coordinate can be c.  Each region must be a maximal
-    pairwise-<=2 subset of the neighborhood.
+    Returns (offsets, regions, extra_cliques, clique_sizes).  The offsets
+    are the twelve vectors with coordinate sum 1 lying within max-norm 2 of
+    every central offset; regions is a tuple of (kind, anchor_letter,
+    offset_frozenset).  The hexagon anchored at letter c is the closed unit
+    max-norm ball around the central offset incrementing c; the triangle
+    anchored at c holds the offsets whose only negative coordinate can be
+    c.  Each region must be a maximal pairwise-<=2 subset of the
+    neighborhood.
     """
+    offsets = []
+    for d0 in range(-2, 3):
+        for d1 in range(-2, 3):
+            d = (d0, d1, 1 - d0 - d1)
+            if all(_max_norm(d, c) <= 2 for c in _CENTRAL_OFFSETS):
+                offsets.append(d)
+    offsets = tuple(sorted(offsets))
+    if len(offsets) != 12:
+        raise InvariantViolationError(
+            f"expected a twelve-vector neighborhood, found {len(offsets)}"
+        )
     regions = []
     for c in (0, 1, 2):
         ball = frozenset(v for v in offsets if _max_norm(v, _CENTRAL_OFFSETS[c]) <= 1)
@@ -279,61 +296,53 @@ def _offset_structure(offsets: tuple[ParikhVector, ...]):
     region_sets = {members for _, _, members in regions}
     extra = tuple(cl for cl in cliques if cl not in region_sets)
     sizes = tuple(sorted((len(cl) for cl in cliques), reverse=True))
-    return tuple(regions), extra, sizes
+    return offsets, tuple(regions), extra, sizes
+
+
+_OFFSETS, _REGIONS, _EXTRA_CLIQUES, _CLIQUE_SIZES = _offset_structure()
 
 
 def twelve_vector_geometry(buffer: WordBuffer, n: int,
                            rule: SaturationRule = SaturationRule(),
-                           pset: ParikhSet | None = None,
+                           vectors: Iterable[ParikhVector] | None = None,
                            base: ParikhVector | None = None) -> GeometryClassification:
     """Classify the realized Parikh set of length n inside its admissible
     neighborhood.
 
-    Builds the twelve vectors with coordinate sum n lying within max-norm
-    2 of every central vector, carves them into the three hexagons and
-    three triangles (each verified to be a maximal pairwise-<=2 subset),
-    and returns which of those regions contain the realized set.  The full
-    maximal-subset enumeration is reported alongside: it finds one further
-    maximal triangle, spanned by the three boundary vectors, which no
-    realized set may need on its own -- if one does, an
-    ``InvariantViolationError`` is raised.  Only the 3-letter Tribonacci
-    word is accepted.
+    The neighborhood is the twelve vectors with coordinate sum n lying
+    within max-norm 2 of every central vector, carved into the three
+    hexagons and three triangles (each verified, once, to be a maximal
+    pairwise-<=2 subset).  The result says which of those regions contain
+    the realized set: ``vectors`` when given (the length's realized Parikh
+    vectors, as in ``ProfileRow.vectors``), else ``parikh_set``.  ``base``
+    is the Parikh vector of the right special factor of length n - 1,
+    looked up when not given.  The full maximal-subset enumeration is
+    reported alongside: it finds one further maximal triangle, spanned by
+    the three boundary vectors, which no realized set may need on its own
+    -- if one does, an ``InvariantViolationError`` is raised.  Only the
+    3-letter Tribonacci word is accepted.
     """
     _require_tribonacci(buffer, "twelve_vector_geometry")
-    if pset is None:
-        pset = parikh_set(buffer, n, rule)
+    realized = frozenset(parikh_set(buffer, n, rule).vectors if vectors is None else vectors)
     if base is None:
         base = right_special_factor(buffer, n - 1, rule).parikh
     i, j, k = base
-    offsets = []
-    for d0 in range(-2, 3):
-        for d1 in range(-2, 3):
-            d = (d0, d1, 1 - d0 - d1)
-            if all(_max_norm(d, c) <= 2 for c in _CENTRAL_OFFSETS):
-                offsets.append(d)
-    offsets = tuple(sorted(offsets))
-    if len(offsets) != 12:
-        raise InvariantViolationError(
-            f"expected a twelve-vector neighborhood at n={n}, found {len(offsets)}"
-        )
 
     def absolute(off: ParikhVector) -> ParikhVector:
         return (i + off[0], j + off[1], k + off[2])
 
-    neighborhood = tuple(absolute(d) for d in offsets)
-    if not set(pset.vectors) <= set(neighborhood):
+    neighborhood = tuple(absolute(d) for d in _OFFSETS)
+    if not realized <= set(neighborhood):
         raise InvariantViolationError(
             f"realized Parikh set at n={n} escapes the twelve-vector neighborhood"
         )
-
-    raw_regions, raw_extra, sizes = _offset_structure(offsets)
     regions = tuple(
         GeometryRegion(kind, c, frozenset(absolute(d) for d in members))
-        for kind, c, members in raw_regions
+        for kind, c, members in _REGIONS
     )
-    extra = tuple(frozenset(absolute(d) for d in cl) for cl in raw_extra)
+    extra = tuple(frozenset(absolute(d) for d in cl) for cl in _EXTRA_CLIQUES)
     containing = tuple(
-        idx for idx, region in enumerate(regions) if pset.vectors <= region.vectors
+        idx for idx, region in enumerate(regions) if realized <= region.vectors
     )
     if not containing:
         raise InvariantViolationError(
@@ -345,7 +354,7 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
         neighborhood=neighborhood,
         regions=regions,
         containing=containing,
-        clique_sizes=sizes,
+        clique_sizes=_CLIQUE_SIZES,
         extra_cliques=extra,
     )
 
@@ -363,29 +372,13 @@ def is_min_complexity_length(n: int) -> bool:
     """Closed-form membership: n = 1 or n = (T_m + T_{m+2} - 1) / 2."""
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
-    if n == 1:
-        return True
-    m = 0
-    while True:
-        v = (tribonacci_number(m) + tribonacci_number(m + 2) - 1) // 2
-        if v == n:
-            return True
-        if v > n:
-            return False
-        m += 1
+    return n == 1 or n == next(v for v in _closed_form_lengths(1) if v >= n)
 
 
 def min_complexity_lengths(max_len: int) -> list[int]:
     """All lengths up to max_len with minimal (= 3) abelian complexity."""
-    out = [1] if max_len >= 1 else []
-    m = 0
-    while True:
-        v = (tribonacci_number(m) + tribonacci_number(m + 2) - 1) // 2
-        if v > max_len:
-            break
-        if v not in out:
-            out.append(v)
-        m += 1
+    out = {1} if max_len >= 1 else set()
+    out.update(takewhile(lambda v: v <= max_len, _closed_form_lengths(1)))
     return sorted(out)
 
 
@@ -445,9 +438,7 @@ def verify_equivalences(buffer: WordBuffer, n_max: int,
             n=n,
             one_balanced=max(prow.max_imbalance) <= 1,
             complexity_is_min=prow.rho == 3,
-            boundary_disjoint=not (
-                set(_boundary_vectors(record.parikh)) & set(prow.vectors)
-            ),
+            boundary_disjoint=set(prow.vectors).isdisjoint(boundary_vectors(record.parikh)),
             bispecial_exists=record.is_bispecial,
             closed_form=is_min_complexity_length(n),
         )

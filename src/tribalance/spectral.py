@@ -76,6 +76,19 @@ class SpectralData:
         return self.alpha ** -(letter + 1) - self.beta ** -(letter + 1)
 
 
+def named_constants(sd: SpectralData) -> dict[str, float]:
+    """The six constants the paper states, by name: beta, |alpha|,
+    |coefficient of alpha| and |mixing factor| of each letter."""
+    return {
+        "beta": sd.beta,
+        "abs_alpha": sd.abs_alpha,
+        "abs_a_alpha": sd.abs_coeff_alpha,
+        "factor_i0": abs(sd.mixing_factor(0)),
+        "factor_i1": abs(sd.mixing_factor(1)),
+        "factor_i2": abs(sd.mixing_factor(2)),
+    }
+
+
 def _check_letter(letter: int) -> None:
     if letter not in (0, 1, 2):
         raise InvalidInputError(f"letter must be 0, 1 or 2, got {letter}")
@@ -186,30 +199,23 @@ def head_extremes(sd: SpectralData, letter: int, cutoff: int,
     terms = head_terms(sd, letter, cutoff)
     if not constrained:
         return float(terms[terms < 0].sum()), float(terms[terms > 0].sum())
-    # DP state: (second-to-last digit, last digit) -> best partial sum.
-    lo = {(0, 0): 0.0}
-    hi = {(0, 0): 0.0}
+    # DP state: (second-to-last digit, last digit) -> (lowest, highest)
+    # partial sum.
+    best = {(0, 0): (0.0, 0.0)}
     for t in terms:
-        new_lo: dict[tuple[int, int], float] = {}
-        new_hi: dict[tuple[int, int], float] = {}
-        for (a, b), v in lo.items():
-            for d in (0, 1):
-                if a == 1 and b == 1 and d == 1:
-                    continue
+        new: dict[tuple[int, int], tuple[float, float]] = {}
+        for (a, b), (lo, hi) in best.items():
+            for d in (0,) if a == b == 1 else (0, 1):
                 key = (b, d)
-                val = v + (t if d else 0.0)
-                if key not in new_lo or val < new_lo[key]:
-                    new_lo[key] = val
-        for (a, b), v in hi.items():
-            for d in (0, 1):
-                if a == 1 and b == 1 and d == 1:
-                    continue
-                key = (b, d)
-                val = v + (t if d else 0.0)
-                if key not in new_hi or val > new_hi[key]:
-                    new_hi[key] = val
-        lo, hi = new_lo, new_hi
-    return min(lo.values()), max(hi.values())
+                add = t if d else 0.0
+                lo_val, hi_val = lo + add, hi + add
+                if key in new:
+                    old_lo, old_hi = new[key]
+                    new[key] = (min(old_lo, lo_val), max(old_hi, hi_val))
+                else:
+                    new[key] = (lo_val, hi_val)
+        best = new
+    return min(lo for lo, _ in best.values()), max(hi for _, hi in best.values())
 
 
 def tail_bound(sd: SpectralData, letter: int, cutoff: int) -> float:

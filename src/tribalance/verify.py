@@ -158,22 +158,13 @@ def _claim_rho_sequence(ctx: SuiteContext):
     return observed == RHO_SEQUENCE_42, list(observed), list(RHO_SEQUENCE_42)
 
 
-def _claim_rho_min5(ctx: SuiteContext):
-    rows = ctx.profile(7199)
-    observed = next(r.n for r in rows if r.rho == 5)
-    return observed == FIRST_RHO_5, observed, FIRST_RHO_5
+def _first_rho_claim(value: int, expected: int):
+    def run(ctx: SuiteContext):
+        rows = ctx.profile(7199)
+        observed = next(r.n for r in rows if r.rho == value)
+        return observed == expected, observed, expected
 
-
-def _claim_rho_min6(ctx: SuiteContext):
-    rows = ctx.profile(7199)
-    observed = next(r.n for r in rows if r.rho == 6)
-    return observed == FIRST_RHO_6, observed, FIRST_RHO_6
-
-
-def _claim_rho_min7(ctx: SuiteContext):
-    rows = ctx.profile(7199)
-    observed = next(r.n for r in rows if r.rho == 7)
-    return observed == FIRST_RHO_7, observed, FIRST_RHO_7
+    return run
 
 
 def _claim_rho_3914(ctx: SuiteContext):
@@ -203,15 +194,7 @@ def _claim_fourbonacci_witness(ctx: SuiteContext):
 
 
 def _claim_spectral_constants(ctx: SuiteContext):
-    sd = ctx.spectral_data()
-    observed = {
-        "beta": sd.beta,
-        "abs_alpha": sd.abs_alpha,
-        "abs_a_alpha": sd.abs_coeff_alpha,
-        "factor_i0": abs(sd.mixing_factor(0)),
-        "factor_i1": abs(sd.mixing_factor(1)),
-        "factor_i2": abs(sd.mixing_factor(2)),
-    }
+    observed = spectral.named_constants(ctx.spectral_data())
     ok = all(
         matches_truncated(observed[name], stated)
         for name, stated in SPECTRAL_CONSTANTS_5DP.items()
@@ -395,20 +378,11 @@ def _claim_geometry(ctx: SuiteContext):
     bad = []
     for row in rows:
         base = special.right_special_parikh(buf, index, row.n - 1)
-        realized = frozenset(row.vectors)
-        pset = abelian.ParikhSet(
-            n=row.n,
-            vectors=realized,
-            factor_count=2 * row.n + 1,
-            certified=True,
-            last_new_position=int(index.cover_end[row.n]) - row.n,
-        )
-        g = special.twelve_vector_geometry(buf, row.n, ctx.rule, pset=pset, base=base)
+        g = special.twelve_vector_geometry(buf, row.n, ctx.rule, vectors=row.vectors, base=base)
         sizes = tuple(sorted((len(r.vectors) for r in g.regions), reverse=True))
-        i, j, k = base
-        central_ok = {(i + 1, j, k), (i, j + 1, k), (i, j, k + 1)} <= realized
-        boundary = {(i - 1, j + 1, k + 1), (i + 1, j - 1, k + 1), (i + 1, j + 1, k - 1)}
-        boundary_law = (len(realized) == 3) == (not boundary & realized)
+        realized = frozenset(row.vectors)
+        central_ok = realized.issuperset(special.central_vectors(base))
+        boundary_law = (len(realized) == 3) == realized.isdisjoint(special.boundary_vectors(base))
         if not g.containing or sizes != expected_sizes or not central_ok or not boundary_law:
             bad.append(row.n)
     return not bad, {"lengths_checked": len(rows), "failures": bad}, {"failures": []}
@@ -418,9 +392,12 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("rho_sequence_1_42",
           "abelian complexity at lengths 1..42 matches the published sequence",
           _claim_rho_sequence),
-    Claim("rho_min_5_is_30", "smallest length with complexity 5 is 30", _claim_rho_min5),
-    Claim("rho_min_6_is_342", "smallest length with complexity 6 is 342", _claim_rho_min6),
-    Claim("rho_min_7_is_3914", "smallest length with complexity 7 is 3914", _claim_rho_min7),
+    Claim("rho_min_5_is_30", "smallest length with complexity 5 is 30",
+          _first_rho_claim(5, FIRST_RHO_5)),
+    Claim("rho_min_6_is_342", "smallest length with complexity 6 is 342",
+          _first_rho_claim(6, FIRST_RHO_6)),
+    Claim("rho_min_7_is_3914", "smallest length with complexity 7 is 3914",
+          _first_rho_claim(7, FIRST_RHO_7)),
     Claim("rho_3914_is_7", "complexity at length 3914 equals 7", _claim_rho_3914),
     Claim("rho_next_7s_4063_4841_4990_7199",
           "the next four lengths with complexity 7 are 4063, 4841, 4990, 7199",

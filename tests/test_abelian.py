@@ -122,8 +122,9 @@ def test_dense_profile_matches_sorting_oracle(m, n_max):
     oracle = unique_profile(mbonacci_word(m), n_max)
     buf = mbonacci_word(m)
     rows = abelian_profile(buf, 1, n_max, collect_vectors=True)
-    # Vectors compare as tuples, so they must also be in first-occurrence order.
-    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows] == oracle
+    # Vectors compare as tuples, so they must also be in lexicographic order.
+    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows] == \
+        [(n, rho, imbalance, tuple(sorted(vectors))) for n, rho, imbalance, vectors in oracle]
     plain = abelian_profile(buf, 1, n_max, threads=3)
     assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in plain] == \
         [(n, rho, imbalance, None) for n, rho, imbalance, _ in oracle]
@@ -140,12 +141,13 @@ def test_window_classes_sorting_fallback():
     # Windows of length 10 over 3 letters: the key range 11 * 11 of the
     # first two letters exceeds the 5 columns, so the columns are sorted.
     counts = np.array([[0, 10, 5, 0, 3], [10, 0, 5, 10, 3], [0, 0, 0, 0, 4]])
-    span, rho, first = _window_classes(counts, True)
+    span, rho, vectors = _window_classes(counts, True)
     assert math.prod(int(s) + 1 for s in span[:-1]) > counts.shape[1]
     assert tuple(span) == (10, 10, 4)
-    assert (rho, list(first)) == (4, [0, 1, 2, 4])
-    span, rho, first = _window_classes(counts, False)
-    assert (rho, first) == (4, None)
+    assert rho == 4
+    assert vectors.tolist() == [[0, 10, 0], [3, 3, 4], [5, 5, 0], [10, 0, 0]]
+    span, rho, vectors = _window_classes(counts, False)
+    assert (rho, vectors) == (4, None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,7 +155,7 @@ def test_window_classes_sorting_fallback():
            st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1),
            min_size=1, max_size=40)),
        st.booleans())
-def test_window_classes_match_dict_oracle(columns, positions):
+def test_window_classes_match_dict_oracle(columns, want_vectors):
     # Both the dense key and the sorting fallback (short, spread matrices)
     # against a first-occurrence dict; every column sums to the same length.
     n = 3 * len(columns[0])
@@ -161,13 +163,13 @@ def test_window_classes_match_dict_oracle(columns, positions):
     firsts: dict[tuple[int, ...], int] = {}
     for i, column in enumerate(counts.T.tolist()):
         firsts.setdefault(tuple(column), i)
-    span, rho, first = _window_classes(counts, positions)
+    span, rho, vectors = _window_classes(counts, want_vectors)
     assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
     assert rho == len(firsts)
-    if positions:
-        assert list(first) == sorted(firsts.values())
+    if want_vectors:
+        assert list(map(tuple, vectors.tolist())) == sorted(firsts)
     else:
-        assert first is None
+        assert vectors is None
 
 
 def _span_shapes(free: int) -> list[tuple[int, ...]]:
@@ -190,9 +192,10 @@ def _span_shapes(free: int) -> list[tuple[int, ...]]:
            lambda m: st.sampled_from(_span_shapes(m - 1)).flatmap(st.permutations)),
        st.integers(0, 30), st.integers(0, 2**32 - 1),
        st.sampled_from([np.int32, np.int64]), st.booleans())
-def test_window_classes_key_space_routes(spans, extra, seed, dtype, positions):
+def test_window_classes_key_space_routes(spans, extra, seed, dtype, want_vectors):
     # At least as many columns as keys, so the dense key is used; the zero
-    # and the full-span columns pin every keyed letter's span exactly.
+    # and the full-span columns pin every keyed letter's span exactly.  The
+    # vectors decoded from the keys are the distinct columns, sorted.
     spans = np.array(spans)
     size = math.prod(int(s) + 1 for s in spans)
     rng = np.random.default_rng(seed)
@@ -200,10 +203,15 @@ def test_window_classes_key_space_routes(spans, extra, seed, dtype, positions):
                              rng.integers(0, spans[:, None] + 1, size=(len(spans), size + extra))])
     n = int(spans.sum()) + 5
     counts = np.vstack([keyed, n - keyed.sum(axis=0)]).astype(dtype)
-    span, rho, _ = _window_classes(counts, positions)
+    span, rho, vectors = _window_classes(counts, want_vectors)
     assert tuple(span[:-1]) == tuple(spans)
     assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
-    assert rho == len(set(map(tuple, counts.T.tolist())))
+    distinct = sorted(set(map(tuple, counts.T.tolist())))
+    assert rho == len(distinct)
+    if want_vectors:
+        assert list(map(tuple, vectors.tolist())) == distinct
+    else:
+        assert vectors is None
 
 
 def test_balance_profile_values(tribo):

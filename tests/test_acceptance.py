@@ -53,7 +53,7 @@ def test_criterion_02_extremal_lengths(report):
     _check(report, 2, "first lengths reaching complexity 5, 6, 7 and the next four 7s",
            ["rho_min_5_is_30", "rho_min_6_is_342", "rho_min_7_is_3914",
             "rho_3914_is_7", "rho_next_7s_4063_4841_4990_7199"],
-           budget_ms=600_000)
+           budget_ms=2_000)
 
 
 def test_criterion_03_two_balanced(report):
@@ -111,12 +111,12 @@ def test_criterion_12_saturation(report):
 
 def test_criterion_13_value7_recurs(report):
     _check(report, 13, "complexity 7 recurs at a shifted length",
-           ["rho_value7_infinitely_often_instance"], budget_ms=600_000)
+           ["rho_value7_infinitely_often_instance"], budget_ms=1_000)
 
 
 def test_criterion_14_geometry(report):
     _check(report, 14, "realized sets fit admissible regions of sizes 7,7,7,6,6,6",
-           ["twelve_vector_geometry_n2000"])
+           ["twelve_vector_geometry_n2000"], budget_ms=1_000)
 
 
 def test_registry_is_complete(report):

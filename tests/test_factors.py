@@ -48,11 +48,14 @@ def test_scan_certification_stops_at_target(tribo):
 
 
 def test_scan_extension_finds_nothing_new(tribo):
-    for n in (7, 31, 200):
+    # The extended scan stops extend_after positions past the last new
+    # factor, not at the position cap (131,008 positions for n = 1983).
+    for n in (7, 31, 200, 1983):
         scan = scan_distinct_factors(tribo, n, extend_after=10 * n)
         assert scan.certified
         assert scan.extension_found_new is False
         assert scan.count == 2 * n + 1
+        assert scan.positions_scanned == scan.last_new_position + 10 * n + 1
 
 
 def test_scan_cap_failure_carries_partial(tribo):

@@ -22,7 +22,13 @@ from tribalance import (
     verify_equivalences,
     word_to_text,
 )
-from tribalance.special import right_special_parikh
+from tribalance.special import (
+    _CLIQUE_SIZES,
+    _EXTRA_CLIQUES,
+    _OFFSETS,
+    _REGIONS,
+    right_special_parikh,
+)
 
 
 def test_right_special_small(tribo):
@@ -148,6 +154,28 @@ def test_twelve_vector_geometry(tribo):
     assert len(g.extra_cliques) == 1
     (extra,) = g.extra_cliques
     assert set(boundary_set(tribo, 10).vectors) <= extra
+
+
+def test_neighborhood_structure_is_constant():
+    # Built once at import, relative to the special factor's Parikh vector.
+    assert len(_OFFSETS) == 12 and all(sum(d) == 1 for d in _OFFSETS)
+    assert [(kind, c) for kind, c, _ in _REGIONS] == \
+        [("hexagon", 0), ("hexagon", 1), ("hexagon", 2),
+         ("triangle", 0), ("triangle", 1), ("triangle", 2)]
+    assert [len(members) for _, _, members in _REGIONS] == [7, 7, 7, 6, 6, 6]
+    assert _CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
+    (extra,) = _EXTRA_CLIQUES
+    assert len(extra) == 6
+    assert {(-1, 1, 1), (1, -1, 1), (1, 1, -1)} <= extra
+
+
+def test_geometry_from_given_vectors_matches_default(tribo):
+    index = factor_index(tribo, 300)
+    rows = abelian_profile(tribo, 1, 300, collect_vectors=True)
+    for n in (1, 2, 4, 30, 31, 177, 300):
+        base = right_special_parikh(tribo, index, n - 1)
+        given = twelve_vector_geometry(tribo, n, vectors=rows[n - 1].vectors, base=base)
+        assert given == twelve_vector_geometry(tribo, n)
 
 
 def test_twelve_vector_geometry_refuses_non_tribonacci(fourbo):
