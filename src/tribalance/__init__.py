@@ -36,7 +36,7 @@ from .errors import (
     TribalanceError,
     VerificationFailureError,
 )
-from .factors import FactorIndex, SaturationRule, factor_index, scan_distinct_factors
+from .factors import FactorIndex, factor_index, scan_distinct_factors
 from .numeration import (
     ZeckendorfRep,
     is_valid_rep,
@@ -76,7 +76,6 @@ from .spectral import (
     discrepancy_extremes,
     discrepancy_spectral,
     head_extremes,
-    letter_frequency,
     tail_bound,
 )
 from .words import (

@@ -23,9 +23,8 @@ from .errors import (
     InvalidInputError,
     NotAFactorError,
     RangeError,
-    SaturationError,
 )
-from .factors import SaturationRule, factor_index
+from .factors import factor_index
 from .words import (
     WordBuffer,
     WordLike,
@@ -58,53 +57,47 @@ def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
 
 @dataclass
 class ParikhSet:
-    """Parikh vectors of the distinct factors of one length.
-
-    ``certified`` records whether every factor of the length was provably
-    seen (the complexity target was reached); only then does
-    ``len(vectors)`` equal the abelian complexity.
-    """
+    """Parikh vectors of the distinct factors of one length, all of them
+    certified seen, so ``len(vectors)`` is the abelian complexity."""
 
     n: int
     vectors: frozenset[ParikhVector]
     factor_count: int
-    certified: bool
     last_new_position: int
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
-def parikh_set(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> ParikhSet:
+def parikh_set(buffer: WordBuffer, n: int) -> ParikhSet:
     """Set of Parikh vectors over the distinct length-n factors.
 
     One certified profile row over the factor index; a region that misses
     the complexity target raises ``SaturationError``.
     """
-    (row,) = abelian_profile(buffer, n, n, rule, collect_vectors=True)
-    index = factor_index(buffer, n, rule)
+    (row,) = abelian_profile(buffer, n, n, collect_vectors=True)
+    index = factor_index(buffer, n)
     return ParikhSet(
         n=n,
         vectors=frozenset(row.vectors),
         factor_count=index.factor_count(n),
-        certified=True,
-        last_new_position=index.certify(n, rule),
+        last_new_position=index.certify(n),
     )
 
 
-def abelian_complexity(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> int:
+def abelian_complexity(buffer: WordBuffer, n: int) -> int:
     """Number of distinct Parikh vectors among length-n factors."""
-    return abelian_profile(buffer, n, n, rule)[0].rho
+    return abelian_profile(buffer, n, n)[0].rho
 
 
-def certified_window_bound(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule()) -> int:
+def certified_window_bound(buffer: WordBuffer, n: int) -> int:
     """Last window start that must be scanned to see every length-n factor.
 
     Read off the factor index that covers n (the buffer's cached one when
     it does), which raises ``SaturationError`` when the capped region
     misses the complexity target.
     """
-    return factor_index(buffer, n, rule).certify(n, rule)
+    return factor_index(buffer, n).certify(n)
 
 
 def _window_counts(buffer: WordBuffer, n: int, bound: int) -> np.ndarray:
@@ -129,8 +122,7 @@ class ProfileRow:
     vectors: tuple[ParikhVector, ...] | None = None
 
 
-def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
-                    rule: SaturationRule = SaturationRule(),
+def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
                     threads: int = 1,
                     collect_vectors: bool = False) -> list[ProfileRow]:
     """Certified ``ProfileRow`` for every n in [n_from, n_to].
@@ -142,12 +134,13 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int,
     per-letter minima (the last letter is n minus the others) and the
     distinct Parikh vectors are counted without sorting; ``collect_vectors``
     decodes the keys back into each row's ``vectors``.  Rows are computed
-    in the calling thread; ``threads`` does not change the output.
+    in the calling thread.
     """
+    # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     if n_from < 1 or n_to < n_from:
         raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
-    index = factor_index(buffer, n_to, rule)
-    tasks = [(n, index.certify(n, rule)) for n in range(n_from, n_to + 1)]
+    index = factor_index(buffer, n_to)
+    tasks = [(n, index.certify(n)) for n in range(n_from, n_to + 1)]
     end = max(n + bound for n, bound in tasks) + 1
     if end >= 2**31:
         raise BufferLimitError(f"profile windows reach {end} symbols, beyond int32 prefix counts")
@@ -200,16 +193,14 @@ def _window_classes(counts: np.ndarray, vectors: bool):
     return span, len(keys), np.column_stack([head, last])
 
 
-def balance_profile(buffer: WordBuffer, max_len: int,
-                    rule: SaturationRule = SaturationRule(),
-                    threads: int = 1) -> list[ProfileRow]:
+def balance_profile(buffer: WordBuffer, max_len: int) -> list[ProfileRow]:
     """Per-letter maximum imbalance for each length 1..max_len.
 
     The imbalance at length n for letter a is max - min of the letter-a
     count over all length-n factors, which equals the largest pairwise
-    count difference.  ``threads`` does not change the output.
+    count difference.
     """
-    return abelian_profile(buffer, 1, max_len, rule, threads=threads)
+    return abelian_profile(buffer, 1, max_len)
 
 
 @dataclass
@@ -237,27 +228,18 @@ def verify_witness(buffer: WordBuffer, letter: int, pos_u: int, pos_v: int,
 
 
 def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
-                             max_len: int, scan_len: int | None = None,
-                             rule: SaturationRule = SaturationRule(),
-                             n_from: int = 1) -> BalanceWitness | None:
+                             max_len: int, n_from: int = 1) -> BalanceWitness | None:
     """Smallest-length witness with count difference >= target_diff, or None.
 
     For each length from ``n_from`` (a caller that knows no shorter length
     reaches the target) to ``max_len`` the scan tracks min and max counts of
-    the letter (with positions) over all windows in the first ``scan_len``
-    symbols; ``scan_len=None`` uses the certified per-length bound instead.
+    the letter (with positions) over every window up to the certified
+    per-length bound.
     """
     if n_from < 1:
         raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
-    if scan_len is not None and scan_len > len(buffer):
-        raise RangeError(f"scan_len {scan_len} exceeds buffer length {len(buffer)}")
     for n in range(n_from, max_len + 1):
-        if scan_len is None:
-            bound = certified_window_bound(buffer, n, rule)
-        else:
-            if scan_len < n:
-                break
-            bound = scan_len - n
+        bound = certified_window_bound(buffer, n)
         counts = _window_counts(buffer, n, bound)[letter]
         hi = int(counts.argmax())
         lo = int(counts.argmin())
@@ -267,11 +249,10 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     return None
 
 
-def prefix_balance_check(buffer: WordBuffer, n: int,
-                         rule: SaturationRule = SaturationRule()) -> bool:
+def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     """True iff every length-n factor's letter counts differ from the
     length-n prefix's by at most 1."""
-    bound = certified_window_bound(buffer, n, rule)
+    bound = certified_window_bound(buffer, n)
     counts = _window_counts(buffer, n, bound)
     pc = buffer.prefix_counts
     prefix = pc[:, n]

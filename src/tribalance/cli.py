@@ -18,7 +18,6 @@ from contextlib import contextmanager, nullcontext
 
 from . import abelian, numeration, special, spectral, verify
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
-from .factors import SaturationRule
 from .words import (
     DEFAULT_MAX_SYMBOLS,
     WordBuffer,
@@ -54,7 +53,7 @@ def _open_out(path: str | None):
         yield handle
 
 
-def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -> WordBuffer:
+def _make_buffer(spec: str, parser: argparse.ArgumentParser, args) -> WordBuffer:
     if spec == "tribonacci":
         m = 3
     elif spec.startswith("mbonacci:"):
@@ -66,7 +65,8 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -
             parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer >= 2")
     else:
         parser.error(f"word spec must be 'tribonacci' or 'mbonacci:<m>', got {spec!r}")
-    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols)
+    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=args.max_buffer,
+                              position_cap=args.scan_cap)
 
 
 def _positive_int(text: str) -> int:
@@ -79,14 +79,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _rule(args) -> SaturationRule:
-    return SaturationRule(position_cap=args.scan_cap)
-
-
 def cmd_generate(args, parser) -> int:
     if args.length < 1:
         parser.error(f"length must be >= 1, got {args.length}")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
+    buf = _make_buffer(args.word_spec, parser, args)
     buf.ensure(args.length)
     with _open_out(args.out) as out:
         out.write(word_to_text(buf.slice(0, args.length)))
@@ -97,12 +93,11 @@ def cmd_generate(args, parser) -> int:
 def cmd_rho(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
+    buf = _make_buffer(args.word_spec, parser, args)
     if args.n_to > 1000:
         _progress(f"certifying factor sets up to length {args.n_to}")
     with _open_out(args.out) as out:
-        rows = abelian.abelian_profile(buf, args.n_from, args.n_to, _rule(args),
-                                       threads=args.threads)
+        rows = abelian.abelian_profile(buf, args.n_from, args.n_to)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"])
         for row in rows:
@@ -113,13 +108,12 @@ def cmd_rho(args, parser) -> int:
 def cmd_balance(args, parser) -> int:
     if args.max_len < 1:
         parser.error(f"max length must be >= 1, got {args.max_len}")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
-    rule = _rule(args)
+    buf = _make_buffer(args.word_spec, parser, args)
     if args.max_len > 1000:
         _progress(f"certifying factor sets up to length {args.max_len}")
     m = buf.alphabet_size
     with _open_out(args.out) as out:
-        rows = abelian.balance_profile(buf, args.max_len, rule, threads=args.threads)
+        rows = abelian.balance_profile(buf, args.max_len)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"] + [f"max_imbalance_{a}" for a in range(m)])
         for row in rows:
@@ -133,7 +127,7 @@ def cmd_balance(args, parser) -> int:
         n, letter = next(
             (row.n, a) for row in rows for a in range(m) if row.max_imbalance[a] >= 3
         )
-        w = abelian.imbalance_witness_search(buf, letter, 3, n, rule=rule, n_from=n)
+        w = abelian.imbalance_witness_search(buf, letter, 3, n, n_from=n)
         print(
             f"imbalance witness: {w.letter},{w.length},{w.pos_u},{w.pos_v},"
             f"{w.count_u},{w.count_v}",
@@ -148,7 +142,7 @@ def cmd_discrepancy(args, parser) -> int:
     if args.n_max < 0:
         parser.error(f"n_max must be >= 0, got {args.n_max}")
     sd = spectral.compute_spectral_data()
-    buf = _make_buffer("tribonacci", parser, args.max_buffer)
+    buf = _make_buffer("tribonacci", parser, args)
     if args.n_max > 100_000:
         _progress(f"tabulating {args.n_max + 1} prefix discrepancies")
     buf.ensure(max(args.n_max, 1))
@@ -188,8 +182,7 @@ def cmd_constants(args, parser) -> int:
 def cmd_special(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
-    rule = _rule(args)
+    buf = _make_buffer(args.word_spec, parser, args)
     m = buf.alphabet_size
     # The Parikh columns keep the paper's (i, j, k) names for the Tribonacci
     # word; the complexity-3 closed form is Tribonacci-only.
@@ -198,9 +191,9 @@ def cmd_special(args, parser) -> int:
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "right_special_word", *letters, "bispecial", "rho", *closed_form])
-        for prow in abelian.abelian_profile(buf, args.n_from, args.n_to, rule):
+        for prow in abelian.abelian_profile(buf, args.n_from, args.n_to):
             n = prow.n
-            record = special.right_special_factor(buf, n - 1, rule)
+            record = special.right_special_factor(buf, n - 1)
             row = [n, word_to_text(record.word), *record.parikh, int(record.is_bispecial), prow.rho]
             if closed_form:
                 row.append(int(special.is_min_complexity_length(n)))
@@ -239,13 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out: bool = True):
         if out:
             p.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
+        # Validated and accepted: the benchmark runs commands with --threads 2.
         p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                        help="validated and accepted; does not change the output")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
         p.add_argument("--max-buffer", type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
                        help="hard cap on materialized symbols")
         p.add_argument("--scan-cap", type=_positive_int, default=None,
-                       help="fixed position cap for factor scans (default 64n + 4096)")
+                       help="position cap of certified factor queries (default 64n + 4096)")
 
     p = sub.add_parser("generate", help="write a prefix of a word")
     p.add_argument("word_spec", help="'tribonacci' or 'mbonacci:<m>'")

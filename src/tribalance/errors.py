@@ -24,13 +24,11 @@ class RangeError(TribalanceError, IndexError):
 
 class SaturationError(TribalanceError, RuntimeError):
     """A factor scan or factor-index region hit its position cap before
-    reaching the complexity target.  ``partial`` carries the scan result
-    collected before the cap; only ``scan_distinct_factors`` sets it."""
+    reaching the complexity target."""
 
-    def __init__(self, message, *, n=None, partial=None, positions_scanned=None):
+    def __init__(self, message, *, n=None, positions_scanned=None):
         super().__init__(message)
         self.n = n
-        self.partial = partial
         self.positions_scanned = positions_scanned
 
 

@@ -1,6 +1,13 @@
 """Distinct-factor enumeration and saturation certification.
 
-Two independent mechanisms are provided.
+Every query here is certified: it reads nothing until the examined region
+holds exactly the complexity target of (m-1)*n + 1 distinct length-n
+factors (the count of an Arnoux-Rauzy word on m letters), which proves
+every factor of that length has been seen.  The one limit is the
+buffer's position cap (``WordBuffer.position_cap``, read by
+``position_cap``): a length that does not saturate within it raises
+``SaturationError``, and a count above the target raises
+``InvariantViolationError``.
 
 ``FactorIndex`` builds a suffix automaton over a fixed prefix region and
 answers, for every length at once: how many distinct factors the region
@@ -13,11 +20,9 @@ the index.
 ``scan_distinct_factors`` slides a 127-bit rolling fingerprint over the
 buffer and counts distinct windows, confirming every fingerprint match by
 symbol comparison so the count is exact, never probabilistic.  It stops as
-soon as the factor count reaches the complexity target, which for an
-Arnoux-Rauzy word on m letters is (m-1)*n + 1; reaching the target
-certifies that every factor of that length has been seen.  It shares no
-code with the index and backs no claim: the tests use it as an oracle for
-the index, and the benchmark tracer wraps it by name.
+soon as the factor count reaches the target.  It shares no code with the
+index and backs no claim: the tests use it as an oracle for the index, and
+the benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ from .errors import InvariantViolationError, SaturationError
 from .words import WordBuffer
 
 __all__ = [
-    "SaturationRule",
     "ScanResult",
-    "default_position_cap",
+    "position_cap",
     "default_target",
     "scan_distinct_factors",
     "FactorIndex",
@@ -45,14 +49,15 @@ _FP_MOD = (1 << 127) - 1
 _FP_BASE = 0x9E3779B97F4A7C15
 
 
-def default_position_cap(n: int) -> int:
-    """Window start positions examined before a scan gives up (64n + 4096).
+def position_cap(buffer: WordBuffer, n: int) -> int:
+    """Window start positions a certified length-n query may examine: the
+    buffer's ``position_cap``, or 64n + 4096 when it is unset.
 
     The analyzed words are linearly recurrent, so every factor of length n
     first occurs within a small multiple of n; the generous linear cap
     catches configuration errors without unbounded scans.
     """
-    return 64 * n + 4096
+    return buffer.position_cap if buffer.position_cap is not None else 64 * n + 4096
 
 
 def default_target(alphabet_size: int, n: int) -> int:
@@ -60,41 +65,15 @@ def default_target(alphabet_size: int, n: int) -> int:
     return (alphabet_size - 1) * n + 1
 
 
-@dataclass(frozen=True)
-class SaturationRule:
-    """How a factor scan decides it has seen everything.
-
-    ``target``: distinct-factor count that certifies completeness;
-    None means the Arnoux-Rauzy count (m-1)*n + 1.
-    ``position_cap``: number of window start positions to examine before
-    failing; None means 64n + 4096.
-    ``certified``: if False, ``scan_distinct_factors`` runs a fixed scan
-    over all capped positions and reports what was found without any
-    completeness claim.  The factor index always certifies.
-    """
-
-    target: int | None = None
-    position_cap: int | None = None
-    certified: bool = True
-
-    def resolved_target(self, alphabet_size: int, n: int) -> int:
-        return self.target if self.target is not None else default_target(alphabet_size, n)
-
-    def resolved_cap(self, n: int) -> int:
-        return self.position_cap if self.position_cap is not None else default_position_cap(n)
-
-
 @dataclass
 class ScanResult:
-    """Outcome of one distinct-factor scan at a single length."""
+    """Outcome of one certified distinct-factor scan at a single length."""
 
     n: int
     count: int
     first_positions: list[int]
     last_new_position: int
     positions_scanned: int
-    certified: bool
-    extension_found_new: bool | None = None
 
     @property
     def saturation_end(self) -> int:
@@ -103,24 +82,21 @@ class ScanResult:
         return self.last_new_position + self.n
 
 
-def scan_distinct_factors(buffer: WordBuffer, n: int, rule: SaturationRule = SaturationRule(),
-                          extend_after: int = 0) -> ScanResult:
+def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> ScanResult:
     """Count distinct length-n windows left to right, exactly.
 
     Windows are keyed by rolling fingerprint and every fingerprint match is
     confirmed by symbol comparison before the window is treated as a
-    repeat, so a genuine 127-bit collision cannot corrupt the count.  In
-    certified mode the scan stops once the complexity target is reached; if
-    the position cap is hit first, a ``SaturationError`` carrying the
-    partial result is raised.  ``extend_after`` keeps scanning that many
-    positions past the target and records whether any new factor shows up
-    (it must not, if the target is the true complexity).
+    repeat, so a genuine 127-bit collision cannot corrupt the count.  The
+    scan stops once the complexity target is reached; if the position cap
+    is hit first, ``SaturationError`` is raised.  ``extend_after`` keeps
+    scanning that many positions past the window that reaches the target;
+    a factor found there exceeds it and raises ``InvariantViolationError``.
     """
     if n < 1:
         raise InvariantViolationError(f"factor length must be >= 1, got {n}")
-    m = buffer.alphabet_size
-    cap = rule.resolved_cap(n)
-    target = rule.resolved_target(m, n) if rule.certified else None
+    cap = position_cap(buffer, n)
+    target = default_target(buffer.alphabet_size, n)
 
     # Grow lazily: saturation usually happens within a few multiples of n.
     want = min(cap - 1 + n, max(8 * n + 256, 1024, len(buffer)))
@@ -137,7 +113,7 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, rule: SaturationRule = Sat
     firsts = [0]
     count = 1
     last_new = 0
-    stop_at = extend_after if target is not None and count >= target else None
+    stop_at = extend_after if count >= target else None
     p = 0
     limit = cap - 1
     while p < limit and (stop_at is None or p < stop_at):
@@ -168,39 +144,22 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, rule: SaturationRule = Sat
             count += 1
             firsts.append(p)
             last_new = p
-        if target is not None and count >= target and stop_at is None:
+        if count >= target and stop_at is None:
             stop_at = p + extend_after
     positions_scanned = p + 1
-    # Exceeding the target means the complexity assumption behind it was
-    # wrong, so completeness cannot be claimed either.
-    certified = target is not None and count == target
-    result = ScanResult(
-        n=n,
-        count=count,
-        first_positions=firsts,
-        last_new_position=last_new,
-        positions_scanned=positions_scanned,
-        certified=certified,
-        extension_found_new=None,
-    )
-    if target is not None and extend_after > 0 and count >= target:
-        # Any factor discovered inside the extension window pushed the
-        # count past the target.
-        result.extension_found_new = count > target
-    if rule.certified and not certified:
-        if count > target:
-            raise InvariantViolationError(
-                f"found {count} distinct factors of length {n}, exceeding the "
-                f"complexity target {target}; the word is outside the certified family"
-            )
+    if count > target:
+        raise InvariantViolationError(
+            f"found {count} distinct factors of length {n}, exceeding the "
+            f"complexity target {target}; the word is outside the certified family"
+        )
+    if count < target:
         raise SaturationError(
             f"scan of length {n} hit the position cap {cap} at {count} factors "
             f"(target {target})",
             n=n,
-            partial=result,
             positions_scanned=positions_scanned,
         )
-    return result
+    return ScanResult(n, count, firsts, last_new, positions_scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +279,8 @@ class FactorIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def covers(self, n: int, rule: SaturationRule = SaturationRule()) -> bool:
-        """True when the region holds the rule's target count of length-n
+    def covers(self, n: int) -> bool:
+        """True when the region holds the target count of length-n
         factors and ``cover_end`` is exact through n.
 
         With the target equal to the word's factor complexity, the region
@@ -332,14 +291,14 @@ class FactorIndex:
         extends inside the region to a length-n factor that ends no earlier.
         """
         return (n <= self.region_len
-                and self.counts[n] == rule.resolved_target(self.alphabet_size, n)
+                and self.counts[n] == default_target(self.alphabet_size, n)
                 and self.cover_end[n] + n <= self.region_len)
 
     def factor_count(self, n: int) -> int:
         """Distinct substrings of length n in the indexed region."""
         return int(self.counts[n])
 
-    def certify(self, n: int, rule: SaturationRule = SaturationRule()) -> int:
+    def certify(self, n: int) -> int:
         """Check the region saturates length n and return the window bound.
 
         Returns the last window start position that must be scanned so that
@@ -347,8 +306,8 @@ class FactorIndex:
         ``SaturationError`` if the distinct count misses the complexity
         target or the bound exceeds the position cap.
         """
-        target = rule.resolved_target(self.alphabet_size, n)
-        cap = rule.resolved_cap(n)
+        target = default_target(self.alphabet_size, n)
+        cap = position_cap(self.buffer, n)
         if n > self.region_len or self.counts[n] != target:
             found = int(self.counts[n]) if n <= self.region_len else 0
             if found > target:
@@ -407,8 +366,7 @@ class FactorIndex:
         return self.walk(word) is not None
 
 
-def factor_index(buffer: WordBuffer, n_max: int,
-                 rule: SaturationRule = SaturationRule()) -> FactorIndex:
+def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     """Index that covers every length up to n_max + 1 (the extra length is
     the extension margin special-factor analysis at n_max needs).
 
@@ -421,12 +379,12 @@ def factor_index(buffer: WordBuffer, n_max: int,
     """
     k = n_max + 1
     cached = buffer._index_cache
-    if cached is not None and cached.covers(k, rule):
+    if cached is not None and cached.covers(k):
         return cached
-    full = rule.resolved_cap(k) + k
+    full = position_cap(buffer, k) + k
     region = min(full, 2 ** max(buffer.alphabet_size, 3) * k + 1024)
     index = FactorIndex(buffer, region)
-    while region < full and not index.covers(k, rule):
+    while region < full and not index.covers(k):
         region = min(full, 2 * region)
         index = FactorIndex(buffer, region)
     buffer._index_cache = index

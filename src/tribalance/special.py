@@ -28,7 +28,7 @@ from .errors import (
     InvariantViolationError,
     VerificationFailureError,
 )
-from .factors import SaturationRule, factor_index
+from .factors import factor_index
 from .numeration import tribonacci_number
 from .words import WordBuffer, apply_morphism
 
@@ -66,8 +66,7 @@ class SpecialFactorRecord:
     is_bispecial: bool
 
 
-def right_special_factor(buffer: WordBuffer, length: int,
-                         rule: SaturationRule = SaturationRule()) -> SpecialFactorRecord:
+def right_special_factor(buffer: WordBuffer, length: int) -> SpecialFactorRecord:
     """The unique right special factor of the given length, read off the
     factor index with saturation certified through ``length + 1``.
 
@@ -77,14 +76,13 @@ def right_special_factor(buffer: WordBuffer, length: int,
     """
     if length < 0:
         raise InvalidInputError(f"length must be >= 0, got {length}")
-    return _special_record(buffer, factor_index(buffer, length, rule), length, rule)
+    return _special_record(buffer, factor_index(buffer, length), length)
 
 
-def _special_record(buffer: WordBuffer, index, length: int,
-                    rule: SaturationRule) -> SpecialFactorRecord:
+def _special_record(buffer: WordBuffer, index, length: int) -> SpecialFactorRecord:
     m = buffer.alphabet_size
-    index.certify(length, rule)
-    index.certify(length + 1, rule)
+    index.certify(length)
+    index.certify(length + 1)
     end, deg, left = index.right_special_end(length)
     if deg != m:
         raise InvariantViolationError(
@@ -167,15 +165,14 @@ def boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
     return ((i - 1, j + 1, k + 1), (i + 1, j - 1, k + 1), (i + 1, j + 1, k - 1))
 
 
-def central_set(buffer: WordBuffer, n: int,
-                rule: SaturationRule = SaturationRule()) -> CentralSet:
+def central_set(buffer: WordBuffer, n: int) -> CentralSet:
     """Central vector triple at length n, with the containment assertion
     that every one of the three is realized."""
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
-    record = right_special_factor(buffer, n - 1, rule)
+    record = right_special_factor(buffer, n - 1)
     vectors = central_vectors(record.parikh)
-    realized = parikh_set(buffer, n, rule).vectors
+    realized = parikh_set(buffer, n).vectors
     for v in vectors:
         if v not in realized:
             raise InvariantViolationError(
@@ -184,11 +181,10 @@ def central_set(buffer: WordBuffer, n: int,
     return CentralSet(n, vectors)
 
 
-def boundary_set(buffer: WordBuffer, n: int,
-                 rule: SaturationRule = SaturationRule()) -> BoundarySet:
+def boundary_set(buffer: WordBuffer, n: int) -> BoundarySet:
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
-    record = right_special_factor(buffer, n - 1, rule)
+    record = right_special_factor(buffer, n - 1)
     return BoundarySet(n, boundary_vectors(record.parikh))
 
 
@@ -303,7 +299,6 @@ _OFFSETS, _REGIONS, _EXTRA_CLIQUES, _CLIQUE_SIZES = _offset_structure()
 
 
 def twelve_vector_geometry(buffer: WordBuffer, n: int,
-                           rule: SaturationRule = SaturationRule(),
                            vectors: Iterable[ParikhVector] | None = None,
                            base: ParikhVector | None = None) -> GeometryClassification:
     """Classify the realized Parikh set of length n inside its admissible
@@ -323,9 +318,9 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
     3-letter Tribonacci word is accepted.
     """
     _require_tribonacci(buffer, "twelve_vector_geometry")
-    realized = frozenset(parikh_set(buffer, n, rule).vectors if vectors is None else vectors)
+    realized = frozenset(parikh_set(buffer, n).vectors if vectors is None else vectors)
     if base is None:
-        base = right_special_factor(buffer, n - 1, rule).parikh
+        base = right_special_factor(buffer, n - 1).parikh
     i, j, k = base
 
     def absolute(off: ParikhVector) -> ParikhVector:
@@ -362,7 +357,7 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
 def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector:
     """Parikh vector of the unique right special factor, from a given
     factor index whose region saturates ``length`` and ``length + 1``."""
-    return _special_record(buffer, index, length, SaturationRule()).parikh
+    return _special_record(buffer, index, length).parikh
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +377,7 @@ def min_complexity_lengths(max_len: int) -> list[int]:
     return sorted(out)
 
 
-def successor_length(buffer: WordBuffer, n: int,
-                     rule: SaturationRule = SaturationRule()) -> int:
+def successor_length(buffer: WordBuffer, n: int) -> int:
     """Length propagation map of the substitution.
 
     The image of the right special factor of length n-1, extended by 0, is
@@ -392,7 +386,7 @@ def successor_length(buffer: WordBuffer, n: int,
     Satisfies successor_length(n) = n + i + j + 1 for the special factor's
     Parikh vector (i, j, k).
     """
-    record = right_special_factor(buffer, n - 1, rule)
+    record = right_special_factor(buffer, n - 1)
     image = apply_morphism(buffer.morphism, record.word) + b"\x00"
     value = len(image) + 1
     i, j, _ = record.parikh
@@ -423,17 +417,16 @@ class EquivalenceRow:
                     self.closed_form}) == 1
 
 
-def verify_equivalences(buffer: WordBuffer, n_max: int,
-                        rule: SaturationRule = SaturationRule()) -> list[EquivalenceRow]:
+def verify_equivalences(buffer: WordBuffer, n_max: int) -> list[EquivalenceRow]:
     """Check, for every n up to n_max, that the five characterizations of
     minimal abelian complexity agree; raises ``VerificationFailureError``
     naming the first disagreeing length."""
     rows = []
     if n_max < 1:
         return rows
-    for prow in abelian_profile(buffer, 1, n_max, rule, collect_vectors=True):
+    for prow in abelian_profile(buffer, 1, n_max, collect_vectors=True):
         n = prow.n
-        record = right_special_factor(buffer, n - 1, rule)
+        record = right_special_factor(buffer, n - 1)
         row = EquivalenceRow(
             n=n,
             one_balanced=max(prow.max_imbalance) <= 1,

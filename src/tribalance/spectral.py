@@ -138,10 +138,6 @@ def compute_spectral_data(tolerance: float = DEFAULT_TOLERANCE) -> SpectralData:
     )
 
 
-def letter_frequency(sd: SpectralData, letter: int) -> float:
-    return sd.frequency(letter)
-
-
 def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData) -> float:
     """Prefix count of the letter minus n times its frequency."""
     _check_letter(letter)

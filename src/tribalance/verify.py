@@ -20,7 +20,7 @@ import numpy as np
 
 from . import abelian, numeration, special, spectral
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
-from .factors import FactorIndex, SaturationRule, factor_index
+from .factors import FactorIndex, factor_index, position_cap
 from .words import DEFAULT_MAX_SYMBOLS, WordBuffer, mbonacci_word, tribonacci_word
 
 #: Abelian complexity of the Tribonacci word at lengths 1..42.
@@ -95,7 +95,7 @@ class VerificationReport:
 @dataclass
 class SuiteConfig:
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted: the benchmark tracer's suite-subset passes it
     max_buffer: int = DEFAULT_MAX_SYMBOLS
     scan_cap: int | None = None
     progress: Callable[[str], None] | None = None
@@ -107,7 +107,6 @@ class SuiteContext:
 
     def __init__(self, config: SuiteConfig):
         self.config = config
-        self.rule = SaturationRule(position_cap=config.scan_cap)
         self._buffer: WordBuffer | None = None
         self._fourbonacci: WordBuffer | None = None
         self._sd: spectral.SpectralData | None = None
@@ -119,7 +118,8 @@ class SuiteContext:
 
     def buffer(self, min_len: int = 1) -> WordBuffer:
         if self._buffer is None:
-            self._buffer = tribonacci_word(min_len, max_symbols=self.config.max_buffer)
+            self._buffer = tribonacci_word(min_len, max_symbols=self.config.max_buffer,
+                                           position_cap=self.config.scan_cap)
         return self._buffer.ensure(min_len)
 
     def fourbonacci(self, min_len: int) -> WordBuffer:
@@ -137,10 +137,7 @@ class SuiteContext:
             if cached_max >= n_max and (cached_vec or not vectors):
                 return rows[:n_max]
         self.log(f"building certified profile up to n={n_max}")
-        rows = abelian.abelian_profile(
-            self.buffer(), 1, n_max, self.rule,
-            threads=self.config.threads, collect_vectors=vectors,
-        )
+        rows = abelian.abelian_profile(self.buffer(), 1, n_max, collect_vectors=vectors)
         self._profiles[(n_max, vectors)] = rows
         return rows
 
@@ -266,7 +263,7 @@ def _claim_rho3_closed_form(ctx: SuiteContext):
 
 
 def _claim_equivalences_200(ctx: SuiteContext):
-    rows = special.verify_equivalences(ctx.buffer(), 200, ctx.rule)
+    rows = special.verify_equivalences(ctx.buffer(), 200)
     agree = all(r.all_agree() for r in rows)
     return agree and len(rows) == 200, {"lengths_checked": len(rows), "all_agree": agree}, \
         {"lengths_checked": 200, "all_agree": True}
@@ -274,10 +271,8 @@ def _claim_equivalences_200(ctx: SuiteContext):
 
 def _claim_prefix_balance(ctx: SuiteContext):
     buf = ctx.buffer()
-    ok_below = all(
-        abelian.prefix_balance_check(buf, n, ctx.rule) for n in range(1, 185)
-    )
-    fails_at_185 = not abelian.prefix_balance_check(buf, 185, ctx.rule)
+    ok_below = all(abelian.prefix_balance_check(buf, n) for n in range(1, 185))
+    fails_at_185 = not abelian.prefix_balance_check(buf, 185)
     observed = {"holds_up_to_184": ok_below, "fails_at_185": fails_at_185}
     return ok_below and fails_at_185, observed, {"holds_up_to_184": True, "fails_at_185": True}
 
@@ -337,10 +332,10 @@ def _claim_saturation_soundness(ctx: SuiteContext):
     buf = ctx.buffer()
     rng = random.Random(ctx.config.seed)
     samples = sorted(rng.sample(range(1, 2001), 20))
-    index = factor_index(buf, max(samples), ctx.rule)
+    index = factor_index(buf, max(samples))
     for n in samples:
-        index.certify(n, ctx.rule)
-    need = max(ctx.rule.resolved_cap(n) + n - 1 for n in samples)
+        index.certify(n)
+    need = max(position_cap(buf, n) + n - 1 for n in samples)
     if index.region_len < need:
         index = FactorIndex(buf, need)
     failures = [n for n in samples if index.factor_count(n) != 2 * n + 1]
@@ -351,15 +346,15 @@ def _claim_value7_instance(ctx: SuiteContext):
     # Smallest k with T_k >= 3914 is tried first; the first-occurrence
     # bound for length 3914 gives a k that must work, capping the search.
     buf = ctx.buffer()
-    index = factor_index(buf, 3914, ctx.rule)
-    index.certify(3914, ctx.rule)
+    index = factor_index(buf, 3914)
+    index.certify(3914)
     cover = int(index.cover_end[3914])
     k = 0
     while numeration.tribonacci_number(k) < 3914:
         k += 1
     while True:
         n = numeration.tribonacci_number(k) + 3914
-        rho = abelian.abelian_complexity(buf, n, ctx.rule)
+        rho = abelian.abelian_complexity(buf, n)
         if rho == 7:
             return True, {"k": k, "n": n, "rho": rho}, {"rho": 7}
         if numeration.tribonacci_number(k) >= cover:
@@ -373,12 +368,12 @@ def _claim_geometry(ctx: SuiteContext):
     # and meeting the boundary triple is equivalent to complexity > 3.
     buf = ctx.buffer()
     rows = ctx.profile(2000, vectors=True)
-    index = factor_index(buf, 2000, ctx.rule)
+    index = factor_index(buf, 2000)
     expected_sizes = (7, 7, 7, 6, 6, 6)
     bad = []
     for row in rows:
         base = special.right_special_parikh(buf, index, row.n - 1)
-        g = special.twelve_vector_geometry(buf, row.n, ctx.rule, vectors=row.vectors, base=base)
+        g = special.twelve_vector_geometry(buf, row.n, vectors=row.vectors, base=base)
         sizes = tuple(sorted((len(r.vectors) for r in g.regions), reverse=True))
         realized = frozenset(row.vectors)
         central_ok = realized.issuperset(special.central_vectors(base))

@@ -141,12 +141,19 @@ class WordBuffer:
     other threads read while a growth call is in flight.  Per-letter prefix
     counts are kept for every position so any window's letter counts are
     two array lookups.
+
+    Two per-run resource caps: ``max_symbols`` bounds the materialized
+    prefix, and ``position_cap`` bounds the window start positions a
+    certified factor query may need at any length (None means 64n + 4096,
+    see ``factors.position_cap``).
     """
 
     def __init__(self, morphism: Morphism, seed: Symbol,
-                 max_symbols: int = DEFAULT_MAX_SYMBOLS):
+                 max_symbols: int = DEFAULT_MAX_SYMBOLS, position_cap: int | None = None):
         if not 0 <= seed < morphism.alphabet_size:
             raise InvalidInputError(f"seed {seed} outside alphabet of size {morphism.alphabet_size}")
+        if position_cap is not None and position_cap < 1:
+            raise InvalidInputError(f"position cap must be >= 1, got {position_cap}")
         if not morphism.is_prolongable_at(seed):
             raise ConfigurationError(
                 f"morphism is not prolongable at {seed}: image must start with the seed and have length >= 2"
@@ -154,6 +161,7 @@ class WordBuffer:
         self.morphism = morphism
         self.seed = seed
         self.max_symbols = max_symbols
+        self.position_cap = position_cap
         self._symbols: bytes = bytes((seed,))
         self._prefix_counts: np.ndarray | None = None
         self._index_cache = None  # FactorIndex most recently built over this buffer
@@ -218,19 +226,25 @@ class WordBuffer:
 
 
 def fixed_point_prefix(morphism: Morphism, seed: Symbol, min_len: int,
-                       max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
+                       max_symbols: int = DEFAULT_MAX_SYMBOLS,
+                       position_cap: int | None = None) -> WordBuffer:
     """Buffer holding at least min_len symbols of the fixed point of the
     morphism at the given seed."""
     if min_len < 1:
         raise InvalidInputError(f"prefix length must be >= 1, got {min_len}")
-    return WordBuffer(morphism, seed, max_symbols=max_symbols).ensure(min_len)
+    return WordBuffer(morphism, seed, max_symbols=max_symbols,
+                      position_cap=position_cap).ensure(min_len)
 
 
-def tribonacci_word(min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
+def tribonacci_word(min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS,
+                    position_cap: int | None = None) -> WordBuffer:
     """Prefix buffer of the Tribonacci word 0102010010201..."""
-    return fixed_point_prefix(tribonacci_morphism(), 0, min_len, max_symbols=max_symbols)
+    return fixed_point_prefix(tribonacci_morphism(), 0, min_len, max_symbols=max_symbols,
+                              position_cap=position_cap)
 
 
-def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
+def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS,
+                  position_cap: int | None = None) -> WordBuffer:
     """Prefix buffer of the m-bonacci word."""
-    return fixed_point_prefix(mbonacci_morphism(m), 0, min_len, max_symbols=max_symbols)
+    return fixed_point_prefix(mbonacci_morphism(m), 0, min_len, max_symbols=max_symbols,
+                              position_cap=position_cap)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word
-from tribalance.factors import FactorIndex, default_position_cap
+from tribalance.factors import FactorIndex, position_cap
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +63,7 @@ def brute_parikh_set(symbols: bytes, n: int, m: int) -> set[tuple[int, ...]]:
 
 def full_region_index(buffer, n_max: int) -> FactorIndex:
     """Index over the whole capped region for lengths up to n_max + 1."""
-    return FactorIndex(buffer, default_position_cap(n_max + 1) + n_max + 1)
+    return FactorIndex(buffer, position_cap(buffer, n_max + 1) + n_max + 1)
 
 
 def unique_profile(buffer, n_max: int):

@@ -15,7 +15,6 @@ from tribalance import (
     NotAFactorError,
     ParikhSet,
     RangeError,
-    SaturationError,
     abelian_complexity,
     abelian_profile,
     balance_profile,
@@ -31,7 +30,7 @@ from tribalance import (
     window_parikh,
 )
 from tribalance.abelian import _window_classes
-from tribalance.factors import SaturationRule, scan_distinct_factors
+from tribalance.factors import scan_distinct_factors
 
 
 def test_parikh_examples():
@@ -69,7 +68,7 @@ def test_window_parikh_agreement_bulk(tribo):
 def test_parikh_set_small(tribo):
     ps1 = parikh_set(tribo, 1)
     assert ps1.vectors == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert ps1.factor_count == 3 and ps1.certified
+    assert ps1.factor_count == 3
 
     ps2 = parikh_set(tribo, 2)
     assert ps2.vectors == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
@@ -227,7 +226,7 @@ def test_balance_profile_threads_agree(tribo):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        par = balance_profile(tribo, 80, threads=8)
+        par = abelian_profile(tribo, 1, 80, threads=8)
     finally:
         sys.setswitchinterval(interval)
     assert [(r.n, r.rho, r.max_imbalance) for r in seq] == \
@@ -254,11 +253,12 @@ def test_witness_search_tribonacci_none(tribo):
 
 
 def test_witness_search_finds_fourbonacci_imbalance(fourbo):
-    fourbo.ensure(12353 + 3305)
-    w = imbalance_witness_search(fourbo, 1, 3, 3305, scan_len=12353 + 3305)
+    # Certified at every length from 1, so the first witness is the
+    # shortest: no length below 3305 reaches imbalance 3.
+    w = imbalance_witness_search(fourbo, 1, 3, 3305)
     assert w is not None
     assert w.diff >= 3
-    assert w.length <= 3305
+    assert w.length == 3305
     # The witness recomputes against the buffer.
     check = verify_witness(fourbo, 1, w.pos_u, w.pos_v, w.length)
     assert check.diff == w.diff
@@ -280,7 +280,7 @@ def test_profile_refuses_windows_past_int32(monkeypatch):
     import tribalance.abelian as abelian
 
     class FarIndex:
-        def certify(self, n, rule):
+        def certify(self, n):
             return 2**31 - n - 1
 
     monkeypatch.setattr(abelian, "factor_index", lambda *args: FarIndex())
@@ -289,7 +289,7 @@ def test_profile_refuses_windows_past_int32(monkeypatch):
 
 
 def test_witness_search_trivial(tribo):
-    w = imbalance_witness_search(tribo, 0, 1, 1, scan_len=100)
+    w = imbalance_witness_search(tribo, 0, 1, 1)
     assert w is not None and w.length == 1 and w.diff == 1
 
 
@@ -302,17 +302,10 @@ def test_prefix_balance_examples(tribo):
 def test_coordinate_interval_check(tribo):
     for n in (1, 2, 30, 342):
         assert coordinate_interval_check(parikh_set(tribo, n))
-    singleton = ParikhSet(3, frozenset({(1, 1, 1)}), 1, True, 0)
+    singleton = ParikhSet(3, frozenset({(1, 1, 1)}), 1, 0)
     assert coordinate_interval_check(singleton)
-    gapped = ParikhSet(4, frozenset({(1, 1, 2), (3, 1, 0)}), 2, True, 0)
+    gapped = ParikhSet(4, frozenset({(1, 1, 2), (3, 1, 0)}), 2, 0)
     assert not coordinate_interval_check(gapped)
-
-
-def test_saturation_failure_propagates(tribo):
-    with pytest.raises(SaturationError):
-        parikh_set(tribo, 50, SaturationRule(position_cap=20))
-    with pytest.raises(SaturationError) as excinfo:
-        abelian_complexity(tribo, 50, SaturationRule(position_cap=20))
 
 
 # -- desubstitution ----------------------------------------------------------

@@ -322,19 +322,38 @@ def test_verify_degraded_mode_skips_and_fails(capsys, tmp_path, monkeypatch):
     assert statuses["spectral_constants_5dp"] == "pass"
 
 
-def test_benchmark_tracer_installs(tmp_path):
-    # The benchmark tracer wraps every layer's functions by name and fails
-    # on a name the package no longer has, so one traced run checks that a
-    # refactor kept every name it wraps.
+def run_tracer(*argv):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    spans = tmp_path / "spans.json"
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
-         "--", "special", "tribonacci", "1", "30"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), *argv],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    # The benchmark tracer wraps every layer's functions by name and fails
+    # on a name the package no longer has, so one traced run checks that a
+    # refactor kept every name it wraps.
+    spans = tmp_path / "spans.json"
+    run_tracer("--spans", str(spans), "--", "special", "tribonacci", "1", "30")
     names = {s["name"] for s in json.loads(spans.read_text())["spans"]}
     assert {"special.right_special", "factors.factor_index", "abelian.profile"} <= names
+
+
+def test_benchmark_tracer_speedup_calls_the_profile():
+    # --speedup calls factor_index, prefix_counts and abelian_profile(...,
+    # threads=, collect_vectors=) directly.
+    result = json.loads(run_tracer("--speedup", "3,1,40,0"))
+    assert result["pairs"] and result["speedup"] > 0
+
+
+def test_benchmark_tracer_suite_subset(tmp_path):
+    # suite-subset builds SuiteConfig(seed=, threads=) and calls run_suite.
+    report = tmp_path / "report.json"
+    run_tracer("--", "suite-subset", "--claims", "rho_sequence_1_42", "--seed", "0",
+               "--threads", "2", "--json", str(report))
+    (claim,) = json.loads(report.read_text())["claims"]
+    assert (claim["claim_id"], claim["status"]) == ("rho_sequence_1_42", "pass")

@@ -6,17 +6,34 @@ from hypothesis import strategies as st
 
 from conftest import brute_factors, full_region_index
 from tribalance import (
+    InvariantViolationError,
+    Morphism,
     SaturationError,
+    WordBuffer,
+    abelian_complexity,
+    abelian_profile,
+    balance_profile,
+    bispecial_lengths,
     factor_index,
+    imbalance_witness_search,
     mbonacci_word,
+    parikh_set,
+    prefix_balance_check,
+    right_special_factor,
     scan_distinct_factors,
+    successor_length,
     tribonacci_word,
+    twelve_vector_geometry,
+    verify_equivalences,
 )
-from tribalance.factors import FactorIndex, SaturationRule, default_position_cap, default_target
+from tribalance.abelian import certified_window_bound
+from tribalance.factors import FactorIndex, default_target, position_cap
+from tribalance.special import right_special_parikh
 
 
 def test_defaults():
-    assert default_position_cap(10) == 64 * 10 + 4096
+    assert position_cap(tribonacci_word(), 10) == 64 * 10 + 4096
+    assert position_cap(tribonacci_word(position_cap=7), 10) == 7
     assert default_target(3, 10) == 21
     assert default_target(2, 10) == 11
 
@@ -41,7 +58,6 @@ def test_scan_first_positions_are_first(tribo):
 
 def test_scan_certification_stops_at_target(tribo):
     scan = scan_distinct_factors(tribo, 50)
-    assert scan.certified
     assert scan.count == 101
     # Every factor first occurs at or before the recorded last-new position.
     assert max(scan.first_positions) == scan.last_new_position
@@ -52,35 +68,65 @@ def test_scan_extension_finds_nothing_new(tribo):
     # factor, not at the position cap (131,008 positions for n = 1983).
     for n in (7, 31, 200, 1983):
         scan = scan_distinct_factors(tribo, n, extend_after=10 * n)
-        assert scan.certified
-        assert scan.extension_found_new is False
         assert scan.count == 2 * n + 1
         assert scan.positions_scanned == scan.last_new_position + 10 * n + 1
 
 
-def test_scan_cap_failure_carries_partial(tribo):
+def test_scan_cap_failure_reports_position():
     with pytest.raises(SaturationError) as excinfo:
-        scan_distinct_factors(tribo, 100, SaturationRule(position_cap=30))
+        scan_distinct_factors(tribonacci_word(position_cap=30), 100)
     err = excinfo.value
     assert err.n == 100
-    assert err.partial.count < 201
     assert err.positions_scanned <= 30
 
 
-def test_scan_detects_wrong_complexity_target(tribo):
-    # A target below the true complexity must be flagged when the
-    # extension window exposes the excess, not silently certified.
-    from tribalance import InvariantViolationError
+def thue_morse():
+    # Two letters with more than n + 1 factors of length n >= 2: outside
+    # the Arnoux-Rauzy family the complexity target assumes.
+    return WordBuffer(Morphism(["01", "10"]), 0)
 
+
+def test_scan_detects_wrong_complexity_target():
+    # The scan reaches the target n + 1 early; the extension window then
+    # exposes the excess instead of certifying it.
+    with pytest.raises(InvariantViolationError, match="exceeding the complexity target 11"):
+        scan_distinct_factors(thue_morse(), 10, extend_after=2000)
+
+
+def test_index_certify_rejects_excess_factors():
+    buf = thue_morse()
+    index = factor_index(buf, 10)
+    assert index.factor_count(10) > default_target(2, 10)
+    with pytest.raises(InvariantViolationError, match="exceeding the complexity target 11"):
+        index.certify(10)
     with pytest.raises(InvariantViolationError):
-        scan_distinct_factors(tribo, 10, SaturationRule(target=5), extend_after=2000)
+        abelian_complexity(buf, 10)
 
 
-def test_fixed_scan_mode_reports_without_certifying(tribo):
-    rule = SaturationRule(position_cap=50, certified=False)
-    scan = scan_distinct_factors(tribo, 10, rule)
-    assert not scan.certified
-    assert scan.count == len(brute_factors(tribo.symbols[: 50 - 1 + 10], 10))
+@pytest.mark.parametrize("query", [
+    lambda b: parikh_set(b, 50),
+    lambda b: abelian_complexity(b, 50),
+    lambda b: abelian_profile(b, 1, 50),
+    lambda b: balance_profile(b, 50),
+    lambda b: certified_window_bound(b, 50),
+    lambda b: prefix_balance_check(b, 50),
+    lambda b: imbalance_witness_search(b, 0, 3, 50),
+    lambda b: right_special_factor(b, 50),
+    lambda b: right_special_parikh(b, factor_index(b, 50), 50),
+    lambda b: bispecial_lengths(50, b),
+    lambda b: twelve_vector_geometry(b, 50),
+    lambda b: successor_length(b, 50),
+    lambda b: verify_equivalences(b, 50),
+    lambda b: scan_distinct_factors(b, 50),
+], ids=["parikh_set", "abelian_complexity", "abelian_profile", "balance_profile",
+        "certified_window_bound", "prefix_balance_check", "imbalance_witness_search",
+        "right_special_factor", "right_special_parikh", "bispecial_lengths",
+        "twelve_vector_geometry", "successor_length", "verify_equivalences",
+        "scan_distinct_factors"])
+def test_certifying_queries_honour_the_buffer_cap(query):
+    # Length 50 has 101 factors, which 20 window starts cannot hold.
+    with pytest.raises(SaturationError):
+        query(tribonacci_word(position_cap=20))
 
 
 def test_scan_exact_under_forced_collisions(tribo, monkeypatch):
@@ -162,7 +208,7 @@ def test_index_cache_accepts_covering_index(monkeypatch):
     # The region grows from 8(n_max + 1) + 1024 symbols, far short of the
     # capped region, yet it serves every length it covers.
     assert index.region_len == 8 * 301 + 1024
-    assert index.region_len < default_position_cap(201) + 201
+    assert index.region_len < position_cap(buf, 201) + 201
     assert factor_index(buf, 200) is index
 
     builds = []

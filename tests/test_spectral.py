@@ -15,7 +15,6 @@ from tribalance import (
     discrepancy_spectral,
     head_extremes,
     incidence_matrix,
-    letter_frequency,
     tail_bound,
     tribonacci_morphism,
 )
@@ -63,11 +62,11 @@ def test_coefficient_expansion(sd):
 
 
 def test_frequencies(sd):
-    assert abs(letter_frequency(sd, 0) - 1 / sd.beta) < 1e-15
-    assert abs(sum(letter_frequency(sd, a) for a in range(3)) - 1.0) < 1e-12
-    assert abs(letter_frequency(sd, 2) - sd.beta ** -3) < 1e-15
+    assert abs(sd.frequency(0) - 1 / sd.beta) < 1e-15
+    assert abs(sum(sd.frequency(a) for a in range(3)) - 1.0) < 1e-12
+    assert abs(sd.frequency(2) - sd.beta ** -3) < 1e-15
     with pytest.raises(InvalidInputError):
-        letter_frequency(sd, 3)
+        sd.frequency(3)
 
 
 def test_discrepancy_direct_examples(tribo, sd):

@@ -46,7 +46,6 @@ def test_scanner_oracle_agrees_with_index_at_samples(tribo, scans):
     index = factor_index(tribo, max(scans))
     for n, scan in scans.items():
         assert scan.count == 2 * n + 1 == index.factor_count(n)
-        assert scan.extension_found_new is False
         assert scan.last_new_position == index.certify(n)
 
 
