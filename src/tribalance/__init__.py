@@ -72,6 +72,7 @@ from .spectral import (
     balance_bound_from_interval,
     certify_balance_bounds,
     compute_spectral_data,
+    discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_spectral,

@@ -12,7 +12,6 @@ contains every factor of the relevant length.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .words import (
     apply_morphism,
     as_word,
     tribonacci_morphism,
-    tribonacci_word,
 )
 
 ParikhVector = tuple[int, ...]
@@ -234,13 +232,13 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     For each length from ``n_from`` (a caller that knows no shorter length
     reaches the target) to ``max_len`` the scan tracks min and max counts of
     the letter (with positions) over every window up to the certified
-    per-length bound.
+    per-length bound, read off one factor index that covers ``max_len``.
     """
     if n_from < 1:
         raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
+    index = factor_index(buffer, max_len)
     for n in range(n_from, max_len + 1):
-        bound = certified_window_bound(buffer, n)
-        counts = _window_counts(buffer, n, bound)[letter]
+        counts = _window_counts(buffer, n, index.certify(n))[letter]
         hi = int(counts.argmax())
         lo = int(counts.argmin())
         if counts[hi] - counts[lo] >= target_diff:
@@ -309,22 +307,21 @@ class Desubstitution:
         return w
 
 
-@functools.cache
-def _tribonacci_shared() -> WordBuffer:
-    return tribonacci_word(4096)
-
-
 def is_tribonacci_factor(w: WordLike) -> bool:
-    """Exact membership test against a saturated region of the word."""
+    """Exact membership test by repeated desubstitution.
+
+    A word is a factor exactly when its preimage ``desubstitute(w).u`` is
+    one, and each step shortens the word (the single letters go 2 -> 1 ->
+    0 -> empty), so the preimages reach the empty word unless a step
+    fails to decode.
+    """
     w = as_word(w)
-    if not w:
-        return True
-    if any(c > 2 for c in w):
+    try:
+        while w:
+            w = desubstitute(w, verify=False).u
+    except NotAFactorError:
         return False
-    buf = _tribonacci_shared()
-    index = factor_index(buf, len(w))
-    index.certify(len(w))
-    return index.contains(w)
+    return True
 
 
 def desubstitute(U: WordLike, verify: bool = True) -> Desubstitution:

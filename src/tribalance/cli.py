@@ -146,14 +146,14 @@ def cmd_discrepancy(args, parser) -> int:
     if args.n_max > 100_000:
         _progress(f"tabulating {args.n_max + 1} prefix discrepancies")
     buf.ensure(max(args.n_max, 1))
-    freq = sd.frequency(args.letter)
-    pc = buf.prefix_counts[args.letter]
+    column = spectral.discrepancy_column(buf, args.n_max, args.letter, sd)
     with _open_out(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["N", "discrepancy"])
-        for n in range(args.n_max + 1):
-            writer.writerow([n, _fmt(pc[n] - n * freq)])
-    lo, hi = spectral.discrepancy_extremes(buf, args.n_max, args.letter, sd)
+        out.write("N,discrepancy\n")
+        # Blocks of rows keep the formatted text small next to the column.
+        for start in range(0, column.size, 1 << 16):
+            rows = column[start : start + (1 << 16)].tolist()
+            out.write("".join(f"{n},{x:.12g}\n" for n, x in enumerate(rows, start)))
+    lo, hi = float(column.min()), float(column.max())
     t_lo, t_hi = spectral.TARGET_INTERVALS[args.letter]
     contained = t_lo < lo and hi < t_hi
     print(

@@ -34,15 +34,6 @@ import numpy as np
 from .errors import InvariantViolationError, SaturationError
 from .words import WordBuffer
 
-__all__ = [
-    "ScanResult",
-    "position_cap",
-    "default_target",
-    "scan_distinct_factors",
-    "FactorIndex",
-    "factor_index",
-]
-
 # Rolling fingerprint parameters: polynomial hash modulo the Mersenne
 # prime 2**127 - 1 with a fixed odd base.
 _FP_MOD = (1 << 127) - 1
@@ -238,7 +229,8 @@ class FactorIndex:
         self._link = np.array(link, dtype=np.int64)
         self._len = np.array(length, dtype=np.int64)
         self._first_end = np.array(first_end, dtype=np.int64)
-        self._trans = np.array(trans, dtype=np.int64).reshape(n_states, m)
+        # Right-extension degree per state; the transitions are not kept.
+        self._outdeg = (np.array(trans, dtype=np.int64).reshape(n_states, m) >= 0).sum(axis=1)
 
     def _aggregate(self) -> None:
         R = self.region_len
@@ -261,8 +253,6 @@ class FactorIndex:
         np.maximum.at(new_max, min_len[1:], self._first_end[1:])
         self.cover_end = np.maximum.accumulate(new_max)[: R + 1]
         self.cover_end[0] = 0
-
-        self._outdeg = (self._trans >= 0).sum(axis=1)
 
         # Per-length count of right-special substrings (>= 2 extensions),
         # the state holding one of each length, and each state's number of
@@ -350,21 +340,6 @@ class FactorIndex:
         left = 1 if n < self._len[s] else int(self._children[s])
         return int(self._first_end[s]), int(self._outdeg[s]), left
 
-    def walk(self, word) -> int | None:
-        """Automaton state reached by reading ``word`` from the root, or
-        None if the word is not a substring of the region."""
-        s = 0
-        for c in word:
-            if c >= self.alphabet_size:
-                return None
-            s = int(self._trans[s, c])
-            if s < 0:
-                return None
-        return s
-
-    def contains(self, word) -> bool:
-        return self.walk(word) is not None
-
 
 def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     """Index that covers every length up to n_max + 1 (the extra length is
@@ -375,17 +350,17 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     index ``covers`` n_max + 1, but never goes past the position cap plus
     n_max + 1 symbols.  When even that region does not saturate, the index
     is built on exactly that region, so ``certify`` reports the shortfall.
-    Reuses the index cached on the buffer when it already covers n_max + 1.
+    Reuses ``buffer.index`` when it already covers n_max + 1, else builds a
+    new index and publishes it there; this is the one writer of that slot.
     """
     k = n_max + 1
-    cached = buffer._index_cache
-    if cached is not None and cached.covers(k):
-        return cached
+    if buffer.index is not None and buffer.index.covers(k):
+        return buffer.index
     full = position_cap(buffer, k) + k
     region = min(full, 2 ** max(buffer.alphabet_size, 3) * k + 1024)
     index = FactorIndex(buffer, region)
     while region < full and not index.covers(k):
         region = min(full, 2 * region)
         index = FactorIndex(buffer, region)
-    buffer._index_cache = index
+    buffer.index = index
     return index

@@ -19,17 +19,27 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidRepresentationError, InvariantViolationError
 
-# Shared, append-only cache of 1, 2, 4, 7, 13, ...  Safe under a
-# single-writer / multi-reader discipline: entries are only appended.
-_TRIBO_CACHE: list[int] = [1, 2, 4]
 
-
-def _extend_cache(limit_index: int | None = None, limit_value: int | None = None) -> None:
-    t = _TRIBO_CACHE
-    while (limit_index is not None and len(t) <= limit_index) or (
-        limit_value is not None and t[-1] < limit_value
-    ):
+def _terms_until(done) -> list[int]:
+    """The terms 1, 2, 4, 7, ... from the start until ``done(terms)``."""
+    t = [1, 2, 4]
+    while not done(t):
         t.append(t[-1] + t[-2] + t[-3])
+    return t
+
+
+#: Every term up to 2**64, built once at import and never changed.  It
+#: serves the int64 batch codec and every scalar call in that range.
+_TERMS: tuple[int, ...] = tuple(_terms_until(lambda t: t[-1] > 2**64)[:-1])
+
+
+def _terms(index: int = 0, value: int = 0) -> tuple[int, ...] | list[int]:
+    """Terms through at least ``index`` and past ``value``: the import-time
+    tuple when it reaches that far, else a longer list local to the call,
+    so arbitrary Python ints still work."""
+    if index < len(_TERMS) and value < _TERMS[-1]:
+        return _TERMS
+    return _terms_until(lambda t: len(t) > index and t[-1] > value)
 
 
 def tribonacci_number(k: int) -> int:
@@ -39,16 +49,15 @@ def tribonacci_number(k: int) -> int:
     """
     if k < 0:
         raise InvalidInputError(f"index must be non-negative, got {k}")
-    _extend_cache(limit_index=k)
-    return _TRIBO_CACHE[k]
+    return _terms(index=k)[k]
 
 
 def tribonacci_numbers_upto(value: int) -> list[int]:
     """All sequence terms <= value, in increasing order."""
     if value < 1:
         return []
-    _extend_cache(limit_value=value + 1)
-    return _TRIBO_CACHE[: bisect_right(_TRIBO_CACHE, value)]
+    terms = _terms(value=value)
+    return list(terms[: bisect_right(terms, value)])
 
 
 class ZeckendorfRep:
@@ -127,12 +136,11 @@ def zeckendorf_decode(rep) -> int:
         raise InvalidRepresentationError(f"digit string violates the numeration constraint: {digits}")
     if not digits:
         return 0
-    _extend_cache(limit_index=len(digits) - 1)
-    return sum(t for d, t in zip(digits, _TRIBO_CACHE) if d)
+    return sum(t for d, t in zip(digits, _terms(index=len(digits) - 1)) if d)
 
 
 #: Widest digit row whose terms all fit in int64.
-_MAX_WIDTH = len(tribonacci_numbers_upto(np.iinfo(np.int64).max))
+_MAX_WIDTH = bisect_right(_TERMS, np.iinfo(np.int64).max)
 
 
 def zeckendorf_encode_many(ns) -> np.ndarray:
@@ -196,10 +204,9 @@ def zeckendorf_decode_many(digits) -> np.ndarray:
     width = d.shape[1]
     if width > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
-    _extend_cache(limit_index=width)
     values = np.zeros(d.shape[0], dtype=np.int64)
     # Column by column, so no (rows, width) int64 temporary is formed.
-    for k, term in enumerate(_TRIBO_CACHE[:width]):
+    for k, term in enumerate(_TERMS[:width]):
         np.add(values, term, out=values, where=d[:, k] == 1)
     if (values < 0).any():
         raise InvalidInputError("decoded value does not fit in int64")

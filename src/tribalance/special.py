@@ -32,27 +32,6 @@ from .factors import factor_index
 from .numeration import tribonacci_number
 from .words import WordBuffer, apply_morphism
 
-__all__ = [
-    "SpecialFactorRecord",
-    "right_special_factor",
-    "bispecial_lengths",
-    "CentralSet",
-    "BoundarySet",
-    "central_set",
-    "boundary_set",
-    "central_vectors",
-    "boundary_vectors",
-    "GeometryRegion",
-    "GeometryClassification",
-    "twelve_vector_geometry",
-    "right_special_parikh",
-    "is_min_complexity_length",
-    "min_complexity_lengths",
-    "successor_length",
-    "EquivalenceRow",
-    "verify_equivalences",
-]
-
 
 @dataclass
 class SpecialFactorRecord:

@@ -163,14 +163,21 @@ def discrepancy_spectral(n: int, letter: int, sd: SpectralData) -> float:
     return 2.0 * (coef * power_sum).real
 
 
-def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,
-                         sd: SpectralData) -> tuple[float, float]:
-    """Min and max of the direct discrepancy over all prefixes up to n_max."""
+def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,
+                       sd: SpectralData) -> np.ndarray:
+    """The direct discrepancy of every prefix length 0..n_max, as float64;
+    entry N equals ``discrepancy_direct(buffer, N, letter, sd)``."""
     _check_letter(letter)
     if n_max > len(buffer):
         raise RangeError(f"n_max {n_max} exceeds buffer length {len(buffer)}")
     ns = np.arange(n_max + 1, dtype=np.float64)
-    d = buffer.prefix_counts[letter, : n_max + 1] - ns * sd.frequency(letter)
+    return buffer.prefix_counts[letter, : n_max + 1] - ns * sd.frequency(letter)
+
+
+def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,
+                         sd: SpectralData) -> tuple[float, float]:
+    """Min and max of the direct discrepancy over all prefixes up to n_max."""
+    d = discrepancy_column(buffer, n_max, letter, sd)
     return float(d.min()), float(d.max())
 
 

@@ -14,6 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -36,14 +37,14 @@ FIRST_RHO_7 = 3914
 NEXT_RHO_7 = (4063, 4841, 4990, 7199)
 
 #: Published 5-decimal truncations of the spectral constants.
-SPECTRAL_CONSTANTS_5DP = {
+SPECTRAL_CONSTANTS_5DP = MappingProxyType({
     "beta": 1.83928,
     "abs_alpha": 0.73735,
     "abs_a_alpha": 0.14135,
     "factor_i0": 1.72457,
     "factor_i1": 1.96298,
     "factor_i2": 2.33887,
-}
+})
 
 
 def matches_truncated(value: float, stated: float, decimals: int = 5) -> bool:

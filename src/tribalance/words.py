@@ -139,8 +139,12 @@ class WordBuffer:
     wholesale by ``ensure``; readers holding views of the old content are
     never invalidated.  Growth is single-writer: the caller must not let
     other threads read while a growth call is in flight.  Per-letter prefix
-    counts are kept for every position so any window's letter counts are
-    two array lookups.
+    counts, computed on first read after each growth and published
+    read-only, make any window's letter counts two array lookups.
+
+    ``index`` holds the ``FactorIndex`` most recently built over the
+    buffer, or None.  Only ``factors.factor_index`` writes it, and always
+    replaces it whole, so a reader holding an older index keeps a valid one.
 
     Two per-run resource caps: ``max_symbols`` bounds the materialized
     prefix, and ``position_cap`` bounds the window start positions a
@@ -164,7 +168,7 @@ class WordBuffer:
         self.position_cap = position_cap
         self._symbols: bytes = bytes((seed,))
         self._prefix_counts: np.ndarray | None = None
-        self._index_cache = None  # FactorIndex most recently built over this buffer
+        self.index = None
 
     def __len__(self) -> int:
         return len(self._symbols)
@@ -205,16 +209,18 @@ class WordBuffer:
 
     @property
     def prefix_counts(self) -> np.ndarray:
-        """Array of shape (alphabet_size, len + 1); entry [a, N] counts the
-        letter a among the first N symbols."""
-        if self._prefix_counts is None or self._prefix_counts.shape[1] != len(self._symbols) + 1:
+        """Read-only array of shape (alphabet_size, len + 1); entry [a, N]
+        counts the letter a among the first N symbols."""
+        pc = self._prefix_counts
+        if pc is None:
             data = np.frombuffer(self._symbols, dtype=np.uint8)
             m = self.alphabet_size
             pc = np.zeros((m, len(data) + 1), dtype=np.int64)
             for a in range(m):
                 np.cumsum(data == a, out=pc[a, 1:])
+            pc.flags.writeable = False
             self._prefix_counts = pc
-        return self._prefix_counts
+        return pc
 
     def slice(self, start: int, length: int) -> bytes:
         """The factor occurring at position start (the buffer is not grown)."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -30,7 +31,7 @@ from tribalance import (
     window_parikh,
 )
 from tribalance.abelian import _window_classes
-from tribalance.factors import scan_distinct_factors
+from tribalance.factors import FactorIndex, factor_index, scan_distinct_factors
 
 
 def test_parikh_examples():
@@ -252,15 +253,26 @@ def test_witness_search_tribonacci_none(tribo):
     assert imbalance_witness_search(tribo, 2, 3, 200) is None
 
 
-def test_witness_search_finds_fourbonacci_imbalance(fourbo):
+def test_witness_search_finds_fourbonacci_imbalance(monkeypatch):
     # Certified at every length from 1, so the first witness is the
-    # shortest: no length below 3305 reaches imbalance 3.
-    w = imbalance_witness_search(fourbo, 1, 3, 3305)
+    # shortest: no length below 3305 reaches imbalance 3.  One index, the
+    # one that covers 3305, certifies every length of the walk.
+    regions = []
+    init = FactorIndex.__init__
+
+    def counting_init(self, buffer, region_len):
+        regions.append(region_len)
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(FactorIndex, "__init__", counting_init)
+    buf = mbonacci_word(4)
+    w = imbalance_witness_search(buf, 1, 3, 3305)
+    assert regions == [2**4 * 3306 + 1024]
     assert w is not None
     assert w.diff >= 3
     assert w.length == 3305
     # The witness recomputes against the buffer.
-    check = verify_witness(fourbo, 1, w.pos_u, w.pos_v, w.length)
+    check = verify_witness(buf, 1, w.pos_u, w.pos_v, w.length)
     assert check.diff == w.diff
 
 
@@ -370,8 +382,37 @@ def test_desubstitute_rejects_non_factors():
 def test_is_tribonacci_factor(tribo):
     assert is_tribonacci_factor("0102010")
     assert is_tribonacci_factor(tribo.slice(777, 200))
+    assert is_tribonacci_factor("")
     assert not is_tribonacci_factor("11")
     assert not is_tribonacci_factor("000")
+    assert not is_tribonacci_factor([0, 3])
+
+
+def test_is_tribonacci_factor_matches_brute_force(tribo):
+    # Every word over {0, 1, 2} of length <= 9, against the windows of a
+    # prefix that holds all 2n + 1 factors of each of those lengths.
+    region = tribo.symbols[:2000]
+    for n in range(1, 10):
+        factors = brute_factors(region, n)
+        assert len(factors) == 2 * n + 1
+        for w in map(bytes, itertools.product(range(3), repeat=n)):
+            assert is_tribonacci_factor(w) == (w in factors), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 150_000), st.integers(1, 5000), st.data())
+def test_is_tribonacci_factor_long_words_and_mutations(tribo, start, n, data):
+    # Oracle: a word is a factor iff it occurs among the windows that the
+    # factor index certifies hold every factor of its length.
+    def oracle(w):
+        return tribo.symbols.find(w, 0, factor_index(tribo, 5000).certify(n) + n) >= 0
+
+    w = tribo.slice(start, n)
+    assert is_tribonacci_factor(w)
+    pos = data.draw(st.integers(0, n - 1))
+    letter = data.draw(st.sampled_from([a for a in range(3) if a != w[pos]]))
+    mutated = w[:pos] + bytes((letter,)) + w[pos + 1 :]
+    assert is_tribonacci_factor(mutated) == oracle(mutated)
 
 
 def test_desubstitution_pair_schema(tribo):

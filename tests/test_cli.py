@@ -197,6 +197,15 @@ def test_discrepancy(capsys):
     assert "contained: True" in err
 
 
+def test_discrepancy_golden_digests(capsys):
+    # Digests taken from the per-row csv.writer loop the block writer
+    # replaced; stderr holds the progress line and the containment summary.
+    code, out, err = run(capsys, "discrepancy", "0", "200000")
+    assert code == 0
+    assert _sha256(out) == "0012a1df929b5cbdb48df69b904300f50695e0f5508c96e6c09585c0f3fdf6d3"
+    assert _sha256(err) == "9506cfc20c3a9b437c6961c5bae4d00710dea795ab69ec46b2de310c39c7c848"
+
+
 def test_zeckendorf(capsys):
     assert run(capsys, "zeckendorf", "6")[1] == "011\n"
     assert run(capsys, "zeckendorf", "1")[1] == "1\n"

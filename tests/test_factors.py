@@ -186,14 +186,6 @@ def test_index_certify_failure_outside_region(tribo):
         index.certify(60)  # 60 cannot saturate in 64 symbols
 
 
-def test_index_walk_and_contains(tribo):
-    index = factor_index(tribo, 50)
-    assert index.contains(b"")
-    assert index.contains(tribo.slice(5, 30))
-    assert not index.contains(b"\x01\x01")
-    assert not index.contains(b"\x00\x00\x00")
-
-
 def test_index_cache_reuse(tribo):
     small = factor_index(tribo, 10)
     again = factor_index(tribo, 5)

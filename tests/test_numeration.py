@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tribalance import (
@@ -25,7 +25,8 @@ def test_sequence_start():
 
 
 def test_sequence_recurrence():
-    for k in range(3, 40):
+    # Through and past the last term below 2**64 (index 72).
+    for k in (*range(3, 40), 72, 73, 74, 200):
         assert tribonacci_number(k) == (
             tribonacci_number(k - 1) + tribonacci_number(k - 2) + tribonacci_number(k - 3)
         )
@@ -35,6 +36,9 @@ def test_sequence_upto():
     assert tribonacci_numbers_upto(7) == [1, 2, 4, 7]
     assert tribonacci_numbers_upto(6) == [1, 2, 4]
     assert tribonacci_numbers_upto(0) == []
+    terms = tribonacci_numbers_upto(2**70)
+    assert terms == [tribonacci_number(k) for k in range(len(terms))]
+    assert terms[-1] <= 2**70 < tribonacci_number(len(terms))
 
 
 def test_negative_index_rejected():
@@ -75,7 +79,10 @@ def test_text_form():
     assert ZeckendorfRep.from_text("011").value() == 6
 
 
-@given(st.integers(min_value=0, max_value=10**9))
+@given(st.integers(min_value=0, max_value=10**9)
+       | st.integers(min_value=2**64 - 2**20, max_value=2**100))
+@example(2**64)
+@example(tribonacci_number(73))
 def test_round_trip(n):
     rep = zeckendorf_encode(n)
     assert is_valid_rep(rep.digits)

@@ -1,0 +1,117 @@
+"""Structural guards for the single-writer / multi-reader promise.
+
+No module holds mutable state, no module reaches into another object's
+private attributes, and the analyses leave a buffer's published state --
+its symbols, prefix counts and factor index -- exactly as they found it.
+"""
+
+import ast
+import functools
+import importlib
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tribalance
+from tribalance import (
+    abelian_complexity,
+    abelian_profile,
+    balance_profile,
+    bispecial_lengths,
+    boundary_set,
+    central_set,
+    compute_spectral_data,
+    discrepancy_column,
+    discrepancy_direct,
+    discrepancy_extremes,
+    discrepancy_spectral,
+    factor_index,
+    imbalance_witness_search,
+    parikh_set,
+    prefix_balance_check,
+    right_special_factor,
+    successor_length,
+    tribonacci_word,
+    twelve_vector_geometry,
+    verify_equivalences,
+    window_parikh,
+)
+
+SRC = Path(tribalance.__file__).resolve().parent
+
+# Importing ``__main__`` would run the command line.
+MODULES = ["tribalance"] + sorted(
+    f"tribalance.{info.name}" for info in pkgutil.iter_modules(tribalance.__path__)
+    if info.name != "__main__"
+)
+
+# Kept by the interpreter: builtins, a package's search path, and the
+# annotations of module-level names.
+INTERPRETER_NAMES = {"__builtins__", "__path__", "__annotations__"}
+
+CACHE_WRAPPER = type(functools.lru_cache()(lambda: None))
+
+
+def is_mutable(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.flags.writeable
+    return isinstance(value, (list, dict, set, bytearray, CACHE_WRAPPER))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_level_mutable_state(name):
+    module = importlib.import_module(name)
+    held = sorted(key for key, value in vars(module).items()
+                  if key not in INTERPRETER_NAMES and is_mutable(value))
+    assert held == []
+
+
+def foreign_private_attributes(path: Path):
+    """``obj._name`` reads and writes on anything but ``self``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            yield f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+
+
+def test_no_private_attribute_access_across_objects():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in foreign_private_attributes(path)]
+    assert found == []
+
+
+def test_queries_leave_published_state_alone():
+    buf = tribonacci_word(200_000)
+    index = factor_index(buf, 2001)
+    symbols, counts = buf.symbols, buf.prefix_counts
+    sd = compute_spectral_data()
+
+    abelian_profile(buf, 1, 2000, collect_vectors=True)
+    balance_profile(buf, 2000)
+    for letter in range(3):
+        assert imbalance_witness_search(buf, letter, 3, 2000) is None
+    verify_equivalences(buf, 2000)
+    bispecial_lengths(2000, buf)
+    for n in (1, 2, 30, 342, 1999, 2000):
+        parikh_set(buf, n)
+        abelian_complexity(buf, n)
+        prefix_balance_check(buf, n)
+        right_special_factor(buf, n)
+        central_set(buf, n)
+        boundary_set(buf, n)
+        twelve_vector_geometry(buf, n)
+        successor_length(buf, n)
+        window_parikh(buf, n, n)
+        discrepancy_direct(buf, n, 0, sd)
+        discrepancy_spectral(n, 0, sd)
+    for letter in range(3):
+        discrepancy_column(buf, len(buf), letter, sd)
+        discrepancy_extremes(buf, len(buf), letter, sd)
+
+    assert buf.symbols is symbols
+    assert buf.prefix_counts is counts
+    assert buf.index is index
+    with pytest.raises(ValueError):
+        counts[0, 1] += 1
