@@ -41,6 +41,8 @@ from .numeration import (
     ZeckendorfRep,
     is_valid_rep,
     is_valid_rep_many,
+    prefix_parikh_from_digits,
+    prefix_parikh_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
@@ -75,6 +77,7 @@ from .spectral import (
     discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,
+    discrepancy_from_digits,
     discrepancy_spectral,
     head_extremes,
     tail_bound,

@@ -9,15 +9,34 @@ Digits are stored least-significant first throughout.
 The scalar codec (``zeckendorf_encode``, ``zeckendorf_decode``,
 ``is_valid_rep``) is the reference; the ``*_many`` functions apply the same
 rules to a whole array of values at once, one row of digits per value.
+They store the digits column-major -- one contiguous run of values per
+digit position -- so each per-digit pass reads contiguous memory.
+
+The digits of N also spell out the prefix of length N of the Tribonacci
+word (Dumont and Thomas, 1989): t[:N] is the concatenation, from the most
+significant set digit down, of the words tau^k(0), one per set digit k,
+so its Parikh vector is sum(p_k * M^k e_0) for the incidence matrix M
+(``prefix_parikh_many``).
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidRepresentationError, InvariantViolationError
+from .words import incidence_matrix, tribonacci_morphism
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything
+    else (a float included) raises ``InvalidInputError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _terms_until(done) -> list[int]:
@@ -47,6 +66,7 @@ def tribonacci_number(k: int) -> int:
 
     Equals the length of the k-th iterate of the Tribonacci morphism on "0".
     """
+    k = _integer(k, "index")
     if k < 0:
         raise InvalidInputError(f"index must be non-negative, got {k}")
     return _terms(index=k)[k]
@@ -110,6 +130,7 @@ def is_valid_rep(digits) -> bool:
 
 def zeckendorf_encode(n: int) -> ZeckendorfRep:
     """Greedy expansion of n >= 0: repeatedly subtract the largest term <= remainder."""
+    n = _integer(n, "value to encode")
     if n < 0:
         raise InvalidInputError(f"cannot encode negative integer {n}")
     if n == 0:
@@ -149,8 +170,9 @@ def zeckendorf_encode_many(ns) -> np.ndarray:
     Returns a ``(len(ns), width)`` uint8 array whose row i holds the digits
     of ``ns[i]``, least significant first, zero-padded to the width of
     ``max(ns)``; each row equals ``zeckendorf_encode(ns[i]).digits``
-    followed by zeros.  Inputs must be non-negative integers that fit in
-    int64.
+    followed by zeros.  The array is the transpose of a C-ordered
+    ``(width, len(ns))`` one, so each digit position is contiguous.  Inputs
+    must be non-negative integers that fit in int64.
     """
     arr = np.asarray(ns)
     if arr.ndim != 1:
@@ -165,49 +187,91 @@ def zeckendorf_encode_many(ns) -> np.ndarray:
         raise InvalidInputError(f"{arr.max()} does not fit in int64")
     remainder = arr.astype(np.int64)
     terms = np.array(tribonacci_numbers_upto(int(remainder.max())), dtype=np.int64)
-    digits = np.zeros((arr.size, terms.size), dtype=np.uint8)
+    columns = np.zeros((terms.size, arr.size), dtype=np.uint8)
     # Top-down greedy: after taking T_k the remainder is below T_k, so each
     # term is taken at most once and the digits obey the no-111 rule.
     for k in range(terms.size - 1, -1, -1):
         take = remainder >= terms[k]
-        digits[:, k] = take
+        columns[k] = take
         np.subtract(remainder, terms[k], out=remainder, where=take)
     if remainder.any():
         raise InvariantViolationError("greedy expansion left a non-zero remainder")
-    return digits
+    return columns.T
+
+
+def _columns(digits) -> np.ndarray:
+    """A 2-D integer digit array as C-ordered ``(width, rows)`` columns:
+    no copy for the output of ``zeckendorf_encode_many``."""
+    d = np.asarray(digits)
+    if d.ndim != 2 or (d.size and d.dtype.kind not in "biu"):
+        raise InvalidInputError(f"expected a 2-D integer digit array, got {d.dtype} {d.shape}")
+    return np.ascontiguousarray(d.T)
+
+
+def _valid_columns(columns: np.ndarray) -> np.ndarray:
+    bits = ((columns == 0) | (columns == 1)).all(axis=0)
+    runs = (columns[2:] & columns[1:-1] & columns[:-2]).any(axis=0)
+    return bits & ~runs
 
 
 def is_valid_rep_many(digits) -> np.ndarray:
     """Row-wise ``is_valid_rep`` over a 2-D digit array: True where every
     digit is 0 or 1 and no three consecutive digits are all 1."""
-    d = np.asarray(digits)
-    if d.ndim != 2 or (d.size and d.dtype.kind not in "biu"):
-        raise InvalidInputError(f"expected a 2-D integer digit array, got {d.dtype} {d.shape}")
-    bits = ((d == 0) | (d == 1)).all(axis=1)
-    runs = (d[:, 2:] & d[:, 1:-1] & d[:, :-2]).any(axis=1)
-    return bits & ~runs
+    return _valid_columns(_columns(digits))
 
 
-def zeckendorf_decode_many(digits) -> np.ndarray:
+def zeckendorf_decode_many(digits, invalid: int | None = None) -> np.ndarray:
     """Row-wise ``zeckendorf_decode`` of a 2-D digit array, as int64.
 
-    Any row that violates the numeration constraint raises
-    ``InvalidRepresentationError``, as the scalar decoder does.
+    A row that violates the numeration constraint raises
+    ``InvalidRepresentationError``, as the scalar decoder does, unless
+    ``invalid`` is given: then that row decodes to ``invalid``.
     """
-    d = np.asarray(digits)
-    valid = is_valid_rep_many(d)
-    if not valid.all():
+    columns = _columns(digits)
+    valid = _valid_columns(columns)
+    if invalid is None and not valid.all():
         row = int(np.argmin(valid))
         raise InvalidRepresentationError(
-            f"digit row {row} violates the numeration constraint: {d[row].tolist()}"
+            f"digit row {row} violates the numeration constraint: {columns[:, row].tolist()}"
         )
-    width = d.shape[1]
+    width = columns.shape[0]
     if width > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
-    values = np.zeros(d.shape[0], dtype=np.int64)
-    # Column by column, so no (rows, width) int64 temporary is formed.
-    for k, term in enumerate(_TERMS[:width]):
-        np.add(values, term, out=values, where=d[:, k] == 1)
-    if (values < 0).any():
+    values = np.zeros(columns.shape[1], dtype=np.int64)
+    # Column by column, so no (width, rows) int64 temporary is formed.
+    for column, term in zip(columns, _TERMS):
+        np.add(values, term, out=values, where=column == 1)
+    if (valid & (values < 0)).any():
         raise InvalidInputError("decoded value does not fit in int64")
+    if invalid is not None:
+        values[~valid] = invalid
     return values
+
+
+def prefix_parikh_from_digits(digits) -> np.ndarray:
+    """Parikh vectors of the Tribonacci prefixes whose lengths have the
+    given digit rows, as a ``(3, rows)`` int64 array.
+
+    Column i is sum(p_k * Parikh(tau^k(0))) over the digits p_k of row i,
+    the Dumont-Thomas identity; for the rows of ``zeckendorf_encode_many(ns)``
+    it equals ``tribonacci_word(...).prefix_counts[:, ns]``.  The rows are
+    not validated: a row that is not a valid representation gives the
+    Parikh vector of a word that is not a prefix.
+    """
+    columns = _columns(digits)
+    if columns.shape[0] > _MAX_WIDTH:
+        raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
+    mat = incidence_matrix(tribonacci_morphism())
+    table = np.zeros((3, columns.shape[0]), dtype=np.int64)
+    vector = np.array([1, 0, 0], dtype=np.int64)  # Parikh(tau^0(0))
+    for k in range(columns.shape[0]):
+        table[:, k] = vector
+        vector = mat @ vector
+    return np.einsum("ak,kn->an", table, columns)
+
+
+def prefix_parikh_many(ns) -> np.ndarray:
+    """Letter counts of the Tribonacci prefixes of lengths ``ns``, read off
+    their numeration digits: a ``(3, len(ns))`` int64 array equal to
+    ``prefix_counts[:, ns]`` of a buffer at least ``max(ns)`` long."""
+    return prefix_parikh_from_digits(zeckendorf_encode_many(ns))

@@ -146,21 +146,37 @@ def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData
     return float(buffer.prefix_counts[letter, n] - n * sd.frequency(letter))
 
 
-def discrepancy_spectral(n: int, letter: int, sd: SpectralData) -> float:
-    """The same discrepancy evaluated from the numeration digits of n:
-    sum over set digits k of 2 Re(coeff_alpha * mixing_factor * alpha^k)."""
+def discrepancy_from_digits(digits, letter: int, sd: SpectralData) -> np.ndarray:
+    """The spectral discrepancy of many prefix lengths from their numeration
+    digits (a 2-D array, one row per length, least significant first):
+    sum over set digits k of 2 Re(coeff_alpha * mixing_factor * alpha^k).
+
+    The power sum runs over the digit columns in the order of the scalar
+    formula -- add alpha^k where the digit is set, then advance to
+    alpha^(k+1) -- so each entry is bit for bit what one row alone gives.
+    """
     _check_letter(letter)
-    if n < 0:
-        raise InvalidInputError(f"prefix length must be >= 0, got {n}")
-    digits = zeckendorf_encode(n).digits
+    d = np.asarray(digits)
+    if d.ndim != 2:
+        raise InvalidInputError(f"expected a 2-D digit array, got shape {d.shape}")
+    columns = np.ascontiguousarray(d.T)
     coef = sd.coeff_alpha * sd.mixing_factor(letter)
-    power_sum = 0j
+    power_sum = np.zeros(columns.shape[1], dtype=complex)
     a_k = 1 + 0j
-    for d in digits:
-        if d:
-            power_sum += a_k
+    for column in columns:
+        np.add(power_sum, a_k, out=power_sum, where=column == 1)
         a_k *= sd.alpha
-    return 2.0 * (coef * power_sum).real
+    # Re(coef * power_sum) with the two products and the difference rounded
+    # one by one, as complex multiplication rounds them.
+    return 2.0 * (coef.real * power_sum.real - coef.imag * power_sum.imag)
+
+
+def discrepancy_spectral(n: int, letter: int, sd: SpectralData) -> float:
+    """The same discrepancy evaluated from the numeration digits of n (any
+    non-negative integer): ``discrepancy_from_digits`` on the one row of
+    its digits."""
+    digits = zeckendorf_encode(n).digits
+    return float(discrepancy_from_digits(np.array([digits], dtype=np.uint8), letter, sd)[0])
 
 
 def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,

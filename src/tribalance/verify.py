@@ -204,16 +204,14 @@ def _claim_oracle_equivalence(ctx: SuiteContext):
     sd = ctx.spectral_data()
     buf = ctx.buffer(1_000_001)
     rng = random.Random(ctx.config.seed)
+    ns = np.array([rng.randrange(0, 1_000_001) for _ in range(10_000)], dtype=np.int64)
+    digits = numeration.zeckendorf_encode_many(ns)
+    pc = buf.prefix_counts
     worst = 0.0
-    for _ in range(10_000):
-        n = rng.randrange(0, 1_000_001)
-        for letter in (0, 1, 2):
-            gap = abs(
-                spectral.discrepancy_spectral(n, letter, sd)
-                - spectral.discrepancy_direct(buf, n, letter, sd)
-            )
-            if gap > worst:
-                worst = gap
+    for letter in (0, 1, 2):
+        direct = pc[letter, ns] - ns * sd.frequency(letter)
+        gap = np.abs(spectral.discrepancy_from_digits(digits, letter, sd) - direct)
+        worst = max(worst, float(gap.max()))
     return worst < 1e-6, worst, "< 1e-06"
 
 
@@ -272,6 +270,8 @@ def _claim_equivalences_200(ctx: SuiteContext):
 
 def _claim_prefix_balance(ctx: SuiteContext):
     buf = ctx.buffer()
+    # One index that covers every length of the walk, built up front.
+    factor_index(buf, 185)
     ok_below = all(abelian.prefix_balance_check(buf, n) for n in range(1, 185))
     fails_at_185 = not abelian.prefix_balance_check(buf, 185)
     observed = {"holds_up_to_184": ok_below, "fails_at_185": fails_at_185}
@@ -289,17 +289,18 @@ ROUNDTRIP_SCALAR_STRIDE = 997
 def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
     # Exhaustive over N <= 10^6 with the batch codec, which also raises if
     # the greedy walk leaves a remainder.  A failing row is one with an
-    # invalid digit string, a decode that misses N, or (on the fixed
-    # sample) digits that differ from the scalar reference codec.
+    # invalid digit string, a decode that misses N, a Dumont-Thomas prefix
+    # vector that differs from the counted prefix of the word, or (on the
+    # fixed sample) digits that differ from the scalar reference codec.
     limit = 1_000_000
+    pc = ctx.buffer(limit + 1).prefix_counts
     bad = None
     for start in range(0, limit + 1, ROUNDTRIP_CHUNK):
-        ns = np.arange(start, min(start + ROUNDTRIP_CHUNK, limit + 1), dtype=np.int64)
+        stop = min(start + ROUNDTRIP_CHUNK, limit + 1)
+        ns = np.arange(start, stop, dtype=np.int64)
         digits = numeration.zeckendorf_encode_many(ns)
-        valid = numeration.is_valid_rep_many(digits)
-        decoded = np.full(ns.size, -1, dtype=np.int64)
-        decoded[valid] = numeration.zeckendorf_decode_many(digits[valid])
-        failed = decoded != ns
+        failed = numeration.zeckendorf_decode_many(digits, invalid=-1) != ns
+        failed |= (numeration.prefix_parikh_from_digits(digits) != pc[:, start:stop]).any(axis=0)
         first_sample = -start % ROUNDTRIP_SCALAR_STRIDE
         for i in range(first_sample, ns.size, ROUNDTRIP_SCALAR_STRIDE):
             scalar = numeration.zeckendorf_encode(start + i).digits
@@ -433,7 +434,8 @@ CLAIMS: tuple[Claim, ...] = (
           "prefix 1-balance holds at all lengths <= 184 and fails at 185",
           _claim_prefix_balance),
     Claim("zeckendorf_roundtrip_1e6",
-          "numeration round trip and digit constraint hold for all N <= 10^6",
+          "numeration round trip, digit constraint and digit-read prefix counts "
+          "hold for all N <= 10^6",
           _claim_zeckendorf_roundtrip),
     Claim("zeckendorf_uniqueness_1e4",
           "exhaustive enumeration finds exactly one representation per N <= 10^4",

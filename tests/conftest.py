@@ -6,23 +6,33 @@ touch prefix sums, fingerprints, or the factor index, so agreement with
 the library is meaningful.  The one exception is ``unique_profile``, the
 sorting route the dense profile pass replaced: it reads window bounds from
 an index over the full capped region and deduplicates count columns with
-``np.unique``.
+``np.unique``.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
+loop the batched oracle-equivalence claim replaced, with its own copy of
+the alpha-power sum.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word
+from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word, zeckendorf_encode
 from tribalance.factors import FactorIndex, position_cap
 
 
 @pytest.fixture(scope="session")
 def tribo():
     return tribonacci_word(200_000)
+
+
+@pytest.fixture(scope="session")
+def tribo_2e6():
+    """A prefix past 2 * 10^6, kept apart from ``tribo`` so that no other
+    test has grown or indexed it."""
+    return tribonacci_word(2_000_001)
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +90,27 @@ def unique_profile(buffer, n_max: int):
         imbalance = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
         rows.append((n, len(vectors), imbalance, vectors))
     return rows
+
+
+def scalar_eq1_worst(buffer, sd, seed: int) -> float:
+    """Largest gap between the digit-expansion and the direct discrepancy
+    over the eq1 claim's 10^4 seeded prefix lengths and three letters, one
+    value at a time: the scalar digits of each N, a Python power sum over
+    alpha^k, and the prefix count read for that one N."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(10_000):
+        n = rng.randrange(0, 1_000_001)
+        digits = zeckendorf_encode(n).digits
+        for letter in (0, 1, 2):
+            coef = sd.coeff_alpha * sd.mixing_factor(letter)
+            power_sum = 0j
+            a_k = 1 + 0j
+            for d in digits:
+                if d:
+                    power_sum += a_k
+                a_k *= sd.alpha
+            spectral = 2.0 * (coef * power_sum).real
+            direct = float(buffer.prefix_counts[letter, n] - n * sd.frequency(letter))
+            worst = max(worst, abs(spectral - direct))
+    return worst

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tribalance import (
@@ -11,6 +11,8 @@ from tribalance import (
     ZeckendorfRep,
     is_valid_rep,
     is_valid_rep_many,
+    prefix_parikh_from_digits,
+    prefix_parikh_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
@@ -44,6 +46,20 @@ def test_sequence_upto():
 def test_negative_index_rejected():
     with pytest.raises(InvalidInputError):
         tribonacci_number(-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), "3", None])
+def test_scalar_entry_points_refuse_non_integers(bad):
+    with pytest.raises(InvalidInputError):
+        zeckendorf_encode(bad)
+    with pytest.raises(InvalidInputError):
+        tribonacci_number(bad)
+
+
+@pytest.mark.parametrize("n", [6, np.int64(6), np.uint8(6), np.int32(6)])
+def test_scalar_entry_points_accept_integers(n):
+    assert zeckendorf_encode(n).digits == [0, 1, 1]
+    assert tribonacci_number(n) == 44
 
 
 def test_encode_examples():
@@ -165,3 +181,58 @@ def test_batch_codec_int64_limit():
     overflow[0, -2:] = 1
     with pytest.raises(InvalidInputError):
         zeckendorf_decode_many(overflow)
+
+
+def test_batch_encode_is_column_major():
+    digits = zeckendorf_encode_many(range(1000))
+    assert digits.T.flags.c_contiguous
+    for n in (0, 1, 6, 7, 500, 999):
+        scalar = zeckendorf_encode(n).digits
+        assert digits[n].tolist() == scalar + [0] * (digits.shape[1] - len(scalar))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_batch_validity_and_decode_ignore_memory_order(dtype):
+    digits = zeckendorf_encode_many(range(5000)).astype(dtype)
+    if dtype is not bool:
+        digits[[10, 400, 4999], :3] = [[1, 1, 1], [0, 2, 0], [1, 1, 1]]
+    c_order, f_order = np.ascontiguousarray(digits), np.asfortranarray(digits)
+    assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+    valid = is_valid_rep_many(c_order)
+    assert valid.tolist() == [is_valid_rep(r) for r in c_order.tolist()]
+    assert (is_valid_rep_many(f_order) == valid).all()
+    decoded = zeckendorf_decode_many(c_order, invalid=-7)
+    assert (zeckendorf_decode_many(f_order, invalid=-7) == decoded).all()
+    assert (decoded[~valid] == -7).all()
+    assert decoded[valid].tolist() == [zeckendorf_decode(r) for r in c_order[valid].tolist()]
+
+
+def test_batch_decode_invalid_sentinel_only_replaces_invalid_rows():
+    rows = np.array([[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1], [0, 3, 0, 0]], dtype=np.uint8)
+    assert zeckendorf_decode_many(rows, invalid=-1).tolist() == [6, -1, 7, -1]
+    with pytest.raises(InvalidRepresentationError):
+        zeckendorf_decode_many(rows)
+
+
+def test_prefix_parikh_examples():
+    # t = 0102010010201...: the prefixes of lengths 0, 1, 2, 4 and 7.
+    assert prefix_parikh_many([0, 1, 2, 4, 7]).tolist() == [
+        [0, 1, 1, 2, 4], [0, 0, 1, 1, 2], [0, 0, 0, 1, 1]]
+    assert prefix_parikh_many([]).shape == (3, 0)
+    with pytest.raises(InvalidInputError):
+        prefix_parikh_many([-1])
+    with pytest.raises(InvalidInputError):
+        prefix_parikh_from_digits(np.zeros((1, 100), dtype=np.uint8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2_000_000), min_size=1, max_size=200))
+@example([2_000_000])
+@example([0, tribonacci_number(23), tribonacci_number(23) - 1])
+def test_prefix_parikh_matches_prefix_counts(tribo_2e6, ns):
+    # The Dumont-Thomas identity against letters counted along the word.
+    expected = tribo_2e6.prefix_counts[:, ns]
+    got = prefix_parikh_many(ns)
+    assert got.dtype == np.int64
+    assert (got == expected).all()
+    assert (got.sum(axis=0) == ns).all()

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tribalance import (
     InvalidInputError,
@@ -12,11 +14,13 @@ from tribalance import (
     compute_spectral_data,
     discrepancy_direct,
     discrepancy_extremes,
+    discrepancy_from_digits,
     discrepancy_spectral,
     head_extremes,
     incidence_matrix,
     tail_bound,
     tribonacci_morphism,
+    zeckendorf_encode_many,
 )
 from tribalance.spectral import (
     HEAD_CUTOFFS,
@@ -83,6 +87,36 @@ def test_discrepancy_direct_examples(tribo, sd):
 def test_discrepancy_spectral_examples(sd):
     assert discrepancy_spectral(0, 0, sd) == 0.0
     assert abs(discrepancy_spectral(1, 0, sd) - 0.4563109873) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [3.5, 3.0, np.float64(2.0), "7"])
+def test_discrepancy_spectral_refuses_non_integers(sd, bad):
+    with pytest.raises(InvalidInputError):
+        discrepancy_spectral(bad, 0, sd)
+
+
+def test_discrepancy_spectral_accepts_numpy_integers(sd):
+    for n in (np.int64(1000), np.uint16(1000), np.int32(1000)):
+        assert discrepancy_spectral(n, 1, sd) == discrepancy_spectral(1000, 1, sd)
+    with pytest.raises(InvalidInputError):
+        discrepancy_spectral(-1, 0, sd)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=300),
+       st.sampled_from([0, 1, 2]))
+@example([0, 1, 2, 3, 4, 1_000_000], 0)
+def test_scalar_and_batched_digit_routes_agree_exactly(sd, ns, letter):
+    batched = discrepancy_from_digits(zeckendorf_encode_many(ns), letter, sd)
+    assert batched.tolist() == [discrepancy_spectral(n, letter, sd) for n in ns]
+
+
+def test_batched_digit_route_input_checks(sd):
+    with pytest.raises(InvalidInputError):
+        discrepancy_from_digits(np.zeros(4, dtype=np.uint8), 0, sd)
+    with pytest.raises(InvalidInputError):
+        discrepancy_from_digits(np.zeros((2, 4), dtype=np.uint8), 3, sd)
+    assert discrepancy_from_digits(np.zeros((0, 0), dtype=np.uint8), 0, sd).shape == (0,)
 
 
 def test_oracle_equivalence_sample(tribo, sd):

@@ -1,14 +1,18 @@
-"""Structural guards for the single-writer / multi-reader promise.
+"""Structural guards for the single-writer / multi-reader promise, and for
+one route per job.
 
 No module holds mutable state, no module reaches into another object's
 private attributes, and the analyses leave a buffer's published state --
 its symbols, prefix counts and factor index -- exactly as they found it.
+The digit route of the discrepancy has one alpha-power sum, and the
+oracle-equivalence claim reaches it through the batch codec.
 """
 
 import ast
 import functools
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,8 @@ from tribalance import (
     verify_equivalences,
     window_parikh,
 )
+from tribalance import numeration
+from tribalance.verify import SuiteConfig, run_suite
 
 SRC = Path(tribalance.__file__).resolve().parent
 
@@ -115,3 +121,43 @@ def test_queries_leave_published_state_alone():
     assert buf.index is index
     with pytest.raises(ValueError):
         counts[0, 1] += 1
+
+
+def alpha_power_steps(path: Path):
+    """``x *= <...>.alpha`` statements: one step of an alpha-power sum."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "alpha"):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_one_alpha_power_sum_in_src():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in alpha_power_steps(path)]
+    assert len(found) == 1 and found[0].startswith("spectral.py:"), found
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name, and every alias of it in a tribalance module, with
+    a call counter; returns the list the calls are appended to."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "tribalance" or module_name.startswith("tribalance."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_eq1_claim_runs_the_batched_route(monkeypatch):
+    scalar = count_calls(monkeypatch, numeration, "zeckendorf_encode")
+    batched = count_calls(monkeypatch, numeration, "zeckendorf_encode_many")
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={"eq1_oracle_equivalence_1e6"})
+    assert [c.status for c in report.claims] == ["pass"]
+    assert len(scalar) == 0
+    assert len(batched) == 1 and len(batched[0][0]) == 10_000

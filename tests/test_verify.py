@@ -1,12 +1,17 @@
-"""The factor-count saturation claim and the suite runner's input checks.
+"""Single claims run on their own, and the suite runner's input checks.
 
-The claim counts factors with the suffix-automaton index; the rolling
-fingerprint scanner, which shares no code with the index, is the oracle.
+The saturation claim counts factors with the suffix-automaton index; the
+rolling fingerprint scanner, which shares no code with the index, is the
+oracle.  The batched oracle-equivalence claim is checked against the
+value-at-a-time loop it replaced, the round-trip claim against corrupted
+codec routes, and the prefix-balance walk against the number of indexes
+it builds.
 """
 
 import pytest
+from conftest import scalar_eq1_worst
 
-from tribalance import InvalidInputError, factor_index, scan_distinct_factors
+from tribalance import InvalidInputError, factor_index, numeration, scan_distinct_factors
 from tribalance.factors import FactorIndex
 from tribalance.verify import SuiteConfig, run_suite
 
@@ -79,3 +84,46 @@ def test_claim_skips_under_a_small_scan_cap():
 def test_unknown_suite_is_invalid_input():
     with pytest.raises(InvalidInputError):
         run_suite("x")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_eq1_claim_equals_the_scalar_loop(tribo_2e6, sd, seed):
+    report = run_suite("paper", SuiteConfig(seed=seed), claim_ids={"eq1_oracle_equivalence_1e6"})
+    (result,) = report.claims
+    assert result.status == "pass"
+    assert result.observed == scalar_eq1_worst(tribo_2e6, sd, seed)
+    if seed == 0:
+        assert result.observed == 6.416733810965525e-11
+
+
+def test_prefix_balance_claim_builds_one_index(monkeypatch):
+    builds = []
+    init = FactorIndex.__init__
+
+    def spy(self, buffer, region_len):
+        builds.append(region_len)
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(FactorIndex, "__init__", spy)
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={"prefix_balance_184_185"})
+    (result,) = report.claims
+    assert result.status == "pass"
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("route", ["zeckendorf_decode_many", "prefix_parikh_from_digits"])
+def test_roundtrip_claim_reports_the_first_corrupted_value(monkeypatch, route):
+    bad = 123_457
+    original = getattr(numeration, route)
+    decode = numeration.zeckendorf_decode_many
+
+    def corrupted(digits, *args, **kwargs):
+        out = original(digits, *args, **kwargs)
+        out[..., decode(digits) == bad] += 1
+        return out
+
+    monkeypatch.setattr(numeration, route, corrupted)
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={"zeckendorf_roundtrip_1e6"})
+    (result,) = report.claims
+    assert result.status == "fail"
+    assert result.observed == {"first_failure": bad}
