@@ -12,7 +12,6 @@ from .abelian import (
     ProfileRow,
     abelian_complexity,
     abelian_profile,
-    balance_profile,
     coordinate_interval_check,
     desubstitute,
     imbalance_witness_search,

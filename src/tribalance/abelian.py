@@ -88,24 +88,6 @@ def abelian_complexity(buffer: WordBuffer, n: int) -> int:
     return abelian_profile(buffer, n, n)[0].rho
 
 
-def certified_window_bound(buffer: WordBuffer, n: int) -> int:
-    """Last window start that must be scanned to see every length-n factor.
-
-    Read off the factor index that covers n (the buffer's cached one when
-    it does), which raises ``SaturationError`` when the capped region
-    misses the complexity target.
-    """
-    return factor_index(buffer, n).certify(n)
-
-
-def _window_counts(buffer: WordBuffer, n: int, bound: int) -> np.ndarray:
-    """Letter-count matrix of shape (alphabet, bound + 1) for windows
-    starting at 0..bound."""
-    buffer.ensure(bound + n)
-    pc = buffer.prefix_counts
-    return pc[:, n : n + bound + 1] - pc[:, : bound + 1]
-
-
 @dataclass
 class ProfileRow:
     """Per-length summary: abelian complexity and per-letter imbalance.
@@ -120,32 +102,46 @@ class ProfileRow:
     vectors: tuple[ParikhVector, ...] | None = None
 
 
+def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
+    """Yield ``(n, counts)`` for every n in [n_from, n_to]: the int32 letter
+    counts of the length-n windows starting at 0..bound, as the columns of
+    an (alphabet, bound + 1) matrix.
+
+    One factor index covers n_to, and the prefix counts the windows read --
+    through ``cover_end[n_to]``, the largest n + bound, since ``cover_end``
+    is a running maximum -- are copied once to int32.  Each length is
+    certified only when the walk reaches it, so a caller that stops early
+    certifies no length past its stop.
+    """
+    index = factor_index(buffer, n_to)
+    end = int(index.cover_end[n_to]) + 1
+    if end >= 2**31:
+        raise BufferLimitError(f"windows reach {end} symbols, beyond int32 prefix counts")
+    pc = buffer.prefix_counts[:, :end].astype(np.int32)
+    for n in range(n_from, n_to + 1):
+        bound = index.certify(n)
+        yield n, pc[:, n : n + bound + 1] - pc[:, : bound + 1]
+
+
 def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
                     threads: int = 1,
                     collect_vectors: bool = False) -> list[ProfileRow]:
-    """Certified ``ProfileRow`` for every n in [n_from, n_to].
+    """Certified ``ProfileRow`` for every n in [n_from, n_to]; the
+    imbalance at length n for letter a is max - min of the letter-a count
+    over all length-n factors.
 
-    One factor index covers the whole range and certifies every window
-    bound up front; the prefix counts those windows read are copied once to
-    int32.  Per length, the window letter counts vary only within the
-    imbalance, so each window is keyed densely by its offsets from the
-    per-letter minima (the last letter is n minus the others) and the
-    distinct Parikh vectors are counted without sorting; ``collect_vectors``
-    decodes the keys back into each row's ``vectors``.  Rows are computed
-    in the calling thread.
+    Per length, the window letter counts of ``_certified_windows`` vary
+    only within the imbalance, so each window is keyed densely by its
+    offsets from the per-letter minima (the last letter is n minus the
+    others) and the distinct Parikh vectors are counted without sorting;
+    ``collect_vectors`` decodes the keys back into each row's ``vectors``.
+    Rows are computed in the calling thread.
     """
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     if n_from < 1 or n_to < n_from:
         raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
-    index = factor_index(buffer, n_to)
-    tasks = [(n, index.certify(n)) for n in range(n_from, n_to + 1)]
-    end = max(n + bound for n, bound in tasks) + 1
-    if end >= 2**31:
-        raise BufferLimitError(f"profile windows reach {end} symbols, beyond int32 prefix counts")
-    pc = buffer.prefix_counts[:, :end].astype(np.int32)
     rows = []
-    for n, bound in tasks:
-        counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
+    for n, counts in _certified_windows(buffer, n_from, n_to):
         span, rho, vectors = _window_classes(counts, collect_vectors)
         vecs = None if vectors is None else tuple(map(tuple, vectors.tolist()))
         rows.append(ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs))
@@ -191,16 +187,6 @@ def _window_classes(counts: np.ndarray, vectors: bool):
     return span, len(keys), np.column_stack([head, last])
 
 
-def balance_profile(buffer: WordBuffer, max_len: int) -> list[ProfileRow]:
-    """Per-letter maximum imbalance for each length 1..max_len.
-
-    The imbalance at length n for letter a is max - min of the letter-a
-    count over all length-n factors, which equals the largest pairwise
-    count difference.
-    """
-    return abelian_profile(buffer, 1, max_len)
-
-
 @dataclass
 class BalanceWitness:
     """Two equal-length windows exhibiting a letter-count difference."""
@@ -229,35 +215,27 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
                              max_len: int, n_from: int = 1) -> BalanceWitness | None:
     """Smallest-length witness with count difference >= target_diff, or None.
 
-    For each length from ``n_from`` (a caller that knows no shorter length
-    reaches the target) to ``max_len`` the scan tracks min and max counts of
-    the letter (with positions) over every window up to the certified
-    per-length bound, read off one factor index that covers ``max_len``.
+    Walks the lengths from ``n_from`` (a caller that knows no shorter length
+    reaches the target) to ``max_len`` through ``_certified_windows`` and
+    returns at the first length whose letter counts reach the target, with
+    the positions of a maximal and a minimal count.
     """
     if n_from < 1:
         raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
-    index = factor_index(buffer, max_len)
-    for n in range(n_from, max_len + 1):
-        counts = _window_counts(buffer, n, index.certify(n))[letter]
-        hi = int(counts.argmax())
-        lo = int(counts.argmin())
-        if counts[hi] - counts[lo] >= target_diff:
-            return BalanceWitness(letter, n, int(hi), int(lo),
-                                  int(counts[hi]), int(counts[lo]))
+    for n, counts in _certified_windows(buffer, n_from, max_len):
+        row = counts[letter]
+        hi = int(row.argmax())
+        lo = int(row.argmin())
+        if row[hi] - row[lo] >= target_diff:
+            return BalanceWitness(letter, n, hi, lo, int(row[hi]), int(row[lo]))
     return None
 
 
 def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     """True iff every length-n factor's letter counts differ from the
-    length-n prefix's by at most 1."""
-    bound = certified_window_bound(buffer, n)
-    counts = _window_counts(buffer, n, bound)
-    pc = buffer.prefix_counts
-    prefix = pc[:, n]
-    return bool(
-        (counts.max(axis=1) <= prefix + 1).all()
-        and (counts.min(axis=1) >= prefix - 1).all()
-    )
+    length-n prefix's (the window at 0) by at most 1."""
+    ((_, counts),) = _certified_windows(buffer, n, n)
+    return bool(np.abs(counts - counts[:, :1]).max() <= 1)
 
 
 def coordinate_interval_check(pset: ParikhSet) -> bool:

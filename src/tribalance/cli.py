@@ -4,8 +4,9 @@ claim-verification suite.
 
 Exit codes: 0 success, 1 claim failure, 2 usage error (including an
 unwritable output path), 3 resource or saturation failure.  Data (CSV,
-digit strings) goes to --out or stdout; progress and summaries go to stderr so piped output stays clean.  Real
-numbers are printed with 12 significant digits, deterministically.
+digit strings) goes to --out or stdout; progress and summaries go to
+stderr so piped output stays clean.  Real numbers are printed with 12
+significant digits, deterministically.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def cmd_balance(args, parser) -> int:
         _progress(f"certifying factor sets up to length {args.max_len}")
     m = buf.alphabet_size
     with _open_out(args.out) as out:
-        rows = abelian.balance_profile(buf, args.max_len)
+        rows = abelian.abelian_profile(buf, 1, args.max_len)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"] + [f"max_imbalance_{a}" for a in range(m)])
         for row in rows:

@@ -199,9 +199,11 @@ def zeckendorf_encode_many(ns) -> np.ndarray:
     return columns.T
 
 
-def _columns(digits) -> np.ndarray:
+def digit_columns(digits) -> np.ndarray:
     """A 2-D integer digit array as C-ordered ``(width, rows)`` columns:
-    no copy for the output of ``zeckendorf_encode_many``."""
+    no copy for the output of ``zeckendorf_encode_many``.  Every batch
+    digit reader goes through it; any other array (float, 3-D) raises
+    ``InvalidInputError``."""
     d = np.asarray(digits)
     if d.ndim != 2 or (d.size and d.dtype.kind not in "biu"):
         raise InvalidInputError(f"expected a 2-D integer digit array, got {d.dtype} {d.shape}")
@@ -217,7 +219,7 @@ def _valid_columns(columns: np.ndarray) -> np.ndarray:
 def is_valid_rep_many(digits) -> np.ndarray:
     """Row-wise ``is_valid_rep`` over a 2-D digit array: True where every
     digit is 0 or 1 and no three consecutive digits are all 1."""
-    return _valid_columns(_columns(digits))
+    return _valid_columns(digit_columns(digits))
 
 
 def zeckendorf_decode_many(digits, invalid: int | None = None) -> np.ndarray:
@@ -227,7 +229,7 @@ def zeckendorf_decode_many(digits, invalid: int | None = None) -> np.ndarray:
     ``InvalidRepresentationError``, as the scalar decoder does, unless
     ``invalid`` is given: then that row decodes to ``invalid``.
     """
-    columns = _columns(digits)
+    columns = digit_columns(digits)
     valid = _valid_columns(columns)
     if invalid is None and not valid.all():
         row = int(np.argmin(valid))
@@ -258,7 +260,7 @@ def prefix_parikh_from_digits(digits) -> np.ndarray:
     not validated: a row that is not a valid representation gives the
     Parikh vector of a word that is not a prefix.
     """
-    columns = _columns(digits)
+    columns = digit_columns(digits)
     if columns.shape[0] > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
     mat = incidence_matrix(tribonacci_morphism())

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import takewhile
 
-from .abelian import ParikhVector, abelian_profile, parikh_set
+from .abelian import ParikhVector, abelian_profile, parikh_set, window_parikh
 from .errors import (
     InvalidInputError,
     InvariantViolationError,
@@ -67,11 +67,10 @@ def _special_record(buffer: WordBuffer, index, length: int) -> SpecialFactorReco
         raise InvariantViolationError(
             f"right special factor of length {length} extends by {deg} letters, expected {m}"
         )
-    pc = buffer.prefix_counts
     return SpecialFactorRecord(
         length=length,
         word=buffer.symbols[end - length : end],
-        parikh=tuple(int(x) for x in pc[:, end] - pc[:, end - length]),
+        parikh=window_parikh(buffer, end - length, length),
         right_extensions=deg,
         left_extensions=left,
         is_bispecial=left >= 2,

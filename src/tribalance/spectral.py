@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
     VerificationFailureError,
 )
-from .numeration import zeckendorf_encode
+from .numeration import digit_columns, zeckendorf_encode
 from .words import WordBuffer
 
 DEFAULT_TOLERANCE = 1e-14
@@ -148,7 +148,8 @@ def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData
 
 def discrepancy_from_digits(digits, letter: int, sd: SpectralData) -> np.ndarray:
     """The spectral discrepancy of many prefix lengths from their numeration
-    digits (a 2-D array, one row per length, least significant first):
+    digits (a 2-D integer array, one row per length, least significant
+    first, read by ``numeration.digit_columns``):
     sum over set digits k of 2 Re(coeff_alpha * mixing_factor * alpha^k).
 
     The power sum runs over the digit columns in the order of the scalar
@@ -156,10 +157,7 @@ def discrepancy_from_digits(digits, letter: int, sd: SpectralData) -> np.ndarray
     alpha^(k+1) -- so each entry is bit for bit what one row alone gives.
     """
     _check_letter(letter)
-    d = np.asarray(digits)
-    if d.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D digit array, got shape {d.shape}")
-    columns = np.ascontiguousarray(d.T)
+    columns = digit_columns(digits)
     coef = sd.coeff_alpha * sd.mixing_factor(letter)
     power_sum = np.zeros(columns.shape[1], dtype=complex)
     a_k = 1 + 0j

@@ -48,10 +48,11 @@ SPECTRAL_CONSTANTS_5DP = MappingProxyType({
 
 
 def matches_truncated(value: float, stated: float, decimals: int = 5) -> bool:
-    """True iff ``stated`` is the ``decimals``-digit truncation of value.
+    """True iff ``stated`` is the ``decimals``-digit truncation of value:
+    value lies in the half-open interval [stated - 1e-12, stated + 10^-decimals).
 
-    Equivalent to |value - (stated + h)| <= h for h = half of 10^-decimals,
-    the tolerance measured from the truncation interval's midpoint.
+    The 1e-12 of slack below ``stated`` absorbs float rounding for a value
+    that equals the stated decimal, since neither is exact in binary.
     """
     step = 10.0 ** -decimals
     return stated - 1e-12 <= value < stated + step

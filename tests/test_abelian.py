@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -16,9 +15,9 @@ from tribalance import (
     NotAFactorError,
     ParikhSet,
     RangeError,
+    SaturationError,
     abelian_complexity,
     abelian_profile,
-    balance_profile,
     coordinate_interval_check,
     desubstitute,
     imbalance_witness_search,
@@ -27,6 +26,7 @@ from tribalance import (
     parikh,
     parikh_set,
     prefix_balance_check,
+    tribonacci_word,
     verify_witness,
     window_parikh,
 )
@@ -215,23 +215,17 @@ def test_window_classes_key_space_routes(spans, extra, seed, dtype, want_vectors
 
 
 def test_balance_profile_values(tribo):
-    rows = balance_profile(tribo, 50)
+    rows = abelian_profile(tribo, 1, 50)
     assert rows[0].max_imbalance == (1, 1, 1)  # single letters differ by <= 1
     assert all(max(r.max_imbalance) <= 2 for r in rows)
     assert any(max(r.max_imbalance) == 2 for r in rows)
 
 
 def test_balance_profile_threads_agree(tribo):
-    seq = balance_profile(tribo, 80)
-    # More workers than cores, switching threads as often as possible.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        par = abelian_profile(tribo, 1, 80, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [(r.n, r.rho, r.max_imbalance) for r in seq] == \
-        [(r.n, r.rho, r.max_imbalance) for r in par]
+    # ``threads`` is accepted and changes nothing.
+    one = abelian_profile(tribo, 1, 80, threads=1, collect_vectors=True)
+    eight = abelian_profile(tribo, 1, 80, threads=8, collect_vectors=True)
+    assert one == eight
 
 
 def test_fourbonacci_witness(fourbo):
@@ -292,12 +286,27 @@ def test_profile_refuses_windows_past_int32(monkeypatch):
     import tribalance.abelian as abelian
 
     class FarIndex:
+        # The windows of length 2 end at 2**31 - 1, so the int32 copy
+        # would need 2**31 columns.
+        cover_end = (0, 2**31 - 3, 2**31 - 1)
+
         def certify(self, n):
-            return 2**31 - n - 1
+            return self.cover_end[n] - n
 
     monkeypatch.setattr(abelian, "factor_index", lambda *args: FarIndex())
     with pytest.raises(BufferLimitError):
         abelian_profile(mbonacci_word(3), 1, 2)
+
+
+def test_witness_search_certifies_lazily():
+    # Twenty window starts certify lengths 1 to 4 but not length 5, whose
+    # last new factor starts at 23, so the search must return at its first
+    # witnessing length without certifying the lengths after it.
+    buf = tribonacci_word(position_cap=20)
+    w = imbalance_witness_search(buf, 0, 1, 50)
+    assert (w.letter, w.length, w.pos_u, w.pos_v, w.count_u, w.count_v) == (0, 1, 0, 1, 1, 0)
+    with pytest.raises(SaturationError):
+        imbalance_witness_search(buf, 0, 3, 50)
 
 
 def test_witness_search_trivial(tribo):

@@ -12,7 +12,6 @@ from tribalance import (
     WordBuffer,
     abelian_complexity,
     abelian_profile,
-    balance_profile,
     bispecial_lengths,
     factor_index,
     imbalance_witness_search,
@@ -26,7 +25,6 @@ from tribalance import (
     twelve_vector_geometry,
     verify_equivalences,
 )
-from tribalance.abelian import certified_window_bound
 from tribalance.factors import FactorIndex, default_target, position_cap
 from tribalance.special import right_special_parikh
 
@@ -107,8 +105,6 @@ def test_index_certify_rejects_excess_factors():
     lambda b: parikh_set(b, 50),
     lambda b: abelian_complexity(b, 50),
     lambda b: abelian_profile(b, 1, 50),
-    lambda b: balance_profile(b, 50),
-    lambda b: certified_window_bound(b, 50),
     lambda b: prefix_balance_check(b, 50),
     lambda b: imbalance_witness_search(b, 0, 3, 50),
     lambda b: right_special_factor(b, 50),
@@ -118,8 +114,8 @@ def test_index_certify_rejects_excess_factors():
     lambda b: successor_length(b, 50),
     lambda b: verify_equivalences(b, 50),
     lambda b: scan_distinct_factors(b, 50),
-], ids=["parikh_set", "abelian_complexity", "abelian_profile", "balance_profile",
-        "certified_window_bound", "prefix_balance_check", "imbalance_witness_search",
+], ids=["parikh_set", "abelian_complexity", "abelian_profile",
+        "prefix_balance_check", "imbalance_witness_search",
         "right_special_factor", "right_special_parikh", "bispecial_lengths",
         "twelve_vector_geometry", "successor_length", "verify_equivalences",
         "scan_distinct_factors"])
@@ -193,8 +189,6 @@ def test_index_cache_reuse(tribo):
 
 
 def test_index_cache_accepts_covering_index(monkeypatch):
-    import tribalance.abelian as abelian
-
     buf = tribonacci_word()
     index = factor_index(buf, 300)
     # The region grows from 8(n_max + 1) + 1024 symbols, far short of the
@@ -212,7 +206,11 @@ def test_index_cache_accepts_covering_index(monkeypatch):
 
     monkeypatch.setattr(FactorIndex, "__init__", counting_init)
     for n in (1, 200, 300, 301):
-        assert abelian.certified_window_bound(buf, n) == index.certify(n)
+        assert factor_index(buf, n) is index
+    # The window queries read their bounds off the same index.
+    assert imbalance_witness_search(buf, 0, 3, 301) is None
+    assert prefix_balance_check(buf, 301)
+    assert len(abelian_profile(buf, 1, 301)) == 301
     assert builds == []
 
 

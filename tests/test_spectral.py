@@ -18,6 +18,7 @@ from tribalance import (
     discrepancy_spectral,
     head_extremes,
     incidence_matrix,
+    is_valid_rep_many,
     tail_bound,
     tribonacci_morphism,
     zeckendorf_encode_many,
@@ -117,6 +118,19 @@ def test_batched_digit_route_input_checks(sd):
     with pytest.raises(InvalidInputError):
         discrepancy_from_digits(np.zeros((2, 4), dtype=np.uint8), 3, sd)
     assert discrepancy_from_digits(np.zeros((0, 0), dtype=np.uint8), 0, sd).shape == (0,)
+
+
+@pytest.mark.parametrize("digits", [
+    [[0.0, 1.0, 1.0]],
+    np.zeros((1, 2, 3), dtype=np.uint8),
+], ids=["float", "3-D"])
+def test_batched_digit_route_refuses_what_the_codec_refuses(sd, digits):
+    # One reader of the digit-array format: the spectral route refuses
+    # exactly the arrays the batch codec refuses.
+    with pytest.raises(InvalidInputError):
+        is_valid_rep_many(digits)
+    with pytest.raises(InvalidInputError):
+        discrepancy_from_digits(digits, 0, sd)
 
 
 def test_oracle_equivalence_sample(tribo, sd):

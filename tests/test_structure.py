@@ -5,7 +5,8 @@ No module holds mutable state, no module reaches into another object's
 private attributes, and the analyses leave a buffer's published state --
 its symbols, prefix counts and factor index -- exactly as they found it.
 The digit route of the discrepancy has one alpha-power sum, and the
-oracle-equivalence claim reaches it through the batch codec.
+oracle-equivalence claim reaches it through the batch codec.  Every
+per-length window query reads its windows through one certified slicer.
 """
 
 import ast
@@ -22,7 +23,6 @@ import tribalance
 from tribalance import (
     abelian_complexity,
     abelian_profile,
-    balance_profile,
     bispecial_lengths,
     boundary_set,
     central_set,
@@ -42,7 +42,7 @@ from tribalance import (
     verify_equivalences,
     window_parikh,
 )
-from tribalance import numeration
+from tribalance import abelian, numeration
 from tribalance.verify import SuiteConfig, run_suite
 
 SRC = Path(tribalance.__file__).resolve().parent
@@ -95,7 +95,7 @@ def test_queries_leave_published_state_alone():
     sd = compute_spectral_data()
 
     abelian_profile(buf, 1, 2000, collect_vectors=True)
-    balance_profile(buf, 2000)
+    abelian_profile(buf, 1, 2000)
     for letter in range(3):
         assert imbalance_witness_search(buf, letter, 3, 2000) is None
     verify_equivalences(buf, 2000)
@@ -161,3 +161,24 @@ def test_eq1_claim_runs_the_batched_route(monkeypatch):
     assert [c.status for c in report.claims] == ["pass"]
     assert len(scalar) == 0
     assert len(batched) == 1 and len(batched[0][0]) == 10_000
+
+
+@pytest.mark.parametrize("query", [
+    lambda b: abelian_profile(b, 1, 40),
+    lambda b: abelian_complexity(b, 40),
+    lambda b: parikh_set(b, 40),
+    lambda b: prefix_balance_check(b, 40),
+    lambda b: imbalance_witness_search(b, 0, 3, 40),
+], ids=["abelian_profile", "abelian_complexity", "parikh_set", "prefix_balance_check",
+        "imbalance_witness_search"])
+def test_window_queries_read_the_certified_windows(monkeypatch, query):
+    calls = count_calls(monkeypatch, abelian, "_certified_windows")
+    query(tribonacci_word())
+    assert len(calls) == 1
+
+
+def test_retired_window_routes_are_gone():
+    retired = {"_window_counts", "certified_window_bound", "balance_profile"}
+    found = [f"{name}.{key}" for name in MODULES
+             for key in vars(importlib.import_module(name)) if key in retired]
+    assert found == []
