@@ -56,7 +56,11 @@ def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
 @dataclass
 class ParikhSet:
     """Parikh vectors of the distinct factors of one length, all of them
-    certified seen, so ``len(vectors)`` is the abelian complexity."""
+    certified seen, so ``len(vectors)`` is the abelian complexity.
+
+    ``last_new_position`` is the certified window bound
+    ``FactorIndex.certify(n)``: the last window start that must be read to
+    see every length-n factor, not a position a scan stopped at."""
 
     n: int
     vectors: frozenset[ParikhVector]

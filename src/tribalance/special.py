@@ -176,24 +176,22 @@ def _max_norm(u: ParikhVector, v: ParikhVector) -> int:
 @dataclass(frozen=True)
 class GeometryRegion:
     """One admissible region: a maximal set of pairwise max-norm-<=2
-    vectors, shaped as a hexagon (7 points) or a triangle (6 points)."""
+    offsets from the special factor's Parikh vector, shaped as a hexagon
+    (7 points) or a triangle (6 points)."""
 
     kind: str  # "hexagon" or "triangle"
     anchor_letter: int
     vectors: frozenset[ParikhVector]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryClassification:
-    """Outcome of classifying a realized Parikh set inside the neighborhood."""
+    """Which regions of ``REGIONS`` hold the realized Parikh set of length
+    n once it is shifted by -``base``; ``containing`` indexes ``REGIONS``."""
 
     n: int
     base: ParikhVector
-    neighborhood: tuple[ParikhVector, ...]
-    regions: tuple[GeometryRegion, ...]
     containing: tuple[int, ...]
-    clique_sizes: tuple[int, ...]
-    extra_cliques: tuple[frozenset[ParikhVector], ...]
 
 
 def _maximal_cliques(vectors: list[ParikhVector]) -> list[frozenset[ParikhVector]]:
@@ -233,11 +231,10 @@ def _offset_structure():
 
     Returns (offsets, regions, extra_cliques, clique_sizes).  The offsets
     are the twelve vectors with coordinate sum 1 lying within max-norm 2 of
-    every central offset; regions is a tuple of (kind, anchor_letter,
-    offset_frozenset).  The hexagon anchored at letter c is the closed unit
-    max-norm ball around the central offset incrementing c; the triangle
-    anchored at c holds the offsets whose only negative coordinate can be
-    c.  Each region must be a maximal pairwise-<=2 subset of the
+    every central offset.  The hexagon anchored at letter c is the closed
+    unit max-norm ball around the central offset incrementing c; the
+    triangle anchored at c holds the offsets whose only negative coordinate
+    can be c.  Each region must be a maximal pairwise-<=2 subset of the
     neighborhood.
     """
     offsets = []
@@ -254,26 +251,30 @@ def _offset_structure():
     regions = []
     for c in (0, 1, 2):
         ball = frozenset(v for v in offsets if _max_norm(v, _CENTRAL_OFFSETS[c]) <= 1)
-        regions.append(("hexagon", c, ball))
+        regions.append(GeometryRegion("hexagon", c, ball))
     for c in (0, 1, 2):
         tri = frozenset(
             v for v in offsets if all(v[a] >= 0 for a in (0, 1, 2) if a != c)
         )
-        regions.append(("triangle", c, tri))
+        regions.append(GeometryRegion("triangle", c, tri))
     cliques = _maximal_cliques(list(offsets))
     clique_sets = set(cliques)
-    for kind, c, members in regions:
-        if members not in clique_sets:
+    for region in regions:
+        if region.vectors not in clique_sets:
             raise InvariantViolationError(
-                f"{kind} region at letter {c} is not a maximal subset"
+                f"{region.kind} region at letter {region.anchor_letter} is not a maximal subset"
             )
-    region_sets = {members for _, _, members in regions}
+    region_sets = {region.vectors for region in regions}
     extra = tuple(cl for cl in cliques if cl not in region_sets)
     sizes = tuple(sorted((len(cl) for cl in cliques), reverse=True))
     return offsets, tuple(regions), extra, sizes
 
 
-_OFFSETS, _REGIONS, _EXTRA_CLIQUES, _CLIQUE_SIZES = _offset_structure()
+# The one copy of the geometry, in offsets from the special factor's
+# Parikh vector: the twelve neighborhood offsets, the six regions, the
+# maximal pairwise-<=2 subsets that are not regions, and the sizes of all
+# maximal subsets.
+NEIGHBORHOOD, REGIONS, EXTRA_CLIQUES, CLIQUE_SIZES = _offset_structure()
 
 
 def twelve_vector_geometry(buffer: WordBuffer, n: int,
@@ -282,54 +283,35 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
     """Classify the realized Parikh set of length n inside its admissible
     neighborhood.
 
-    The neighborhood is the twelve vectors with coordinate sum n lying
-    within max-norm 2 of every central vector, carved into the three
-    hexagons and three triangles (each verified, once, to be a maximal
-    pairwise-<=2 subset).  The result says which of those regions contain
-    the realized set: ``vectors`` when given (the length's realized Parikh
-    vectors, as in ``ProfileRow.vectors``), else ``parikh_set``.  ``base``
-    is the Parikh vector of the right special factor of length n - 1,
-    looked up when not given.  The full maximal-subset enumeration is
-    reported alongside: it finds one further maximal triangle, spanned by
-    the three boundary vectors, which no realized set may need on its own
-    -- if one does, an ``InvariantViolationError`` is raised.  Only the
-    3-letter Tribonacci word is accepted.
+    The realized vectors -- ``vectors`` when given (the length's realized
+    Parikh vectors, as in ``ProfileRow.vectors``), else ``parikh_set`` --
+    are shifted by -``base``, the Parikh vector of the right special factor
+    of length n - 1 (looked up when not given).  The offsets must lie in
+    ``NEIGHBORHOOD`` and the result lists the regions of ``REGIONS`` that
+    hold them all.  A set that escapes the neighborhood, or fits none of
+    the three hexagons and three triangles (and so would need the extra
+    maximal triangle of ``EXTRA_CLIQUES``, spanned by the boundary
+    offsets), raises ``InvariantViolationError``.  Only the 3-letter
+    Tribonacci word is accepted.
     """
     _require_tribonacci(buffer, "twelve_vector_geometry")
-    realized = frozenset(parikh_set(buffer, n).vectors if vectors is None else vectors)
+    realized = parikh_set(buffer, n).vectors if vectors is None else vectors
     if base is None:
         base = right_special_factor(buffer, n - 1).parikh
     i, j, k = base
-
-    def absolute(off: ParikhVector) -> ParikhVector:
-        return (i + off[0], j + off[1], k + off[2])
-
-    neighborhood = tuple(absolute(d) for d in _OFFSETS)
-    if not realized <= set(neighborhood):
+    offsets = {(a - i, b - j, c - k) for a, b, c in realized}
+    if not offsets.issubset(NEIGHBORHOOD):
         raise InvariantViolationError(
             f"realized Parikh set at n={n} escapes the twelve-vector neighborhood"
         )
-    regions = tuple(
-        GeometryRegion(kind, c, frozenset(absolute(d) for d in members))
-        for kind, c, members in _REGIONS
-    )
-    extra = tuple(frozenset(absolute(d) for d in cl) for cl in _EXTRA_CLIQUES)
     containing = tuple(
-        idx for idx, region in enumerate(regions) if realized <= region.vectors
+        idx for idx, region in enumerate(REGIONS) if offsets <= region.vectors
     )
     if not containing:
         raise InvariantViolationError(
             f"realized Parikh set at n={n} fits no hexagon or triangle region"
         )
-    return GeometryClassification(
-        n=n,
-        base=base,
-        neighborhood=neighborhood,
-        regions=regions,
-        containing=containing,
-        clique_sizes=_CLIQUE_SIZES,
-        extra_cliques=extra,
-    )
+    return GeometryClassification(n=n, base=base, containing=containing)
 
 
 def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector:

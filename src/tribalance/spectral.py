@@ -94,15 +94,13 @@ def _check_letter(letter: int) -> None:
         raise InvalidInputError(f"letter must be 0, 1 or 2, got {letter}")
 
 
-def compute_spectral_data(tolerance: float = DEFAULT_TOLERANCE) -> SpectralData:
+def compute_spectral_data() -> SpectralData:
     """Newton iteration for the real root, deflation for the complex pair,
     and a 3x3 solve for the expansion coefficients."""
-    if tolerance <= 0:
-        raise InvalidInputError("tolerance must be positive")
     x = 2.0
     for _ in range(100):
         f = x * x * x - x * x - x - 1.0
-        if abs(f) < tolerance:
+        if abs(f) < DEFAULT_TOLERANCE:
             break
         x -= f / (3.0 * x * x - 2.0 * x - 1.0)
     else:

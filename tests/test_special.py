@@ -23,10 +23,11 @@ from tribalance import (
     word_to_text,
 )
 from tribalance.special import (
-    _CLIQUE_SIZES,
-    _EXTRA_CLIQUES,
-    _OFFSETS,
-    _REGIONS,
+    CLIQUE_SIZES,
+    EXTRA_CLIQUES,
+    NEIGHBORHOOD,
+    REGIONS,
+    boundary_vectors,
     right_special_parikh,
 )
 
@@ -144,27 +145,31 @@ def test_boundary_disjoint_at_min_length(tribo):
 
 def test_twelve_vector_geometry(tribo):
     g = twelve_vector_geometry(tribo, 10)
-    assert len(g.neighborhood) == 12
-    sizes = sorted((len(r.vectors) for r in g.regions), reverse=True)
+    assert g.n == 10 and g.base == right_special_factor(tribo, 9).parikh
+    assert len(NEIGHBORHOOD) == 12
+    sizes = sorted((len(r.vectors) for r in REGIONS), reverse=True)
     assert sizes == [7, 7, 7, 6, 6, 6]
     assert g.containing
     # The full enumeration finds one extra maximal set: the triangle of
-    # the three boundary vectors.
-    assert g.clique_sizes == (7, 7, 7, 6, 6, 6, 6)
-    assert len(g.extra_cliques) == 1
-    (extra,) = g.extra_cliques
-    assert set(boundary_set(tribo, 10).vectors) <= extra
+    # the three boundary offsets.
+    assert CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
+    (extra,) = EXTRA_CLIQUES
+    assert set(boundary_vectors((0, 0, 0))) <= extra
+    assert set(boundary_set(tribo, 10).vectors) == {
+        tuple(b + d for b, d in zip(g.base, off)) for off in boundary_vectors((0, 0, 0))
+    }
 
 
 def test_neighborhood_structure_is_constant():
     # Built once at import, relative to the special factor's Parikh vector.
-    assert len(_OFFSETS) == 12 and all(sum(d) == 1 for d in _OFFSETS)
-    assert [(kind, c) for kind, c, _ in _REGIONS] == \
+    assert isinstance(NEIGHBORHOOD, tuple) and isinstance(REGIONS, tuple)
+    assert len(NEIGHBORHOOD) == 12 and all(sum(d) == 1 for d in NEIGHBORHOOD)
+    assert [(r.kind, r.anchor_letter) for r in REGIONS] == \
         [("hexagon", 0), ("hexagon", 1), ("hexagon", 2),
          ("triangle", 0), ("triangle", 1), ("triangle", 2)]
-    assert [len(members) for _, _, members in _REGIONS] == [7, 7, 7, 6, 6, 6]
-    assert _CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
-    (extra,) = _EXTRA_CLIQUES
+    assert [len(r.vectors) for r in REGIONS] == [7, 7, 7, 6, 6, 6]
+    assert CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
+    (extra,) = EXTRA_CLIQUES
     assert len(extra) == 6
     assert {(-1, 1, 1), (1, -1, 1), (1, 1, -1)} <= extra
 
@@ -185,19 +190,50 @@ def test_twelve_vector_geometry_refuses_non_tribonacci(fourbo):
 
 def test_geometry_at_full_complexity(tribo):
     g = twelve_vector_geometry(tribo, 3914)
-    containing_regions = [g.regions[i] for i in g.containing]
-    assert all(r.kind == "hexagon" for r in containing_regions)
+    assert g.containing
+    assert all(REGIONS[i].kind == "hexagon" for i in g.containing)
     assert len(parikh_set(tribo, 3914).vectors) == 7
 
 
-def test_geometry_region_membership_counts(tribo):
-    # Hexagons are unit balls around the central vectors; each of the 12
-    # vectors belongs to at least one region and the union is everything.
-    g = twelve_vector_geometry(tribo, 17)
+def test_geometry_region_membership_counts():
+    # Hexagons are unit balls around the central offsets; each of the 12
+    # offsets belongs to at least one region and the union is everything.
     union = set()
-    for r in g.regions:
+    for r in REGIONS:
         union |= r.vectors
-    assert union == set(g.neighborhood)
+    assert union == set(NEIGHBORHOOD)
+
+
+def test_geometry_matches_absolute_regions(tribo):
+    # Oracle: rebuild the six regions in absolute coordinates, base + offset,
+    # at every length, and test the realized vectors against them directly.
+    index = factor_index(tribo, 2000)
+    for row in abelian_profile(tribo, 1, 2000, collect_vectors=True):
+        base = right_special_parikh(tribo, index, row.n - 1)
+        g = twelve_vector_geometry(tribo, row.n, vectors=row.vectors, base=base)
+
+        def absolute(off):
+            return tuple(b + d for b, d in zip(base, off))
+
+        realized = set(row.vectors)
+        assert realized <= {absolute(d) for d in NEIGHBORHOOD}
+        expected = tuple(i for i, r in enumerate(REGIONS)
+                         if realized <= {absolute(d) for d in r.vectors})
+        assert g.containing == expected, row.n
+
+
+def test_geometry_refuses_escaping_and_unfit_sets(tribo):
+    base = right_special_factor(tribo, 9).parikh
+
+    def absolute(offsets):
+        return [tuple(b + d for b, d in zip(base, off)) for off in offsets]
+
+    with pytest.raises(InvariantViolationError):
+        twelve_vector_geometry(tribo, 10, vectors=absolute([(3, -1, -1)]), base=base)
+    # The boundary triangle is maximal but not a region.
+    (extra,) = EXTRA_CLIQUES
+    with pytest.raises(InvariantViolationError):
+        twelve_vector_geometry(tribo, 10, vectors=absolute(extra), base=base)
 
 
 def test_min_complexity_closed_form():

@@ -11,7 +11,6 @@ from tribalance import (
     VerificationFailureError,
     balance_bound_from_interval,
     certify_balance_bounds,
-    compute_spectral_data,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_from_digits,
@@ -220,8 +219,3 @@ def test_empirical_extremes_strictly_inside(tribo, sd):
     for letter, (lo_t, hi_t) in zip((0, 1, 2), TARGET_INTERVALS):
         lo, hi = discrepancy_extremes(tribo, 100_000, letter, sd)
         assert lo_t < lo < hi < hi_t
-
-
-def test_newton_tolerance_validation():
-    with pytest.raises(InvalidInputError):
-        compute_spectral_data(tolerance=0.0)

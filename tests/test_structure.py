@@ -10,6 +10,7 @@ per-length window query reads its windows through one certified slicer.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import pkgutil
@@ -42,7 +43,7 @@ from tribalance import (
     verify_equivalences,
     window_parikh,
 )
-from tribalance import abelian, numeration
+from tribalance import abelian, numeration, special
 from tribalance.verify import SuiteConfig, run_suite
 
 SRC = Path(tribalance.__file__).resolve().parent
@@ -182,3 +183,15 @@ def test_retired_window_routes_are_gone():
     found = [f"{name}.{key}" for name in MODULES
              for key in vars(importlib.import_module(name)) if key in retired]
     assert found == []
+
+
+def test_geometry_has_one_offset_table():
+    # Lengths are classified against the import-time offset table; a
+    # classification carries no translated copy of it.
+    params = special.GeometryClassification.__dataclass_params__
+    assert params.frozen
+    fields = [f.name for f in dataclasses.fields(special.GeometryClassification)]
+    assert fields == ["n", "base", "containing"]
+    names = set(vars(special))
+    assert {"NEIGHBORHOOD", "REGIONS", "EXTRA_CLIQUES", "CLIQUE_SIZES"} <= names
+    assert not {"_OFFSETS", "_REGIONS", "_EXTRA_CLIQUES", "_CLIQUE_SIZES"} & names
