@@ -6,8 +6,6 @@ characterizations."""
 from .abelian import (
     BalanceWitness,
     Desubstitution,
-    DesubForm,
-    ParikhSet,
     ParikhVector,
     ProfileRow,
     abelian_complexity,
@@ -50,8 +48,6 @@ from .numeration import (
     zeckendorf_encode_many,
 )
 from .special import (
-    BoundarySet,
-    CentralSet,
     EquivalenceRow,
     GeometryClassification,
     GeometryRegion,

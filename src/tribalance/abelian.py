@@ -11,8 +11,8 @@ contains every factor of the relevant length.
 
 from __future__ import annotations
 
-import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,38 +53,16 @@ def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
     return tuple(int(x) for x in pc[:, start + length] - pc[:, start])
 
 
-@dataclass
-class ParikhSet:
-    """Parikh vectors of the distinct factors of one length, all of them
-    certified seen, so ``len(vectors)`` is the abelian complexity.
-
-    ``last_new_position`` is the certified window bound
-    ``FactorIndex.certify(n)``: the last window start that must be read to
-    see every length-n factor, not a position a scan stopped at."""
-
-    n: int
-    vectors: frozenset[ParikhVector]
-    factor_count: int
-    last_new_position: int
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def parikh_set(buffer: WordBuffer, n: int) -> ParikhSet:
-    """Set of Parikh vectors over the distinct length-n factors.
+def parikh_set(buffer: WordBuffer, n: int) -> frozenset[ParikhVector]:
+    """Set of Parikh vectors over the distinct length-n factors; its size
+    is the abelian complexity.
 
     One certified profile row over the factor index; a region that misses
-    the complexity target raises ``SaturationError``.
+    the complexity target raises ``SaturationError``.  The certified window
+    bound is ``factor_index(buffer, n).certify(n)``.
     """
     (row,) = abelian_profile(buffer, n, n, collect_vectors=True)
-    index = factor_index(buffer, n)
-    return ParikhSet(
-        n=n,
-        vectors=frozenset(row.vectors),
-        factor_count=index.factor_count(n),
-        last_new_position=index.certify(n),
-    )
+    return frozenset(row.vectors)
 
 
 def abelian_complexity(buffer: WordBuffer, n: int) -> int:
@@ -107,9 +85,11 @@ class ProfileRow:
 
 
 def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
-    """Yield ``(n, counts)`` for every n in [n_from, n_to]: the int32 letter
-    counts of the length-n windows starting at 0..bound, as the columns of
-    an (alphabet, bound + 1) matrix.
+    """Yield ``(n, ends, starts)`` for every n in [n_from, n_to]: the int32
+    prefix counts at the ends and at the starts of the length-n windows
+    starting at 0..bound, as (alphabet, bound + 1) views, so ``ends -
+    starts`` holds the windows' letter counts as columns.  A caller that
+    needs one letter subtracts only that row.
 
     One factor index covers n_to, and the prefix counts the windows read --
     through ``cover_end[n_to]``, the largest n + bound, since ``cover_end``
@@ -124,7 +104,7 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     pc = buffer.prefix_counts[:, :end].astype(np.int32)
     for n in range(n_from, n_to + 1):
         bound = index.certify(n)
-        yield n, pc[:, n : n + bound + 1] - pc[:, : bound + 1]
+        yield n, pc[:, n : n + bound + 1], pc[:, : bound + 1]
 
 
 def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
@@ -145,8 +125,8 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     if n_from < 1 or n_to < n_from:
         raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
     rows = []
-    for n, counts in _certified_windows(buffer, n_from, n_to):
-        span, rho, vectors = _window_classes(counts, collect_vectors)
+    for n, ends, starts in _certified_windows(buffer, n_from, n_to):
+        span, rho, vectors = _window_classes(ends - starts, collect_vectors)
         vecs = None if vectors is None else tuple(map(tuple, vectors.tolist()))
         rows.append(ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs))
     return rows
@@ -226,8 +206,8 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     """
     if n_from < 1:
         raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
-    for n, counts in _certified_windows(buffer, n_from, max_len):
-        row = counts[letter]
+    for n, ends, starts in _certified_windows(buffer, n_from, max_len):
+        row = ends[letter] - starts[letter]
         hi = int(row.argmax())
         lo = int(row.argmin())
         if row[hi] - row[lo] >= target_diff:
@@ -238,16 +218,15 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
 def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     """True iff every length-n factor's letter counts differ from the
     length-n prefix's (the window at 0) by at most 1."""
-    ((_, counts),) = _certified_windows(buffer, n, n)
+    ((_, ends, starts),) = _certified_windows(buffer, n, n)
+    counts = ends - starts
     return bool(np.abs(counts - counts[:, :1]).max() <= 1)
 
 
-def coordinate_interval_check(pset: ParikhSet) -> bool:
+def coordinate_interval_check(vectors: Iterable[ParikhVector]) -> bool:
     """True iff each coordinate's value set over the vectors is a
     contiguous integer interval (no gaps)."""
-    if not pset.vectors:
-        return True
-    for coord in zip(*pset.vectors):
+    for coord in zip(*vectors):
         values = set(coord)
         if max(values) - min(values) + 1 != len(values):
             return False
@@ -257,36 +236,27 @@ def coordinate_interval_check(pset: ParikhSet) -> bool:
 # ---------------------------------------------------------------------------
 # Desubstitution
 
-class DesubForm(enum.Enum):
-    """How a factor decomposes against the Tribonacci morphism: the image
-    of the preimage, optionally with its leading 0 dropped and/or a 0
-    appended."""
-
-    PLAIN = "plain"
-    DROP0 = "drop0"
-    APPEND0 = "append0"
-    DROP0_APPEND0 = "drop0_append0"
-
-
-@dataclass
+@dataclass(frozen=True)
 class Desubstitution:
-    """Preimage word, decomposition form, and length correction delta.
+    """Preimage word and the two corrections against its image: the leading
+    0 ``dropped`` and a trailing 0 ``appended``.
 
     The invariant relating the factor U to its preimage u is
     parikh(U) = (len(u) + delta, count of 0 in u, count of 1 in u).
     """
 
     u: bytes
-    form: DesubForm
-    delta: int
+    dropped: bool
+    appended: bool
+
+    @property
+    def delta(self) -> int:
+        """Length correction: ``appended - dropped``."""
+        return self.appended - self.dropped
 
     def reconstruct(self) -> bytes:
         w = apply_morphism(tribonacci_morphism(), self.u)
-        if self.form in (DesubForm.DROP0, DesubForm.DROP0_APPEND0):
-            w = w[1:]
-        if self.form in (DesubForm.APPEND0, DesubForm.DROP0_APPEND0):
-            w = w + b"\x00"
-        return w
+        return w[self.dropped:] + b"\x00" * self.appended
 
 
 def is_tribonacci_factor(w: WordLike) -> bool:
@@ -345,13 +315,4 @@ def desubstitute(U: WordLike, verify: bool = True) -> Desubstitution:
         else:
             appended = True
             i += 1
-    if dropped and appended:
-        form = DesubForm.DROP0_APPEND0
-    elif dropped:
-        form = DesubForm.DROP0
-    elif appended:
-        form = DesubForm.APPEND0
-    else:
-        form = DesubForm.PLAIN
-    delta = (1 if appended else 0) - (1 if dropped else 0)
-    return Desubstitution(bytes(out), form, delta)
+    return Desubstitution(bytes(out), dropped, appended)

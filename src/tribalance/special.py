@@ -35,12 +35,12 @@ from .words import WordBuffer, apply_morphism
 
 @dataclass
 class SpecialFactorRecord:
-    """The unique right special factor of one length, with extension data."""
+    """The unique right special factor of one length, with its left
+    extension count; every letter extends it on the right."""
 
     length: int
     word: bytes
     parikh: ParikhVector
-    right_extensions: int
     left_extensions: int
     is_bispecial: bool
 
@@ -71,7 +71,6 @@ def _special_record(buffer: WordBuffer, index, length: int) -> SpecialFactorReco
         length=length,
         word=buffer.symbols[end - length : end],
         parikh=window_parikh(buffer, end - length, length),
-        right_extensions=deg,
         left_extensions=left,
         is_bispecial=left >= 2,
     )
@@ -113,24 +112,6 @@ def bispecial_lengths(max_len: int, buffer: WordBuffer | None = None) -> list[in
     return out
 
 
-@dataclass(frozen=True)
-class CentralSet:
-    """The three always-realized Parikh vectors at one length."""
-
-    n: int
-    vectors: tuple[ParikhVector, ParikhVector, ParikhVector]
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """The three Parikh vectors whose presence is equivalent to abelian
-    complexity above 3.  Entries may be negative for tiny n; such vectors
-    are simply never realized."""
-
-    n: int
-    vectors: tuple[ParikhVector, ParikhVector, ParikhVector]
-
-
 def central_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
     """The central triple over the special factor's Parikh vector ``base``."""
     i, j, k = base
@@ -143,27 +124,28 @@ def boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
     return ((i - 1, j + 1, k + 1), (i + 1, j - 1, k + 1), (i + 1, j + 1, k - 1))
 
 
-def central_set(buffer: WordBuffer, n: int) -> CentralSet:
+def central_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
     """Central vector triple at length n, with the containment assertion
     that every one of the three is realized."""
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
-    record = right_special_factor(buffer, n - 1)
-    vectors = central_vectors(record.parikh)
-    realized = parikh_set(buffer, n).vectors
+    vectors = central_vectors(right_special_factor(buffer, n - 1).parikh)
+    realized = parikh_set(buffer, n)
     for v in vectors:
         if v not in realized:
             raise InvariantViolationError(
                 f"central vector {v} not realized among length-{n} factors"
             )
-    return CentralSet(n, vectors)
+    return vectors
 
 
-def boundary_set(buffer: WordBuffer, n: int) -> BoundarySet:
+def boundary_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
+    """Boundary vector triple at length n: it meets the realized Parikh set
+    exactly when the abelian complexity exceeds 3.  Entries may be negative
+    for tiny n; such vectors are simply never realized."""
     if n < 1:
         raise InvalidInputError(f"length must be >= 1, got {n}")
-    record = right_special_factor(buffer, n - 1)
-    return BoundarySet(n, boundary_vectors(record.parikh))
+    return boundary_vectors(right_special_factor(buffer, n - 1).parikh)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +277,7 @@ def twelve_vector_geometry(buffer: WordBuffer, n: int,
     Tribonacci word is accepted.
     """
     _require_tribonacci(buffer, "twelve_vector_geometry")
-    realized = parikh_set(buffer, n).vectors if vectors is None else vectors
+    realized = parikh_set(buffer, n) if vectors is None else vectors
     if base is None:
         base = right_special_factor(buffer, n - 1).parikh
     i, j, k = base

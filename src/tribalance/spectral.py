@@ -254,10 +254,6 @@ class DiscrepancyInterval:
         if not self.lower < self.upper:
             raise InvalidInputError(f"empty discrepancy interval [{self.lower}, {self.upper}]")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def balance_bound_from_interval(lower: float, upper: float) -> int:
     """Largest integer strictly below 2*(upper - lower).

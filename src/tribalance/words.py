@@ -173,9 +173,6 @@ class WordBuffer:
     def __len__(self) -> int:
         return len(self._symbols)
 
-    def __getitem__(self, i: int) -> Symbol:
-        return self._symbols[i]
-
     @property
     def alphabet_size(self) -> int:
         return self.morphism.alphabet_size

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from conftest import brute_factors, brute_parikh, brute_parikh_set, unique_profile
 from tribalance import (
     BufferLimitError,
-    DesubForm,
     InvalidInputError,
     NotAFactorError,
-    ParikhSet,
     RangeError,
     SaturationError,
     abelian_complexity,
@@ -67,28 +65,31 @@ def test_window_parikh_agreement_bulk(tribo):
 
 
 def test_parikh_set_small(tribo):
-    ps1 = parikh_set(tribo, 1)
-    assert ps1.vectors == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert ps1.factor_count == 3
+    assert parikh_set(tribo, 1) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert factor_index(tribo, 1).factor_count(1) == 3
 
-    ps2 = parikh_set(tribo, 2)
-    assert ps2.vectors == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
-    assert ps2.factor_count == 5
+    assert parikh_set(tribo, 2) == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
+    assert factor_index(tribo, 2).factor_count(2) == 5
 
-    assert len(parikh_set(tribo, 3).vectors) == 4
+    assert len(parikh_set(tribo, 3)) == 4
 
 
 def test_parikh_set_matches_brute_force(tribo):
     for n in (1, 2, 3, 4, 7, 20, 55):
-        ps = parikh_set(tribo, n)
         oracle = brute_parikh_set(tribo.symbols[:20_000], n, 3)
-        assert ps.vectors == oracle
+        assert parikh_set(tribo, n) == oracle
 
 
 def test_parikh_set_sums(tribo):
     for n in (1, 5, 31):
-        for v in parikh_set(tribo, n).vectors:
+        for v in parikh_set(tribo, n):
             assert sum(v) == n
+
+
+@pytest.mark.parametrize("n_from, n_to", [(0, 5), (5, 4)])
+def test_abelian_profile_refuses_bad_range(tribo, n_from, n_to):
+    with pytest.raises(InvalidInputError, match="bad length range"):
+        abelian_profile(tribo, n_from, n_to)
 
 
 def test_abelian_complexity_extremal_values(tribo):
@@ -323,23 +324,25 @@ def test_prefix_balance_examples(tribo):
 def test_coordinate_interval_check(tribo):
     for n in (1, 2, 30, 342):
         assert coordinate_interval_check(parikh_set(tribo, n))
-    singleton = ParikhSet(3, frozenset({(1, 1, 1)}), 1, 0)
-    assert coordinate_interval_check(singleton)
-    gapped = ParikhSet(4, frozenset({(1, 1, 2), (3, 1, 0)}), 2, 0)
-    assert not coordinate_interval_check(gapped)
+    assert coordinate_interval_check(frozenset())
+    assert coordinate_interval_check(frozenset({(1, 1, 1)}))
+    assert not coordinate_interval_check(frozenset({(1, 1, 2), (3, 1, 0)}))
 
 
 # -- desubstitution ----------------------------------------------------------
 
 def test_desubstitute_examples():
     d = desubstitute("0102")
-    assert (d.u, d.form, d.delta) == (b"\x00\x01", DesubForm.PLAIN, 0)
+    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", False, False, 0)
 
     d = desubstitute("1020")
-    assert (d.u, d.form, d.delta) == (b"\x00\x01", DesubForm.DROP0_APPEND0, 0)
+    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", True, True, 0)
 
     d = desubstitute("0")
-    assert (d.u, d.form, d.delta) == (b"", DesubForm.APPEND0, 1)
+    assert (d.u, d.dropped, d.appended, d.delta) == (b"", False, True, 1)
+
+    d = desubstitute("102")
+    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", True, False, -1)
 
 
 def test_desubstitute_parikh_identity(tribo):

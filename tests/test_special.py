@@ -66,14 +66,30 @@ def test_right_special_matches_brute_force(fibo, tribo, fourbo):
             (word,) = specials
             record = right_special_factor(buf, n)
             assert record.word == word
-            assert record.right_extensions == len(right[word]) == m
+            assert len(right[word]) == m
             assert record.left_extensions == len(left[word])
             assert record.is_bispecial == (len(left[word]) >= 2)
 
 
 def test_right_special_extension_degree(tribo):
+    # Oracle: every letter follows the record's word somewhere in a long
+    # prefix.
+    sym = tribo.symbols[:20_000]
     for n in range(1, 40):
-        assert right_special_factor(tribo, n).right_extensions == 3
+        word = right_special_factor(tribo, n).word
+        followers = {w[-1] for w in brute_factors(sym, n + 1) if w[:n] == word}
+        assert followers == {0, 1, 2}
+
+
+@pytest.mark.parametrize("query", [
+    lambda b: right_special_factor(b, -1),
+    lambda b: central_set(b, 0),
+    lambda b: boundary_set(b, 0),
+    lambda b: is_min_complexity_length(0),
+], ids=["right_special_factor", "central_set", "boundary_set", "is_min_complexity_length"])
+def test_length_checks(tribo, query):
+    with pytest.raises(InvalidInputError, match="length must be >= "):
+        query(tribo)
 
 
 def test_right_special_index_route_agrees(tribo):
@@ -118,29 +134,24 @@ def test_bispecial_flags_match_closed_form(tribo):
 
 
 def test_central_set_examples(tribo):
-    c1 = central_set(tribo, 1)
-    assert set(c1.vectors) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-    b1 = boundary_set(tribo, 1)
-    assert set(b1.vectors) == {(-1, 1, 1), (1, -1, 1), (1, 1, -1)}
+    assert central_set(tribo, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert boundary_set(tribo, 1) == ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
 def test_central_contained_in_realized(tribo):
     for n in (1, 2, 7, 30, 100):
-        c = central_set(tribo, n)
-        realized = parikh_set(tribo, n).vectors
-        assert set(c.vectors) <= realized
+        assert set(central_set(tribo, n)) <= parikh_set(tribo, n)
 
 
 def test_boundary_meets_realized_iff_not_min(tribo):
     for n in range(1, 80):
-        realized = parikh_set(tribo, n).vectors
-        b = set(boundary_set(tribo, n).vectors)
+        realized = parikh_set(tribo, n)
+        b = set(boundary_set(tribo, n))
         assert (len(realized) == 3) == (not (b & realized))
 
 
 def test_boundary_disjoint_at_min_length(tribo):
-    assert not (set(boundary_set(tribo, 4).vectors) & parikh_set(tribo, 4).vectors)
+    assert not (set(boundary_set(tribo, 4)) & parikh_set(tribo, 4))
 
 
 def test_twelve_vector_geometry(tribo):
@@ -155,7 +166,7 @@ def test_twelve_vector_geometry(tribo):
     assert CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
     (extra,) = EXTRA_CLIQUES
     assert set(boundary_vectors((0, 0, 0))) <= extra
-    assert set(boundary_set(tribo, 10).vectors) == {
+    assert set(boundary_set(tribo, 10)) == {
         tuple(b + d for b, d in zip(g.base, off)) for off in boundary_vectors((0, 0, 0))
     }
 
@@ -192,7 +203,7 @@ def test_geometry_at_full_complexity(tribo):
     g = twelve_vector_geometry(tribo, 3914)
     assert g.containing
     assert all(REGIONS[i].kind == "hexagon" for i in g.containing)
-    assert len(parikh_set(tribo, 3914).vectors) == 7
+    assert len(parikh_set(tribo, 3914)) == 7
 
 
 def test_geometry_region_membership_counts():

@@ -11,6 +11,7 @@ from tribalance import (
     VerificationFailureError,
     balance_bound_from_interval,
     certify_balance_bounds,
+    discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_from_digits,
@@ -30,6 +31,17 @@ from tribalance.spectral import (
     head_terms,
 )
 from tribalance.verify import SPECTRAL_CONSTANTS_5DP, matches_truncated
+
+
+@pytest.mark.parametrize("bound", [head_extremes, tail_bound])
+def test_negative_cutoff_is_refused(sd, bound):
+    with pytest.raises(InvalidInputError, match="cutoff must be >= 0"):
+        bound(sd, 0, -1)
+
+
+def test_discrepancy_column_refuses_past_buffer(tribo, sd):
+    with pytest.raises(RangeError, match="exceeds buffer length"):
+        discrepancy_column(tribo, len(tribo) + 1, 0, sd)
 
 
 def test_root_relations(sd):

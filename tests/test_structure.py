@@ -6,7 +6,8 @@ private attributes, and the analyses leave a buffer's published state --
 its symbols, prefix counts and factor index -- exactly as they found it.
 The digit route of the discrepancy has one alpha-power sum, and the
 oracle-equivalence claim reaches it through the batch codec.  Every
-per-length window query reads its windows through one certified slicer.
+per-length window query reads its windows through one certified slicer,
+and returns its value itself, not a wrapper that repeats the arguments.
 """
 
 import ast
@@ -43,7 +44,7 @@ from tribalance import (
     verify_equivalences,
     window_parikh,
 )
-from tribalance import abelian, numeration, special
+from tribalance import Desubstitution, abelian, numeration, special
 from tribalance.verify import SuiteConfig, run_suite
 
 SRC = Path(tribalance.__file__).resolve().parent
@@ -195,3 +196,15 @@ def test_geometry_has_one_offset_table():
     names = set(vars(special))
     assert {"NEIGHBORHOOD", "REGIONS", "EXTRA_CLIQUES", "CLIQUE_SIZES"} <= names
     assert not {"_OFFSETS", "_REGIONS", "_EXTRA_CLIQUES", "_CLIQUE_SIZES"} & names
+
+
+def test_queries_return_their_values():
+    exported = set(vars(tribalance))
+    assert not {"ParikhSet", "CentralSet", "BoundarySet", "DesubForm"} & exported
+    buf = tribonacci_word()
+    for n in (1, 2, 30, 342):
+        assert type(parikh_set(buf, n)) is frozenset
+        base = right_special_factor(buf, n - 1).parikh
+        assert central_set(buf, n) == special.central_vectors(base)
+        assert boundary_set(buf, n) == special.boundary_vectors(base)
+    assert [f.name for f in dataclasses.fields(Desubstitution)] == ["u", "dropped", "appended"]
