@@ -63,8 +63,6 @@ from .special import (
     verify_equivalences,
 )
 from .spectral import (
-    BoundDerivation,
-    DiscrepancyInterval,
     SpectralData,
     balance_bound_from_interval,
     certify_balance_bounds,
@@ -74,8 +72,6 @@ from .spectral import (
     discrepancy_extremes,
     discrepancy_from_digits,
     discrepancy_spectral,
-    head_extremes,
-    tail_bound,
 )
 from .words import (
     Morphism,

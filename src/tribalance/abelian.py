@@ -22,6 +22,7 @@ from .errors import (
     InvalidInputError,
     NotAFactorError,
     RangeError,
+    integer_in,
 )
 from .factors import factor_index
 from .words import (
@@ -190,6 +191,7 @@ class BalanceWitness:
 def verify_witness(buffer: WordBuffer, letter: int, pos_u: int, pos_v: int,
                    length: int) -> BalanceWitness:
     """Recompute both window counts of ``letter`` and their difference."""
+    letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
     cu = window_parikh(buffer, pos_u, length)[letter]
     cv = window_parikh(buffer, pos_v, length)[letter]
     return BalanceWitness(letter, length, pos_u, pos_v, cu, cv)
@@ -204,6 +206,7 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     returns at the first length whose letter counts reach the target, with
     the positions of a maximal and a minimal count.
     """
+    letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
     if n_from < 1:
         raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
     for n, ends, starts in _certified_windows(buffer, n_from, max_len):

@@ -173,10 +173,9 @@ def cmd_zeckendorf(args, parser) -> int:
 
 
 def cmd_constants(args, parser) -> int:
-    values = spectral.named_constants(spectral.compute_spectral_data())
     with _open_out(args.out) as out:
-        for name, value in values.items():
-            out.write(f"{name}={_fmt(value)}\n")
+        for name, (lo, _) in spectral.named_constants().items():
+            out.write(f"{name}={_fmt(float(lo))}\n")
     return EXIT_OK
 
 

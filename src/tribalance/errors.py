@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that
+raises one."""
+
+import operator
 
 
 class TribalanceError(Exception):
@@ -52,3 +55,17 @@ class InvariantViolationError(TribalanceError, RuntimeError):
 
 class VerificationFailureError(TribalanceError, RuntimeError):
     """A re-derived bound or cross-check did not land where it must."""
+
+
+def integer_in(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as a Python int by ``operator.index``, within [low, high]:
+    a bool, a float, a string or an integer out of range raises
+    ``InvalidInputError``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low or high is not None and number > high:
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInputError(f"{what} must be an integer {bounds}, got {value!r}")
+    return number

@@ -21,22 +21,17 @@ so its Parikh vector is sum(p_k * M^k e_0) for the incidence matrix M
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRepresentationError, InvariantViolationError
+from .errors import (
+    InvalidInputError,
+    InvalidRepresentationError,
+    InvariantViolationError,
+    integer_in,
+)
 from .words import incidence_matrix, tribonacci_morphism
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int: Python and numpy integers pass, anything
-    else (a float included) raises ``InvalidInputError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _terms_until(done) -> list[int]:
@@ -66,9 +61,7 @@ def tribonacci_number(k: int) -> int:
 
     Equals the length of the k-th iterate of the Tribonacci morphism on "0".
     """
-    k = _integer(k, "index")
-    if k < 0:
-        raise InvalidInputError(f"index must be non-negative, got {k}")
+    k = integer_in(k, "index")
     return _terms(index=k)[k]
 
 
@@ -130,9 +123,7 @@ def is_valid_rep(digits) -> bool:
 
 def zeckendorf_encode(n: int) -> ZeckendorfRep:
     """Greedy expansion of n >= 0: repeatedly subtract the largest term <= remainder."""
-    n = _integer(n, "value to encode")
-    if n < 0:
-        raise InvalidInputError(f"cannot encode negative integer {n}")
+    n = integer_in(n, "value to encode")
     if n == 0:
         return ZeckendorfRep([])
     terms = tribonacci_numbers_upto(n)
@@ -261,15 +252,22 @@ def prefix_parikh_from_digits(digits) -> np.ndarray:
     Parikh vector of a word that is not a prefix.
     """
     columns = digit_columns(digits)
-    if columns.shape[0] > _MAX_WIDTH:
+    return np.einsum("ak,kn->an", tau_parikh_table(columns.shape[0]), columns)
+
+
+def tau_parikh_table(width: int) -> np.ndarray:
+    """Parikh vectors of tau^0(0), ..., tau^(width-1)(0) as the columns of
+    a ``(3, width)`` int64 array; column k sums to ``tribonacci_number(k)``.
+    Shared by the digit route and the exact spectral certificate."""
+    if width > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
     mat = incidence_matrix(tribonacci_morphism())
-    table = np.zeros((3, columns.shape[0]), dtype=np.int64)
+    table = np.zeros((3, width), dtype=np.int64)
     vector = np.array([1, 0, 0], dtype=np.int64)  # Parikh(tau^0(0))
-    for k in range(columns.shape[0]):
+    for k in range(width):
         table[:, k] = vector
         vector = mat @ vector
-    return np.einsum("ak,kn->an", table, columns)
+    return table
 
 
 def prefix_parikh_many(ns) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolationError,
     VerificationFailureError,
+    integer_in,
 )
 from .factors import factor_index
 from .numeration import tribonacci_number
@@ -53,8 +54,7 @@ def right_special_factor(buffer: WordBuffer, length: int) -> SpecialFactorRecord
     must be extendable by every letter; anything else signals a word
     outside the certified family.
     """
-    if length < 0:
-        raise InvalidInputError(f"length must be >= 0, got {length}")
+    length = integer_in(length, "length")
     return _special_record(buffer, factor_index(buffer, length), length)
 
 
@@ -127,8 +127,8 @@ def boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
 def central_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
     """Central vector triple at length n, with the containment assertion
     that every one of the three is realized."""
-    if n < 1:
-        raise InvalidInputError(f"length must be >= 1, got {n}")
+    _require_tribonacci(buffer, "central_set")
+    n = integer_in(n, "length", 1)
     vectors = central_vectors(right_special_factor(buffer, n - 1).parikh)
     realized = parikh_set(buffer, n)
     for v in vectors:
@@ -143,8 +143,8 @@ def boundary_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
     """Boundary vector triple at length n: it meets the realized Parikh set
     exactly when the abelian complexity exceeds 3.  Entries may be negative
     for tiny n; such vectors are simply never realized."""
-    if n < 1:
-        raise InvalidInputError(f"length must be >= 1, got {n}")
+    _require_tribonacci(buffer, "boundary_set")
+    n = integer_in(n, "length", 1)
     return boundary_vectors(right_special_factor(buffer, n - 1).parikh)
 
 
@@ -307,8 +307,7 @@ def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector
 
 def is_min_complexity_length(n: int) -> bool:
     """Closed-form membership: n = 1 or n = (T_m + T_{m+2} - 1) / 2."""
-    if n < 1:
-        raise InvalidInputError(f"length must be >= 1, got {n}")
+    n = integer_in(n, "length", 1)
     return n == 1 or n == next(v for v in _closed_form_lengths(1) if v >= n)
 
 
@@ -328,6 +327,7 @@ def successor_length(buffer: WordBuffer, n: int) -> int:
     Satisfies successor_length(n) = n + i + j + 1 for the special factor's
     Parikh vector (i, j, k).
     """
+    _require_tribonacci(buffer, "successor_length")
     record = right_special_factor(buffer, n - 1)
     image = apply_morphism(buffer.morphism, record.word) + b"\x00"
     value = len(image) + 1
@@ -363,6 +363,7 @@ def verify_equivalences(buffer: WordBuffer, n_max: int) -> list[EquivalenceRow]:
     """Check, for every n up to n_max, that the five characterizations of
     minimal abelian complexity agree; raises ``VerificationFailureError``
     naming the first disagreeing length."""
+    _require_tribonacci(buffer, "verify_equivalences")
     rows = []
     if n_max < 1:
         return rows

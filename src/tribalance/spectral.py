@@ -1,19 +1,25 @@
-"""Eigendata of the substitution matrix and the discrepancy machinery.
+"""Eigendata of the substitution matrix, the discrepancy machinery, and
+the exact spectral certificate of 2-balance.
 
 The incidence matrix of the Tribonacci morphism has characteristic
-polynomial x^3 - x^2 - x - 1 with one real (Pisot) root and a complex
-conjugate pair strictly inside the unit circle.  Writing a prefix length N
-in the Tribonacci numeration, the count of a letter in that prefix minus
-N times the letter frequency equals a geometric-type sum over the digit
-positions weighted by powers of the complex root; splitting that sum into
-a finite head plus a geometrically bounded tail yields per-letter
-discrepancy intervals, and any such interval (lower, upper) forces the
-word to be balanced with bound strictly below 2*(upper - lower).
+polynomial x^3 - x^2 - x - 1 with one real (Pisot) root beta and a complex
+conjugate pair alpha, conj(alpha) strictly inside the unit circle.  Writing
+a prefix length N in the Tribonacci numeration, the count of a letter in
+that prefix minus N times the letter frequency equals a sum of head terms
+2 Re(C alpha^k) over the set digits k; a finite head plus a geometrically
+bounded tail yields per-letter discrepancy intervals, and any such
+interval (lower, upper) forces the word to be balanced with bound strictly
+below 2*(upper - lower).  The float ``SpectralData`` feeds data only (the
+discrepancy tables, the digit-expansion oracle).  The certificate never
+reads it: every quantity it decides on is a rational function of beta, so
+it compares ``Fraction`` intervals around an integer bisection of beta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +28,9 @@ from .errors import (
     NumericError,
     RangeError,
     VerificationFailureError,
+    integer_in,
 )
-from .numeration import digit_columns, zeckendorf_encode
+from .numeration import digit_columns, tau_parikh_table, zeckendorf_encode
 from .words import WordBuffer
 
 DEFAULT_TOLERANCE = 1e-14
@@ -56,42 +63,16 @@ class SpectralData:
     coeff_beta: float
     coeff_alpha: complex
 
-    @property
-    def abs_alpha(self) -> float:
-        return abs(self.alpha)
-
-    @property
-    def abs_coeff_alpha(self) -> float:
-        return abs(self.coeff_alpha)
-
     def frequency(self, letter: int) -> float:
         """Asymptotic frequency of the letter: beta^-(letter+1)."""
-        _check_letter(letter)
+        letter = integer_in(letter, "letter", 0, 2)
         return self.beta ** -(letter + 1)
 
     def mixing_factor(self, letter: int) -> complex:
         """alpha^-(letter+1) - beta^-(letter+1); its modulus controls both
         the head terms and the tail bound for that letter."""
-        _check_letter(letter)
+        letter = integer_in(letter, "letter", 0, 2)
         return self.alpha ** -(letter + 1) - self.beta ** -(letter + 1)
-
-
-def named_constants(sd: SpectralData) -> dict[str, float]:
-    """The six constants the paper states, by name: beta, |alpha|,
-    |coefficient of alpha| and |mixing factor| of each letter."""
-    return {
-        "beta": sd.beta,
-        "abs_alpha": sd.abs_alpha,
-        "abs_a_alpha": sd.abs_coeff_alpha,
-        "factor_i0": abs(sd.mixing_factor(0)),
-        "factor_i1": abs(sd.mixing_factor(1)),
-        "factor_i2": abs(sd.mixing_factor(2)),
-    }
-
-
-def _check_letter(letter: int) -> None:
-    if letter not in (0, 1, 2):
-        raise InvalidInputError(f"letter must be 0, 1 or 2, got {letter}")
 
 
 def compute_spectral_data() -> SpectralData:
@@ -138,8 +119,8 @@ def compute_spectral_data() -> SpectralData:
 
 def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData) -> float:
     """Prefix count of the letter minus n times its frequency."""
-    _check_letter(letter)
-    if n < 0 or n > len(buffer):
+    letter, n = integer_in(letter, "letter", 0, 2), integer_in(n, "prefix length")
+    if n > len(buffer):
         raise RangeError(f"prefix length {n} outside buffer of length {len(buffer)}")
     return float(buffer.prefix_counts[letter, n] - n * sd.frequency(letter))
 
@@ -154,7 +135,7 @@ def discrepancy_from_digits(digits, letter: int, sd: SpectralData) -> np.ndarray
     formula -- add alpha^k where the digit is set, then advance to
     alpha^(k+1) -- so each entry is bit for bit what one row alone gives.
     """
-    _check_letter(letter)
+    letter = integer_in(letter, "letter", 0, 2)
     columns = digit_columns(digits)
     coef = sd.coeff_alpha * sd.mixing_factor(letter)
     power_sum = np.zeros(columns.shape[1], dtype=complex)
@@ -179,7 +160,7 @@ def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,
                        sd: SpectralData) -> np.ndarray:
     """The direct discrepancy of every prefix length 0..n_max, as float64;
     entry N equals ``discrepancy_direct(buffer, N, letter, sd)``."""
-    _check_letter(letter)
+    letter, n_max = integer_in(letter, "letter", 0, 2), integer_in(n_max, "n_max")
     if n_max > len(buffer):
         raise RangeError(f"n_max {n_max} exceeds buffer length {len(buffer)}")
     ns = np.arange(n_max + 1, dtype=np.float64)
@@ -193,135 +174,157 @@ def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,
     return float(d.min()), float(d.max())
 
 
-def head_terms(sd: SpectralData, letter: int, cutoff: int) -> np.ndarray:
-    """The exact head contributions 2 Re(coeff * mixing * alpha^k), k <= cutoff."""
-    coef = sd.coeff_alpha * sd.mixing_factor(letter)
-    powers = sd.alpha ** np.arange(cutoff + 1)
-    return 2.0 * (coef * powers).real
+# ---------------------------------------------------------------------------
+# The exact certificate
+
+#: beta and every square root are enclosed to within 2**-BITS.
+BITS = 96
+
+#: p_k = beta^-k + alpha^-k + conj(alpha)^-k for k = 1, 2, 3: the power sums
+#: of the roots of x^3 + x^2 + x - 1, the reciprocals of beta and alpha.
+RECIPROCAL_POWER_SUMS = (-1, -1, 5)
 
 
-def head_extremes(sd: SpectralData, letter: int, cutoff: int,
-                  constrained: bool = False) -> tuple[float, float]:
-    """Extreme values of the digit-weighted head sum over digits 0..cutoff.
+class _Interval:
+    """Rationals lo <= hi.  Each operation returns an interval holding every
+    value the exact operation takes on its operands, so an expression of
+    intervals encloses the exact value of the expression."""
 
-    Unconstrained: digits chosen freely in {0,1}, so the maximum collects
-    the positive terms and the minimum the negative ones.  Constrained:
-    digits must satisfy the numeration rule (no three consecutive ones);
-    solved by dynamic programming over the last two digits.
-    """
-    if cutoff < 0:
-        raise InvalidInputError("cutoff must be >= 0")
-    terms = head_terms(sd, letter, cutoff)
-    if not constrained:
-        return float(terms[terms < 0].sum()), float(terms[terms > 0].sum())
-    # DP state: (second-to-last digit, last digit) -> (lowest, highest)
-    # partial sum.
-    best = {(0, 0): (0.0, 0.0)}
-    for t in terms:
-        new: dict[tuple[int, int], tuple[float, float]] = {}
-        for (a, b), (lo, hi) in best.items():
-            for d in (0,) if a == b == 1 else (0, 1):
-                key = (b, d)
-                add = t if d else 0.0
-                lo_val, hi_val = lo + add, hi + add
-                if key in new:
-                    old_lo, old_hi = new[key]
-                    new[key] = (min(old_lo, lo_val), max(old_hi, hi_val))
-                else:
-                    new[key] = (lo_val, hi_val)
-        best = new
-    return min(lo for lo, _ in best.values()), max(hi for _, hi in best.values())
+    __slots__ = ("lo", "hi")
 
+    def __init__(self, lo, hi=None):
+        self.lo, self.hi = Fraction(lo), Fraction(lo if hi is None else hi)
 
-def tail_bound(sd: SpectralData, letter: int, cutoff: int) -> float:
-    """Closed-form bound on the discarded tail:
-    2 |coeff| * |mixing| * |alpha|^(cutoff+1) / (1 - |alpha|)."""
-    if cutoff < 0:
-        raise InvalidInputError("cutoff must be >= 0")
-    r = sd.abs_alpha
-    return 2.0 * sd.abs_coeff_alpha * abs(sd.mixing_factor(letter)) * r ** (cutoff + 1) / (1.0 - r)
+    def __add__(self, other):
+        other = _enclose(other)
+        return _Interval(self.lo + other.lo, self.hi + other.hi)
 
+    def __sub__(self, other):
+        other = _enclose(other)
+        return _Interval(self.lo - other.hi, self.hi - other.lo)
 
-@dataclass(frozen=True)
-class DiscrepancyInterval:
-    """Open interval certified to contain the prefix discrepancy of a letter."""
+    def __rsub__(self, other):
+        return _enclose(other) - self
 
-    letter: int
-    lower: float
-    upper: float
+    def __mul__(self, other):
+        other = _enclose(other)
+        ends = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return _Interval(min(ends), max(ends))
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise InvalidInputError(f"empty discrepancy interval [{self.lower}, {self.upper}]")
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _enclose(other)
+        if other.lo <= 0:
+            raise NumericError("an interval divisor must lie above 0")
+        return self * _Interval(1 / other.hi, 1 / other.lo)
+
+    def __pow__(self, k: int):
+        # Powers, negative ones too, are taken of intervals above 0 only.
+        lo, hi = sorted((self.lo**k, self.hi**k))
+        return _Interval(lo, hi)
+
+    def sqrt(self):
+        # isqrt(floor(x * 4^BITS)) / 2^BITS <= sqrt(x) < (that + 1) / 2^BITS.
+        lo, hi = (math.isqrt((x.numerator << 2 * BITS) // x.denominator)
+                  for x in (self.lo, self.hi))
+        return _Interval(Fraction(lo, 1 << BITS), Fraction(hi + 1, 1 << BITS))
 
 
-def balance_bound_from_interval(lower: float, upper: float) -> int:
-    """Largest integer strictly below 2*(upper - lower).
+def _enclose(value) -> _Interval:
+    return value if isinstance(value, _Interval) else _Interval(value)
+
+
+def _beta() -> _Interval:
+    """beta to within 2**-BITS: integer bisection of x^3 - x^2 - x - 1,
+    scaled by 2**BITS.  It is -2 at 1, 1 at 2 and increasing in between."""
+    scale = 1 << BITS
+    lo, hi = scale, 2 * scale
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**3 - mid**2 * scale - mid * scale**2 - scale**3 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return _Interval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _head_terms(beta: _Interval, letter: int, cutoff: int) -> list[_Interval]:
+    """Head terms k = 0..cutoff: the letter count of tau^k(0) minus its
+    length times the letter frequency beta^-(letter+1)."""
+    freq = beta ** -(letter + 1)
+    return [parikh[letter] - sum(parikh) * freq
+            for parikh in tau_parikh_table(cutoff + 1).T.tolist()]
+
+
+def _coefficient_squared(beta: _Interval, h0: _Interval, h1: _Interval) -> _Interval:
+    """|C|^2 for head terms h_k = 2 Re(C alpha^k): C (alpha - conj(alpha))
+    = h_1 - h_0 conj(alpha), alpha + conj(alpha) = 1 - beta, |alpha|^2 = 1/beta."""
+    return ((h1 * h1 - h0 * h1 * (1 - beta) + h0 * h0 * beta**-1)
+            / (4 * beta**-1 - (1 - beta) * (1 - beta)))
+
+
+def named_constants() -> dict[str, tuple[Fraction, Fraction]]:
+    """The six constants the paper states, by name, as rational bounds
+    (lo, hi): beta; |alpha| = beta^-1/2; |coefficient of alpha| =
+    |C_0| / |mix_0|; and |mix_a| for each letter's mixing factor
+    mix_a = alpha^-k - beta^-k, k = a + 1, from
+    |mix_a|^2 = beta^k + 2 beta^-2k - p_k beta^-k."""
+    beta = _beta()
+    inv = beta**-1
+    mix = [beta**k + 2 * inv ** (2 * k) - p * inv**k
+           for k, p in enumerate(RECIPROCAL_POWER_SUMS, start=1)]
+    values = {
+        "beta": beta,
+        "abs_alpha": inv.sqrt(),
+        "abs_a_alpha": (_coefficient_squared(beta, *_head_terms(beta, 0, 1)) / mix[0]).sqrt(),
+        **{f"factor_i{a}": m.sqrt() for a, m in enumerate(mix)},
+    }
+    return {name: (v.lo, v.hi) for name, v in values.items()}
+
+
+def balance_bound_from_interval(lower, upper) -> int:
+    """Largest integer strictly below 2*(upper - lower), exactly; a float
+    bound is read as the binary value it is.
 
     A prefix discrepancy pinned to (lower, upper) bounds any window's
     discrepancy to (lower-upper, upper-lower), so two equal-length windows
     differ by strictly less than 2*(upper-lower); count differences are
     integers, which justifies dropping an exact-integer boundary.
     """
+    lower, upper = Fraction(lower), Fraction(upper)
     if not lower < upper:
-        raise InvalidInputError(f"interval bounds must satisfy lower < upper, got [{lower}, {upper}]")
-    x = 2.0 * (upper - lower)
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return int(nearest) - 1
-    return int(np.floor(x))
+        raise InvalidInputError(f"interval bounds must satisfy lower < upper, got ({lower}, {upper})")
+    return math.ceil(2 * (upper - lower)) - 1
 
 
-@dataclass(frozen=True)
-class BoundDerivation:
-    """One letter's full derivation: head extremes, tail bound, the
-    resulting discrepancy interval, and the balance bound it implies."""
-
-    letter: int
-    head_cutoff: int
-    head_min: float
-    head_max: float
-    constrained_head_min: float
-    constrained_head_max: float
-    tail: float
-    interval: DiscrepancyInterval
-    balance_bound: int
-
-
-def certify_balance_bounds(sd: SpectralData,
-                           cutoffs: tuple[int, int, int] = HEAD_CUTOFFS) -> list[BoundDerivation]:
-    """Re-derive the per-letter discrepancy intervals and turn each into a
-    balance bound.
-
-    The containment assertion uses the unconstrained head extremes (they
-    dominate the constrained ones, so the certificate holds a fortiori);
-    both are reported.  Raises ``VerificationFailureError`` naming the
-    letter if a derived interval escapes its certified target.
-    """
+def certify_balance_bounds(cutoffs: tuple[int, int, int] = HEAD_CUTOFFS
+                           ) -> list[tuple[tuple[Fraction, Fraction], Fraction, int]]:
+    """Per letter, ``((lower, upper), tail, bound)``, rationals rounded
+    outward: the head extremes (digits 0..cutoff free, so the sums of the
+    negative and of the positive head terms) widened by the tail bound
+    2 |C| r^(cutoff+1) / (1 - r), r = |alpha| = beta^-1/2, and the balance
+    bound.  Raises ``VerificationFailureError`` naming the letter if an
+    interval escapes its target, read exactly from its decimal text."""
+    if len(cutoffs) != 3:
+        raise InvalidInputError(f"expected one cutoff per letter, got {cutoffs!r}")
+    beta = _beta()
+    r = (beta**-1).sqrt()
     derivations = []
-    for letter in (0, 1, 2):
-        cutoff = cutoffs[letter]
-        lo_u, hi_u = head_extremes(sd, letter, cutoff, constrained=False)
-        lo_c, hi_c = head_extremes(sd, letter, cutoff, constrained=True)
-        tail = tail_bound(sd, letter, cutoff)
-        interval = DiscrepancyInterval(letter, lo_u - tail, hi_u + tail)
-        target_lo, target_hi = TARGET_INTERVALS[letter]
-        if interval.lower < target_lo or interval.upper > target_hi:
+    for letter, cutoff in enumerate(cutoffs):
+        cutoff = integer_in(cutoff, "cutoff")
+        terms = _head_terms(beta, letter, max(cutoff, 1))
+        tail = (2 * _coefficient_squared(beta, *terms[:2]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
+        head = terms[: cutoff + 1]
+        if any(t.lo <= 0 <= t.hi for t in head):
+            raise NumericError(f"letter {letter}: the sign of a head term is undecided")
+        lower = sum(t.lo for t in head if t.hi < 0) - tail
+        upper = sum(t.hi for t in head if t.lo > 0) + tail
+        target = TARGET_INTERVALS[letter]
+        if lower < Fraction(str(target[0])) or upper > Fraction(str(target[1])):
             raise VerificationFailureError(
-                f"letter {letter}: derived interval ({interval.lower:.6f}, {interval.upper:.6f}) "
-                f"escapes the target ({target_lo}, {target_hi})"
+                f"letter {letter}: derived interval ({float(lower):.6f}, {float(upper):.6f}) "
+                f"escapes the target {target}"
             )
-        derivations.append(
-            BoundDerivation(
-                letter=letter,
-                head_cutoff=cutoff,
-                head_min=lo_u,
-                head_max=hi_u,
-                constrained_head_min=lo_c,
-                constrained_head_max=hi_c,
-                tail=tail,
-                interval=interval,
-                balance_bound=balance_bound_from_interval(interval.lower, interval.upper),
-            )
-        )
+        derivations.append(((lower, upper), tail, balance_bound_from_interval(lower, upper)))
     return derivations

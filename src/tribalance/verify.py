@@ -5,7 +5,7 @@ sequences, balance bounds, numeration laws, spectral constants -- and
 reports observed versus expected.  The ``paper`` suite is the full
 registry; ``run_suite`` executes every claim, records wall time, and
 downgrades resource failures (a buffer or scan cap too small) to
-``skipped`` so a constrained run stays distinguishable from a wrong one.
+``skipped`` so a run under tight caps stays distinguishable from a wrong one.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable
 
@@ -47,15 +48,13 @@ SPECTRAL_CONSTANTS_5DP = MappingProxyType({
 })
 
 
-def matches_truncated(value: float, stated: float, decimals: int = 5) -> bool:
-    """True iff ``stated`` is the ``decimals``-digit truncation of value:
-    value lies in the half-open interval [stated - 1e-12, stated + 10^-decimals).
-
-    The 1e-12 of slack below ``stated`` absorbs float rounding for a value
-    that equals the stated decimal, since neither is exact in binary.
-    """
-    step = 10.0 ** -decimals
-    return stated - 1e-12 <= value < stated + step
+def matches_truncated(bounds: tuple[Fraction, Fraction], stated: float, decimals: int = 5) -> bool:
+    """True iff the rational ``bounds`` (lo, hi) lie in [stated, stated +
+    10^-decimals), ``stated`` read exactly from its decimal text: it is the
+    ``decimals``-digit truncation of every value between them."""
+    lo, hi = bounds
+    stated = Fraction(str(stated))
+    return stated <= lo and hi < stated + Fraction(1, 10**decimals)
 
 
 @dataclass
@@ -111,7 +110,6 @@ class SuiteContext:
         self.config = config
         self._buffer: WordBuffer | None = None
         self._fourbonacci: WordBuffer | None = None
-        self._sd: spectral.SpectralData | None = None
         self._profiles: dict[tuple[int, bool], list[abelian.ProfileRow]] = {}
 
     def log(self, message: str) -> None:
@@ -128,11 +126,6 @@ class SuiteContext:
         if self._fourbonacci is None:
             self._fourbonacci = mbonacci_word(4, min_len, max_symbols=self.config.max_buffer)
         return self._fourbonacci.ensure(min_len)
-
-    def spectral_data(self) -> spectral.SpectralData:
-        if self._sd is None:
-            self._sd = spectral.compute_spectral_data()
-        return self._sd
 
     def profile(self, n_max: int, vectors: bool = False) -> list[abelian.ProfileRow]:
         for (cached_max, cached_vec), rows in self._profiles.items():
@@ -193,16 +186,17 @@ def _claim_fourbonacci_witness(ctx: SuiteContext):
 
 
 def _claim_spectral_constants(ctx: SuiteContext):
-    observed = spectral.named_constants(ctx.spectral_data())
+    observed = spectral.named_constants()
     ok = all(
         matches_truncated(observed[name], stated)
         for name, stated in SPECTRAL_CONSTANTS_5DP.items()
     )
-    return ok, {k: round(v, 7) for k, v in observed.items()}, dict(SPECTRAL_CONSTANTS_5DP)
+    return ok, {k: round(float(lo), 7) for k, (lo, _) in observed.items()}, \
+        dict(SPECTRAL_CONSTANTS_5DP)
 
 
 def _claim_oracle_equivalence(ctx: SuiteContext):
-    sd = ctx.spectral_data()
+    sd = spectral.compute_spectral_data()
     buf = ctx.buffer(1_000_001)
     rng = random.Random(ctx.config.seed)
     ns = np.array([rng.randrange(0, 1_000_001) for _ in range(10_000)], dtype=np.int64)
@@ -218,19 +212,15 @@ def _claim_oracle_equivalence(ctx: SuiteContext):
 
 def _prop_claim(letter: int):
     def run(ctx: SuiteContext):
-        sd = ctx.spectral_data()
-        derivation = spectral.certify_balance_bounds(sd)[letter]
+        # Raises VerificationFailureError if the interval escapes its target.
+        (lower, upper), tail, bound = spectral.certify_balance_bounds()[letter]
         target = spectral.TARGET_INTERVALS[letter]
         tail_target = spectral.TARGET_TAIL_BOUNDS[letter]
-        contained = (
-            target[0] <= derivation.interval.lower
-            and derivation.interval.upper <= target[1]
-        )
-        ok = contained and derivation.tail < tail_target and derivation.balance_bound == 2
+        ok = tail < Fraction(str(tail_target)) and bound == 2
         observed = {
-            "interval": [round(derivation.interval.lower, 6), round(derivation.interval.upper, 6)],
-            "tail": round(derivation.tail, 6),
-            "balance_bound": derivation.balance_bound,
+            "interval": [round(float(lower), 6), round(float(upper), 6)],
+            "tail": round(float(tail), 6),
+            "balance_bound": bound,
         }
         expected = {"interval_within": list(target), "tail_below": tail_target, "balance_bound": 2}
         return ok, observed, expected
@@ -239,7 +229,7 @@ def _prop_claim(letter: int):
 
 
 def _claim_empirical_containment(ctx: SuiteContext):
-    sd = ctx.spectral_data()
+    sd = spectral.compute_spectral_data()
     buf = ctx.buffer(1_000_001)
     observed = {}
     ok = True

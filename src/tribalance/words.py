@@ -17,6 +17,7 @@ from .errors import (
     ConfigurationError,
     InvalidInputError,
     RangeError,
+    integer_in,
 )
 
 Symbol = int
@@ -58,11 +59,7 @@ class Morphism:
 
     def __init__(self, images: Iterable[WordLike]):
         images = tuple(as_word(im) for im in images)
-        m = len(images)
-        if m < 2:
-            raise InvalidInputError(f"alphabet must have at least 2 letters, got {m}")
-        if m > _MAX_ALPHABET:
-            raise InvalidInputError(f"alphabet size {m} exceeds byte storage ({_MAX_ALPHABET})")
+        m = integer_in(len(images), "alphabet size", 2, _MAX_ALPHABET)
         for a, im in enumerate(images):
             if any(c >= m for c in im):
                 raise InvalidInputError(f"image of {a} uses symbols outside the {m}-letter alphabet")
@@ -104,10 +101,7 @@ def apply_morphism(morphism: Morphism, w: WordLike) -> bytes:
 def mbonacci_morphism(m: int) -> Morphism:
     """The order-m generalization of the Fibonacci/Tribonacci morphism:
     i maps to the two-letter word 0,(i+1) for i < m-1, and m-1 maps to 0."""
-    if m < 2:
-        raise InvalidInputError(f"m-bonacci morphism needs m >= 2, got {m}")
-    if m > _MAX_ALPHABET:
-        raise InvalidInputError(f"alphabet size {m} exceeds byte storage ({_MAX_ALPHABET})")
+    m = integer_in(m, "m-bonacci order", 2, _MAX_ALPHABET)
     images = [bytes((0, i + 1)) for i in range(m - 1)]
     images.append(bytes((0,)))
     return Morphism(images)
@@ -154,10 +148,9 @@ class WordBuffer:
 
     def __init__(self, morphism: Morphism, seed: Symbol,
                  max_symbols: int = DEFAULT_MAX_SYMBOLS, position_cap: int | None = None):
-        if not 0 <= seed < morphism.alphabet_size:
-            raise InvalidInputError(f"seed {seed} outside alphabet of size {morphism.alphabet_size}")
-        if position_cap is not None and position_cap < 1:
-            raise InvalidInputError(f"position cap must be >= 1, got {position_cap}")
+        seed = integer_in(seed, "seed", 0, morphism.alphabet_size - 1)
+        if position_cap is not None:
+            position_cap = integer_in(position_cap, "position cap", 1)
         if not morphism.is_prolongable_at(seed):
             raise ConfigurationError(
                 f"morphism is not prolongable at {seed}: image must start with the seed and have length >= 2"
@@ -233,8 +226,7 @@ def fixed_point_prefix(morphism: Morphism, seed: Symbol, min_len: int,
                        position_cap: int | None = None) -> WordBuffer:
     """Buffer holding at least min_len symbols of the fixed point of the
     morphism at the given seed."""
-    if min_len < 1:
-        raise InvalidInputError(f"prefix length must be >= 1, got {min_len}")
+    min_len = integer_in(min_len, "prefix length", 1)
     return WordBuffer(morphism, seed, max_symbols=max_symbols,
                       position_cap=position_cap).ensure(min_len)
 

@@ -8,7 +8,9 @@ sorting route the dense profile pass replaced: it reads window bounds from
 an index over the full capped region and deduplicates count columns with
 ``np.unique``.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
 loop the batched oracle-equivalence claim replaced, with its own copy of
-the alpha-power sum.
+the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
+float route the exact spectral certificate replaced: they read the
+eigendata of ``compute_spectral_data``, which the certificate never does.
 """
 
 from __future__ import annotations
@@ -90,6 +92,26 @@ def unique_profile(buffer, n_max: int):
         imbalance = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
         rows.append((n, len(vectors), imbalance, vectors))
     return rows
+
+
+def float_head_terms(sd, letter: int, cutoff: int) -> np.ndarray:
+    """Head terms 2 Re(coeff_alpha * mixing * alpha^k), k <= cutoff, in floats."""
+    coef = sd.coeff_alpha * sd.mixing_factor(letter)
+    return 2.0 * (coef * sd.alpha ** np.arange(cutoff + 1)).real
+
+
+def float_tail_bound(sd, letter: int, cutoff: int) -> float:
+    """2 |coeff_alpha| |mixing| |alpha|^(cutoff+1) / (1 - |alpha|), in floats."""
+    r = abs(sd.alpha)
+    return 2.0 * abs(sd.coeff_alpha) * abs(sd.mixing_factor(letter)) * r ** (cutoff + 1) / (1.0 - r)
+
+
+def float_interval(sd, letter: int, cutoff: int) -> tuple[float, float]:
+    """The float discrepancy interval: the sums of the negative and of the
+    positive head terms, widened by the tail bound."""
+    terms = float_head_terms(sd, letter, cutoff)
+    tail = float_tail_bound(sd, letter, cutoff)
+    return float(terms[terms < 0].sum()) - tail, float(terms[terms > 0].sum()) + tail
 
 
 def scalar_eq1_worst(buffer, sd, seed: int) -> float:

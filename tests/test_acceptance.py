@@ -8,7 +8,9 @@ claim runtimes, with shared-build time charged to the criterion that
 triggered it.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,17 @@ def test_criterion_13_value7_recurs(report):
 def test_criterion_14_geometry(report):
     _check(report, 14, "realized sets fit admissible regions of sizes 7,7,7,6,6,6",
            ["twelve_vector_geometry_n2000"], budget_ms=1_000)
+
+
+def test_observed_values_match_the_benchmark_reference(report):
+    # Every claim's observed value, as JSON, equals the one the benchmark
+    # harness checks against at seed 0.
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+                           .read_text())
+    assert reference["default_seed"] == 0
+    observed = {c.claim_id: json.loads(json.dumps(c.observed)) for c in report.claims}
+    assert len(observed) == 22
+    assert observed == reference["full"]["verify"]["claims"]
 
 
 def test_registry_is_complete(report):

@@ -88,7 +88,7 @@ def test_right_special_extension_degree(tribo):
     lambda b: is_min_complexity_length(0),
 ], ids=["right_special_factor", "central_set", "boundary_set", "is_min_complexity_length"])
 def test_length_checks(tribo, query):
-    with pytest.raises(InvalidInputError, match="length must be >= "):
+    with pytest.raises(InvalidInputError, match="length must be an integer >= "):
         query(tribo)
 
 

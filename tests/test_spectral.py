@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import float_head_terms, float_interval, float_tail_bound
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +18,8 @@ from tribalance import (
     discrepancy_extremes,
     discrepancy_from_digits,
     discrepancy_spectral,
-    head_extremes,
     incidence_matrix,
     is_valid_rep_many,
-    tail_bound,
     tribonacci_morphism,
     zeckendorf_encode_many,
 )
@@ -27,16 +27,29 @@ from tribalance.spectral import (
     HEAD_CUTOFFS,
     TARGET_INTERVALS,
     TARGET_TAIL_BOUNDS,
-    DiscrepancyInterval,
-    head_terms,
+    named_constants,
 )
 from tribalance.verify import SPECTRAL_CONSTANTS_5DP, matches_truncated
 
 
-@pytest.mark.parametrize("bound", [head_extremes, tail_bound])
-def test_negative_cutoff_is_refused(sd, bound):
-    with pytest.raises(InvalidInputError, match="cutoff must be >= 0"):
-        bound(sd, 0, -1)
+# Each case names the part of the certificate a negative cutoff would corrupt
+# unchecked: at -2 the head slice terms[:cutoff + 1] wraps to drop the last
+# term, at -1 the tail bound r^(cutoff+1) covers the whole series with no
+# head term summed.
+@pytest.mark.parametrize("cutoff", [
+    pytest.param(-2, id="head_extremes"),
+    pytest.param(-1, id="tail_bound"),
+])
+def test_negative_cutoff_is_refused(cutoff):
+    with pytest.raises(InvalidInputError, match="cutoff must be an integer >= 0"):
+        certify_balance_bounds(cutoffs=(7, cutoff, 13))
+
+
+def test_malformed_cutoffs_are_refused():
+    with pytest.raises(InvalidInputError, match="cutoff must be an integer >= 0"):
+        certify_balance_bounds(cutoffs=(7, 10.0, 13))
+    with pytest.raises(InvalidInputError, match="one cutoff per letter"):
+        certify_balance_bounds(cutoffs=(7, 10))
 
 
 def test_discrepancy_column_refuses_past_buffer(tribo, sd):
@@ -48,20 +61,36 @@ def test_root_relations(sd):
     assert abs(sd.beta ** 3 - sd.beta ** 2 - sd.beta - 1) < 1e-12
     assert abs(sd.alpha ** 3 - sd.alpha ** 2 - sd.alpha - 1) < 1e-12
     # The three roots multiply to 1, so |alpha| = beta ** -0.5.
-    assert abs(sd.abs_alpha - sd.beta ** -0.5) < 1e-12
+    assert abs(abs(sd.alpha) - sd.beta ** -0.5) < 1e-12
 
 
 def test_published_truncations(sd):
-    observed = {
+    # Decided on the exact enclosures; the float eigendata is the oracle.
+    exact = named_constants()
+    floats = {
         "beta": sd.beta,
-        "abs_alpha": sd.abs_alpha,
-        "abs_a_alpha": sd.abs_coeff_alpha,
-        "factor_i0": abs(sd.mixing_factor(0)),
-        "factor_i1": abs(sd.mixing_factor(1)),
-        "factor_i2": abs(sd.mixing_factor(2)),
+        "abs_alpha": abs(sd.alpha),
+        "abs_a_alpha": abs(sd.coeff_alpha),
+        **{f"factor_i{a}": abs(sd.mixing_factor(a)) for a in range(3)},
     }
+    assert list(exact) == list(SPECTRAL_CONSTANTS_5DP) == list(floats)
     for name, stated in SPECTRAL_CONSTANTS_5DP.items():
-        assert matches_truncated(observed[name], stated), (name, observed[name])
+        lo, hi = exact[name]
+        assert type(lo) is type(hi) is Fraction
+        assert 0 <= hi - lo < Fraction(1, 10**25)
+        assert matches_truncated(exact[name], stated), name
+        assert abs(float(lo) - floats[name]) < 1e-12
+        assert f"{float(lo):.12g}" == f"{floats[name]:.12g}"
+
+
+def test_truncation_rule_is_exact():
+    # The stated decimal itself is its own truncation; anything below it,
+    # however close, is not.
+    stated = Fraction("1.83928")
+    assert matches_truncated((stated, stated), 1.83928)
+    assert not matches_truncated((stated - Fraction(1, 10**30), stated), 1.83928)
+    assert not matches_truncated((stated, stated + Fraction(1, 10**5)), 1.83928)
+    assert matches_truncated((stated, stated + Fraction(1, 10**5) - Fraction(1, 10**30)), 1.83928)
 
 
 def test_eigenvectors(sd):
@@ -156,74 +185,69 @@ def test_oracle_equivalence_sample(tribo, sd):
             ) < 1e-6
 
 
-def test_head_extremes_match_published_two_decimals(sd):
-    published = {0: (-0.42, 0.73), 1: (-0.70, 0.65), 2: (-0.8371, 0.5764)}
-    for letter, cutoff in zip((0, 1, 2), HEAD_CUTOFFS):
-        lo, hi = head_extremes(sd, letter, cutoff)
-        p_lo, p_hi = published[letter]
-        assert p_lo < lo < p_lo + 0.01
-        assert p_hi - 0.01 < hi < p_hi
+def test_head_extremes_match_published_two_decimals():
+    # The head extremes are the certified interval narrowed by the tail.
+    published = {0: ("-0.42", "0.73"), 1: ("-0.70", "0.65"), 2: ("-0.8371", "0.5764")}
+    for letter, ((lower, upper), tail, _) in enumerate(certify_balance_bounds()):
+        lo, hi = lower + tail, upper - tail
+        p_lo, p_hi = (Fraction(x) for x in published[letter])
+        assert p_lo < lo < p_lo + Fraction(1, 100)
+        assert p_hi - Fraction(1, 100) < hi < p_hi
 
 
 def test_head_extremes_unconstrained_contains_constrained(sd):
-    for letter in (0, 1, 2):
-        for cutoff in range(15):
-            lo_u, hi_u = head_extremes(sd, letter, cutoff, constrained=False)
-            lo_c, hi_c = head_extremes(sd, letter, cutoff, constrained=True)
-            assert lo_u <= lo_c <= hi_c <= hi_u
-
-
-def test_head_extremes_constrained_matches_enumeration(sd):
-    # Independent oracle: enumerate every valid digit string outright.
-    import itertools
-
-    for letter, cutoff in ((0, 7), (1, 9), (2, 6)):
-        terms = head_terms(sd, letter, cutoff)
-        values = []
-        for bits in itertools.product((0, 1), repeat=cutoff + 1):
-            if any(bits[k] and bits[k - 1] and bits[k - 2] for k in range(2, cutoff + 1)):
-                continue
-            values.append(sum(t for b, t in zip(bits, terms) if b))
-        lo, hi = head_extremes(sd, letter, cutoff, constrained=True)
-        assert abs(lo - min(values)) < 1e-12
-        assert abs(hi - max(values)) < 1e-12
+    # The head takes digits 0..cutoff freely, so it contains the head sum
+    # of every valid digit string, enumerated outright with float terms.
+    ders = certify_balance_bounds()
+    for letter, cutoff in enumerate(HEAD_CUTOFFS):
+        (lower, upper), tail, _ = ders[letter]
+        codes = np.arange(2 ** (cutoff + 1))
+        bits = ((codes[:, None] >> np.arange(cutoff + 1)) & 1).astype(np.uint8)
+        sums = bits[is_valid_rep_many(bits)] @ float_head_terms(sd, letter, cutoff)
+        assert float(lower + tail) - 1e-12 <= sums.min() < 0 < sums.max() <= float(upper - tail) + 1e-12
 
 
 def test_tail_bounds_below_published(sd):
+    ders = certify_balance_bounds()
     for letter, cutoff, target in zip((0, 1, 2), HEAD_CUTOFFS, TARGET_TAIL_BOUNDS):
-        cap = tail_bound(sd, letter, cutoff)
-        assert 0 < cap < target
+        tail = ders[letter][1]
+        assert 0 < tail < Fraction(str(target))
+        assert abs(float(tail) - float_tail_bound(sd, letter, cutoff)) < 1e-12
     # Closed form at letter 0, cutoff 7: the published bound is 0.17.
-    assert abs(tail_bound(sd, 0, 7) - 0.1621988) < 1e-6
+    assert abs(float(ders[0][1]) - 0.1621988) < 1e-6
 
 
 def test_balance_bound_rule():
-    assert balance_bound_from_interval(-0.6, 0.9) == 2
-    assert balance_bound_from_interval(-0.775, 0.725) == 2
-    assert balance_bound_from_interval(-0.25, 0.25) == 0
-    assert balance_bound_from_interval(-0.3, 0.3) == 1
-    assert balance_bound_from_interval(0.0, 1.0) == 1
+    F = Fraction
+    assert balance_bound_from_interval(F("-0.6"), F("0.9")) == 2
+    assert balance_bound_from_interval(F("-0.775"), F("0.725")) == 2
+    assert balance_bound_from_interval(F("-0.25"), F("0.25")) == 0
+    assert balance_bound_from_interval(F("-0.3"), F("0.3")) == 1
+    assert balance_bound_from_interval(0, 1) == 1
+    # No slack around an integer: one part in 10^30 either side decides.
+    assert balance_bound_from_interval(0, 1 + F(1, 10**30)) == 2
+    assert balance_bound_from_interval(0, 1 - F(1, 10**30)) == 1
     with pytest.raises(InvalidInputError):
-        balance_bound_from_interval(0.5, 0.5)
-    with pytest.raises(InvalidInputError):
-        DiscrepancyInterval(0, 1.0, -1.0)
+        balance_bound_from_interval(F("0.5"), F("0.5"))
 
 
 def test_certified_derivations(sd):
-    ders = certify_balance_bounds(sd)
-    assert [d.balance_bound for d in ders] == [2, 2, 2]
-    for d, (lo, hi), tail_target in zip(ders, TARGET_INTERVALS, TARGET_TAIL_BOUNDS):
-        assert lo <= d.interval.lower < d.interval.upper <= hi
-        assert d.tail < tail_target
-        assert d.interval.lower == d.head_min - d.tail
-        assert d.interval.upper == d.head_max + d.tail
-        assert d.head_min <= d.constrained_head_min <= d.constrained_head_max <= d.head_max
+    ders = certify_balance_bounds()
+    assert [bound for _, _, bound in ders] == [2, 2, 2]
+    for letter, ((lower, upper), tail, _) in enumerate(ders):
+        assert type(lower) is type(upper) is type(tail) is Fraction
+        t_lo, t_hi = (Fraction(str(x)) for x in TARGET_INTERVALS[letter])
+        assert t_lo <= lower < upper <= t_hi
+        # The float route is the oracle.
+        f_lo, f_hi = float_interval(sd, letter, HEAD_CUTOFFS[letter])
+        assert abs(float(lower) - f_lo) < 1e-12
+        assert abs(float(upper) - f_hi) < 1e-12
 
 
-def test_certified_derivation_failure_raises(sd):
+def test_certified_derivation_failure_raises():
     # A cutoff of 0 leaves a huge geometric tail; the interval cannot fit.
     with pytest.raises(VerificationFailureError):
-        certify_balance_bounds(sd, cutoffs=(0, 0, 0))
+        certify_balance_bounds(cutoffs=(0, 0, 0))
 
 
 def test_empirical_extremes_strictly_inside(tribo, sd):

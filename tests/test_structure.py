@@ -8,6 +8,8 @@ The digit route of the discrepancy has one alpha-power sum, and the
 oracle-equivalence claim reaches it through the batch codec.  Every
 per-length window query reads its windows through one certified slicer,
 and returns its value itself, not a wrapper that repeats the arguments.
+The spectral certificate is exact: no float enters the code that decides
+it, and no float slack is left in it.
 """
 
 import ast
@@ -44,7 +46,7 @@ from tribalance import (
     verify_equivalences,
     window_parikh,
 )
-from tribalance import Desubstitution, abelian, numeration, special
+from tribalance import Desubstitution, abelian, numeration, special, spectral
 from tribalance.verify import SuiteConfig, run_suite
 
 SRC = Path(tribalance.__file__).resolve().parent
@@ -208,3 +210,43 @@ def test_queries_return_their_values():
         assert central_set(buf, n) == special.central_vectors(base)
         assert boundary_set(buf, n) == special.boundary_vectors(base)
     assert [f.name for f in dataclasses.fields(Desubstitution)] == ["u", "dropped", "appended"]
+
+
+#: The code that derives and decides the spectral certificate.
+CERTIFICATE_CODE = {
+    "spectral.py": {"_Interval", "_enclose", "_beta", "_head_terms", "_coefficient_squared",
+                    "named_constants", "balance_bound_from_interval", "certify_balance_bounds"},
+    "verify.py": {"matches_truncated", "_claim_spectral_constants", "_prop_claim"},
+}
+
+
+def calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def float_uses(node):
+    """Float literals and ``float(...)`` calls under ``node``, except in an
+    f-string or as ``round(float(x), digits)``: those display a value."""
+    if isinstance(node, ast.JoinedStr):
+        return
+    if calls(node, "round") and calls(node.args[0], "float"):
+        yield from float_uses(node.args[0].args[0])
+        return
+    if isinstance(node, ast.Constant) and isinstance(node.value, float) or calls(node, "float"):
+        yield f"{node.lineno}: {ast.unparse(node)}"
+    for child in ast.iter_child_nodes(node):
+        yield from float_uses(child)
+
+
+def test_certificate_decides_without_floats():
+    found, seen = [], set()
+    for filename, names in CERTIFICATE_CODE.items():
+        for node in ast.parse((SRC / filename).read_text()).body:
+            if getattr(node, "name", None) in names:
+                seen.add(node.name)
+                found += [f"{filename}:{hit}" for hit in float_uses(node)]
+    assert seen == set().union(*CERTIFICATE_CODE.values())
+    assert found == []
+    retired = {"head_extremes", "head_terms", "tail_bound", "DiscrepancyInterval",
+               "BoundDerivation", "constrained"}
+    assert not retired & set(vars(tribalance)) and not retired & set(vars(spectral))

@@ -5,13 +5,22 @@ rolling fingerprint scanner, which shares no code with the index, is the
 oracle.  The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
 codec routes, and the prefix-balance walk against the number of indexes
-it builds.
+it builds.  The four spectral certificate claims run without the float
+eigendata, and fail when one of their stated targets is tightened past
+the exact value.
 """
 
 import pytest
 from conftest import scalar_eq1_worst
 
-from tribalance import InvalidInputError, factor_index, numeration, scan_distinct_factors
+from tribalance import (
+    InvalidInputError,
+    factor_index,
+    numeration,
+    scan_distinct_factors,
+    spectral,
+    verify,
+)
 from tribalance.factors import FactorIndex
 from tribalance.verify import SuiteConfig, run_suite
 
@@ -127,3 +136,36 @@ def test_roundtrip_claim_reports_the_first_corrupted_value(monkeypatch, route):
     (result,) = report.claims
     assert result.status == "fail"
     assert result.observed == {"first_failure": bad}
+
+
+CERTIFICATE_CLAIMS = ("spectral_constants_5dp", "prop_bounds_letter_0", "prop_bounds_letter_1",
+                      "prop_bounds_letter_2")
+
+
+def test_certificate_claims_read_no_float_eigendata(monkeypatch):
+    def refuse():
+        raise AssertionError("the certificate read the float eigendata")
+
+    monkeypatch.setattr(spectral, "compute_spectral_data", refuse)
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids=set(CERTIFICATE_CLAIMS))
+    assert [(c.claim_id, c.status) for c in report.claims] == [
+        (cid, "pass") for cid in CERTIFICATE_CLAIMS]
+
+
+@pytest.mark.parametrize("owner, name, value, claim", [
+    # The letter-2 tail is 0.0353530 against 0.0354.
+    (spectral, "TARGET_TAIL_BOUNDS", (0.17, 0.075, 0.0353), "prop_bounds_letter_2"),
+    # The letter-0 interval reaches 0.8903708 against 0.9.
+    (spectral, "TARGET_INTERVALS", ((-0.6, 0.89037), (-0.775, 0.725), (-0.88, 0.62)),
+     "prop_bounds_letter_0"),
+    # beta = 1.8392867...: one unit of the fifth decimal either way.
+    (verify, "SPECTRAL_CONSTANTS_5DP", {**verify.SPECTRAL_CONSTANTS_5DP, "beta": 1.83929},
+     "spectral_constants_5dp"),
+    (verify, "SPECTRAL_CONSTANTS_5DP", {**verify.SPECTRAL_CONSTANTS_5DP, "beta": 1.83927},
+     "spectral_constants_5dp"),
+], ids=["tail_target_0.0353", "upper_target_0.89037", "beta_1.83929", "beta_1.83927"])
+def test_certificate_claim_fails_on_a_tightened_target(monkeypatch, owner, name, value, claim):
+    monkeypatch.setattr(owner, name, value)
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={claim})
+    (result,) = report.claims
+    assert result.status == "fail"

@@ -243,7 +243,7 @@ def test_min_len_validation():
 
 @pytest.mark.parametrize("cap", [0, -5])
 def test_position_cap_validation(cap):
-    with pytest.raises(InvalidInputError, match=f"position cap must be >= 1, got {cap}"):
+    with pytest.raises(InvalidInputError, match=f"position cap must be an integer >= 1, got {cap}"):
         WordBuffer(tribonacci_morphism(), 0, position_cap=cap)
     with pytest.raises(InvalidInputError):
         mbonacci_word(4, position_cap=cap)
