@@ -35,7 +35,6 @@ from .errors import (
 )
 from .factors import FactorIndex, factor_index, scan_distinct_factors
 from .numeration import (
-    ZeckendorfRep,
     is_valid_rep,
     is_valid_rep_many,
     prefix_parikh_from_digits,

@@ -39,6 +39,7 @@ ParikhVector = tuple[int, ...]
 def parikh(w: WordLike, alphabet_size: int) -> ParikhVector:
     """Per-letter occurrence counts of a finite word."""
     w = as_word(w)
+    alphabet_size = integer_in(alphabet_size, "alphabet size")
     if any(c >= alphabet_size for c in w):
         raise InvalidInputError("word uses symbols outside the alphabet")
     return tuple(w.count(a) for a in range(alphabet_size))
@@ -46,6 +47,8 @@ def parikh(w: WordLike, alphabet_size: int) -> ParikhVector:
 
 def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
     """Parikh vector of the window at ``start``; O(1) via prefix sums."""
+    start = integer_in(start, "window start", None)
+    length = integer_in(length, "window length", None)
     if start < 0 or length < 0 or start + length > len(buffer):
         raise RangeError(
             f"window [{start}, {start + length}) outside buffer of length {len(buffer)}"
@@ -96,8 +99,11 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     through ``cover_end[n_to]``, the largest n + bound, since ``cover_end``
     is a running maximum -- are copied once to int32.  Each length is
     certified only when the walk reaches it, so a caller that stops early
-    certifies no length past its stop.
+    certifies no length past its stop.  Every window query checks its
+    lengths here: n_from >= 1 and n_to >= n_from, both integers.
     """
+    n_from = integer_in(n_from, "first length", 1)
+    n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
     end = int(index.cover_end[n_to]) + 1
     if end >= 2**31:
@@ -123,8 +129,6 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     Rows are computed in the calling thread.
     """
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
-    if n_from < 1 or n_to < n_from:
-        raise InvalidInputError(f"bad length range [{n_from}, {n_to}]")
     rows = []
     for n, ends, starts in _certified_windows(buffer, n_from, n_to):
         span, rho, vectors = _window_classes(ends - starts, collect_vectors)
@@ -207,8 +211,6 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     the positions of a maximal and a minimal count.
     """
     letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
-    if n_from < 1:
-        raise InvalidInputError(f"witness search must start at a length >= 1, got {n_from}")
     for n, ends, starts in _certified_windows(buffer, n_from, max_len):
         row = ends[letter] - starts[letter]
         hi = int(row.argmax())

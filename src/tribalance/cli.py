@@ -54,7 +54,8 @@ def _open_out(path: str | None):
         yield handle
 
 
-def _make_buffer(spec: str, parser: argparse.ArgumentParser, args) -> WordBuffer:
+def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int,
+                 position_cap: int | None = None) -> WordBuffer:
     if spec == "tribonacci":
         m = 3
     elif spec.startswith("mbonacci:"):
@@ -66,8 +67,8 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, args) -> WordBuffer
             parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer >= 2")
     else:
         parser.error(f"word spec must be 'tribonacci' or 'mbonacci:<m>', got {spec!r}")
-    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=args.max_buffer,
-                              position_cap=args.scan_cap)
+    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols,
+                              position_cap=position_cap)
 
 
 def _positive_int(text: str) -> int:
@@ -83,7 +84,7 @@ def _positive_int(text: str) -> int:
 def cmd_generate(args, parser) -> int:
     if args.length < 1:
         parser.error(f"length must be >= 1, got {args.length}")
-    buf = _make_buffer(args.word_spec, parser, args)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     buf.ensure(args.length)
     with _open_out(args.out) as out:
         out.write(word_to_text(buf.slice(0, args.length)))
@@ -94,7 +95,7 @@ def cmd_generate(args, parser) -> int:
 def cmd_rho(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
     if args.n_to > 1000:
         _progress(f"certifying factor sets up to length {args.n_to}")
     with _open_out(args.out) as out:
@@ -109,7 +110,7 @@ def cmd_rho(args, parser) -> int:
 def cmd_balance(args, parser) -> int:
     if args.max_len < 1:
         parser.error(f"max length must be >= 1, got {args.max_len}")
-    buf = _make_buffer(args.word_spec, parser, args)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
     if args.max_len > 1000:
         _progress(f"certifying factor sets up to length {args.max_len}")
     m = buf.alphabet_size
@@ -143,7 +144,7 @@ def cmd_discrepancy(args, parser) -> int:
     if args.n_max < 0:
         parser.error(f"n_max must be >= 0, got {args.n_max}")
     sd = spectral.compute_spectral_data()
-    buf = _make_buffer("tribonacci", parser, args)
+    buf = _make_buffer("tribonacci", parser, args.max_buffer)
     if args.n_max > 100_000:
         _progress(f"tabulating {args.n_max + 1} prefix discrepancies")
     buf.ensure(max(args.n_max, 1))
@@ -168,7 +169,7 @@ def cmd_discrepancy(args, parser) -> int:
 def cmd_zeckendorf(args, parser) -> int:
     if args.n < 0:
         parser.error(f"N must be >= 0, got {args.n}")
-    print(str(numeration.zeckendorf_encode(args.n)))
+    print("".join(map(str, numeration.zeckendorf_encode(args.n))))
     return EXIT_OK
 
 
@@ -182,7 +183,7 @@ def cmd_constants(args, parser) -> int:
 def cmd_special(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
     m = buf.alphabet_size
     # The Parikh columns keep the paper's (i, j, k) names for the Tribonacci
     # word; the complexity-3 closed form is Tribonacci-only.
@@ -229,64 +230,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out: bool = True):
-        if out:
-            p.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
-        # Validated and accepted: the benchmark runs commands with --threads 2.
-        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                       help="validated and accepted; does not change the output")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-        p.add_argument("--max-buffer", type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
-                       help="hard cap on materialized symbols")
-        p.add_argument("--scan-cap", type=_positive_int, default=None,
-                       help="position cap of certified factor queries (default 64n + 4096)")
+    # Each command takes only the options it reads; argparse refuses any
+    # other with exit 2.  --threads is validated and changes no output: the
+    # benchmark passes it.
+    options = {
+        "--out": dict(metavar="PATH", help="write data output to PATH instead of stdout"),
+        "--suite": dict(default="paper", choices=["paper"]),
+        "--json": dict(metavar="PATH", help="write the JSON report to PATH"),
+        "--threads": dict(type=_positive_int, default=os.cpu_count() or 1,
+                          help="validated and accepted; does not change the output"),
+        "--seed": dict(type=int, default=0, help="seed for randomized spot checks"),
+        "--max-buffer": dict(type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
+                             help="hard cap on materialized symbols"),
+        "--scan-cap": dict(type=_positive_int, default=None,
+                           help="position cap of certified factor queries (default 64n + 4096)"),
+    }
 
-    p = sub.add_parser("generate", help="write a prefix of a word")
+    def command(name: str, func, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "write a prefix of a word", "--out", "--max-buffer")
     p.add_argument("word_spec", help="'tribonacci' or 'mbonacci:<m>'")
     p.add_argument("length", type=int)
-    common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("rho", help="abelian complexity over a length range (CSV)")
+    p = command("rho", cmd_rho, "abelian complexity over a length range (CSV)",
+                "--out", "--threads", "--max-buffer", "--scan-cap")
     p.add_argument("word_spec")
     p.add_argument("n_from", type=int)
     p.add_argument("n_to", type=int)
-    common(p)
-    p.set_defaults(func=cmd_rho)
 
-    p = sub.add_parser("balance", help="per-letter imbalance profile (CSV)")
+    p = command("balance", cmd_balance, "per-letter imbalance profile (CSV)",
+                "--out", "--threads", "--max-buffer", "--scan-cap")
     p.add_argument("word_spec")
     p.add_argument("max_len", type=int)
-    common(p)
-    p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("discrepancy", help="prefix discrepancy table for one letter (CSV)")
+    p = command("discrepancy", cmd_discrepancy, "prefix discrepancy table for one letter (CSV)",
+                "--out", "--threads", "--max-buffer")
     p.add_argument("letter", type=int)
     p.add_argument("n_max", type=int)
-    common(p)
-    p.set_defaults(func=cmd_discrepancy)
 
-    p = sub.add_parser("zeckendorf", help="Tribonacci-numeration digits of N (LSB first)")
+    p = command("zeckendorf", cmd_zeckendorf, "Tribonacci-numeration digits of N (LSB first)")
     p.add_argument("n", type=int)
-    common(p, out=False)
-    p.set_defaults(func=cmd_zeckendorf)
 
-    p = sub.add_parser("constants", help="spectral constants, 12 significant digits")
-    common(p)
-    p.set_defaults(func=cmd_constants)
+    command("constants", cmd_constants, "spectral constants, 12 significant digits", "--out")
 
-    p = sub.add_parser("special", help="right-special factor report (CSV)")
+    p = command("special", cmd_special, "right-special factor report (CSV)",
+                "--out", "--max-buffer", "--scan-cap")
     p.add_argument("word_spec")
     p.add_argument("n_from", type=int)
     p.add_argument("n_to", type=int)
-    common(p)
-    p.set_defaults(func=cmd_special)
 
-    p = sub.add_parser("verify", help="run the claim-verification suite")
-    p.add_argument("--suite", default="paper", choices=["paper"])
-    p.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
-    common(p, out=False)
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "run the claim-verification suite",
+            "--suite", "--json", "--threads", "--seed", "--max-buffer", "--scan-cap")
 
     return parser
 

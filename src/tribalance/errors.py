@@ -57,15 +57,16 @@ class VerificationFailureError(TribalanceError, RuntimeError):
     """A re-derived bound or cross-check did not land where it must."""
 
 
-def integer_in(value, what: str, low: int = 0, high: int | None = None) -> int:
-    """``value`` as a Python int by ``operator.index``, within [low, high]:
-    a bool, a float, a string or an integer out of range raises
-    ``InvalidInputError``."""
+def integer_in(value, what: str, low: int | None = 0, high: int | None = None) -> int:
+    """``value`` as a Python int by ``operator.index``, within [low, high]
+    (``low=None``: no lower bound): a bool, a float, a string or an integer
+    out of range raises ``InvalidInputError``."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    if number is None or number < low or high is not None and number > high:
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise InvalidInputError(f"{what} must be an integer {bounds}, got {value!r}")
+    if (number is None or low is not None and number < low
+            or high is not None and number > high):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise InvalidInputError(f"{what} must be an integer{bounds}, got {value!r}")
     return number

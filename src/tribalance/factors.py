@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, SaturationError
+from .errors import InvariantViolationError, SaturationError, integer_in
 from .words import WordBuffer
 
 # Rolling fingerprint parameters: polynomial hash modulo the Mersenne
@@ -353,7 +353,7 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     Reuses ``buffer.index`` when it already covers n_max + 1, else builds a
     new index and publishes it there; this is the one writer of that slot.
     """
-    k = n_max + 1
+    k = integer_in(n_max, "n_max") + 1
     if buffer.index is not None and buffer.index.covers(k):
         return buffer.index
     full = position_cap(buffer, k) + k

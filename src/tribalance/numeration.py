@@ -7,10 +7,13 @@ force a 0 two places below: p_k = p_{k-1} = 1 implies p_{k-2} = 0.
 Digits are stored least-significant first throughout.
 
 The scalar codec (``zeckendorf_encode``, ``zeckendorf_decode``,
-``is_valid_rep``) is the reference; the ``*_many`` functions apply the same
-rules to a whole array of values at once, one row of digits per value.
-They store the digits column-major -- one contiguous run of values per
-digit position -- so each per-digit pass reads contiguous memory.
+``is_valid_rep``) is the reference.  It works on plain lists of digits:
+the encoder returns one with no trailing zeros (empty for N = 0), and the
+decoder and the check take any digit sequence.  The ``*_many`` functions
+apply the same rules to a whole array of values at once, one row of
+digits per value.  They store the digits column-major -- one contiguous
+run of values per digit position -- so each per-digit pass reads
+contiguous memory.
 
 The digits of N also spell out the prefix of length N of the Tribonacci
 word (Dumont and Thomas, 1989): t[:N] is the concatenation, from the most
@@ -67,43 +70,11 @@ def tribonacci_number(k: int) -> int:
 
 def tribonacci_numbers_upto(value: int) -> list[int]:
     """All sequence terms <= value, in increasing order."""
+    value = integer_in(value, "value", None)
     if value < 1:
         return []
     terms = _terms(value=value)
     return list(terms[: bisect_right(terms, value)])
-
-
-class ZeckendorfRep:
-    """Digit sequence of the Tribonacci numeration of one integer.
-
-    ``digits[k]`` is the coefficient of T_k, least significant first.  The
-    canonical form has no trailing zeros (empty for N = 0).
-    """
-
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: list[int]):
-        if not is_valid_rep(digits):
-            raise InvalidRepresentationError(f"digit string violates the numeration constraint: {digits}")
-        self.digits = list(digits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZeckendorfRep) and self.digits == other.digits
-
-    def __repr__(self) -> str:
-        return f"ZeckendorfRep({self.digits})"
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
-
-    def value(self) -> int:
-        return zeckendorf_decode(self)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ZeckendorfRep":
-        if not all(c in "01" for c in text):
-            raise InvalidRepresentationError(f"digit text must be 0/1, got {text!r}")
-        return cls([int(c) for c in text])
 
 
 def is_valid_rep(digits) -> bool:
@@ -121,11 +92,13 @@ def is_valid_rep(digits) -> bool:
     return True
 
 
-def zeckendorf_encode(n: int) -> ZeckendorfRep:
-    """Greedy expansion of n >= 0: repeatedly subtract the largest term <= remainder."""
+def zeckendorf_encode(n: int) -> list[int]:
+    """Digits of n >= 0, least significant first, with no trailing zeros
+    (empty for 0): the greedy expansion, which repeatedly subtracts the
+    largest term <= remainder."""
     n = integer_in(n, "value to encode")
     if n == 0:
-        return ZeckendorfRep([])
+        return []
     terms = tribonacci_numbers_upto(n)
     digits = [0] * len(terms)
     remainder = n
@@ -134,16 +107,16 @@ def zeckendorf_encode(n: int) -> ZeckendorfRep:
         k = bisect_right(terms, remainder, 0, k + 1) - 1
         digits[k] = 1
         remainder -= terms[k]
-    return ZeckendorfRep(digits)
+    if not is_valid_rep(digits):
+        raise InvalidRepresentationError(f"digit string violates the numeration constraint: {digits}")
+    return digits
 
 
-def zeckendorf_decode(rep) -> int:
-    """Weighted sum of the digits against the Tribonacci terms.
-
-    Accepts a ``ZeckendorfRep`` or a raw digit sequence; raw digits are
-    validated and rejected with ``InvalidRepresentationError`` on violation.
-    """
-    digits = rep.digits if isinstance(rep, ZeckendorfRep) else list(rep)
+def zeckendorf_decode(digits) -> int:
+    """Weighted sum of a digit sequence, least significant first, against
+    the Tribonacci terms; digits that violate the numeration constraint
+    raise ``InvalidRepresentationError``."""
+    digits = list(digits)
     if not is_valid_rep(digits):
         raise InvalidRepresentationError(f"digit string violates the numeration constraint: {digits}")
     if not digits:
@@ -160,7 +133,7 @@ def zeckendorf_encode_many(ns) -> np.ndarray:
 
     Returns a ``(len(ns), width)`` uint8 array whose row i holds the digits
     of ``ns[i]``, least significant first, zero-padded to the width of
-    ``max(ns)``; each row equals ``zeckendorf_encode(ns[i]).digits``
+    ``max(ns)``; each row equals ``zeckendorf_encode(ns[i])``
     followed by zeros.  The array is the transpose of a C-ordered
     ``(width, len(ns))`` one, so each digit position is contiguous.  Inputs
     must be non-negative integers that fit in int64.

@@ -152,7 +152,7 @@ def discrepancy_spectral(n: int, letter: int, sd: SpectralData) -> float:
     """The same discrepancy evaluated from the numeration digits of n (any
     non-negative integer): ``discrepancy_from_digits`` on the one row of
     its digits."""
-    digits = zeckendorf_encode(n).digits
+    digits = zeckendorf_encode(n)
     return float(discrepancy_from_digits(np.array([digits], dtype=np.uint8), letter, sd)[0])
 
 
@@ -292,7 +292,11 @@ def balance_bound_from_interval(lower, upper) -> int:
     differ by strictly less than 2*(upper-lower); count differences are
     integers, which justifies dropping an exact-integer boundary.
     """
-    lower, upper = Fraction(lower), Fraction(upper)
+    try:
+        lower, upper = Fraction(lower), Fraction(upper)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"interval bounds must be finite numbers, got ({lower!r}, {upper!r})") from None
     if not lower < upper:
         raise InvalidInputError(f"interval bounds must satisfy lower < upper, got ({lower}, {upper})")
     return math.ceil(2 * (upper - lower)) - 1

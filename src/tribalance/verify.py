@@ -104,13 +104,15 @@ class SuiteConfig:
 
 class SuiteContext:
     """Lazily built shared artifacts: one word buffer, one factor index,
-    one bulk profile, reused by every claim that needs them."""
+    one bulk profile and one spectral certificate, reused by every claim
+    that needs them."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._buffer: WordBuffer | None = None
         self._fourbonacci: WordBuffer | None = None
         self._profiles: dict[tuple[int, bool], list[abelian.ProfileRow]] = {}
+        self._certificate: list | None = None
 
     def log(self, message: str) -> None:
         if self.config.progress is not None:
@@ -135,6 +137,13 @@ class SuiteContext:
         rows = abelian.abelian_profile(self.buffer(), 1, n_max, collect_vectors=vectors)
         self._profiles[(n_max, vectors)] = rows
         return rows
+
+    def certificate(self) -> list:
+        """``spectral.certify_balance_bounds()``, derived once for all
+        three letters."""
+        if self._certificate is None:
+            self._certificate = spectral.certify_balance_bounds()
+        return self._certificate
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,7 @@ def _claim_oracle_equivalence(ctx: SuiteContext):
 def _prop_claim(letter: int):
     def run(ctx: SuiteContext):
         # Raises VerificationFailureError if the interval escapes its target.
-        (lower, upper), tail, bound = spectral.certify_balance_bounds()[letter]
+        (lower, upper), tail, bound = ctx.certificate()[letter]
         target = spectral.TARGET_INTERVALS[letter]
         tail_target = spectral.TARGET_TAIL_BOUNDS[letter]
         ok = tail < Fraction(str(tail_target)) and bound == 2
@@ -294,7 +303,7 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
         failed |= (numeration.prefix_parikh_from_digits(digits) != pc[:, start:stop]).any(axis=0)
         first_sample = -start % ROUNDTRIP_SCALAR_STRIDE
         for i in range(first_sample, ns.size, ROUNDTRIP_SCALAR_STRIDE):
-            scalar = numeration.zeckendorf_encode(start + i).digits
+            scalar = numeration.zeckendorf_encode(start + i)
             row = digits[i]
             if row[: len(scalar)].tolist() != scalar or row[len(scalar):].any():
                 failed[i] = True

@@ -214,6 +214,8 @@ class WordBuffer:
 
     def slice(self, start: int, length: int) -> bytes:
         """The factor occurring at position start (the buffer is not grown)."""
+        start = integer_in(start, "window start", None)
+        length = integer_in(length, "window length", None)
         if start < 0 or length < 0 or start + length > len(self._symbols):
             raise RangeError(
                 f"window [{start}, {start + length}) outside buffer of length {len(self._symbols)}"

@@ -123,7 +123,7 @@ def scalar_eq1_worst(buffer, sd, seed: int) -> float:
     worst = 0.0
     for _ in range(10_000):
         n = rng.randrange(0, 1_000_001)
-        digits = zeckendorf_encode(n).digits
+        digits = zeckendorf_encode(n)
         for letter in (0, 1, 2):
             coef = sd.coeff_alpha * sd.mixing_factor(letter)
             power_sum = 0j

@@ -88,7 +88,7 @@ def test_parikh_set_sums(tribo):
 
 @pytest.mark.parametrize("n_from, n_to", [(0, 5), (5, 4)])
 def test_abelian_profile_refuses_bad_range(tribo, n_from, n_to):
-    with pytest.raises(InvalidInputError, match="bad length range"):
+    with pytest.raises(InvalidInputError, match="(first|last) length must be an integer >= "):
         abelian_profile(tribo, n_from, n_to)
 
 
@@ -277,8 +277,10 @@ def test_witness_search_from_known_length(fourbo):
     w = imbalance_witness_search(fourbo, 1, 3, 3305, n_from=3305)
     assert (w.letter, w.length, w.pos_u, w.pos_v, w.count_u, w.count_v) == \
         (1, 3305, 2663, 9048, 891, 888)
-    assert imbalance_witness_search(fourbo, 1, 3, 3304, n_from=3305) is None
     assert imbalance_witness_search(fourbo, 1, 1, 20, n_from=7).length == 7
+    # An empty range of lengths is refused, as by every window query.
+    with pytest.raises(InvalidInputError):
+        imbalance_witness_search(fourbo, 1, 3, 3304, n_from=3305)
     with pytest.raises(InvalidInputError):
         imbalance_witness_search(fourbo, 1, 3, 10, n_from=0)
 

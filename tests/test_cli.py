@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from tribalance.cli import main
+from tribalance.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -206,6 +210,83 @@ def test_discrepancy_golden_digests(capsys):
     assert _sha256(err) == "9506cfc20c3a9b437c6961c5bae4d00710dea795ab69ec46b2de310c39c7c848"
 
 
+#: The options each command takes: those it reads, and --threads where the
+#: benchmark passes it.
+COMMAND_FLAGS = {
+    "generate": {"--out", "--max-buffer"},
+    "rho": {"--out", "--threads", "--max-buffer", "--scan-cap"},
+    "balance": {"--out", "--threads", "--max-buffer", "--scan-cap"},
+    "discrepancy": {"--out", "--threads", "--max-buffer"},
+    "zeckendorf": set(),
+    "constants": {"--out"},
+    "special": {"--out", "--max-buffer", "--scan-cap"},
+    "verify": {"--suite", "--json", "--threads", "--seed", "--max-buffer", "--scan-cap"},
+}
+
+POSITIONALS = {
+    "generate": ["tribonacci", "5"],
+    "rho": ["tribonacci", "1", "5"],
+    "balance": ["tribonacci", "5"],
+    "discrepancy": ["0", "10"],
+    "zeckendorf": ["6"],
+    "constants": [],
+    "special": ["tribonacci", "1", "5"],
+    "verify": [],
+}
+
+FLAG_VALUES = {"--out": "out.csv", "--suite": "paper", "--json": "report.json",
+               "--threads": "2", "--seed": "9", "--max-buffer": "100000", "--scan-cap": "5000"}
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_takes_exactly_its_flags():
+    taken = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in subcommands(build_parser()).items()}
+    assert taken == COMMAND_FLAGS
+    assert sum(map(len, taken.values())) == 23
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_accepts_its_flags_and_refuses_the_others(capsys, command):
+    parser = build_parser()
+    for flag, value in FLAG_VALUES.items():
+        argv = [command, *POSITIONALS[command], flag, value]
+        if flag in COMMAND_FLAGS[command]:
+            assert parser.parse_args(argv).command == command
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def load_benchmark_workloads(monkeypatch):
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up by name while they are created.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+def test_benchmark_commands_parse(monkeypatch, tmp_path, smoke):
+    workloads = load_benchmark_workloads(monkeypatch)
+    parser = build_parser()
+    parsed = []
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.commands(workload, 0, tmp_path, smoke):
+            if cmd.argv[0] == "suite-subset":  # the tracer's own entry point
+                continue
+            parsed.append(parser.parse_args(list(cmd.argv)).command)
+    assert sorted(parsed) == sorted(["rho", "balance", "discrepancy"] + ["verify"] * (not smoke))
+
+
 def test_zeckendorf(capsys):
     assert run(capsys, "zeckendorf", "6")[1] == "011\n"
     assert run(capsys, "zeckendorf", "1")[1] == "1\n"
@@ -332,7 +413,7 @@ def test_verify_degraded_mode_skips_and_fails(capsys, tmp_path, monkeypatch):
 
 
 def run_tracer(*argv):
-    root = Path(__file__).resolve().parent.parent
+    root = ROOT
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)

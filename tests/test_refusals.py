@@ -1,9 +1,11 @@
 """Inputs outside a function's domain are refused up front.
 
-Each call below once raised a bare ``IndexError`` or ``ValueError``, or
-answered for another letter than the one asked: a witness for letter -1
-was letter 2's.  Each must raise ``InvalidInputError``, a
-``TribalanceError``, so the command line maps it to exit code 2.
+Each call below once raised a bare ``IndexError``, ``TypeError``,
+``ValueError`` or ``OverflowError``, blamed the word for a bad length, or
+answered where it should have refused: a witness for letter -1 was letter
+2's, and the prefix balance at length 0 was ``True``.  Each must raise
+``InvalidInputError``, a ``TribalanceError``, so the command line maps it
+to exit code 2.
 """
 
 import pytest
@@ -11,15 +13,23 @@ import pytest
 from tribalance import (
     InvalidInputError,
     TribalanceError,
+    abelian_profile,
+    balance_bound_from_interval,
     boundary_set,
     central_set,
     discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,
+    factor_index,
     imbalance_witness_search,
+    parikh,
+    parikh_set,
+    prefix_balance_check,
     successor_length,
+    tribonacci_numbers_upto,
     verify_equivalences,
     verify_witness,
+    window_parikh,
 )
 
 CASES = {
@@ -44,6 +54,24 @@ CASES = {
     "boundary_set_4bonacci": lambda t, f, sd: boundary_set(f, 5),
     "successor_length_4bonacci": lambda t, f, sd: successor_length(f, 5),
     "verify_equivalences_4bonacci": lambda t, f, sd: verify_equivalences(f, 5),
+    # Window lengths are integers n_from >= 1 and n_to >= n_from, checked
+    # once for every window query; an index covers an n_max >= 0.
+    "profile_n_from_1.5": lambda t, f, sd: abelian_profile(t, 1.5, 3),
+    "parikh_set_n_2.0": lambda t, f, sd: parikh_set(t, 2.0),
+    "witness_search_max_len_10.0": lambda t, f, sd: imbalance_witness_search(t, 0, 3, 10.0),
+    "verify_equivalences_n_5.5": lambda t, f, sd: verify_equivalences(t, 5.5),
+    "prefix_balance_n_0": lambda t, f, sd: prefix_balance_check(t, 0),
+    "prefix_balance_n_-1": lambda t, f, sd: prefix_balance_check(t, -1),
+    "factor_index_n_max_-5": lambda t, f, sd: factor_index(t, -5),
+    # Positions and scalar arguments are integers or finite numbers.
+    "window_parikh_start_1.5": lambda t, f, sd: window_parikh(t, 1.5, 2),
+    "window_parikh_start_True": lambda t, f, sd: window_parikh(t, True, 2),
+    "slice_start_1.5": lambda t, f, sd: t.slice(1.5, 2),
+    "parikh_alphabet_2.5": lambda t, f, sd: parikh("012", 2.5),
+    # A float bound was compared, not refused; NaN or inf never stopped.
+    "terms_upto_7.5": lambda t, f, sd: tribonacci_numbers_upto(7.5),
+    "balance_bound_nan": lambda t, f, sd: balance_bound_from_interval(float("nan"), 1),
+    "balance_bound_inf": lambda t, f, sd: balance_bound_from_interval(0, float("inf")),
 }
 
 

@@ -202,7 +202,8 @@ def test_geometry_has_one_offset_table():
 
 def test_queries_return_their_values():
     exported = set(vars(tribalance))
-    assert not {"ParikhSet", "CentralSet", "BoundarySet", "DesubForm"} & exported
+    assert not {"ParikhSet", "CentralSet", "BoundarySet", "DesubForm", "ZeckendorfRep"} & exported
+    assert numeration.zeckendorf_encode(6) == [0, 1, 1]
     buf = tribonacci_word()
     for n in (1, 2, 30, 342):
         assert type(parikh_set(buf, n)) is frozenset
