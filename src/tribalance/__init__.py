@@ -1,7 +1,8 @@
 """Balance and abelian-complexity analysis of the Tribonacci word and the
 m-bonacci family: morphic word generation, Parikh/balance analysis,
-Tribonacci numeration, spectral discrepancy bounds, and special-factor
-characterizations."""
+Tribonacci numeration, spectral discrepancy bounds, the synchronized
+digit automaton of the Tribonacci word's abelian complexity, and
+special-factor characterizations."""
 
 from .abelian import (
     BalanceWitness,
@@ -71,7 +72,9 @@ from .spectral import (
     discrepancy_extremes,
     discrepancy_from_digits,
     discrepancy_spectral,
+    synchronization_window,
 )
+from .synchronized import synchronized_profile
 from .words import (
     Morphism,
     WordBuffer,

@@ -15,9 +15,10 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager, nullcontext
 
-from . import abelian, numeration, special, spectral, verify
+from . import abelian, numeration, special, spectral, synchronized, verify
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
 from .words import (
     DEFAULT_MAX_SYMBOLS,
@@ -92,14 +93,24 @@ def cmd_generate(args, parser) -> int:
     return EXIT_OK
 
 
+def _profile(buf: WordBuffer, n_from: int, n_to: int) -> Iterable[abelian.ProfileRow]:
+    """Profile rows of the word, in order: produced lazily off the
+    synchronized digit automaton for the Tribonacci word, which reads no
+    buffer, so the caps do not bind; through the certified window pass for
+    every other word."""
+    if buf.alphabet_size == 3:
+        return synchronized.synchronized_profile(n_from, n_to)
+    if n_to > 1000:
+        _progress(f"certifying factor sets up to length {n_to}")
+    return abelian.abelian_profile(buf, n_from, n_to)
+
+
 def cmd_rho(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
     buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
-    if args.n_to > 1000:
-        _progress(f"certifying factor sets up to length {args.n_to}")
     with _open_out(args.out) as out:
-        rows = abelian.abelian_profile(buf, args.n_from, args.n_to)
+        rows = _profile(buf, args.n_from, args.n_to)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"])
         for row in rows:
@@ -111,24 +122,22 @@ def cmd_balance(args, parser) -> int:
     if args.max_len < 1:
         parser.error(f"max length must be >= 1, got {args.max_len}")
     buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
-    if args.max_len > 1000:
-        _progress(f"certifying factor sets up to length {args.max_len}")
     m = buf.alphabet_size
+    global_max, first = 0, None
     with _open_out(args.out) as out:
-        rows = abelian.abelian_profile(buf, 1, args.max_len)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "rho"] + [f"max_imbalance_{a}" for a in range(m)])
-        for row in rows:
+        for row in _profile(buf, 1, args.max_len):
             writer.writerow([row.n, row.rho] + list(row.max_imbalance))
-    global_max = max(max(row.max_imbalance) for row in rows)
+            global_max = max(global_max, *row.max_imbalance)
+            if first is None and global_max >= 3:
+                first = (row.n, next(a for a in range(m) if row.max_imbalance[a] >= 3))
     print(f"global maximum imbalance: {global_max}", file=sys.stderr)
-    if global_max >= 3:
+    if first is not None:
         # The word is not 2-balanced in the scanned range; exhibit the
         # first witness in wire form letter,length,pos_u,pos_v,count_u,count_v.
         # The certified rows prove no shorter length reaches imbalance 3.
-        n, letter = next(
-            (row.n, a) for row in rows for a in range(m) if row.max_imbalance[a] >= 3
-        )
+        n, letter = first
         w = abelian.imbalance_witness_search(buf, letter, 3, n, n_from=n)
         print(
             f"imbalance witness: {w.letter},{w.length},{w.pos_u},{w.pos_v},"
@@ -243,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-buffer": dict(type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
                              help="hard cap on materialized symbols"),
         "--scan-cap": dict(type=_positive_int, default=None,
-                           help="position cap of certified factor queries (default 64n + 4096)"),
+                           help="position cap of certified factor queries "
+                                "(default max(64, 2^m) * n + 4096 on m letters)"),
     }
 
     def command(name: str, func, summary: str, *flags: str) -> argparse.ArgumentParser:

@@ -42,13 +42,16 @@ _FP_BASE = 0x9E3779B97F4A7C15
 
 def position_cap(buffer: WordBuffer, n: int) -> int:
     """Window start positions a certified length-n query may examine: the
-    buffer's ``position_cap``, or 64n + 4096 when it is unset.
+    buffer's ``position_cap``, or max(64, 2**m) * n + 4096 on m letters
+    when it is unset (64n + 4096 for m <= 6).
 
     The analyzed words are linearly recurrent, so every factor of length n
-    first occurs within a small multiple of n; the generous linear cap
-    catches configuration errors without unbounded scans.
+    first occurs within a multiple of n that grows as 2**m; the generous
+    linear cap catches configuration errors without unbounded scans.
     """
-    return buffer.position_cap if buffer.position_cap is not None else 64 * n + 4096
+    if buffer.position_cap is not None:
+        return buffer.position_cap
+    return max(64, 2**buffer.alphabet_size) * n + 4096
 
 
 def default_target(alphabet_size: int, n: int) -> int:
@@ -345,7 +348,7 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     """Index that covers every length up to n_max + 1 (the extra length is
     the extension margin special-factor analysis at n_max needs).
 
-    On m letters the region starts at 2**max(m, 3) * (n_max + 1) + 1024
+    On m letters the region starts at max(8, 2**m) * (n_max + 1) + 1024
     symbols (measured to cover at once for m <= 6) and doubles until the
     index ``covers`` n_max + 1, but never goes past the position cap plus
     n_max + 1 symbols.  When even that region does not saturate, the index
@@ -357,7 +360,7 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     if buffer.index is not None and buffer.index.covers(k):
         return buffer.index
     full = position_cap(buffer, k) + k
-    region = min(full, 2 ** max(buffer.alphabet_size, 3) * k + 1024)
+    region = min(full, max(8, 2**buffer.alphabet_size) * k + 1024)
     index = FactorIndex(buffer, region)
     while region < full and not index.covers(k):
         region = min(full, 2 * region)

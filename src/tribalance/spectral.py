@@ -332,3 +332,33 @@ def certify_balance_bounds(cutoffs: tuple[int, int, int] = HEAD_CUTOFFS
             )
         derivations.append(((lower, upper), tail, balance_bound_from_interval(lower, upper)))
     return derivations
+
+
+def synchronization_window() -> tuple[Fraction, Fraction]:
+    """Rationals (lower, upper), rounded outward, that bound u.S for every
+    state S of the synchronized digit automaton that can still end in an
+    accepting one (see ``synchronized``), with u = (1, beta - 1, 1/beta):
+    u M = beta u and u e_0 = 1 for the incidence matrix M.
+
+    The head terms of u.D(x), for the prefix discrepancy vector
+    D(x) = P(x) - x f, are g_k = sum_a u_a h_(a,k) over the letters' head
+    terms, so A = sup u.D is at most the sum of the positive g_k, k <= K,
+    plus the tail 2 |C_g| r^(K+1) / (1 - r), and B = inf u.D at least the
+    sum of the negative ones minus the tail.  An accepting S is
+    D(j) - D(i) - D(n), so u.S lies in [B - 2A, A - 2B].  Each digit read
+    maps S to M S + d e_0 with d in [-2, 1], so with t digits still to read
+    u.S is a convex combination, weights beta^-t and 1 - beta^-t, of the
+    final value and a point of [-1/(beta - 1), 2/(beta - 1)]; the window is
+    the hull of both intervals.  K is the certificate's longest head,
+    max(HEAD_CUTOFFS)."""
+    cutoff = max(HEAD_CUTOFFS)
+    beta = _beta()
+    u = (1, beta - 1, beta**-1)
+    heads = [_head_terms(beta, letter, cutoff) for letter in range(3)]
+    g = [sum((u_a * h[k] for u_a, h in zip(u, heads)), _Interval(0)) for k in range(cutoff + 1)]
+    r = (beta**-1).sqrt()
+    tail = (2 * _coefficient_squared(beta, g[0], g[1]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
+    sup_d = sum(max(t.hi, 0) for t in g) + tail
+    inf_d = sum(min(t.lo, 0) for t in g) - tail
+    step = (beta - 1) ** -1
+    return min(inf_d - 2 * sup_d, -step.hi), max(sup_d - 2 * inf_d, 2 * step.hi)

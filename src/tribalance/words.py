@@ -47,9 +47,21 @@ def as_word(w: WordLike) -> bytes:
         raise InvalidInputError("word symbols must be integers in 0..255") from None
 
 
+#: ``bytes.translate`` table from the symbols 0..9 to their ASCII digits;
+#: every other byte maps to "?", which is not a digit.
+_TEXT = bytes(b"0123456789" + b"?" * (256 - 10))
+
+
 def word_to_text(w: WordLike) -> str:
-    """ASCII digit form, one digit per symbol, no separators."""
-    return "".join(str(c) for c in as_word(w))
+    """ASCII digit form, one digit per symbol, no separators: the form
+    ``as_word`` reads back.  A symbol of 10 or more has no one-digit form
+    and raises ``InvalidInputError``."""
+    data = as_word(w)
+    text = data.translate(_TEXT)
+    if data and not text.isdigit():
+        raise InvalidInputError(
+            f"symbol {max(data)} has no one-digit text form; text covers the symbols 0..9")
+    return text.decode("ascii")
 
 
 class Morphism:
@@ -67,8 +79,7 @@ class Morphism:
         self.images = images
 
     def __repr__(self) -> str:
-        ims = ", ".join(f"{a}->{word_to_text(im)}" for a, im in enumerate(self.images))
-        return f"Morphism({ims})"
+        return f"Morphism({[list(im) for im in self.images]})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Morphism) and self.images == other.images
@@ -142,8 +153,8 @@ class WordBuffer:
 
     Two per-run resource caps: ``max_symbols`` bounds the materialized
     prefix, and ``position_cap`` bounds the window start positions a
-    certified factor query may need at any length (None means 64n + 4096,
-    see ``factors.position_cap``).
+    certified factor query may need at any length (None means
+    max(64, 2**m) * n + 4096 on m letters, see ``factors.position_cap``).
     """
 
     def __init__(self, morphism: Morphism, seed: Symbol,

@@ -80,6 +80,7 @@ def test_threads_below_one_usage_error(capsys, threads):
     (["special", "mbonacci:300", "1", "3"], 2),
     (["special", "tribonacci", "1", "5", "--scan-cap", "1"], 3),
     (["verify", "--json", "MISSING"], 2),
+    (["generate", "mbonacci:11", "3000"], 2),
 ])
 def test_bad_input_exits_without_traceback(capsys, monkeypatch, tmp_path, argv, expected):
     import tribalance.verify as verify
@@ -139,24 +140,36 @@ def test_balance_fourbonacci_reports_witness(capsys):
 
 
 def test_resource_exit_code(capsys):
-    code, _, err = run(capsys, "rho", "tribonacci", "1", "500", "--max-buffer", "64")
+    # The Fibonacci word still takes the window route, which the caps bind.
+    code, _, err = run(capsys, "rho", "mbonacci:2", "1", "500", "--max-buffer", "64")
     assert code == 3
-    assert "resource failure" in err
+    assert err == "resource failure: requested 5032 symbols exceeds the configured cap of 64\n"
+
+
+@pytest.mark.parametrize("cap", [["--max-buffer", "64"], ["--scan-cap", "10"]])
+@pytest.mark.parametrize("argv", [["rho", "tribonacci", "1", "500"],
+                                  ["rho", "tribonacci", "200", "200"],
+                                  ["balance", "tribonacci", "300"]])
+def test_caps_do_not_bind_the_tribonacci_automaton(capsys, argv, cap):
+    # The automaton reads no buffer: these exited 3 on the window route.
+    code, out, err = run(capsys, *argv, *cap)
+    assert code == 0
+    assert (out, err) == run(capsys, *argv)[1:]
 
 
 def test_max_buffer_covers_adaptive_region(capsys):
     # The index region starts near 8n symbols, so a cap well below the
     # 64n + 4096 position cap suffices and changes no output byte.
-    code, out, _ = run(capsys, "rho", "tribonacci", "1", "500", "--max-buffer", "10000")
+    code, out, _ = run(capsys, "rho", "mbonacci:2", "1", "500", "--max-buffer", "10000")
     assert code == 0
-    assert out == run(capsys, "rho", "tribonacci", "1", "500")[1]
+    assert out == run(capsys, "rho", "mbonacci:2", "1", "500")[1]
 
 
 def test_saturation_cap_exit_code(capsys):
-    code, _, err = run(capsys, "rho", "tribonacci", "200", "200", "--scan-cap", "10")
+    code, _, err = run(capsys, "rho", "mbonacci:2", "200", "200", "--scan-cap", "10")
     assert code == 3
     assert err == ("resource failure: region of 211 symbols holds 12 factors of "
-                   "length 200, target 401\n")
+                   "length 200, target 201\n")
 
 
 def test_saturation_cap_exit_code_balance(capsys):
@@ -189,6 +202,33 @@ def test_full_size_csv_golden_digests(capsys):
     assert code == 0
     assert _sha256(out) == "e58f4746dd2b6eee0ffb87e56966230e0f15156d9ff5218f91f5ce788c853381"
     assert err.splitlines()[-1] == "imbalance witness: 1,3305,2663,9048,891,888"
+
+
+@pytest.mark.parametrize("block", [None, 4097])
+def test_tribonacci_automaton_golden_digests(capsys, monkeypatch, block):
+    # Digests taken from the certified window pass the automaton replaced
+    # for the Tribonacci word; the rows stream out block by block, and
+    # balance keeps its maximum across the blocks.
+    import tribalance.synchronized as synchronized
+
+    if block is not None:
+        monkeypatch.setattr(synchronized, "BLOCK", block)
+    code, out, err = run(capsys, "rho", "tribonacci", "1", "20000")
+    assert (code, err) == (0, "")
+    assert _sha256(out) == "60f0a2402bce5efbcbadee2cd63833df0e97e5a380ebfe9968a8f3fcd36c3866"
+    code, out, err = run(capsys, "balance", "tribonacci", "7199")
+    assert (code, err) == (0, "global maximum imbalance: 2\n")
+    assert _sha256(out) == "2374745424d7f78ee9546fa41888d99194dbf19fa3517a6424d44e1d865eed0c"
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 10])
+def test_default_cap_reaches_high_orders(capsys, m):
+    # The default cap grows as 2^m, past the first occurrence of every
+    # factor; at 64n + 4096 these exited 3 (m = 7 at n = 129, m = 10 at n = 9).
+    code, out, _ = run(capsys, "rho", f"mbonacci:{m}", "1", "200")
+    assert code == 0
+    assert out.count("\n") == 201
+    assert out == run(capsys, "rho", f"mbonacci:{m}", "1", "200", "--scan-cap", "10000000")[1]
 
 
 def test_discrepancy(capsys):
@@ -341,6 +381,7 @@ def test_outputs_opened_before_computing(capsys, monkeypatch, tmp_path):
     # An unwritable --out or --json path fails before any profile or claim
     # runs.
     import tribalance.abelian as abelian
+    import tribalance.synchronized as synchronized
     import tribalance.verify as verify
 
     def refuse(*args, **kwargs):
@@ -348,10 +389,13 @@ def test_outputs_opened_before_computing(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(verify, "run_suite", refuse)
     monkeypatch.setattr(abelian, "abelian_profile", refuse)
+    monkeypatch.setattr(synchronized, "synchronized_profile", refuse)
     missing = str(tmp_path / "missing" / "x")
     for argv in (["verify", "--json", missing],
                  ["rho", "tribonacci", "1", "50", "--out", missing],
-                 ["balance", "tribonacci", "50", "--out", missing]):
+                 ["balance", "tribonacci", "50", "--out", missing],
+                 ["rho", "mbonacci:4", "1", "50", "--out", missing],
+                 ["balance", "mbonacci:2", "50", "--out", missing]):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: cannot write {missing}: ")

@@ -8,8 +8,9 @@ The digit route of the discrepancy has one alpha-power sum, and the
 oracle-equivalence claim reaches it through the batch codec.  Every
 per-length window query reads its windows through one certified slicer,
 and returns its value itself, not a wrapper that repeats the arguments.
-The spectral certificate is exact: no float enters the code that decides
-it, and no float slack is left in it.
+The spectral certificate and the pruning of the synchronized automaton are
+exact: no float enters the code that decides them, and no float slack is
+left in it.
 """
 
 import ast
@@ -213,10 +214,13 @@ def test_queries_return_their_values():
     assert [f.name for f in dataclasses.fields(Desubstitution)] == ["u", "dropped", "appended"]
 
 
-#: The code that derives and decides the spectral certificate.
+#: The code that derives and decides the spectral certificate, and the
+#: pruning of the synchronized automaton, which rests on it.
 CERTIFICATE_CODE = {
     "spectral.py": {"_Interval", "_enclose", "_beta", "_head_terms", "_coefficient_squared",
-                    "named_constants", "balance_bound_from_interval", "certify_balance_bounds"},
+                    "named_constants", "balance_bound_from_interval", "certify_balance_bounds",
+                    "synchronization_window"},
+    "synchronized.py": {"_pruning_test", "_elements", "digit_automaton"},
     "verify.py": {"matches_truncated", "_claim_spectral_constants", "_prop_claim"},
 }
 

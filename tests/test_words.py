@@ -105,6 +105,23 @@ def test_mbonacci_examples():
         mbonacci_morphism(1)
 
 
+def test_word_text_is_one_digit_per_symbol():
+    assert word_to_text(bytes(range(10))) == "0123456789"
+    assert word_to_text(b"") == ""
+    assert as_word(word_to_text([9, 0, 3])) == bytes([9, 0, 3])
+    # Symbol 10 would print as "10", which reads back as 1, 0.
+    for bad in ([0, 10], [255], bytes([1, 2, 63])):
+        with pytest.raises(InvalidInputError, match=r"symbol \d+ has no one-digit text form"):
+            word_to_text(bad)
+
+
+def test_morphism_repr_covers_any_alphabet():
+    assert repr(tribonacci_morphism()) == "Morphism([[0, 1], [0, 2], [0]])"
+    big = mbonacci_morphism(12)
+    assert "[0, 10]" in repr(big)
+    assert eval(repr(big), {"Morphism": Morphism}) == big
+
+
 def test_incidence_matrix_tribonacci():
     mat = incidence_matrix(tribonacci_morphism())
     assert mat.tolist() == [[1, 1, 1], [1, 0, 0], [0, 1, 0]]
