@@ -67,6 +67,7 @@ from .spectral import (
     balance_bound_from_interval,
     certify_balance_bounds,
     compute_spectral_data,
+    discrepancy_blocks,
     discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,

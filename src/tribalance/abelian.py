@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BufferLimitError,
     InvalidInputError,
     NotAFactorError,
     RangeError,
@@ -95,9 +94,10 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     starts`` holds the windows' letter counts as columns.  A caller that
     needs one letter subtracts only that row.
 
-    One factor index covers n_to, and the prefix counts the windows read --
-    through ``cover_end[n_to]``, the largest n + bound, since ``cover_end``
-    is a running maximum -- are copied once to int32.  Each length is
+    One factor index covers n_to, and the windows read the buffer's
+    published int32 prefix counts through ``cover_end[n_to]`` -- the
+    largest n + bound, since ``cover_end`` is a running maximum -- as one
+    slice, with no copy.  Each length is
     certified only when the walk reaches it, so a caller that stops early
     certifies no length past its stop.  Every window query checks its
     lengths here: n_from >= 1 and n_to >= n_from, both integers.
@@ -105,10 +105,7 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
-    end = int(index.cover_end[n_to]) + 1
-    if end >= 2**31:
-        raise BufferLimitError(f"windows reach {end} symbols, beyond int32 prefix counts")
-    pc = buffer.prefix_counts[:, :end].astype(np.int32)
+    pc = buffer.prefix_counts[:, : int(index.cover_end[n_to]) + 1]
     for n in range(n_from, n_to + 1):
         bound = index.certify(n)
         yield n, pc[:, n : n + bound + 1], pc[:, : bound + 1]

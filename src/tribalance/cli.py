@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -157,14 +158,14 @@ def cmd_discrepancy(args, parser) -> int:
     if args.n_max > 100_000:
         _progress(f"tabulating {args.n_max + 1} prefix discrepancies")
     buf.ensure(max(args.n_max, 1))
-    column = spectral.discrepancy_column(buf, args.n_max, args.letter, sd)
+    lo, hi = math.inf, -math.inf
     with _open_out(args.out) as out:
         out.write("N,discrepancy\n")
-        # Blocks of rows keep the formatted text small next to the column.
-        for start in range(0, column.size, 1 << 16):
-            rows = column[start : start + (1 << 16)].tolist()
-            out.write("".join(f"{n},{x:.12g}\n" for n, x in enumerate(rows, start)))
-    lo, hi = float(column.min()), float(column.max())
+        # One block of rows at a time: neither the column nor its text is
+        # ever held whole.
+        for start, block in spectral.discrepancy_blocks(buf, args.n_max, args.letter, sd):
+            out.write("".join(f"{n},{x:.12g}\n" for n, x in enumerate(block.tolist(), start)))
+            lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
     t_lo, t_hi = spectral.TARGET_INTERVALS[args.letter]
     contained = t_lo < lo and hi < t_hi
     print(

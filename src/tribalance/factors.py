@@ -180,18 +180,24 @@ class FactorIndex:
     # -- construction ------------------------------------------------------
 
     def _build(self, data: bytes, m: int) -> None:
+        # First-occurrence ends are exact at creation, so nothing is
+        # propagated afterwards: the state made for the prefix of length e
+        # first ends at e (its ``length``), and a clone of q first ends where
+        # q does, since its end set is q's plus the current, later end
+        # (firstpos(clone) = firstpos(q), Blumer et al. 1985).  End sets
+        # only gain later ends, so no first end moves; only clones need an
+        # entry of their own.
         link = [-1]
         length = [0]
-        first_end = [0]
+        clone_end = {}
         trans = [-1] * m  # flat: trans[s * m + c]
         last = 0
         n_states = 1
-        for pos, c in enumerate(data):
+        for c in data:
             cur = n_states
             n_states += 1
             length.append(length[last] + 1)
             link.append(-1)
-            first_end.append(pos + 1)
             trans.extend([-1] * m)
             p = last
             while p != -1 and trans[p * m + c] == -1:
@@ -208,9 +214,7 @@ class FactorIndex:
                     n_states += 1
                     length.append(length[p] + 1)
                     link.append(link[q])
-                    # A clone's strings may occur earlier than the state it
-                    # splits; the exact first end comes from propagation.
-                    first_end.append(len(data) + 1)
+                    clone_end[clone] = clone_end.get(q, length[q])
                     trans.extend(trans[q * m : q * m + m])
                     while p != -1 and trans[p * m + c] == q:
                         trans[p * m + c] = clone
@@ -219,19 +223,15 @@ class FactorIndex:
                     link[cur] = clone
             last = cur
 
-        # First-occurrence ends: propagate minima up the suffix-link tree
-        # (children have strictly greater ``length``, so a descending sweep
-        # sees every child before its parent).
-        order = sorted(range(n_states), key=length.__getitem__, reverse=True)
-        for s in order:
-            t = link[s]
-            if t >= 0 and first_end[s] < first_end[t]:
-                first_end[t] = first_end[s]
-
+        # Free each list of Python ints once its array exists: together
+        # they are the peak of the build.
         self.n_states = n_states
-        self._link = np.array(link, dtype=np.int64)
         self._len = np.array(length, dtype=np.int64)
-        self._first_end = np.array(first_end, dtype=np.int64)
+        del length
+        self._first_end = self._len.copy()
+        self._first_end[list(clone_end)] = list(clone_end.values())
+        self._link = np.array(link, dtype=np.int64)
+        del link
         # Right-extension degree per state; the transitions are not kept.
         self._outdeg = (np.array(trans, dtype=np.int64).reshape(n_states, m) >= 0).sum(axis=1)
 

@@ -18,6 +18,7 @@ it compares ``Fraction`` intervals around an integer bisection of beta.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,22 +157,42 @@ def discrepancy_spectral(n: int, letter: int, sd: SpectralData) -> float:
     return float(discrepancy_from_digits(np.array([digits], dtype=np.uint8), letter, sd)[0])
 
 
-def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,
-                       sd: SpectralData) -> np.ndarray:
-    """The direct discrepancy of every prefix length 0..n_max, as float64;
-    entry N equals ``discrepancy_direct(buffer, N, letter, sd)``."""
+#: Prefix lengths per block of ``discrepancy_blocks``.
+DISCREPANCY_BLOCK = 1 << 16
+
+
+def discrepancy_blocks(buffer: WordBuffer, n_max: int, letter: int,
+                       sd: SpectralData) -> Iterator[tuple[int, np.ndarray]]:
+    """The direct discrepancy of every prefix length 0..n_max, as an
+    iterator of ``(start, block)``: float64 blocks of ``DISCREPANCY_BLOCK``
+    lengths (the last one shorter), entry i of a block equal to
+    ``discrepancy_direct(buffer, start + i, letter, sd)``.  The arguments
+    are checked on the call, before the first block."""
     letter, n_max = integer_in(letter, "letter", 0, 2), integer_in(n_max, "n_max")
     if n_max > len(buffer):
         raise RangeError(f"n_max {n_max} exceeds buffer length {len(buffer)}")
-    ns = np.arange(n_max + 1, dtype=np.float64)
-    return buffer.prefix_counts[letter, : n_max + 1] - ns * sd.frequency(letter)
+    counts = buffer.prefix_counts[letter, : n_max + 1]
+    freq = sd.frequency(letter)
+    return ((start, counts[start : start + DISCREPANCY_BLOCK]
+             - np.arange(start, min(start + DISCREPANCY_BLOCK, n_max + 1), dtype=np.float64) * freq)
+            for start in range(0, n_max + 1, DISCREPANCY_BLOCK))
+
+
+def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,
+                       sd: SpectralData) -> np.ndarray:
+    """The direct discrepancy of every prefix length 0..n_max, as one
+    float64 array: the blocks of ``discrepancy_blocks`` joined."""
+    return np.concatenate([block for _, block in discrepancy_blocks(buffer, n_max, letter, sd)])
 
 
 def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,
                          sd: SpectralData) -> tuple[float, float]:
-    """Min and max of the direct discrepancy over all prefixes up to n_max."""
-    d = discrepancy_column(buffer, n_max, letter, sd)
-    return float(d.min()), float(d.max())
+    """Min and max of the direct discrepancy over all prefixes up to n_max,
+    one block of ``discrepancy_blocks`` at a time."""
+    lo, hi = math.inf, -math.inf
+    for _, block in discrepancy_blocks(buffer, n_max, letter, sd):
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

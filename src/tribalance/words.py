@@ -27,6 +27,10 @@ WordLike = Union[bytes, bytearray, str, Sequence[int]]
 #: Default hard cap on materialized symbols (2**27).
 DEFAULT_MAX_SYMBOLS = 1 << 27
 
+#: Buffers of this many symbols or more have no prefix counts: the counts
+#: are int32, and the last column of a buffer of N symbols holds N.
+PREFIX_COUNTS_LIMIT = 1 << 31
+
 _MAX_ALPHABET = 256  # one byte per symbol
 
 
@@ -145,7 +149,7 @@ class WordBuffer:
     never invalidated.  Growth is single-writer: the caller must not let
     other threads read while a growth call is in flight.  Per-letter prefix
     counts, computed on first read after each growth and published
-    read-only, make any window's letter counts two array lookups.
+    read-only as int32, make any window's letter counts two array lookups.
 
     ``index`` holds the ``FactorIndex`` most recently built over the
     buffer, or None.  Only ``factors.factor_index`` writes it, and always
@@ -210,15 +214,22 @@ class WordBuffer:
 
     @property
     def prefix_counts(self) -> np.ndarray:
-        """Read-only array of shape (alphabet_size, len + 1); entry [a, N]
-        counts the letter a among the first N symbols."""
+        """Read-only int32 array of shape (alphabet_size, len + 1); entry
+        [a, N] counts the letter a among the first N symbols.  A buffer of
+        ``PREFIX_COUNTS_LIMIT`` (2**31) symbols or more raises
+        ``BufferLimitError``."""
         pc = self._prefix_counts
         if pc is None:
+            if len(self._symbols) >= PREFIX_COUNTS_LIMIT:
+                raise BufferLimitError(
+                    f"{len(self._symbols)} symbols reach the int32 prefix count limit "
+                    f"of {PREFIX_COUNTS_LIMIT}"
+                )
             data = np.frombuffer(self._symbols, dtype=np.uint8)
             m = self.alphabet_size
-            pc = np.zeros((m, len(data) + 1), dtype=np.int64)
+            pc = np.zeros((m, len(data) + 1), dtype=np.int32)
             for a in range(m):
-                np.cumsum(data == a, out=pc[a, 1:])
+                np.cumsum(data == a, dtype=np.int32, out=pc[a, 1:])
             pc.flags.writeable = False
             self._prefix_counts = pc
         return pc

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,40 @@ def test_scan_exact_under_forced_collisions(tribo, monkeypatch):
         assert scan.count == 2 * n + 1
         firsts = {tribo.symbols[p : p + n] for p in scan.first_positions}
         assert len(firsts) == scan.count
+
+
+@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
+def test_index_clone_first_ends_match_brute_force(images):
+    # m-bonacci words never clone a state, so the clone rule of the first
+    # ends is checked on words that do.  The oracle takes each distinct
+    # factor's first end from the region itself; the states whose length
+    # interval holds n carry the same first ends, one per factor.
+    region = 600
+    buf = WordBuffer(Morphism(images), 0)
+    index = FactorIndex(buf, region)
+    assert index.n_states > region + 1
+    data = buf.symbols[:region]
+    longest, first_end = index._len, index._first_end
+    shortest = longest[np.maximum(index._link, 0)] + 1
+    cover = 0
+    for n in range(1, 41):
+        ends = sorted(data.find(w) + n for w in brute_factors(data, n))
+        cover = max(cover, ends[-1])
+        assert index.counts[n] == len(ends)
+        assert index.cover_end[n] == cover
+        assert sorted(first_end[(shortest <= n) & (n <= longest)].tolist()) == ends
+
+
+def test_index_build_memory(tribo):
+    # The saturation claim's region.  A build that also keeps a first-end
+    # list and sorts every state for a propagation pass traces 31.6 MB.
+    tracemalloc.start()
+    try:
+        FactorIndex(tribo, 132_990)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
 
 
 def test_index_counts_match_scanner(tribo):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,3 +256,23 @@ def test_empirical_extremes_strictly_inside(tribo, sd):
     for letter, (lo_t, hi_t) in zip((0, 1, 2), TARGET_INTERVALS):
         lo, hi = discrepancy_extremes(tribo, 100_000, letter, sd)
         assert lo_t < lo < hi < hi_t
+
+
+@pytest.mark.parametrize("n_max", [0, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+def test_blocked_extremes_equal_the_column(tribo_2e6, sd, n_max):
+    for letter in (0, 1, 2):
+        column = discrepancy_column(tribo_2e6, n_max, letter, sd)
+        assert column.shape == (n_max + 1,)
+        assert discrepancy_extremes(tribo_2e6, n_max, letter, sd) == (column.min(), column.max())
+
+
+def test_extremes_memory(tribo_2e6, sd):
+    # The whole 10^6 column with its float prefix lengths takes about 24 MB.
+    tribo_2e6.prefix_counts
+    tracemalloc.start()
+    try:
+        discrepancy_extremes(tribo_2e6, 10**6, 2, sd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6

@@ -191,6 +191,14 @@ def test_prefix_counts_match_direct_count(tribo):
     assert pc[:, len(tribo)].sum() == len(tribo)
 
 
+def test_prefix_counts_are_published_int32(tribo):
+    pc = tribo.prefix_counts
+    assert pc.dtype == np.int32
+    assert not pc.flags.writeable
+    assert pc.nbytes == 4 * 3 * (len(tribo) + 1)
+    assert tribo.prefix_counts is pc
+
+
 def test_prefix_count_steps(tribo):
     pc = tribo.prefix_counts
     steps = pc[:, 1:2000] - pc[:, 0:1999]
