@@ -11,7 +11,6 @@ from .abelian import (
     ProfileRow,
     abelian_complexity,
     abelian_profile,
-    coordinate_interval_check,
     desubstitute,
     imbalance_witness_search,
     is_tribonacci_factor,
@@ -68,7 +67,6 @@ from .spectral import (
     certify_balance_bounds,
     compute_spectral_data,
     discrepancy_blocks,
-    discrepancy_column,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_from_digits,

@@ -12,7 +12,6 @@ contains every factor of the relevant length.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,16 +222,6 @@ def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     ((_, ends, starts),) = _certified_windows(buffer, n, n)
     counts = ends - starts
     return bool(np.abs(counts - counts[:, :1]).max() <= 1)
-
-
-def coordinate_interval_check(vectors: Iterable[ParikhVector]) -> bool:
-    """True iff each coordinate's value set over the vectors is a
-    contiguous integer interval (no gaps)."""
-    for coord in zip(*vectors):
-        values = set(coord)
-        if max(values) - min(values) + 1 != len(values):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,7 @@ def _open_out(path: str | None):
         yield handle
 
 
-def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int,
-                 position_cap: int | None = None) -> WordBuffer:
+def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -> WordBuffer:
     if spec == "tribonacci":
         m = 3
     elif spec.startswith("mbonacci:"):
@@ -69,8 +68,7 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int,
             parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer >= 2")
     else:
         parser.error(f"word spec must be 'tribonacci' or 'mbonacci:<m>', got {spec!r}")
-    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols,
-                              position_cap=position_cap)
+    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols)
 
 
 def _positive_int(text: str) -> int:
@@ -97,7 +95,7 @@ def cmd_generate(args, parser) -> int:
 def _profile(buf: WordBuffer, n_from: int, n_to: int) -> Iterable[abelian.ProfileRow]:
     """Profile rows of the word, in order: produced lazily off the
     synchronized digit automaton for the Tribonacci word, which reads no
-    buffer, so the caps do not bind; through the certified window pass for
+    buffer, so --max-buffer does not bind; through the certified window pass for
     every other word."""
     if buf.alphabet_size == 3:
         return synchronized.synchronized_profile(n_from, n_to)
@@ -109,7 +107,7 @@ def _profile(buf: WordBuffer, n_from: int, n_to: int) -> Iterable[abelian.Profil
 def cmd_rho(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     with _open_out(args.out) as out:
         rows = _profile(buf, args.n_from, args.n_to)
         writer = csv.writer(out, lineterminator="\n")
@@ -122,7 +120,7 @@ def cmd_rho(args, parser) -> int:
 def cmd_balance(args, parser) -> int:
     if args.max_len < 1:
         parser.error(f"max length must be >= 1, got {args.max_len}")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     m = buf.alphabet_size
     global_max, first = 0, None
     with _open_out(args.out) as out:
@@ -193,7 +191,7 @@ def cmd_constants(args, parser) -> int:
 def cmd_special(args, parser) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
-    buf = _make_buffer(args.word_spec, parser, args.max_buffer, args.scan_cap)
+    buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     m = buf.alphabet_size
     # The Parikh columns keep the paper's (i, j, k) names for the Tribonacci
     # word; the complexity-3 closed form is Tribonacci-only.
@@ -217,7 +215,6 @@ def cmd_verify(args, parser) -> int:
         seed=args.seed,
         threads=args.threads,
         max_buffer=args.max_buffer,
-        scan_cap=args.scan_cap,
         progress=_progress,
     )
     with _open_out(args.json) if args.json else nullcontext() as handle:
@@ -252,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="seed for randomized spot checks"),
         "--max-buffer": dict(type=_positive_int, default=DEFAULT_MAX_SYMBOLS,
                              help="hard cap on materialized symbols"),
-        "--scan-cap": dict(type=_positive_int, default=None,
-                           help="position cap of certified factor queries "
-                                "(default max(64, 2^m) * n + 4096 on m letters)"),
     }
 
     def command(name: str, func, summary: str, *flags: str) -> argparse.ArgumentParser:
@@ -269,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=int)
 
     p = command("rho", cmd_rho, "abelian complexity over a length range (CSV)",
-                "--out", "--threads", "--max-buffer", "--scan-cap")
+                "--out", "--threads", "--max-buffer")
     p.add_argument("word_spec")
     p.add_argument("n_from", type=int)
     p.add_argument("n_to", type=int)
 
     p = command("balance", cmd_balance, "per-letter imbalance profile (CSV)",
-                "--out", "--threads", "--max-buffer", "--scan-cap")
+                "--out", "--threads", "--max-buffer")
     p.add_argument("word_spec")
     p.add_argument("max_len", type=int)
 
@@ -290,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("constants", cmd_constants, "spectral constants, 12 significant digits", "--out")
 
     p = command("special", cmd_special, "right-special factor report (CSV)",
-                "--out", "--max-buffer", "--scan-cap")
+                "--out", "--max-buffer")
     p.add_argument("word_spec")
     p.add_argument("n_from", type=int)
     p.add_argument("n_to", type=int)
 
     command("verify", cmd_verify, "run the claim-verification suite",
-            "--suite", "--json", "--threads", "--seed", "--max-buffer", "--scan-cap")
+            "--suite", "--json", "--threads", "--seed", "--max-buffer")
 
     return parser
 

@@ -4,8 +4,8 @@ Every query here is certified: it reads nothing until the examined region
 holds exactly the complexity target of (m-1)*n + 1 distinct length-n
 factors (the count of an Arnoux-Rauzy word on m letters), which proves
 every factor of that length has been seen.  The one limit is the
-buffer's position cap (``WordBuffer.position_cap``, read by
-``position_cap``): a length that does not saturate within it raises
+position cap, derived from the alphabet and the length by
+``position_cap``: a length that does not saturate within it raises
 ``SaturationError``, and a count above the target raises
 ``InvariantViolationError``.
 
@@ -41,16 +41,14 @@ _FP_BASE = 0x9E3779B97F4A7C15
 
 
 def position_cap(buffer: WordBuffer, n: int) -> int:
-    """Window start positions a certified length-n query may examine: the
-    buffer's ``position_cap``, or max(64, 2**m) * n + 4096 on m letters
-    when it is unset (64n + 4096 for m <= 6).
+    """Window start positions a certified length-n query may examine:
+    max(64, 2**m) * n + 4096 on m letters (64n + 4096 for m <= 6).
 
-    The analyzed words are linearly recurrent, so every factor of length n
-    first occurs within a multiple of n that grows as 2**m; the generous
-    linear cap catches configuration errors without unbounded scans.
+    The analyzed words are linearly recurrent: every length-n factor of
+    the m-bonacci word first occurs within about 0.76 * 2**m * (n + 1)
+    symbols, so the generous linear cap catches configuration errors
+    without unbounded scans.
     """
-    if buffer.position_cap is not None:
-        return buffer.position_cap
     return max(64, 2**buffer.alphabet_size) * n + 4096
 
 

@@ -34,8 +34,6 @@ from .errors import (
 from .numeration import digit_columns, tau_parikh_table, zeckendorf_encode
 from .words import WordBuffer
 
-DEFAULT_TOLERANCE = 1e-14
-
 #: Head cutoff index per letter (terms 0..cutoff are summed exactly).
 HEAD_CUTOFFS = (7, 10, 13)
 
@@ -77,17 +75,12 @@ class SpectralData:
 
 
 def compute_spectral_data() -> SpectralData:
-    """Newton iteration for the real root, deflation for the complex pair,
-    and a 3x3 solve for the expansion coefficients."""
-    x = 2.0
-    for _ in range(100):
-        f = x * x * x - x * x - x - 1.0
-        if abs(f) < DEFAULT_TOLERANCE:
-            break
-        x -= f / (3.0 * x * x - 2.0 * x - 1.0)
-    else:
-        raise NumericError("Newton iteration for the real root did not converge")
-    beta = x
+    """The real root rounded from the exact bisection ``_beta``, deflation
+    for the complex pair, and a 3x3 solve for the expansion coefficients."""
+    enclosure = _beta()
+    beta = float(enclosure.lo)
+    if float(enclosure.hi) != beta:
+        raise NumericError("the enclosure of beta does not round to one double")
 
     # Deflate: x^3 - x^2 - x - 1 = (x - beta)(x^2 + (beta-1)x + (beta^2-beta-1)).
     p = beta - 1.0
@@ -176,13 +169,6 @@ def discrepancy_blocks(buffer: WordBuffer, n_max: int, letter: int,
     return ((start, counts[start : start + DISCREPANCY_BLOCK]
              - np.arange(start, min(start + DISCREPANCY_BLOCK, n_max + 1), dtype=np.float64) * freq)
             for start in range(0, n_max + 1, DISCREPANCY_BLOCK))
-
-
-def discrepancy_column(buffer: WordBuffer, n_max: int, letter: int,
-                       sd: SpectralData) -> np.ndarray:
-    """The direct discrepancy of every prefix length 0..n_max, as one
-    float64 array: the blocks of ``discrepancy_blocks`` joined."""
-    return np.concatenate([block for _, block in discrepancy_blocks(buffer, n_max, letter, sd)])
 
 
 def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,

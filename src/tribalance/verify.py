@@ -4,8 +4,9 @@ Each claim recomputes one published property from scratch -- complexity
 sequences, balance bounds, numeration laws, spectral constants -- and
 reports observed versus expected.  The ``paper`` suite is the full
 registry; ``run_suite`` executes every claim, records wall time, and
-downgrades resource failures (a buffer or scan cap too small) to
-``skipped`` so a run under tight caps stays distinguishable from a wrong one.
+downgrades resource failures (``BufferLimitError``, ``SaturationError``)
+to ``skipped`` so a run under a tight cap stays distinguishable from a
+wrong one.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class SuiteConfig:
     seed: int = 0
     threads: int = 1  # accepted: the benchmark tracer's suite-subset passes it
     max_buffer: int = DEFAULT_MAX_SYMBOLS
-    scan_cap: int | None = None
     progress: Callable[[str], None] | None = None
 
 
@@ -120,8 +120,7 @@ class SuiteContext:
 
     def buffer(self, min_len: int = 1) -> WordBuffer:
         if self._buffer is None:
-            self._buffer = tribonacci_word(min_len, max_symbols=self.config.max_buffer,
-                                           position_cap=self.config.scan_cap)
+            self._buffer = tribonacci_word(min_len, max_symbols=self.config.max_buffer)
         return self._buffer.ensure(min_len)
 
     def fourbonacci(self, min_len: int) -> WordBuffer:

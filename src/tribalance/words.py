@@ -155,17 +155,16 @@ class WordBuffer:
     buffer, or None.  Only ``factors.factor_index`` writes it, and always
     replaces it whole, so a reader holding an older index keeps a valid one.
 
-    Two per-run resource caps: ``max_symbols`` bounds the materialized
-    prefix, and ``position_cap`` bounds the window start positions a
-    certified factor query may need at any length (None means
-    max(64, 2**m) * n + 4096 on m letters, see ``factors.position_cap``).
+    ``max_symbols`` is the one per-run resource cap: it bounds the
+    materialized prefix.  The window starts a certified factor query may
+    examine are derived from the alphabet and the length alone (see
+    ``factors.position_cap``).
     """
 
     def __init__(self, morphism: Morphism, seed: Symbol,
-                 max_symbols: int = DEFAULT_MAX_SYMBOLS, position_cap: int | None = None):
+                 max_symbols: int = DEFAULT_MAX_SYMBOLS):
         seed = integer_in(seed, "seed", 0, morphism.alphabet_size - 1)
-        if position_cap is not None:
-            position_cap = integer_in(position_cap, "position cap", 1)
+        max_symbols = integer_in(max_symbols, "max_symbols", 1)
         if not morphism.is_prolongable_at(seed):
             raise ConfigurationError(
                 f"morphism is not prolongable at {seed}: image must start with the seed and have length >= 2"
@@ -173,7 +172,6 @@ class WordBuffer:
         self.morphism = morphism
         self.seed = seed
         self.max_symbols = max_symbols
-        self.position_cap = position_cap
         self._symbols: bytes = bytes((seed,))
         self._prefix_counts: np.ndarray | None = None
         self.index = None
@@ -246,24 +244,18 @@ class WordBuffer:
 
 
 def fixed_point_prefix(morphism: Morphism, seed: Symbol, min_len: int,
-                       max_symbols: int = DEFAULT_MAX_SYMBOLS,
-                       position_cap: int | None = None) -> WordBuffer:
+                       max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
     """Buffer holding at least min_len symbols of the fixed point of the
     morphism at the given seed."""
     min_len = integer_in(min_len, "prefix length", 1)
-    return WordBuffer(morphism, seed, max_symbols=max_symbols,
-                      position_cap=position_cap).ensure(min_len)
+    return WordBuffer(morphism, seed, max_symbols=max_symbols).ensure(min_len)
 
 
-def tribonacci_word(min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS,
-                    position_cap: int | None = None) -> WordBuffer:
+def tribonacci_word(min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
     """Prefix buffer of the Tribonacci word 0102010010201..."""
-    return fixed_point_prefix(tribonacci_morphism(), 0, min_len, max_symbols=max_symbols,
-                              position_cap=position_cap)
+    return fixed_point_prefix(tribonacci_morphism(), 0, min_len, max_symbols=max_symbols)
 
 
-def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS,
-                  position_cap: int | None = None) -> WordBuffer:
+def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
     """Prefix buffer of the m-bonacci word."""
-    return fixed_point_prefix(mbonacci_morphism(m), 0, min_len, max_symbols=max_symbols,
-                              position_cap=position_cap)
+    return fixed_point_prefix(mbonacci_morphism(m), 0, min_len, max_symbols=max_symbols)

@@ -11,17 +11,21 @@ loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
 eigendata of ``compute_spectral_data``, which the certificate never does.
+``cap_positions`` stands in for a run whose certified queries may examine
+only a few window starts.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word, zeckendorf_encode
+from tribalance import factors
 from tribalance.factors import FactorIndex, position_cap
 
 
@@ -50,6 +54,21 @@ def fourbo():
 @pytest.fixture(scope="session")
 def sd():
     return compute_spectral_data()
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Set every name bound to original in a tribalance module to replacement."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "tribalance" or module_name.startswith("tribalance."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def cap_positions(monkeypatch, cap: int) -> None:
+    """Limit every certified factor query to cap window starts at every
+    length: ``factors.position_cap`` and each alias of it return cap."""
+    patch_everywhere(monkeypatch, factors.position_cap, lambda buffer, n: cap)
 
 
 # -- oracles ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, brute_parikh, brute_parikh_set, unique_profile
+from conftest import brute_factors, brute_parikh, brute_parikh_set, cap_positions, unique_profile
 from tribalance import (
     BufferLimitError,
     InvalidInputError,
@@ -16,7 +16,6 @@ from tribalance import (
     SaturationError,
     abelian_complexity,
     abelian_profile,
-    coordinate_interval_check,
     desubstitute,
     imbalance_witness_search,
     is_tribonacci_factor,
@@ -301,11 +300,12 @@ def test_profile_refuses_windows_past_int32(monkeypatch, capsys):
     assert "int32 prefix count limit" in capsys.readouterr().err
 
 
-def test_witness_search_certifies_lazily():
+def test_witness_search_certifies_lazily(monkeypatch):
     # Twenty window starts certify lengths 1 to 4 but not length 5, whose
     # last new factor starts at 23, so the search must return at its first
     # witnessing length without certifying the lengths after it.
-    buf = tribonacci_word(position_cap=20)
+    cap_positions(monkeypatch, 20)
+    buf = tribonacci_word()
     w = imbalance_witness_search(buf, 0, 1, 50)
     assert (w.letter, w.length, w.pos_u, w.pos_v, w.count_u, w.count_v) == (0, 1, 0, 1, 1, 0)
     with pytest.raises(SaturationError):
@@ -321,14 +321,6 @@ def test_prefix_balance_examples(tribo):
     assert prefix_balance_check(tribo, 1)
     assert prefix_balance_check(tribo, 184)
     assert not prefix_balance_check(tribo, 185)
-
-
-def test_coordinate_interval_check(tribo):
-    for n in (1, 2, 30, 342):
-        assert coordinate_interval_check(parikh_set(tribo, n))
-    assert coordinate_interval_check(frozenset())
-    assert coordinate_interval_check(frozenset({(1, 1, 1)}))
-    assert not coordinate_interval_check(frozenset({(1, 1, 2), (3, 1, 0)}))
 
 
 # -- desubstitution ----------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import cap_positions
 
 from tribalance.cli import build_parser, main
 
@@ -71,6 +72,7 @@ def test_threads_below_one_usage_error(capsys, threads):
     (["rho", "tribonacci", "1", "5", "--max-buffer", "0"], 2),
     (["rho", "tribonacci", "1", "5", "--max-buffer", "-1"], 2),
     (["balance", "mbonacci:300", "5"], 2),
+    # --scan-cap was removed: the position cap is derived, not set.
     (["balance", "tribonacci", "5", "--scan-cap", "0"], 2),
     (["balance", "tribonacci", "5", "--scan-cap", "-5"], 2),
     (["discrepancy", "3", "10"], 2),
@@ -78,7 +80,7 @@ def test_threads_below_one_usage_error(capsys, threads):
     (["zeckendorf", "-1"], 2),
     (["constants", "--out", "MISSING"], 2),
     (["special", "mbonacci:300", "1", "3"], 2),
-    (["special", "tribonacci", "1", "5", "--scan-cap", "1"], 3),
+    (["special", "tribonacci", "1", "5", "--max-buffer", "2"], 3),
     (["verify", "--json", "MISSING"], 2),
     (["generate", "mbonacci:11", "3000"], 2),
 ])
@@ -146,15 +148,18 @@ def test_resource_exit_code(capsys):
     assert err == "resource failure: requested 5032 symbols exceeds the configured cap of 64\n"
 
 
-@pytest.mark.parametrize("cap", [["--max-buffer", "64"], ["--scan-cap", "10"]])
+@pytest.mark.parametrize("cap", [["--max-buffer", "64"], []])
 @pytest.mark.parametrize("argv", [["rho", "tribonacci", "1", "500"],
                                   ["rho", "tribonacci", "200", "200"],
                                   ["balance", "tribonacci", "300"]])
-def test_caps_do_not_bind_the_tribonacci_automaton(capsys, argv, cap):
-    # The automaton reads no buffer: these exited 3 on the window route.
-    code, out, err = run(capsys, *argv, *cap)
-    assert code == 0
-    assert (out, err) == run(capsys, *argv)[1:]
+def test_caps_do_not_bind_the_tribonacci_automaton(capsys, monkeypatch, argv, cap):
+    # The automaton reads no buffer: these exited 3 on the window route
+    # under --max-buffer 64, or (no flag) under a 10-start position cap.
+    expected = run(capsys, *argv)
+    if not cap:
+        cap_positions(monkeypatch, 10)
+    assert run(capsys, *argv, *cap) == expected
+    assert expected[0] == 0
 
 
 def test_max_buffer_covers_adaptive_region(capsys):
@@ -165,15 +170,21 @@ def test_max_buffer_covers_adaptive_region(capsys):
     assert out == run(capsys, "rho", "mbonacci:2", "1", "500")[1]
 
 
-def test_saturation_cap_exit_code(capsys):
-    code, _, err = run(capsys, "rho", "mbonacci:2", "200", "200", "--scan-cap", "10")
+def test_saturation_cap_exit_code(capsys, monkeypatch):
+    cap_positions(monkeypatch, 10)
+    code, _, err = run(capsys, "rho", "mbonacci:2", "200", "200")
     assert code == 3
     assert err == ("resource failure: region of 211 symbols holds 12 factors of "
                    "length 200, target 201\n")
+    code, _, err = run(capsys, "special", "tribonacci", "1", "5")
+    assert code == 3
+    assert err == ("resource failure: length 3 saturates only at window start 12, "
+                   "beyond the cap 10\n")
 
 
-def test_saturation_cap_exit_code_balance(capsys):
-    code, _, err = run(capsys, "balance", "mbonacci:4", "400", "--scan-cap", "2000")
+def test_saturation_cap_exit_code_balance(capsys, monkeypatch):
+    cap_positions(monkeypatch, 2000)
+    code, _, err = run(capsys, "balance", "mbonacci:4", "400")
     assert code == 3
     assert err == ("resource failure: region of 2401 symbols holds 675 factors of "
                    "length 225, target 676\n")
@@ -221,14 +232,26 @@ def test_tribonacci_automaton_golden_digests(capsys, monkeypatch, block):
     assert _sha256(out) == "2374745424d7f78ee9546fa41888d99194dbf19fa3517a6424d44e1d865eed0c"
 
 
+#: Digests of ``rho mbonacci:m 1 200``, taken when the position cap could
+#: still be set.
+HIGH_ORDER_DIGESTS = {
+    7: "20e6a3abf4f4c33ba9d8b885302bda217f35a279ef41c2fd616ef8ba09945916",
+    8: "0336ff099a6ca4833fd7390f3e8273d55a2d68497c966ad7ced617add4f6a8a8",
+    9: "7333b4329f62f70e820fc97ab0742f118f3e944e02e43546946ccc27f4571180",
+    10: "165badf45be67faa40b85b8a98f08b0aeae3ebd93eef4eeb43c5c02ba51b68c5",
+}
+
+
 @pytest.mark.parametrize("m", [7, 8, 9, 10])
-def test_default_cap_reaches_high_orders(capsys, m):
+def test_default_cap_reaches_high_orders(capsys, monkeypatch, m):
     # The default cap grows as 2^m, past the first occurrence of every
     # factor; at 64n + 4096 these exited 3 (m = 7 at n = 129, m = 10 at n = 9).
+    # A 10^7 cap changes no byte.
     code, out, _ = run(capsys, "rho", f"mbonacci:{m}", "1", "200")
     assert code == 0
-    assert out.count("\n") == 201
-    assert out == run(capsys, "rho", f"mbonacci:{m}", "1", "200", "--scan-cap", "10000000")[1]
+    assert _sha256(out) == HIGH_ORDER_DIGESTS[m]
+    cap_positions(monkeypatch, 10**7)
+    assert run(capsys, "rho", f"mbonacci:{m}", "1", "200")[1] == out
 
 
 def test_discrepancy(capsys):
@@ -254,13 +277,13 @@ def test_discrepancy_golden_digests(capsys):
 #: benchmark passes it.
 COMMAND_FLAGS = {
     "generate": {"--out", "--max-buffer"},
-    "rho": {"--out", "--threads", "--max-buffer", "--scan-cap"},
-    "balance": {"--out", "--threads", "--max-buffer", "--scan-cap"},
+    "rho": {"--out", "--threads", "--max-buffer"},
+    "balance": {"--out", "--threads", "--max-buffer"},
     "discrepancy": {"--out", "--threads", "--max-buffer"},
     "zeckendorf": set(),
     "constants": {"--out"},
-    "special": {"--out", "--max-buffer", "--scan-cap"},
-    "verify": {"--suite", "--json", "--threads", "--seed", "--max-buffer", "--scan-cap"},
+    "special": {"--out", "--max-buffer"},
+    "verify": {"--suite", "--json", "--threads", "--seed", "--max-buffer"},
 }
 
 POSITIONALS = {
@@ -274,6 +297,8 @@ POSITIONALS = {
     "verify": [],
 }
 
+#: A value for each flag above, and for the removed --scan-cap, which every
+#: command refuses.
 FLAG_VALUES = {"--out": "out.csv", "--suite": "paper", "--json": "report.json",
                "--threads": "2", "--seed": "9", "--max-buffer": "100000", "--scan-cap": "5000"}
 
@@ -287,7 +312,7 @@ def test_each_command_takes_exactly_its_flags():
     taken = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
              for name, p in subcommands(build_parser()).items()}
     assert taken == COMMAND_FLAGS
-    assert sum(map(len, taken.values())) == 23
+    assert sum(map(len, taken.values())) == 19
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))

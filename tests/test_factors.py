@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, full_region_index
+from conftest import brute_factors, cap_positions, full_region_index
 from tribalance import (
     InvariantViolationError,
     Morphism,
@@ -33,7 +33,7 @@ from tribalance.special import right_special_parikh
 
 def test_defaults():
     assert position_cap(tribonacci_word(), 10) == 64 * 10 + 4096
-    assert position_cap(tribonacci_word(position_cap=7), 10) == 7
+    assert position_cap(mbonacci_word(10), 10) == 1024 * 10 + 4096
     assert default_target(3, 10) == 21
     assert default_target(2, 10) == 11
 
@@ -72,9 +72,10 @@ def test_scan_extension_finds_nothing_new(tribo):
         assert scan.positions_scanned == scan.last_new_position + 10 * n + 1
 
 
-def test_scan_cap_failure_reports_position():
+def test_scan_cap_failure_reports_position(monkeypatch):
+    cap_positions(monkeypatch, 30)
     with pytest.raises(SaturationError) as excinfo:
-        scan_distinct_factors(tribonacci_word(position_cap=30), 100)
+        scan_distinct_factors(tribonacci_word(), 100)
     err = excinfo.value
     assert err.n == 100
     assert err.positions_scanned <= 30
@@ -121,10 +122,11 @@ def test_index_certify_rejects_excess_factors():
         "right_special_factor", "right_special_parikh", "bispecial_lengths",
         "twelve_vector_geometry", "successor_length", "verify_equivalences",
         "scan_distinct_factors"])
-def test_certifying_queries_honour_the_buffer_cap(query):
+def test_certifying_queries_honour_the_buffer_cap(monkeypatch, query):
     # Length 50 has 101 factors, which 20 window starts cannot hold.
+    cap_positions(monkeypatch, 20)
     with pytest.raises(SaturationError):
-        query(tribonacci_word(position_cap=20))
+        query(tribonacci_word())
 
 
 def test_scan_exact_under_forced_collisions(tribo, monkeypatch):

@@ -17,7 +17,7 @@ from tribalance import (
     balance_bound_from_interval,
     boundary_set,
     central_set,
-    discrepancy_column,
+    discrepancy_blocks,
     discrepancy_direct,
     discrepancy_extremes,
     factor_index,
@@ -27,6 +27,7 @@ from tribalance import (
     prefix_balance_check,
     successor_length,
     tribonacci_numbers_upto,
+    tribonacci_word,
     verify_equivalences,
     verify_witness,
     window_parikh,
@@ -43,12 +44,12 @@ CASES = {
     "witness_search_letter_1.0": lambda t, f, sd: imbalance_witness_search(t, 1.0, 3, 40),
     # Spectral letters and lengths are integers, and in range.
     "direct_letter_1.0": lambda t, f, sd: discrepancy_direct(t, 10, 1.0, sd),
-    "column_letter_True": lambda t, f, sd: discrepancy_column(t, 10, True, sd),
+    "blocks_letter_True": lambda t, f, sd: discrepancy_blocks(t, 10, True, sd),
     "direct_length_2.5": lambda t, f, sd: discrepancy_direct(t, 2.5, 0, sd),
     "extremes_n_max_-1": lambda t, f, sd: discrepancy_extremes(t, -1, 0, sd),
-    "column_n_max_-1": lambda t, f, sd: discrepancy_column(t, -1, 0, sd),
-    "column_n_max_10.0": lambda t, f, sd: discrepancy_column(t, 10.0, 0, sd),
-    "column_letter_3": lambda t, f, sd: discrepancy_column(t, 10, 3, sd),
+    "blocks_n_max_-1": lambda t, f, sd: discrepancy_blocks(t, -1, 0, sd),
+    "blocks_n_max_10.0": lambda t, f, sd: discrepancy_blocks(t, 10.0, 0, sd),
+    "blocks_letter_3": lambda t, f, sd: discrepancy_blocks(t, 10, 3, sd),
     # Tribonacci-only queries refuse other alphabets.
     "central_set_4bonacci": lambda t, f, sd: central_set(f, 5),
     "boundary_set_4bonacci": lambda t, f, sd: boundary_set(f, 5),
@@ -68,6 +69,14 @@ CASES = {
     "window_parikh_start_True": lambda t, f, sd: window_parikh(t, True, 2),
     "slice_start_1.5": lambda t, f, sd: t.slice(1.5, 2),
     "parikh_alphabet_2.5": lambda t, f, sd: parikh("012", 2.5),
+    # The buffer cap is an integer >= 1: a string or None raised a bare
+    # TypeError, and 1.5, -3 or True passed as a cap, then raised
+    # BufferLimitError (exit 3, not 2).
+    "max_symbols_x": lambda t, f, sd: tribonacci_word(10, max_symbols="x"),
+    "max_symbols_None": lambda t, f, sd: tribonacci_word(10, max_symbols=None),
+    "max_symbols_1.5": lambda t, f, sd: tribonacci_word(10, max_symbols=1.5),
+    "max_symbols_-3": lambda t, f, sd: tribonacci_word(10, max_symbols=-3),
+    "max_symbols_True": lambda t, f, sd: tribonacci_word(10, max_symbols=True),
     # A float bound was compared, not refused; NaN or inf never stopped.
     "terms_upto_7.5": lambda t, f, sd: tribonacci_numbers_upto(7.5),
     "balance_bound_nan": lambda t, f, sd: balance_bound_from_interval(float("nan"), 1),

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from tribalance import (
     InvalidInputError,
+    NumericError,
     RangeError,
     VerificationFailureError,
     balance_bound_from_interval,
     certify_balance_bounds,
-    discrepancy_column,
+    compute_spectral_data,
+    discrepancy_blocks,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_from_digits,
@@ -24,6 +26,7 @@ from tribalance import (
     tribonacci_morphism,
     zeckendorf_encode_many,
 )
+from tribalance import spectral
 from tribalance.spectral import (
     HEAD_CUTOFFS,
     TARGET_INTERVALS,
@@ -53,9 +56,25 @@ def test_malformed_cutoffs_are_refused():
         certify_balance_bounds(cutoffs=(7, 10))
 
 
-def test_discrepancy_column_refuses_past_buffer(tribo, sd):
+def test_discrepancy_blocks_refuse_past_buffer(tribo, sd):
     with pytest.raises(RangeError, match="exceeds buffer length"):
-        discrepancy_column(tribo, len(tribo) + 1, 0, sd)
+        discrepancy_blocks(tribo, len(tribo) + 1, 0, sd)
+
+
+def test_spectral_data_is_bit_stable(sd):
+    # beta is the double both ends of the exact enclosure round to; the
+    # float steps from it must keep every later field bit for bit.
+    assert sd.beta.hex() == "0x1.d6db7f2d9c5c1p+0"
+    assert (sd.alpha.real.hex(), sd.alpha.imag.hex()) == (
+        "-0x1.adb6fe5b38b82p-2", "0x1.366bbd0ba0364p-1")
+    assert (sd.coeff_alpha.real.hex(), sd.coeff_alpha.imag.hex()) == (
+        "-0x1.198035bde6c09p-4", "0x1.f9f200c21b3cep-4")
+
+
+def test_spectral_data_refuses_a_beta_of_two_doubles(monkeypatch):
+    monkeypatch.setattr(spectral, "_beta", lambda: spectral._Interval(1, 2))
+    with pytest.raises(NumericError, match="does not round to one double"):
+        compute_spectral_data()
 
 
 def test_root_relations(sd):
@@ -261,8 +280,11 @@ def test_empirical_extremes_strictly_inside(tribo, sd):
 @pytest.mark.parametrize("n_max", [0, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
 def test_blocked_extremes_equal_the_column(tribo_2e6, sd, n_max):
     for letter in (0, 1, 2):
-        column = discrepancy_column(tribo_2e6, n_max, letter, sd)
-        assert column.shape == (n_max + 1,)
+        counts = tribo_2e6.prefix_counts[letter, : n_max + 1]
+        column = counts - np.arange(n_max + 1) * sd.frequency(letter)
+        starts, blocks = zip(*discrepancy_blocks(tribo_2e6, n_max, letter, sd))
+        assert starts == tuple(range(0, n_max + 1, 2**16))
+        assert np.array_equal(np.concatenate(blocks), column)
         assert discrepancy_extremes(tribo_2e6, n_max, letter, sd) == (column.min(), column.max())
 
 

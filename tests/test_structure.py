@@ -18,11 +18,11 @@ import dataclasses
 import functools
 import importlib
 import pkgutil
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import patch_everywhere
 
 import tribalance
 from tribalance import (
@@ -32,7 +32,7 @@ from tribalance import (
     boundary_set,
     central_set,
     compute_spectral_data,
-    discrepancy_column,
+    discrepancy_blocks,
     discrepancy_direct,
     discrepancy_extremes,
     discrepancy_spectral,
@@ -118,7 +118,7 @@ def test_queries_leave_published_state_alone():
         discrepancy_direct(buf, n, 0, sd)
         discrepancy_spectral(n, 0, sd)
     for letter in range(3):
-        discrepancy_column(buf, len(buf), letter, sd)
+        list(discrepancy_blocks(buf, len(buf), letter, sd))
         discrepancy_extremes(buf, len(buf), letter, sd)
 
     assert buf.symbols is symbols
@@ -151,11 +151,7 @@ def count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "tribalance" or module_name.startswith("tribalance."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    patch_everywhere(monkeypatch, original, counted)
     return calls
 
 

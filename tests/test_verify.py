@@ -11,7 +11,7 @@ the exact value.
 """
 
 import pytest
-from conftest import scalar_eq1_worst
+from conftest import cap_positions, scalar_eq1_worst
 
 from tribalance import (
     InvalidInputError,
@@ -84,8 +84,9 @@ def test_claim_fails_on_a_miscounted_length(fresh_run, monkeypatch):
     assert result.observed == {"samples": samples, "failures": [bad]}
 
 
-def test_claim_skips_under_a_small_scan_cap():
-    result = run_claim(SuiteConfig(seed=0, scan_cap=500))
+def test_claim_skips_under_a_small_scan_cap(monkeypatch):
+    cap_positions(monkeypatch, 500)
+    result = run_claim()
     assert result.status == "skipped"
     assert result.observed.startswith("SaturationError")
 

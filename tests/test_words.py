@@ -13,7 +13,6 @@ from tribalance import (
     InvalidInputError,
     Morphism,
     RangeError,
-    WordBuffer,
     apply_morphism,
     as_word,
     fixed_point_prefix,
@@ -264,12 +263,3 @@ def test_alphabet_byte_limit():
 def test_min_len_validation():
     with pytest.raises(InvalidInputError):
         fixed_point_prefix(tribonacci_morphism(), 0, 0)
-
-
-@pytest.mark.parametrize("cap", [0, -5])
-def test_position_cap_validation(cap):
-    with pytest.raises(InvalidInputError, match=f"position cap must be an integer >= 1, got {cap}"):
-        WordBuffer(tribonacci_morphism(), 0, position_cap=cap)
-    with pytest.raises(InvalidInputError):
-        mbonacci_word(4, position_cap=cap)
-    assert WordBuffer(tribonacci_morphism(), 0, position_cap=1).position_cap == 1
