@@ -6,7 +6,9 @@ Parikh vectors among its length-n factors; a word is C-balanced when the
 per-letter counts of any two equal-length factors differ by at most C.
 Everything here reduces to O(1) Parikh queries against the buffer's
 per-letter prefix sums, plus saturation certificates that a scanned region
-contains every factor of the relevant length.
+contains every factor of the relevant length.  The per-length queries read
+one window per distinct factor, at the starts where the factors first
+occur, in blocks of consecutive lengths (``_certified_windows``).
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidInputError,
+    InvariantViolationError,
     NotAFactorError,
     RangeError,
+    SaturationError,
     integer_in,
 )
 from .factors import factor_index
@@ -86,28 +91,113 @@ class ProfileRow:
     vectors: tuple[ParikhVector, ...] | None = None
 
 
-def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
-    """Yield ``(n, ends, starts)`` for every n in [n_from, n_to]: the int32
-    prefix counts at the ends and at the starts of the length-n windows
-    starting at 0..bound, as (alphabet, bound + 1) views, so ``ends -
-    starts`` holds the windows' letter counts as columns.  A caller that
-    needs one letter subtracts only that row.
+#: Windows per letter one block of lengths reads, about: the window count
+#: of its last length times the number of lengths.  Blocks of 2**17 run as
+#: fast as blocks of 2**18 and hold half the memory (2**16: a quarter
+#: slower).
+_BLOCK_WINDOWS = 1 << 17
 
-    One factor index covers n_to, and the windows read the buffer's
-    published int32 prefix counts through ``cover_end[n_to]`` -- the
-    largest n + bound, since ``cover_end`` is a running maximum -- as one
-    slice, with no copy.  Each length is
-    certified only when the walk reaches it, so a caller that stops early
-    certifies no length past its stop.  Every window query checks its
-    lengths here: n_from >= 1 and n_to >= n_from, both integers.
+#: Blocks read a uint16 copy of the prefix counts when the last length is
+#: below this: window counts then lie in [0, n] and the dense keys below
+#: 2**16, so wrapped 16-bit differences are exact.
+_UINT16_LIMIT = 1 << 16
+
+
+class _Scratch:
+    """Flat arrays that a walk reuses from block to block, allocated once
+    for its largest block, so that no block maps fresh pages: the letter
+    counts and the dense keys.  The bits of the keys reuse the counts'
+    memory, so they are taken only once the counts have been read.  Pages
+    of a fresh array that are never written do not count toward the
+    resident set."""
+
+    def __init__(self, windows: int, letters: int, dtype):
+        # In 4-byte units, so that it views as the counts' dtype and as
+        # uint32 bits alike; with letters >= 2 it holds a bit per window.
+        counts = np.empty(-(-letters * windows * np.dtype(dtype).itemsize // 4), dtype=np.uint32)
+        self._flat = {"counts": counts, "keys": np.empty(windows, dtype=dtype), "bits": counts}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return self._flat[name].view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+class _Block:
+    """The window letter counts of the lengths n0..n1 at the starts where
+    the length-n1 factors first occur, given as sorted ``(start, stop)``
+    runs.
+
+    Those starts hold a first occurrence of every shorter factor too: a
+    factor that first occurs at s extends on the right to one that also
+    first occurs at s.  So each row reads one window per distinct factor
+    of n1, with repeats among the shorter factors but none missing, and
+    the smallest start holding an extreme count of a length (a first
+    occurrence) is among them.  The arrays a block returns live in the
+    walk's ``scratch`` and are overwritten by the next block.
+    """
+
+    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
+                 scratch: _Scratch):
+        self.pc, self.n0, self.n1, self.runs, self.scratch = pc, n0, n1, runs, scratch
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The window start of each column, in increasing order."""
+        return np.concatenate([np.arange(a, b) for a, b in self.runs])
+
+    def counts(self, letters=slice(None)) -> np.ndarray:
+        """(letters, lengths, windows) array: entry [a, r, j] counts the
+        letter a in the window of length n0 + r at ``starts[j]``.  Each run
+        of starts reads one strided view of the prefix counts, no gather."""
+        pc = self.pc[letters]
+        lengths = self.n1 - self.n0 + 1
+        ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
+        out = self.scratch("counts", (len(pc), lengths, sum(b - a for a, b in self.runs)),
+                           pc.dtype)
+        col = 0
+        for a, b in self.runs:
+            np.subtract(ends[:, a + self.n0 : b + self.n0].transpose(0, 2, 1), pc[:, None, a:b],
+                        out=out[:, :, col : col + b - a])
+            col += b - a
+        return out
+
+
+def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
+    """Yield a ``_Block`` per run of consecutive lengths, covering [n_from,
+    n_to] in order.
+
+    One factor index covers n_to.  A block of lengths [n0, n1] reads the
+    first-occurrence runs of n1 (``FactorIndex.first_runs``), about
+    ``_BLOCK_WINDOWS`` windows per letter, and spans at most 1 + n0 // 32
+    lengths, so reading every length at the starts of the last costs at
+    most about 1/64 more windows than the first occurrences themselves.
+    Each length is certified in order, and a block ends before a length
+    that fails, so a caller that stops early certifies no length past its
+    block.  Every window query checks its lengths here: n_from >= 1 and
+    n_to >= n_from, both integers.
     """
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
     pc = buffer.prefix_counts[:, : int(index.cover_end[n_to]) + 1]
-    for n in range(n_from, n_to + 1):
-        bound = index.certify(n)
-        yield n, pc[:, n : n + bound + 1], pc[:, : bound + 1]
+    if n_to < _UINT16_LIMIT:
+        pc = pc.astype(np.uint16)
+    # No block reads more windows per letter than this.
+    widest = int(index.counts[n_to])
+    scratch = _Scratch(min(max(_BLOCK_WINDOWS, widest), (n_to - n_from + 1) * widest),
+                       len(pc), pc.dtype)
+    n0 = n_from
+    while n0 <= n_to:
+        index.certify(n0)
+        n1 = n0
+        while (n1 < n_to and n1 - n0 < n0 // 32
+               and (n1 + 2 - n0) * int(index.counts[n1 + 1]) <= _BLOCK_WINDOWS):
+            try:
+                index.certify(n1 + 1)
+            except (SaturationError, InvariantViolationError):
+                break
+            n1 += 1
+        yield _Block(pc, n0, n1, index.first_runs(n1), scratch)
+        n0 = n1 + 1
 
 
 def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
@@ -117,59 +207,92 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     imbalance at length n for letter a is max - min of the letter-a count
     over all length-n factors.
 
-    Per length, the window letter counts of ``_certified_windows`` vary
-    only within the imbalance, so each window is keyed densely by its
-    offsets from the per-letter minima (the last letter is n minus the
-    others) and the distinct Parikh vectors are counted without sorting;
-    ``collect_vectors`` decodes the keys back into each row's ``vectors``.
+    Each block of ``_certified_windows`` goes through ``_block_rows``;
+    ``collect_vectors`` decodes each row's distinct Parikh vectors too.
     Rows are computed in the calling thread.
     """
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     rows = []
-    for n, ends, starts in _certified_windows(buffer, n_from, n_to):
-        span, rho, vectors = _window_classes(ends - starts, collect_vectors)
-        vecs = None if vectors is None else tuple(map(tuple, vectors.tolist()))
-        rows.append(ProfileRow(n, rho, tuple(int(x) for x in span), vectors=vecs))
+    for block in _certified_windows(buffer, n_from, n_to):
+        rows += _block_rows(block.counts(), block.n0, collect_vectors, block.scratch)
     return rows
 
 
-def _window_classes(counts: np.ndarray, vectors: bool):
-    """Per-letter imbalance of the window columns of ``counts``, their
-    number of distinct Parikh vectors and, with ``vectors``, those vectors
-    as the rows of an array in increasing lexicographic order (else None).
+def _block_rows(counts: np.ndarray, n0: int, vectors: bool,
+                scratch: _Scratch | None = None) -> list[ProfileRow]:
+    """``ProfileRow`` of each row of the (alphabet, lengths, windows)
+    letter counts ``counts``, row r of length n0 + r: the per-letter
+    imbalance, the number of distinct Parikh vectors and, with
+    ``vectors``, those vectors in increasing lexicographic order.
 
-    Each column is keyed by its offsets from the per-letter minima in the
-    mixed radix span + 1, dropping the last letter (it is the window length
-    minus the others), so key order is lexicographic vector order.  The
-    keys present are the set bits of an OR over ``1 << key`` (at most 31
-    keys) or the nonzero bins of ``np.bincount``; counting them gives the
-    number of vectors, and decoding them gives the vectors.  When the key
-    range exceeds the window count, the columns are deduplicated by sorting
-    instead.
+    Within a row the letter counts vary only within the imbalance, so each
+    window is keyed by its offsets from the per-letter minima in the mixed
+    radix span + 1, dropping the last letter (it is the length minus the
+    others); key order is lexicographic vector order.  Rows whose key space
+    has at most 32 values are keyed together in the counts' dtype (wrapped
+    16-bit arithmetic is exact for keys below 2**16) and counted as the set
+    bits of an OR over ``1 << key``, in uint16 when every such key space of
+    the block has at most 16 values, else in uint32.  A wider row goes
+    through ``np.bincount``, or, when its key space exceeds its window
+    count, is deduplicated by sorting.
     """
-    lo = counts.min(axis=1)
-    span = counts.max(axis=1) - lo
-    radix = tuple(int(s) + 1 for s in span[:-1])
-    size = math.prod(radix)
-    if size > counts.shape[1]:
-        unique = np.unique(counts.T, axis=0)
-        return span, len(unique), (unique if vectors else None)
-    key = counts[0] - lo[0]
-    for a in range(1, len(span) - 1):
-        key = key * radix[a] + (counts[a] - lo[a])
-    if size <= 31:
-        mask = int(np.bitwise_or.reduce(np.left_shift(1, key)))
-        if not vectors:
-            return span, mask.bit_count(), None
-        keys = np.flatnonzero((mask >> np.arange(size)) & 1)
-    else:
-        bins = np.bincount(key)
-        if not vectors:
-            return span, int(np.count_nonzero(bins)), None
-        keys = np.flatnonzero(bins)
-    head = np.column_stack(np.unravel_index(keys, radix)) + lo[:-1]
-    last = int(counts[:, 0].sum()) - head.sum(axis=1)
-    return span, len(keys), np.column_stack([head, last])
+    m, lengths, windows = counts.shape
+    lo = counts.min(axis=2)
+    span = counts.max(axis=2) - lo
+    radix = span[:-1].astype(np.int64) + 1
+    lows, spans, shapes = lo.T.tolist(), span.T.tolist(), radix.T.tolist()
+    sizes = radix.prod(axis=0).tolist()
+    small = [r for r in range(lengths) if sizes[r] <= 32]
+    # The wide rows first: the bits of the narrow ones may reuse the
+    # memory of the counts.
+    unique, keys = {}, {}
+    for r in (r for r in range(lengths) if sizes[r] > 32):
+        if sizes[r] > windows:
+            unique[r] = tuple(map(tuple, np.unique(counts[:, r].T, axis=0).tolist()))
+        else:
+            offsets = counts[:, r].astype(np.int64) - lo[:, r, None]
+            key = offsets[0]
+            for a in range(1, m - 1):
+                key = key * shapes[r][a] + offsets[a]
+            keys[r] = np.flatnonzero(np.bincount(key))
+    masks = {}
+    if small:
+        take = scratch or (lambda name, shape, dtype: np.empty(shape, dtype=dtype))
+        part = counts if len(small) == lengths else counts[:, small]
+        low = lo[:, small, None]
+        rad = np.array([shapes[r] for r in small], dtype=counts.dtype).T[:, :, None]
+        key = np.subtract(part[0], low[0], out=take("keys", part.shape[1:], counts.dtype))
+        for a in range(1, m - 1):
+            key *= rad[a]
+            key += part[a]
+            key -= low[a]
+        dtype = np.uint16 if max(sizes[r] for r in small) <= 16 else np.uint32
+        bits = key if key.dtype == dtype else take("bits", key.shape, dtype)
+        np.left_shift(1, key, out=bits, dtype=dtype, casting="unsafe")
+        masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
+    rows = []
+    for r, (imbalance, shape) in enumerate(zip(spans, shapes)):
+        n, found = n0 + r, unique.get(r)
+        if found is not None:
+            rho = len(found)
+        elif r in masks:
+            rho = masks[r].bit_count()
+            if vectors:
+                found = _decode([k for k in range(sizes[r]) if masks[r] >> k & 1],
+                                shape, lows[r], n)
+        else:
+            rho = len(keys[r])
+            if vectors:
+                found = _decode(keys[r], shape, lows[r], n)
+        rows.append(ProfileRow(n, rho, tuple(imbalance), found if vectors else None))
+    return rows
+
+
+def _decode(keys, shape: list[int], low: list[int], n: int) -> tuple[ParikhVector, ...]:
+    """The Parikh vectors of length n whose dense keys in the mixed radix
+    ``shape`` over the minima ``low`` are ``keys``, in key order."""
+    head = np.column_stack(np.unravel_index(keys, shape)) + low[:-1]
+    return tuple(map(tuple, np.column_stack([head, n - head.sum(axis=1)]).tolist()))
 
 
 @dataclass
@@ -202,25 +325,28 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     """Smallest-length witness with count difference >= target_diff, or None.
 
     Walks the lengths from ``n_from`` (a caller that knows no shorter length
-    reaches the target) to ``max_len`` through ``_certified_windows`` and
-    returns at the first length whose letter counts reach the target, with
-    the positions of a maximal and a minimal count.
+    reaches the target) to ``max_len`` through ``_certified_windows``,
+    reading only the letter's counts, and returns at the first length whose
+    counts reach the target, with the smallest starts of a maximal and a
+    minimal count.
     """
     letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
-    for n, ends, starts in _certified_windows(buffer, n_from, max_len):
-        row = ends[letter] - starts[letter]
-        hi = int(row.argmax())
-        lo = int(row.argmin())
-        if row[hi] - row[lo] >= target_diff:
-            return BalanceWitness(letter, n, hi, lo, int(row[hi]), int(row[lo]))
+    for block in _certified_windows(buffer, n_from, max_len):
+        (counts,) = block.counts(slice(letter, letter + 1))
+        hi, lo = counts.max(axis=1), counts.min(axis=1)
+        reached = np.flatnonzero(hi - lo >= target_diff)
+        if reached.size:
+            r = int(reached[0])
+            pos_u, pos_v = block.starts[[counts[r].argmax(), counts[r].argmin()]].tolist()
+            return BalanceWitness(letter, block.n0 + r, pos_u, pos_v, int(hi[r]), int(lo[r]))
     return None
 
 
 def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     """True iff every length-n factor's letter counts differ from the
-    length-n prefix's (the window at 0) by at most 1."""
-    ((_, ends, starts),) = _certified_windows(buffer, n, n)
-    counts = ends - starts
+    length-n prefix's (the window at 0, the first column) by at most 1."""
+    (block,) = _certified_windows(buffer, n, n)
+    counts = block.counts()[:, 0].astype(np.int64)
     return bool(np.abs(counts - counts[:, :1]).max() <= 1)
 
 

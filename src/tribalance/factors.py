@@ -11,11 +11,12 @@ position cap, derived from the alphabet and the length by
 
 ``FactorIndex`` builds a suffix automaton over a fixed prefix region and
 answers, for every length at once: how many distinct factors the region
-contains, how long a prefix suffices to contain them all, and where the
+contains, how long a prefix suffices to contain them all, where the
 unique right special factor first occurs with its right and left extension
-counts.  Every per-length query of the package (Parikh sets, window
-bounds, special factors, profiles, the saturation claim) goes through
-the index.
+counts, and (``first_runs``) at which window starts each length's
+distinct factors first occur, as a few runs of consecutive starts.  Every
+per-length query of the package (Parikh sets, window bounds, special
+factors, profiles, the saturation claim) goes through the index.
 
 ``scan_distinct_factors`` slides a 127-bit rolling fingerprint over the
 buffer and counts distinct windows, confirming every fingerprint match by
@@ -255,6 +256,16 @@ class FactorIndex:
         self.cover_end = np.maximum.accumulate(new_max)[: R + 1]
         self.cover_end[0] = 0
 
+        # lrs[e]: length of the longest suffix of the prefix of length e
+        # that already occurs in the prefix of length e - 1 (Crochemore-Ilie
+        # 2008).  The suffixes first ending at e are the strings of the
+        # states with first end e, and their lengths fill (lrs[e], e], so
+        # lrs[e] is the least shortest-length-minus-one among those states.
+        lrs = np.full(R + 1, R, dtype=np.int64)
+        np.minimum.at(lrs, self._first_end[1:], self._len[self._link[1:]])
+        lrs[0] = 0
+        self._lrs = lrs.astype(np.int32)
+
         # Per-length count of right-special substrings (>= 2 extensions),
         # the state holding one of each length, and each state's number of
         # children in the suffix-link tree.
@@ -320,6 +331,32 @@ class FactorIndex:
                 positions_scanned=cap,
             )
         return bound
+
+    def first_runs(self, n: int) -> list[tuple[int, int]]:
+        """Window starts where a length-n factor of the region first
+        occurs, as sorted, disjoint ``(start, stop)`` runs of consecutive
+        starts.
+
+        The window at s first holds its factor exactly when no suffix of
+        length n of the prefix ending at s + n occurred before, that is
+        when ``lrs[s + n] < n``; every first occurrence ends by
+        ``cover_end[n]``.  The runs hold one start per distinct factor, so
+        their total must be ``counts[n]``; anything else raises
+        ``InvariantViolationError``.  On the m-bonacci words the starts
+        form at most m runs (the first occurrences of a standard
+        episturmian word, Droubay-Justin-Pirillo 2001).
+        """
+        n = integer_in(n, "factor length", 1, self.region_len)
+        new = np.flatnonzero(self._lrs[n : int(self.cover_end[n]) + 1] < n)
+        if new.size != self.counts[n]:
+            raise InvariantViolationError(
+                f"found {new.size} first occurrences of length {n}, but the region holds "
+                f"{int(self.counts[n])} distinct factors of that length"
+            )
+        gaps = np.flatnonzero(new[1:] != new[:-1] + 1)  # the last start of each run but the last
+        starts = [int(new[0]), *new[gaps + 1].tolist()]
+        stops = [*(new[gaps] + 1).tolist(), int(new[-1]) + 1]
+        return list(zip(starts, stops))
 
     def right_special_end(self, n: int) -> tuple[int, int, int]:
         """First-occurrence end, right extension degree and left extension

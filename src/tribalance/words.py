@@ -193,7 +193,9 @@ class WordBuffer:
         Growth applies the morphism to the whole current content until the
         requested length is reached, then truncates; the image of a prefix
         of the fixed point is again a prefix, so regrowing later is sound.
+        ``min_len`` must be an integer >= 0.
         """
+        min_len = integer_in(min_len, "buffer length", 0)
         if min_len > self.max_symbols:
             raise BufferLimitError(
                 f"requested {min_len} symbols exceeds the configured cap of {self.max_symbols}"

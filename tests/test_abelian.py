@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -27,7 +28,8 @@ from tribalance import (
     verify_witness,
     window_parikh,
 )
-from tribalance.abelian import _window_classes
+from tribalance import abelian
+from tribalance.abelian import _block_rows
 from tribalance.factors import FactorIndex, factor_index, scan_distinct_factors
 
 
@@ -128,13 +130,20 @@ def test_dense_profile_matches_sorting_oracle(m, n_max):
     plain = abelian_profile(buf, 1, n_max, threads=3)
     assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in plain] == \
         [(n, rho, imbalance, None) for n, rho, imbalance, _ in oracle]
-    # Key spaces of at most 31 values take the bitmask route, wider ones
+    # Key spaces of at most 32 values take the bitmask route, wider ones
     # np.bincount: m <= 4 never leaves the first, m = 5, 6 reach the second.
     sizes = [math.prod(s + 1 for s in r.max_imbalance[:-1]) for r in plain]
     if m <= 4:
         assert max(sizes) <= 27
     else:
-        assert max(sizes) > 31
+        assert max(sizes) > 32
+
+
+def _window_classes(counts: np.ndarray, vectors: bool):
+    """The one-row form of ``_block_rows``: (imbalance, rho, vectors) of
+    the window columns of counts, each of which sums to the same length."""
+    (row,) = _block_rows(counts[:, None, :], int(counts[:, 0].sum()), vectors)
+    return row.max_imbalance, row.rho, row.vectors
 
 
 def test_window_classes_sorting_fallback():
@@ -142,12 +151,32 @@ def test_window_classes_sorting_fallback():
     # first two letters exceeds the 5 columns, so the columns are sorted.
     counts = np.array([[0, 10, 5, 0, 3], [10, 0, 5, 10, 3], [0, 0, 0, 0, 4]])
     span, rho, vectors = _window_classes(counts, True)
-    assert math.prod(int(s) + 1 for s in span[:-1]) > counts.shape[1]
-    assert tuple(span) == (10, 10, 4)
+    assert math.prod(s + 1 for s in span[:-1]) > counts.shape[1]
+    assert span == (10, 10, 4)
     assert rho == 4
-    assert vectors.tolist() == [[0, 10, 0], [3, 3, 4], [5, 5, 0], [10, 0, 0]]
+    assert vectors == ((0, 10, 0), (3, 3, 4), (5, 5, 0), (10, 0, 0))
     span, rho, vectors = _window_classes(counts, False)
     assert (rho, vectors) == (4, None)
+
+
+def test_block_rows_key_each_length_on_its_own():
+    # Three lengths in one block: a narrow row on the bitmask, a row whose
+    # 7 * 6 keys take np.bincount, and a row sorted because its 11 * 11
+    # keys exceed its 48 windows.  Each row is keyed by its own minima and
+    # radix, and matches its one-row form.
+    rng = np.random.default_rng(5)
+    rows = []
+    for n, spans in ((40, (1, 1)), (41, (6, 5)), (42, (10, 10))):
+        head = np.column_stack([np.zeros(2, dtype=int), spans,
+                                rng.integers(0, np.array(spans)[:, None] + 1, size=(2, 46))])
+        head += np.array([[3], [4]])
+        rows.append(np.vstack([head, n - head.sum(axis=0)]))
+    block = np.stack(rows, axis=1)
+    got = _block_rows(block, 40, True)
+    assert [row.n for row in got] == [40, 41, 42]
+    for row, counts in zip(got, rows):
+        assert (row.max_imbalance, row.rho, row.vectors) == _window_classes(counts, True)
+        assert row.vectors == tuple(sorted(set(map(tuple, counts.T.tolist()))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,22 +193,19 @@ def test_window_classes_match_dict_oracle(columns, want_vectors):
     for i, column in enumerate(counts.T.tolist()):
         firsts.setdefault(tuple(column), i)
     span, rho, vectors = _window_classes(counts, want_vectors)
-    assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
+    assert span == tuple(counts.max(axis=1) - counts.min(axis=1))
     assert rho == len(firsts)
-    if want_vectors:
-        assert list(map(tuple, vectors.tolist())) == sorted(firsts)
-    else:
-        assert vectors is None
+    assert vectors == (tuple(sorted(firsts)) if want_vectors else None)
 
 
 def _span_shapes(free: int) -> list[tuple[int, ...]]:
-    """Spans of the ``free`` keyed letters whose key spaces have 27, 31
-    (the widest bitmask), 32 (the narrowest np.bincount) and more values."""
+    """Spans of the ``free`` keyed letters whose key spaces have 27, 32
+    (the widest bitmask), 33 (the narrowest np.bincount) and more values."""
     def pad(*spans):
         return spans + (0,) * (free - len(spans))
-    shapes = [pad(30), pad(31), pad(40)]
+    shapes = [pad(30), pad(31), pad(32), pad(40)]
     if free >= 2:
-        shapes += [pad(1, 15), pad(3, 7), pad(6, 6)]
+        shapes += [pad(1, 15), pad(3, 7), pad(2, 10), pad(6, 6)]
     if free >= 3:
         shapes += [pad(2, 2, 2), pad(1, 1, 7), pad(2, 2, 3)]
     if free >= 5:
@@ -204,14 +230,84 @@ def test_window_classes_key_space_routes(spans, extra, seed, dtype, want_vectors
     n = int(spans.sum()) + 5
     counts = np.vstack([keyed, n - keyed.sum(axis=0)]).astype(dtype)
     span, rho, vectors = _window_classes(counts, want_vectors)
-    assert tuple(span[:-1]) == tuple(spans)
-    assert tuple(span) == tuple(counts.max(axis=1) - counts.min(axis=1))
-    distinct = sorted(set(map(tuple, counts.T.tolist())))
+    assert span[:-1] == tuple(spans)
+    assert span == tuple(counts.max(axis=1) - counts.min(axis=1))
+    distinct = tuple(sorted(set(map(tuple, counts.T.tolist()))))
     assert rho == len(distinct)
-    if want_vectors:
-        assert list(map(tuple, vectors.tolist())) == distinct
-    else:
-        assert vectors is None
+    assert vectors == (distinct if want_vectors else None)
+
+
+def record_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """(lengths, windows) of every block whose counts the window pass reads."""
+    shapes = []
+    counts = abelian._Block.counts
+
+    def recording(self, letters=slice(None)):
+        out = counts(self, letters)
+        shapes.append(out.shape[1:])
+        return out
+
+    monkeypatch.setattr(abelian._Block, "counts", recording)
+    return shapes
+
+
+def window_answers(m: int, n_to: int):
+    """Everything the window pass answers on the m-bonacci word up to
+    n_to: the profile with and without vectors, a witness search per
+    letter and a sample of prefix-balance checks."""
+    buf = mbonacci_word(m)
+    return (abelian_profile(buf, 1, n_to, collect_vectors=True), abelian_profile(buf, 1, n_to),
+            [imbalance_witness_search(buf, a, 2, n_to) for a in range(m)],
+            [prefix_balance_check(buf, n) for n in range(1, n_to + 1, 7)])
+
+
+@pytest.mark.parametrize("m, n_to", [(2, 300), (3, 600), (4, 400), (5, 200), (6, 150)])
+def test_blocks_of_one_length_change_nothing(monkeypatch, m, n_to):
+    shapes = record_blocks(monkeypatch)
+    blocks = window_answers(m, n_to)
+    assert max(lengths for lengths, _ in shapes) > 1
+    shapes.clear()
+    monkeypatch.setattr(abelian, "_BLOCK_WINDOWS", 1)
+    assert window_answers(m, n_to) == blocks
+    assert {lengths for lengths, _ in shapes} == {1}
+
+
+@pytest.mark.parametrize("m, n_to", [(3, 600), (4, 400), (5, 200)])
+def test_int32_counts_change_nothing(monkeypatch, m, n_to):
+    # Below the limit the blocks read a uint16 copy of the prefix counts;
+    # with the limit lowered they read the published int32 counts.
+    narrow = window_answers(m, n_to)
+    monkeypatch.setattr(abelian, "_UINT16_LIMIT", 1)
+    assert window_answers(m, n_to) == narrow
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_oracle(m: int) -> list:
+    """``unique_profile`` to 200 with each row's vectors sorted."""
+    return [(n, rho, imbalance, tuple(sorted(vectors)))
+            for n, rho, imbalance, vectors in unique_profile(mbonacci_word(m), 200)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 200), st.integers(0, 199))
+def test_profile_of_any_range_matches_sorting_oracle(m, n_from, extra):
+    # Blocks start at n_from, so every range cuts them differently.
+    n_to = min(200, n_from + extra)
+    rows = abelian_profile(mbonacci_word(m), n_from, n_to, collect_vectors=True)
+    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows] == \
+        sorted_oracle(m)[n_from - 1 : n_to]
+
+
+def test_profile_reads_about_one_window_per_factor(tribo, monkeypatch):
+    # Each length is read at the first occurrences of the last length of
+    # its block: 2n + 1 windows, plus at most about 1/64 for the block.
+    # The windows 0..certify(n) the pass once read come to 1.85 times more.
+    shapes = record_blocks(monkeypatch)
+    abelian_profile(tribo, 1, 2000)
+    factors_total = sum(2 * n + 1 for n in range(1, 2001))
+    assert sum(lengths * windows for lengths, windows in shapes) <= 1.02 * factors_total
+    bounds = sum(factor_index(tribo, 2000).certify(n) + 1 for n in range(1, 2001))
+    assert bounds > 1.8 * factors_total
 
 
 def test_balance_profile_values(tribo):

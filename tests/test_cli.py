@@ -215,6 +215,23 @@ def test_full_size_csv_golden_digests(capsys):
     assert err.splitlines()[-1] == "imbalance witness: 1,3305,2663,9048,891,888"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("rho", "mbonacci:2", "1", "2000"),
+     "6fad98e44ac49b1b6075bd44895c509d48d0915d15b515bf242d70fc1e69527d"),
+    # Key spaces above 32 values: the np.bincount route.
+    (("rho", "mbonacci:5", "1", "600"),
+     "e426685cf008621aeac849e04776d3d0c2f46c36fa1e929a4583045879e65a1d"),
+    (("balance", "mbonacci:6", "300"),
+     "bcba08ebfdc9d93de861810f975f83db9d7f180f7b7a88354ad6c75e5bce3456"),
+])
+def test_window_pass_golden_digests_other_orders(capsys, argv, digest):
+    # Orders the benchmark does not run; the digests were taken from the
+    # window pass over every window start up to each certified bound.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out) == digest
+
+
 @pytest.mark.parametrize("block", [None, 4097])
 def test_tribonacci_automaton_golden_digests(capsys, monkeypatch, block):
     # Digests taken from the certified window pass the automaton replaced

@@ -299,3 +299,61 @@ def test_adaptive_index_agrees_with_full_region(m, n_max):
     region = index.buffer.symbols[: index.region_len]
     for k in {1, k_max // 2 + 1, k_max}:
         assert index.factor_count(k) == len(brute_factors(region, k)) == default_target(m, k)
+
+
+# -- first-occurrence runs ----------------------------------------------------
+
+def expand(runs) -> list[int]:
+    return [s for start, stop in runs for s in range(start, stop)]
+
+
+def check_first_runs(buf, region: int, n_max: int) -> None:
+    """``first_runs`` against the region itself: every start it lists is
+    the first occurrence of its window (``data.find``), and there are as
+    many as the region has distinct factors, so none is missing."""
+    index = FactorIndex(buf, region)
+    data = buf.symbols[:region]
+    for n in range(1, n_max + 1):
+        runs = index.first_runs(n)
+        assert all(a < b for a, b in runs)
+        assert all(b < a for (_, b), (a, _) in zip(runs, runs[1:]))  # disjoint, not adjacent
+        starts = expand(runs)
+        assert all(data.find(data[s : s + n]) == s for s in starts)
+        assert len(starts) == len(brute_factors(data, n))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_first_runs_match_first_occurrences(m):
+    check_first_runs(mbonacci_word(m), 12_000, 150)
+
+
+def test_first_runs_match_first_occurrences_with_clones():
+    # m-bonacci words never clone a state; Thue-Morse does, so here the
+    # longest-repeated-suffix table is also read off clones' first ends.
+    buf = thue_morse()
+    assert FactorIndex(buf, 12_000).n_states > 12_001
+    check_first_runs(buf, 12_000, 150)
+
+
+def test_first_runs_check_their_total(tribo):
+    # A first-occurrence table that disagrees with the factor count is an
+    # internal fault, not an answer.
+    index = FactorIndex(tribo, 2_000)
+    assert len(expand(index.first_runs(10))) == 21
+    index._lrs = np.zeros_like(index._lrs)  # every window would hold a new factor
+    bound = int(index.cover_end[10]) - 10
+    with pytest.raises(InvariantViolationError,
+                       match=f"found {bound + 1} first occurrences of length 10, but the region "
+                             "holds 21 distinct factors"):
+        index.first_runs(10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_first_occurrences_form_at_most_m_runs(m):
+    # A performance property, not a correctness one: the window pass reads
+    # one strided view per run, so few runs keep it free of gathers.  The
+    # first occurrences of the factors of a standard episturmian word come
+    # in at most m runs, and some length needs all m (measured: 3 for
+    # every n <= 7199 at m = 3, 4 for every n <= 3305 at m = 4).
+    index = factor_index(mbonacci_word(m), 1000)
+    assert max(len(index.first_runs(n)) for n in range(1, 1001)) == m

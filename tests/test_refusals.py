@@ -77,6 +77,12 @@ CASES = {
     "max_symbols_1.5": lambda t, f, sd: tribonacci_word(10, max_symbols=1.5),
     "max_symbols_-3": lambda t, f, sd: tribonacci_word(10, max_symbols=-3),
     "max_symbols_True": lambda t, f, sd: tribonacci_word(10, max_symbols=True),
+    # A buffer grows to an integer length >= 0: a string, None or 7.5
+    # raised a bare TypeError, and -1 returned silently.
+    "ensure_9_text": lambda t, f, sd: tribonacci_word(5).ensure("9"),
+    "ensure_None": lambda t, f, sd: tribonacci_word(5).ensure(None),
+    "ensure_7.5": lambda t, f, sd: tribonacci_word(5).ensure(7.5),
+    "ensure_-1": lambda t, f, sd: tribonacci_word(5).ensure(-1),
     # A float bound was compared, not refused; NaN or inf never stopped.
     "terms_upto_7.5": lambda t, f, sd: tribonacci_numbers_upto(7.5),
     "balance_bound_nan": lambda t, f, sd: balance_bound_from_interval(float("nan"), 1),
