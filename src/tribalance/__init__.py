@@ -17,6 +17,7 @@ from .abelian import (
     parikh,
     parikh_set,
     prefix_balance_check,
+    prefix_balance_profile,
     verify_witness,
     window_parikh,
 )

@@ -13,7 +13,6 @@ occur, in blocks of consecutive lengths (``_certified_windows``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,29 +96,6 @@ class ProfileRow:
 #: slower).
 _BLOCK_WINDOWS = 1 << 17
 
-#: Blocks read a uint16 copy of the prefix counts when the last length is
-#: below this: window counts then lie in [0, n] and the dense keys below
-#: 2**16, so wrapped 16-bit differences are exact.
-_UINT16_LIMIT = 1 << 16
-
-
-class _Scratch:
-    """Flat arrays that a walk reuses from block to block, allocated once
-    for its largest block, so that no block maps fresh pages: the letter
-    counts and the dense keys.  The bits of the keys reuse the counts'
-    memory, so they are taken only once the counts have been read.  Pages
-    of a fresh array that are never written do not count toward the
-    resident set."""
-
-    def __init__(self, windows: int, letters: int, dtype):
-        # In 4-byte units, so that it views as the counts' dtype and as
-        # uint32 bits alike; with letters >= 2 it holds a bit per window.
-        counts = np.empty(-(-letters * windows * np.dtype(dtype).itemsize // 4), dtype=np.uint32)
-        self._flat = {"counts": counts, "keys": np.empty(windows, dtype=dtype), "bits": counts}
-
-    def __call__(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return self._flat[name].view(dtype)[: math.prod(shape)].reshape(shape)
-
 
 class _Block:
     """The window letter counts of the lengths n0..n1 at the starts where
@@ -131,13 +107,11 @@ class _Block:
     first occurs at s.  So each row reads one window per distinct factor
     of n1, with repeats among the shorter factors but none missing, and
     the smallest start holding an extreme count of a length (a first
-    occurrence) is among them.  The arrays a block returns live in the
-    walk's ``scratch`` and are overwritten by the next block.
+    occurrence) is among them.
     """
 
-    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
-                 scratch: _Scratch):
-        self.pc, self.n0, self.n1, self.runs, self.scratch = pc, n0, n1, runs, scratch
+    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]]):
+        self.pc, self.n0, self.n1, self.runs = pc, n0, n1, runs
 
     @property
     def starts(self) -> np.ndarray:
@@ -151,8 +125,7 @@ class _Block:
         pc = self.pc[letters]
         lengths = self.n1 - self.n0 + 1
         ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
-        out = self.scratch("counts", (len(pc), lengths, sum(b - a for a, b in self.runs)),
-                           pc.dtype)
+        out = np.empty((len(pc), lengths, sum(b - a for a, b in self.runs)), dtype=pc.dtype)
         col = 0
         for a, b in self.runs:
             np.subtract(ends[:, a + self.n0 : b + self.n0].transpose(0, 2, 1), pc[:, None, a:b],
@@ -178,13 +151,11 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
+    # Every window count lies in [0, n_to], so differences wrapped in the
+    # narrowest unsigned type that holds n_to are exact; below 2**16 every
+    # pass of a block moves half the bytes of the published int32 counts.
     pc = buffer.prefix_counts[:, : int(index.cover_end[n_to]) + 1]
-    if n_to < _UINT16_LIMIT:
-        pc = pc.astype(np.uint16)
-    # No block reads more windows per letter than this.
-    widest = int(index.counts[n_to])
-    scratch = _Scratch(min(max(_BLOCK_WINDOWS, widest), (n_to - n_from + 1) * widest),
-                       len(pc), pc.dtype)
+    pc = pc.astype(np.min_scalar_type(n_to))
     n0 = n_from
     while n0 <= n_to:
         index.certify(n0)
@@ -196,7 +167,7 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
             except (SaturationError, InvariantViolationError):
                 break
             n1 += 1
-        yield _Block(pc, n0, n1, index.first_runs(n1), scratch)
+        yield _Block(pc, n0, n1, index.first_runs(n1))
         n0 = n1 + 1
 
 
@@ -214,12 +185,11 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     rows = []
     for block in _certified_windows(buffer, n_from, n_to):
-        rows += _block_rows(block.counts(), block.n0, collect_vectors, block.scratch)
+        rows += _block_rows(block.counts(), block.n0, collect_vectors)
     return rows
 
 
-def _block_rows(counts: np.ndarray, n0: int, vectors: bool,
-                scratch: _Scratch | None = None) -> list[ProfileRow]:
+def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
     """``ProfileRow`` of each row of the (alphabet, lengths, windows)
     letter counts ``counts``, row r of length n0 + r: the per-letter
     imbalance, the number of distinct Parikh vectors and, with
@@ -230,11 +200,10 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool,
     radix span + 1, dropping the last letter (it is the length minus the
     others); key order is lexicographic vector order.  Rows whose key space
     has at most 32 values are keyed together in the counts' dtype (wrapped
-    16-bit arithmetic is exact for keys below 2**16) and counted as the set
-    bits of an OR over ``1 << key``, in uint16 when every such key space of
-    the block has at most 16 values, else in uint32.  A wider row goes
-    through ``np.bincount``, or, when its key space exceeds its window
-    count, is deduplicated by sorting.
+    arithmetic is exact for keys this small) and counted as the set bits of
+    a uint32 OR over ``1 << key``.  A wider row goes through
+    ``np.bincount``, or, when its key space exceeds its window count, is
+    deduplicated by sorting.
     """
     m, lengths, windows = counts.shape
     lo = counts.min(axis=2)
@@ -243,8 +212,18 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool,
     lows, spans, shapes = lo.T.tolist(), span.T.tolist(), radix.T.tolist()
     sizes = radix.prod(axis=0).tolist()
     small = [r for r in range(lengths) if sizes[r] <= 32]
-    # The wide rows first: the bits of the narrow ones may reuse the
-    # memory of the counts.
+    masks = {}
+    if small:
+        part = counts if len(small) == lengths else counts[:, small]
+        low = lo[:, small, None]
+        rad = np.array([shapes[r] for r in small], dtype=counts.dtype).T[:, :, None]
+        key = part[0] - low[0]
+        for a in range(1, m - 1):
+            key *= rad[a]
+            key += part[a]
+            key -= low[a]
+        bits = np.left_shift(1, key, dtype=np.uint32, casting="unsafe")
+        masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
     unique, keys = {}, {}
     for r in (r for r in range(lengths) if sizes[r] > 32):
         if sizes[r] > windows:
@@ -255,21 +234,6 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool,
             for a in range(1, m - 1):
                 key = key * shapes[r][a] + offsets[a]
             keys[r] = np.flatnonzero(np.bincount(key))
-    masks = {}
-    if small:
-        take = scratch or (lambda name, shape, dtype: np.empty(shape, dtype=dtype))
-        part = counts if len(small) == lengths else counts[:, small]
-        low = lo[:, small, None]
-        rad = np.array([shapes[r] for r in small], dtype=counts.dtype).T[:, :, None]
-        key = np.subtract(part[0], low[0], out=take("keys", part.shape[1:], counts.dtype))
-        for a in range(1, m - 1):
-            key *= rad[a]
-            key += part[a]
-            key -= low[a]
-        dtype = np.uint16 if max(sizes[r] for r in small) <= 16 else np.uint32
-        bits = key if key.dtype == dtype else take("bits", key.shape, dtype)
-        np.left_shift(1, key, out=bits, dtype=dtype, casting="unsafe")
-        masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
     rows = []
     for r, (imbalance, shape) in enumerate(zip(spans, shapes)):
         n, found = n0 + r, unique.get(r)
@@ -344,10 +308,22 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
 
 def prefix_balance_check(buffer: WordBuffer, n: int) -> bool:
     """True iff every length-n factor's letter counts differ from the
-    length-n prefix's (the window at 0, the first column) by at most 1."""
-    (block,) = _certified_windows(buffer, n, n)
-    counts = block.counts()[:, 0].astype(np.int64)
-    return bool(np.abs(counts - counts[:, :1]).max() <= 1)
+    length-n prefix's by at most 1."""
+    return prefix_balance_profile(buffer, n, n)[0]
+
+
+def prefix_balance_profile(buffer: WordBuffer, n_from: int, n_to: int) -> list[bool]:
+    """``prefix_balance_check`` of every n in [n_from, n_to], in one walk
+    through ``_certified_windows``.  Each row's first column is the window
+    at 0, the prefix; a length passes when its per-letter maximum and
+    minimum both lie within 1 of that column."""
+    balanced = []
+    for block in _certified_windows(buffer, n_from, n_to):
+        counts = block.counts()
+        prefix = counts[:, :, 0]
+        balanced += ((counts.max(axis=2) - prefix <= 1)
+                     & (prefix - counts.min(axis=2) <= 1)).all(axis=0).tolist()
+    return balanced
 
 
 # ---------------------------------------------------------------------------

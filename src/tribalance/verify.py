@@ -268,11 +268,8 @@ def _claim_equivalences_200(ctx: SuiteContext):
 
 
 def _claim_prefix_balance(ctx: SuiteContext):
-    buf = ctx.buffer()
-    # One index that covers every length of the walk, built up front.
-    factor_index(buf, 185)
-    ok_below = all(abelian.prefix_balance_check(buf, n) for n in range(1, 185))
-    fails_at_185 = not abelian.prefix_balance_check(buf, 185)
+    *below, at_185 = abelian.prefix_balance_profile(ctx.buffer(), 1, 185)
+    ok_below, fails_at_185 = all(below), not at_185
     observed = {"holds_up_to_184": ok_below, "fails_at_185": fails_at_185}
     return ok_below and fails_at_185, observed, {"holds_up_to_184": True, "fails_at_185": True}
 

@@ -24,6 +24,7 @@ from tribalance import (
     parikh,
     parikh_set,
     prefix_balance_check,
+    prefix_balance_profile,
     tribonacci_word,
     verify_witness,
     window_parikh,
@@ -31,6 +32,7 @@ from tribalance import (
 from tribalance import abelian
 from tribalance.abelian import _block_rows
 from tribalance.factors import FactorIndex, factor_index, scan_distinct_factors
+from tribalance.synchronized import synchronized_profile
 
 
 def test_parikh_examples():
@@ -272,13 +274,15 @@ def test_blocks_of_one_length_change_nothing(monkeypatch, m, n_to):
     assert {lengths for lengths, _ in shapes} == {1}
 
 
-@pytest.mark.parametrize("m, n_to", [(3, 600), (4, 400), (5, 200)])
-def test_int32_counts_change_nothing(monkeypatch, m, n_to):
-    # Below the limit the blocks read a uint16 copy of the prefix counts;
-    # with the limit lowered they read the published int32 counts.
-    narrow = window_answers(m, n_to)
-    monkeypatch.setattr(abelian, "_UINT16_LIMIT", 1)
-    assert window_answers(m, n_to) == narrow
+@pytest.mark.parametrize("n_to", [255, 256, 2**16 - 1, 2**16])
+def test_count_dtype_follows_the_last_length(tribo, n_to):
+    # The counts are copied to the narrowest unsigned type holding n_to:
+    # uint8, uint16 or uint32 on either side of 2**8 and 2**16.  Each
+    # agrees with the synchronized digit automaton, which reads no window.
+    expected = list(synchronized_profile(n_to - 1, n_to))
+    assert abelian_profile(tribo, n_to - 1, n_to) == expected
+    (block, *_) = abelian._certified_windows(tribo, n_to, n_to)
+    assert block.counts().dtype == np.min_scalar_type(n_to)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,6 +421,20 @@ def test_prefix_balance_examples(tribo):
     assert prefix_balance_check(tribo, 1)
     assert prefix_balance_check(tribo, 184)
     assert not prefix_balance_check(tribo, 185)
+    assert prefix_balance_profile(tribo, 1, 185) == [True] * 184 + [False]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_prefix_balance_profile_matches_the_vectors(m):
+    # A length passes when each of its distinct Parikh vectors is within 1
+    # of the prefix's in every letter; any range cuts the blocks anew.
+    buf = mbonacci_word(m)
+    rows = abelian_profile(buf, 1, 300, collect_vectors=True)
+    expected = [all(max(abs(a - b) for a, b in zip(v, window_parikh(buf, 0, r.n))) <= 1
+                    for v in r.vectors) for r in rows]
+    assert prefix_balance_profile(buf, 1, 300) == expected
+    assert prefix_balance_profile(buf, 57, 123) == expected[56:123]
+    assert [prefix_balance_check(buf, n) for n in range(1, 301, 13)] == expected[::13]
 
 
 # -- desubstitution ----------------------------------------------------------

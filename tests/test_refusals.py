@@ -25,6 +25,7 @@ from tribalance import (
     parikh,
     parikh_set,
     prefix_balance_check,
+    prefix_balance_profile,
     successor_length,
     tribonacci_numbers_upto,
     tribonacci_word,
@@ -63,6 +64,7 @@ CASES = {
     "verify_equivalences_n_5.5": lambda t, f, sd: verify_equivalences(t, 5.5),
     "prefix_balance_n_0": lambda t, f, sd: prefix_balance_check(t, 0),
     "prefix_balance_n_-1": lambda t, f, sd: prefix_balance_check(t, -1),
+    "prefix_balance_profile_n_to_0": lambda t, f, sd: prefix_balance_profile(t, 1, 0),
     "factor_index_n_max_-5": lambda t, f, sd: factor_index(t, -5),
     # Positions and scalar arguments are integers or finite numbers.
     "window_parikh_start_1.5": lambda t, f, sd: window_parikh(t, 1.5, 2),
