@@ -96,6 +96,13 @@ class ProfileRow:
 #: slower).
 _BLOCK_WINDOWS = 1 << 17
 
+#: Lengths a block may span whatever its first length n0 (1 + n0 // 32 is
+#: more from n0 = 480 on).  At short lengths a block's set-up costs more
+#: than the at most 15 (m - 1) extra windows per length of a longer block.
+#: The walks of lengths 1..42, 1..185 and 1..2000 take 3, 12 and 80 blocks
+#: (37, 77 and 156 with one length per block below n0 = 32).
+_MIN_BLOCK_LENGTHS = 16
+
 
 class _Block:
     """The window letter counts of the lengths n0..n1 at the starts where
@@ -140,9 +147,11 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
 
     One factor index covers n_to.  A block of lengths [n0, n1] reads the
     first-occurrence runs of n1 (``FactorIndex.first_runs``), about
-    ``_BLOCK_WINDOWS`` windows per letter, and spans at most 1 + n0 // 32
-    lengths, so reading every length at the starts of the last costs at
-    most about 1/64 more windows than the first occurrences themselves.
+    ``_BLOCK_WINDOWS`` windows per letter, and spans at most
+    max(1 + n0 // 32, ``_MIN_BLOCK_LENGTHS``) lengths, so reading every
+    length at the starts of the last costs at most about 1/64 more windows
+    than the first occurrences themselves, apart from a few thousand
+    windows at the short lengths.
     Each length is certified in order, and a block ends before a length
     that fails, so a caller that stops early certifies no length past its
     block.  Every window query checks its lengths here: n_from >= 1 and
@@ -160,7 +169,7 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     while n0 <= n_to:
         index.certify(n0)
         n1 = n0
-        while (n1 < n_to and n1 - n0 < n0 // 32
+        while (n1 < n_to and n1 - n0 < max(n0 // 32, _MIN_BLOCK_LENGTHS - 1)
                and (n1 + 2 - n0) * int(index.counts[n1 + 1]) <= _BLOCK_WINDOWS):
             try:
                 index.certify(n1 + 1)
@@ -247,16 +256,26 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
         else:
             rho = len(keys[r])
             if vectors:
-                found = _decode(keys[r], shape, lows[r], n)
+                found = _decode(keys[r].tolist(), shape, lows[r], n)
         rows.append(ProfileRow(n, rho, tuple(imbalance), found if vectors else None))
     return rows
 
 
 def _decode(keys, shape: list[int], low: list[int], n: int) -> tuple[ParikhVector, ...]:
     """The Parikh vectors of length n whose dense keys in the mixed radix
-    ``shape`` over the minima ``low`` are ``keys``, in key order."""
-    head = np.column_stack(np.unravel_index(keys, shape)) + low[:-1]
-    return tuple(map(tuple, np.column_stack([head, n - head.sum(axis=1)]).tolist()))
+    ``shape`` over the minima ``low`` are the ints ``keys``, in key order.
+    A length has rho(n) keys, a handful, so plain ``divmod`` costs less
+    than a numpy call per length."""
+    radices = list(zip(shape[::-1], low[-2::-1]))  # last digit first
+    vectors = []
+    for key in keys:
+        head = []
+        for radix, base in radices:
+            key, digit = divmod(key, radix)
+            head.append(base + digit)
+        head.reverse()
+        vectors.append((*head, n - sum(head)))
+    return tuple(vectors)
 
 
 @dataclass

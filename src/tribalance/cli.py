@@ -3,7 +3,8 @@ numeration codec, spectral constants, special-factor reports, and the
 claim-verification suite.
 
 Exit codes: 0 success, 1 claim failure, 2 usage error (including an
-unwritable output path), 3 resource or saturation failure.  Data (CSV,
+unwritable output path), 3 resource or saturation failure, 141 (128 +
+SIGPIPE) when the reader of stdout closed it early.  Data (CSV,
 digit strings) goes to --out or stdout; progress and summaries go to
 stderr so piped output stays clean.  Real numbers are printed with 12
 significant digits, deterministically.
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x: float) -> str:
@@ -299,13 +301,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except (SaturationError, BufferLimitError) as err:
         print(f"resource failure: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except TribalanceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE if isinstance(err, InvalidInputError) else EXIT_CLAIM_FAILURE
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -13,13 +13,20 @@ decoder and the check take any digit sequence.  The ``*_many`` functions
 apply the same rules to a whole array of values at once, one row of
 digits per value.  They store the digits column-major -- one contiguous
 run of values per digit position -- so each per-digit pass reads
-contiguous memory.
+contiguous memory.  Their encoder and decoder take or add each term as a
+multiply-accumulate over the whole row, with no masked passes, and each
+batch kernel computes in int32 where a bound proves every value it forms
+fits (``max(ns)`` for the encoder, the largest digit times the sum of the
+row's terms for the decoder and the prefix vectors), in int64 otherwise;
+what they return does not depend on that choice.
 
 The digits of N also spell out the prefix of length N of the Tribonacci
 word (Dumont and Thomas, 1989): t[:N] is the concatenation, from the most
 significant set digit down, of the words tau^k(0), one per set digit k,
 so its Parikh vector is sum(p_k * M^k e_0) for the incidence matrix M
-(``prefix_parikh_many``).
+(``prefix_parikh_many``).  By Horner's rule that sum is one pass from the
+top digit down, S <- M S + p_k e_0, and M (a, b, c) = (a + b + c, a, b)
+for the Tribonacci substitution 0 -> 01, 1 -> 02, 2 -> 0.
 """
 
 from __future__ import annotations
@@ -128,6 +135,12 @@ def zeckendorf_decode(digits) -> int:
 _MAX_WIDTH = bisect_right(_TERMS, np.iinfo(np.int64).max)
 
 
+def _exact_dtype(bound: int) -> type:
+    """int32 when no value a batch kernel forms exceeds ``bound`` in
+    magnitude and int32 holds it, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def zeckendorf_encode_many(ns) -> np.ndarray:
     """Greedy expansions of many integers at once.
 
@@ -149,15 +162,19 @@ def zeckendorf_encode_many(ns) -> np.ndarray:
         raise InvalidInputError(f"cannot encode negative integer {arr.min()}")
     if arr.max() > np.iinfo(np.int64).max:
         raise InvalidInputError(f"{arr.max()} does not fit in int64")
-    remainder = arr.astype(np.int64)
-    terms = np.array(tribonacci_numbers_upto(int(remainder.max())), dtype=np.int64)
+    top = int(arr.max())
+    dtype = _exact_dtype(top)
+    remainder = arr.astype(dtype)
+    terms = np.array(tribonacci_numbers_upto(top), dtype=dtype)
     columns = np.zeros((terms.size, arr.size), dtype=np.uint8)
+    taken = np.empty_like(remainder)
     # Top-down greedy: after taking T_k the remainder is below T_k, so each
     # term is taken at most once and the digits obey the no-111 rule.
     for k in range(terms.size - 1, -1, -1):
-        take = remainder >= terms[k]
-        columns[k] = take
-        np.subtract(remainder, terms[k], out=remainder, where=take)
+        take = columns[k].view(bool)
+        np.greater_equal(remainder, terms[k], out=take)
+        np.multiply(take, terms[k], out=taken)
+        remainder -= taken
     if remainder.any():
         raise InvariantViolationError("greedy expansion left a non-zero remainder")
     return columns.T
@@ -191,7 +208,11 @@ def zeckendorf_decode_many(digits, invalid: int | None = None) -> np.ndarray:
 
     A row that violates the numeration constraint raises
     ``InvalidRepresentationError``, as the scalar decoder does, unless
-    ``invalid`` is given: then that row decodes to ``invalid``.
+    ``invalid`` is given: then that row decodes to ``invalid``.  Each digit
+    column is multiplied by its term and added to the values.  A valid row
+    has digits 0 and 1, so its value is at most the sum of the row's terms;
+    the sum is formed in int32 when that bound fits, since every other row
+    is replaced.
     """
     columns = digit_columns(digits)
     valid = _valid_columns(columns)
@@ -203,12 +224,18 @@ def zeckendorf_decode_many(digits, invalid: int | None = None) -> np.ndarray:
     width = columns.shape[0]
     if width > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
-    values = np.zeros(columns.shape[1], dtype=np.int64)
-    # Column by column, so no (width, rows) int64 temporary is formed.
-    for column, term in zip(columns, _TERMS):
-        np.add(values, term, out=values, where=column == 1)
+    dtype = _exact_dtype(sum(_TERMS[:width]))
+    values = np.zeros(columns.shape[1], dtype=dtype)
+    term_column = np.empty_like(values)
+    # Column by column, so no (width, rows) temporary is formed.
+    for column, term in zip(columns, np.array(_TERMS[:width], dtype=dtype)):
+        np.multiply(column, term, out=term_column, dtype=dtype, casting="unsafe")
+        values += term_column
+    # An int64 sum past the int64 range wraps to a negative value: a valid
+    # row's value is below the next term, which is below 2**64.
     if (valid & (values < 0)).any():
         raise InvalidInputError("decoded value does not fit in int64")
+    values = values.astype(np.int64, copy=False)
     if invalid is not None:
         values[~valid] = invalid
     return values
@@ -220,18 +247,33 @@ def prefix_parikh_from_digits(digits) -> np.ndarray:
 
     Column i is sum(p_k * Parikh(tau^k(0))) over the digits p_k of row i,
     the Dumont-Thomas identity; for the rows of ``zeckendorf_encode_many(ns)``
-    it equals ``tribonacci_word(...).prefix_counts[:, ns]``.  The rows are
-    not validated: a row that is not a valid representation gives the
-    Parikh vector of a word that is not a prefix.
+    it equals ``tribonacci_word(...).prefix_counts[:, ns]``.  It is read in
+    Horner form, from the top digit down: (a, b, c) <- (a + b + c + p_k,
+    a, b).  Every entry formed is at most the largest digit magnitude times
+    the sum of the row's terms, so the pass runs in int32 when that bound
+    fits and in int64 otherwise.  The rows are not validated: a row that is
+    not a valid representation gives the Parikh vector of a word that is
+    not a prefix.
     """
     columns = digit_columns(digits)
-    return np.einsum("ak,kn->an", tau_parikh_table(columns.shape[0]), columns)
+    width = columns.shape[0]
+    if width > _MAX_WIDTH:
+        raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
+    digit_max = max(int(columns.max()), -int(columns.min())) if columns.size else 0
+    dtype = _exact_dtype(digit_max * sum(_TERMS[:width]))
+    a, b, c = np.zeros((3, columns.shape[1]), dtype=dtype)
+    for digit in columns[::-1]:
+        c += a
+        c += b
+        np.add(c, digit, out=c, dtype=dtype, casting="unsafe")
+        a, b, c = c, a, b
+    return np.stack((a, b, c)).astype(np.int64, copy=False)
 
 
 def tau_parikh_table(width: int) -> np.ndarray:
     """Parikh vectors of tau^0(0), ..., tau^(width-1)(0) as the columns of
     a ``(3, width)`` int64 array; column k sums to ``tribonacci_number(k)``.
-    Shared by the digit route and the exact spectral certificate."""
+    Read by the exact spectral certificate."""
     if width > _MAX_WIDTH:
         raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
     mat = incidence_matrix(tribonacci_morphism())

@@ -102,16 +102,22 @@ class SuiteConfig:
     progress: Callable[[str], None] | None = None
 
 
+#: The shared profile: the complexity claims read lengths 1..7199, and
+#: the geometry claim the Parikh vectors of lengths 1..2000.
+SHARED_PROFILE = 7199
+SHARED_VECTORS = 2000
+
+
 class SuiteContext:
     """Lazily built shared artifacts: one word buffer, one factor index,
-    one bulk profile and one spectral certificate, reused by every claim
-    that needs them."""
+    one profile and one spectral certificate, reused by every claim that
+    needs them."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._buffer: WordBuffer | None = None
         self._fourbonacci: WordBuffer | None = None
-        self._profiles: dict[tuple[int, bool], list[abelian.ProfileRow]] = {}
+        self._profile: list[abelian.ProfileRow] | None = None
         self._certificate: list | None = None
 
     def log(self, message: str) -> None:
@@ -128,14 +134,20 @@ class SuiteContext:
             self._fourbonacci = mbonacci_word(4, min_len, max_symbols=self.config.max_buffer)
         return self._fourbonacci.ensure(min_len)
 
-    def profile(self, n_max: int, vectors: bool = False) -> list[abelian.ProfileRow]:
-        for (cached_max, cached_vec), rows in self._profiles.items():
-            if cached_max >= n_max and (cached_vec or not vectors):
-                return rows[:n_max]
-        self.log(f"building certified profile up to n={n_max}")
-        rows = abelian.abelian_profile(self.buffer(), 1, n_max, collect_vectors=vectors)
-        self._profiles[(n_max, vectors)] = rows
-        return rows
+    def profile(self) -> list[abelian.ProfileRow]:
+        """The certified rows of lengths 1..``SHARED_PROFILE``, those up
+        to ``SHARED_VECTORS`` with their Parikh vectors: one factor index
+        and one walk over every length, built at the first call."""
+        if self._profile is None:
+            buf = self.buffer()
+            self.log(f"building certified profile up to n={SHARED_PROFILE}")
+            # The longest length's index first: the walk with vectors would
+            # otherwise build a shorter one of its own.
+            factor_index(buf, SHARED_PROFILE)
+            self._profile = (
+                abelian.abelian_profile(buf, 1, SHARED_VECTORS, collect_vectors=True)
+                + abelian.abelian_profile(buf, SHARED_VECTORS + 1, SHARED_PROFILE))
+        return self._profile
 
     def certificate(self) -> list:
         """``spectral.certify_balance_bounds()``, derived once for all
@@ -153,14 +165,16 @@ class Claim:
 
 
 def _claim_rho_sequence(ctx: SuiteContext):
-    rows = ctx.profile(42)
+    # A walk of its own: the claim runs first, and the shared profile's
+    # cost stays with the claims that read it.
+    rows = abelian.abelian_profile(ctx.buffer(), 1, 42)
     observed = tuple(r.rho for r in rows)
     return observed == RHO_SEQUENCE_42, list(observed), list(RHO_SEQUENCE_42)
 
 
 def _first_rho_claim(value: int, expected: int):
     def run(ctx: SuiteContext):
-        rows = ctx.profile(7199)
+        rows = ctx.profile()
         observed = next(r.n for r in rows if r.rho == value)
         return observed == expected, observed, expected
 
@@ -168,20 +182,20 @@ def _first_rho_claim(value: int, expected: int):
 
 
 def _claim_rho_3914(ctx: SuiteContext):
-    rows = ctx.profile(7199)
+    rows = ctx.profile()
     observed = rows[3914 - 1].rho
     return observed == 7, observed, 7
 
 
 def _claim_rho_next_sevens(ctx: SuiteContext):
-    rows = ctx.profile(7199)
+    rows = ctx.profile()
     sevens = [r.n for r in rows if r.rho == 7]
     observed = tuple(sevens[1:5])
     return observed == NEXT_RHO_7, list(observed), list(NEXT_RHO_7)
 
 
 def _claim_balance_2000(ctx: SuiteContext):
-    rows = ctx.profile(7199)[:2000]
+    rows = ctx.profile()[:2000]
     observed = max(max(r.max_imbalance) for r in rows)
     return observed == 2, observed, 2
 
@@ -254,7 +268,7 @@ def _claim_empirical_containment(ctx: SuiteContext):
 
 
 def _claim_rho3_closed_form(ctx: SuiteContext):
-    rows = ctx.profile(7199)[:5000]
+    rows = ctx.profile()[:5000]
     observed = [r.n for r in rows if r.rho == 3]
     expected = special.min_complexity_lengths(5000)
     return observed == expected, observed, expected
@@ -275,7 +289,7 @@ def _claim_prefix_balance(ctx: SuiteContext):
 
 
 #: Values per batch of the round-trip claim; keeps each batch's digit
-#: array and int64 temporaries well under a megabyte.
+#: array and the codec's int32 work rows well under a megabyte.
 ROUNDTRIP_CHUNK = 1 << 14
 
 #: Every N divisible by this is also checked against the scalar codec.
@@ -365,8 +379,8 @@ def _claim_geometry(ctx: SuiteContext):
     # structural laws it rests on: the central triple is always realized,
     # and meeting the boundary triple is equivalent to complexity > 3.
     buf = ctx.buffer()
-    rows = ctx.profile(2000, vectors=True)
-    index = factor_index(buf, 2000)
+    rows = ctx.profile()[:SHARED_VECTORS]
+    index = factor_index(buf, SHARED_VECTORS)
     # Every length classifies against the one offset table, so its region
     # sizes are checked once; a wrong table fails every length.
     sizes = tuple(sorted((len(r.vectors) for r in special.REGIONS), reverse=True))

@@ -11,8 +11,10 @@ loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
 eigendata of ``compute_spectral_data``, which the certificate never does.
-``cap_positions`` stands in for a run whose certified queries may examine
-only a few window starts.
+``einsum_prefix_parikh`` is the one int64 contraction of the digit rows
+with the table of Parikh(tau^k(0)) that the Horner kernel of
+``prefix_parikh_from_digits`` replaced.  ``cap_positions`` stands in for
+a run whose certified queries may examine only a few window starts.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word, zeckendorf_encode
 from tribalance import factors
 from tribalance.factors import FactorIndex, position_cap
+from tribalance.numeration import tau_parikh_table
 
 
 @pytest.fixture(scope="session")
@@ -111,6 +114,13 @@ def unique_profile(buffer, n_max: int):
         imbalance = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
         rows.append((n, len(vectors), imbalance, vectors))
     return rows
+
+
+def einsum_prefix_parikh(digits) -> np.ndarray:
+    """The Dumont-Thomas sum of each digit row, sum(p_k * Parikh(tau^k(0))),
+    as a (3, rows) int64 array: one int64 einsum over the whole array."""
+    d = np.asarray(digits).astype(np.int64)
+    return np.einsum("ak,nk->an", tau_parikh_table(d.shape[1]), d)
 
 
 def float_head_terms(sd, letter: int, cutoff: int) -> np.ndarray:

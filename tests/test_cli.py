@@ -478,6 +478,26 @@ def test_verify_subset_passes(capsys, tmp_path, monkeypatch):
     assert by_id["rho_3914_is_7"]["observed"] == 7
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["rho", "tribonacci", "1", "20000"], b"n,rho\n"),
+    (["discrepancy", "0", "100000"], b"N,discrepancy\n"),
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv, header):
+    # The reader takes the header and leaves, as `| head -1` does, while
+    # far more output than a pipe buffers is still to come.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "tribalance", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == header
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_verify_degraded_mode_skips_and_fails(capsys, tmp_path, monkeypatch):
     # With a tiny buffer cap, saturation-dependent claims must report
     # "skipped", and the run must exit 1.

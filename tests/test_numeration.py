@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import einsum_prefix_parikh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +237,79 @@ def test_prefix_parikh_matches_prefix_counts(tribo_2e6, ns):
     assert got.dtype == np.int64
     assert (got == expected).all()
     assert (got.sum(axis=0) == ns).all()
+
+
+# -- the int32/int64 boundary of the batch kernels ---------------------------
+
+INT32_MAX, INT64_MAX = np.iinfo(np.int32).max, np.iinfo(np.int64).max
+_NEAR_TERMS = sorted({t + d for t in tribonacci_numbers_upto(2**40) for d in (-1, 0)})
+
+
+@pytest.mark.parametrize("top", [INT32_MAX, INT32_MAX + 1, INT64_MAX])
+def test_batch_kernels_at_the_int32_boundary(top):
+    # max(ns) picks the encoder's dtype: int32 through 2**31 - 1, int64 from
+    # 2**31 on.  Every T_k - 1 and T_k below top rides along.
+    ns = [n for n in _NEAR_TERMS if n < top] + [top]
+    digits = zeckendorf_encode_many(np.array(ns, dtype=np.int64))
+    for n, row in zip(ns, digits.tolist()):
+        scalar = zeckendorf_encode(n)
+        assert row == scalar + [0] * (len(row) - len(scalar))
+    assert zeckendorf_decode_many(digits).tolist() == ns
+    got = prefix_parikh_from_digits(digits)
+    assert got.dtype == np.int64
+    assert (got == einsum_prefix_parikh(digits)).all()
+    assert got.sum(axis=0).tolist() == ns
+
+
+def _largest_rows(width: int) -> np.ndarray:
+    """The largest valid row of each width up to ``width`` (digits 110110...
+    from the top), zero-padded to ``width``."""
+    rows = np.zeros((width, width), dtype=np.uint8)
+    for w in range(1, width + 1):
+        rows[w - 1, :w] = [(w - 1 - k) % 3 != 2 for k in range(w)]
+    return rows
+
+
+@pytest.mark.parametrize("width", [34, 35])
+def test_batch_decode_at_the_int32_boundary(width):
+    # The terms of 34 digits sum to 1,349,284,787, of 35 past 2**31.
+    rows = _largest_rows(width)
+    assert zeckendorf_decode_many(rows).tolist() == [zeckendorf_decode(r) for r in rows.tolist()]
+    assert (zeckendorf_decode_many(rows) == einsum_prefix_parikh(rows).sum(axis=0)).all()
+    rows[3, :3] = 1
+    for sentinel in (-1, -(2**40), INT64_MAX):
+        decoded = zeckendorf_decode_many(rows, invalid=sentinel)
+        assert decoded.dtype == np.int64
+        assert decoded[3] == sentinel
+        assert decoded[4:].tolist() == [zeckendorf_decode(r) for r in rows[4:].tolist()]
+
+
+@pytest.mark.parametrize("width", [25, 26, 33, 34, 72])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_prefix_parikh_of_non_binary_digits(width, dtype):
+    # 255 times the term sum passes 2**31 from 26 digits on, 2 times it from
+    # 34 on; int64 rows also hold -255.  At 72 digits, the widest int64
+    # holds, both sums wrap, and alike.
+    rng = np.random.default_rng(width)
+    choices = [0, 1, 2, 255] + ([-255] if dtype is np.int64 else [])
+    rows = rng.choice(choices, size=(200, width)).astype(dtype)
+    rows[0] = 255
+    got = prefix_parikh_from_digits(rows)
+    assert got.dtype == np.int64
+    assert (got == einsum_prefix_parikh(rows)).all()
+    assert not is_valid_rep_many(rows).any()
+    assert (zeckendorf_decode_many(rows, invalid=-3) == -3).all()
+    with pytest.raises(InvalidRepresentationError):
+        zeckendorf_decode_many(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_prefix_parikh_ignores_dtype_and_memory_order(dtype, order):
+    digits = zeckendorf_encode_many(range(5000))
+    rows = np.array(digits, dtype=dtype, order=order)
+    if dtype is not bool:
+        rows[[10, 400, 4999], :3] = [[1, 1, 1], [0, 2, 0], [2, 0, 2]]
+    got = prefix_parikh_from_digits(rows)
+    assert got.dtype == np.int64
+    assert (got == einsum_prefix_parikh(rows)).all()

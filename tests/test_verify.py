@@ -4,17 +4,20 @@ The saturation claim counts factors with the suffix-automaton index; the
 rolling fingerprint scanner, which shares no code with the index, is the
 oracle.  The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
-codec routes, and the prefix-balance walk against the number of indexes
-it builds.  The four spectral certificate claims run without the float
+codec routes, and the prefix-balance walk and the shared profile against
+the number of indexes they build.  The four spectral certificate claims run without the float
 eigendata, and fail when one of their stated targets is tightened past
 the exact value.
 """
+
+from collections import Counter
 
 import pytest
 from conftest import cap_positions, scalar_eq1_worst
 
 from tribalance import (
     InvalidInputError,
+    abelian,
     factor_index,
     numeration,
     scan_distinct_factors,
@@ -119,6 +122,30 @@ def test_prefix_balance_claim_builds_one_index(monkeypatch):
     (result,) = report.claims
     assert result.status == "pass"
     assert len(builds) == 1
+
+
+def test_shared_profile_walks_each_length_once(monkeypatch):
+    # The geometry claim reads the Parikh vectors of the shared profile:
+    # lengths 1..2000 are walked once, over one Tribonacci index.
+    walks, indexes = [], []
+    windows, init = abelian._certified_windows, FactorIndex.__init__
+
+    def counting_windows(buffer, n_from, n_to):
+        walks.append((n_from, n_to))
+        return windows(buffer, n_from, n_to)
+
+    def counting_init(self, buffer, region_len):
+        indexes.append(buffer.alphabet_size)
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(abelian, "_certified_windows", counting_windows)
+    monkeypatch.setattr(FactorIndex, "__init__", counting_init)
+    claims = {"rho_min_5_is_30", "twelve_vector_geometry_n2000"}
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids=claims)
+    assert [c.status for c in report.claims] == ["pass", "pass"]
+    walked = Counter(n for n_from, n_to in walks for n in range(n_from, n_to + 1))
+    assert [walked[n] for n in range(1, 2001)] == [1] * 2000
+    assert indexes == [3]
 
 
 @pytest.mark.parametrize("route", ["zeckendorf_decode_many", "prefix_parikh_from_digits"])
