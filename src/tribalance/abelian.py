@@ -210,11 +210,11 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
     others); key order is lexicographic vector order.  Rows whose key space
     has at most 32 values are keyed together in the counts' dtype (wrapped
     arithmetic is exact for keys this small) and counted as the set bits of
-    a uint32 OR over ``1 << key``.  A wider row goes through
-    ``np.bincount``, or, when its key space exceeds its window count, is
-    deduplicated by sorting.
+    a uint32 OR over ``1 << key``; every wider row counts its int64 keys
+    with ``np.bincount``, whatever its window count.  Either way the keys
+    present come out sorted.
     """
-    m, lengths, windows = counts.shape
+    m, lengths = counts.shape[:2]
     lo = counts.min(axis=2)
     span = counts.max(axis=2) - lo
     radix = span[:-1].astype(np.int64) + 1
@@ -233,31 +233,23 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
             key -= low[a]
         bits = np.left_shift(1, key, dtype=np.uint32, casting="unsafe")
         masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
-    unique, keys = {}, {}
+    keys = {}
     for r in (r for r in range(lengths) if sizes[r] > 32):
-        if sizes[r] > windows:
-            unique[r] = tuple(map(tuple, np.unique(counts[:, r].T, axis=0).tolist()))
-        else:
-            offsets = counts[:, r].astype(np.int64) - lo[:, r, None]
-            key = offsets[0]
-            for a in range(1, m - 1):
-                key = key * shapes[r][a] + offsets[a]
-            keys[r] = np.flatnonzero(np.bincount(key))
+        offsets = counts[:, r].astype(np.int64) - lo[:, r, None]
+        key = offsets[0]
+        for a in range(1, m - 1):
+            key = key * shapes[r][a] + offsets[a]
+        keys[r] = np.flatnonzero(np.bincount(key)).tolist()
     rows = []
     for r, (imbalance, shape) in enumerate(zip(spans, shapes)):
-        n, found = n0 + r, unique.get(r)
-        if found is not None:
-            rho = len(found)
-        elif r in masks:
+        if r in masks:
             rho = masks[r].bit_count()
-            if vectors:
-                found = _decode([k for k in range(sizes[r]) if masks[r] >> k & 1],
-                                shape, lows[r], n)
+            found = [k for k in range(sizes[r]) if masks[r] >> k & 1] if vectors else None
         else:
-            rho = len(keys[r])
-            if vectors:
-                found = _decode(keys[r].tolist(), shape, lows[r], n)
-        rows.append(ProfileRow(n, rho, tuple(imbalance), found if vectors else None))
+            rho, found = len(keys[r]), keys[r]
+        n = n0 + r
+        rows.append(ProfileRow(n, rho, tuple(imbalance),
+                               _decode(found, shape, lows[r], n) if vectors else None))
     return rows
 
 

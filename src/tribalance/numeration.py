@@ -192,9 +192,15 @@ def digit_columns(digits) -> np.ndarray:
 
 
 def _valid_columns(columns: np.ndarray) -> np.ndarray:
-    bits = ((columns == 0) | (columns == 1)).all(axis=0)
-    runs = (columns[2:] & columns[1:-1] & columns[:-2]).any(axis=0)
-    return bits & ~runs
+    """``is_valid_rep`` of each column of the ``(width, rows)`` digits.  A
+    negative digit viewed as unsigned is large, so one maximum checks the
+    bits; a uint8 cast that changes a digit only changes an invalid row."""
+    digits = columns.view(f"u{columns.itemsize}")
+    bits = digits.max(axis=0, initial=0) <= 1
+    ones = digits.astype(np.uint8, copy=False)
+    runs = ones[2:] & ones[1:-1]
+    runs &= ones[:-2]
+    return bits & ~runs.any(axis=0)
 
 
 def is_valid_rep_many(digits) -> np.ndarray:

@@ -309,21 +309,18 @@ def balance_bound_from_interval(lower, upper) -> int:
     return math.ceil(2 * (upper - lower)) - 1
 
 
-def certify_balance_bounds(cutoffs: tuple[int, int, int] = HEAD_CUTOFFS
-                           ) -> list[tuple[tuple[Fraction, Fraction], Fraction, int]]:
+def certify_balance_bounds() -> list[tuple[tuple[Fraction, Fraction], Fraction, int]]:
     """Per letter, ``((lower, upper), tail, bound)``, rationals rounded
-    outward: the head extremes (digits 0..cutoff free, so the sums of the
-    negative and of the positive head terms) widened by the tail bound
-    2 |C| r^(cutoff+1) / (1 - r), r = |alpha| = beta^-1/2, and the balance
-    bound.  Raises ``VerificationFailureError`` naming the letter if an
-    interval escapes its target, read exactly from its decimal text."""
-    if len(cutoffs) != 3:
-        raise InvalidInputError(f"expected one cutoff per letter, got {cutoffs!r}")
+    outward, at the letter's cutoff in ``HEAD_CUTOFFS``: the head extremes
+    (digits 0..cutoff free, so the sums of the negative and of the positive
+    head terms) widened by the tail bound 2 |C| r^(cutoff+1) / (1 - r),
+    r = |alpha| = beta^-1/2, and the balance bound.  Raises
+    ``VerificationFailureError`` naming the letter if an interval escapes
+    its target, read exactly from its decimal text."""
     beta = _beta()
     r = (beta**-1).sqrt()
     derivations = []
-    for letter, cutoff in enumerate(cutoffs):
-        cutoff = integer_in(cutoff, "cutoff")
+    for letter, cutoff in enumerate(HEAD_CUTOFFS):
         terms = _head_terms(beta, letter, max(cutoff, 1))
         tail = (2 * _coefficient_squared(beta, *terms[:2]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
         head = terms[: cutoff + 1]

@@ -21,7 +21,6 @@ from .errors import (
 )
 
 Symbol = int
-Word = bytes
 WordLike = Union[bytes, bytearray, str, Sequence[int]]
 
 #: Default hard cap on materialized symbols (2**27).

@@ -121,7 +121,8 @@ def test_profile_matches_brute_parikh_sets(tribo):
             assert set(row.vectors) == brute_parikh_set(tribo.symbols[:20_000], row.n, 3)
 
 
-@pytest.mark.parametrize("m, n_max", [(3, 600), (2, 200), (4, 200), (5, 200), (6, 200)])
+@pytest.mark.parametrize("m, n_max", [(3, 600), (2, 200), (4, 200), (5, 200), (6, 200),
+                                      (8, 50), (10, 60)])
 def test_dense_profile_matches_sorting_oracle(m, n_max):
     oracle = unique_profile(mbonacci_word(m), n_max)
     buf = mbonacci_word(m)
@@ -133,12 +134,15 @@ def test_dense_profile_matches_sorting_oracle(m, n_max):
     assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in plain] == \
         [(n, rho, imbalance, None) for n, rho, imbalance, _ in oracle]
     # Key spaces of at most 32 values take the bitmask route, wider ones
-    # np.bincount: m <= 4 never leaves the first, m = 5, 6 reach the second.
+    # np.bincount: m <= 4 never leaves the first, every m >= 5 reaches the
+    # second, and every row of m = 8 and m = 10 takes it.
     sizes = [math.prod(s + 1 for s in r.max_imbalance[:-1]) for r in plain]
     if m <= 4:
         assert max(sizes) <= 27
     else:
         assert max(sizes) > 32
+    if m >= 8:
+        assert min(sizes) > 32
 
 
 def _window_classes(counts: np.ndarray, vectors: bool):
@@ -148,9 +152,10 @@ def _window_classes(counts: np.ndarray, vectors: bool):
     return row.max_imbalance, row.rho, row.vectors
 
 
-def test_window_classes_sorting_fallback():
+def test_window_classes_key_space_wider_than_the_windows():
     # Windows of length 10 over 3 letters: the key range 11 * 11 of the
-    # first two letters exceeds the 5 columns, so the columns are sorted.
+    # first two letters exceeds the 5 columns, and np.bincount counts the
+    # 121 keys all the same.
     counts = np.array([[0, 10, 5, 0, 3], [10, 0, 5, 10, 3], [0, 0, 0, 0, 4]])
     span, rho, vectors = _window_classes(counts, True)
     assert math.prod(s + 1 for s in span[:-1]) > counts.shape[1]
@@ -162,10 +167,10 @@ def test_window_classes_sorting_fallback():
 
 
 def test_block_rows_key_each_length_on_its_own():
-    # Three lengths in one block: a narrow row on the bitmask, a row whose
-    # 7 * 6 keys take np.bincount, and a row sorted because its 11 * 11
-    # keys exceed its 48 windows.  Each row is keyed by its own minima and
-    # radix, and matches its one-row form.
+    # Three lengths in one block: a narrow row on the bitmask and two rows
+    # on np.bincount, one of 7 * 6 keys and one whose 11 * 11 keys exceed
+    # its 48 windows.  Each row is keyed by its own minima and radix, and
+    # matches its one-row form.
     rng = np.random.default_rng(5)
     rows = []
     for n, spans in ((40, (1, 1)), (41, (6, 5)), (42, (10, 10))):
@@ -187,8 +192,9 @@ def test_block_rows_key_each_length_on_its_own():
            min_size=1, max_size=40)),
        st.booleans())
 def test_window_classes_match_dict_oracle(columns, want_vectors):
-    # Both the dense key and the sorting fallback (short, spread matrices)
-    # against a first-occurrence dict; every column sums to the same length.
+    # Both routes, the bitmask and np.bincount (also on short, spread
+    # matrices whose key space exceeds their columns), against a
+    # first-occurrence dict; every column sums to the same length.
     n = 3 * len(columns[0])
     counts = np.array([c + [n - sum(c)] for c in columns], dtype=np.int64).T
     firsts: dict[tuple[int, ...], int] = {}
@@ -202,7 +208,8 @@ def test_window_classes_match_dict_oracle(columns, want_vectors):
 
 def _span_shapes(free: int) -> list[tuple[int, ...]]:
     """Spans of the ``free`` keyed letters whose key spaces have 27, 32
-    (the widest bitmask), 33 (the narrowest np.bincount) and more values."""
+    (the widest bitmask), 33 (the narrowest np.bincount) and more values;
+    np.bincount takes every key space past 32, however few the columns."""
     def pad(*spans):
         return spans + (0,) * (free - len(spans))
     shapes = [pad(30), pad(31), pad(32), pad(40)]
@@ -221,8 +228,8 @@ def _span_shapes(free: int) -> list[tuple[int, ...]]:
        st.integers(0, 30), st.integers(0, 2**32 - 1),
        st.sampled_from([np.int32, np.int64]), st.booleans())
 def test_window_classes_key_space_routes(spans, extra, seed, dtype, want_vectors):
-    # At least as many columns as keys, so the dense key is used; the zero
-    # and the full-span columns pin every keyed letter's span exactly.  The
+    # At least as many columns as keys, so most keys occur; the zero and
+    # the full-span columns pin every keyed letter's span exactly.  The
     # vectors decoded from the keys are the distinct columns, sorted.
     spans = np.array(spans)
     size = math.prod(int(s) + 1 for s in spans)

@@ -157,6 +157,34 @@ def test_batch_validity_examples():
     assert is_valid_rep_many(rows).tolist() == [is_valid_rep(r) for r in rows]
 
 
+@pytest.mark.parametrize("dtype, bad", [
+    (bool, []),
+    (np.int8, [-1, 2, 127, -128]),
+    (np.int64, [-1, 2, 255, 256, 257, -255, np.iinfo(np.int64).min]),
+    (np.uint64, [2, 255, 256, 257, np.iinfo(np.uint64).max]),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_batch_validity_matches_scalar_on_any_dtype(dtype, bad, order):
+    # Signed digits are read as unsigned and runs as uint8 copies, so a
+    # negative digit, and one whose low byte is 0 or 1 (256, 257, -255),
+    # must still make its row invalid.  Runs of three 1s sit at the lowest
+    # and the highest digit.
+    width = 9
+    rows = [[1, 1, 1] + [0] * (width - 3), [0] * (width - 3) + [1, 1, 1],
+            [1, 1, 0, 1, 1, 0, 1, 1, 0], [0] * width, [1] * width]
+    rows += [[0] * k + [value] + [1] * (width - k - 1) for value in bad for k in (0, 4, width - 1)]
+    rows += [[value, 1, 1] + [0] * (width - 3) for value in bad]
+    rng = np.random.default_rng(len(bad))
+    rows += rng.choice([0, 1], size=(200, width)).tolist()
+    digits = np.array(rows, dtype=object).astype(dtype, order=order)
+    assert digits.flags.f_contiguous == (order == "F")
+    expected = [is_valid_rep(r) for r in digits.tolist()]
+    assert is_valid_rep_many(digits).tolist() == expected
+    assert expected[:5] == [False, False, True, True, False]
+    assert not any(expected[5:5 + 4 * len(bad)])
+    assert any(expected[5 + 4 * len(bad):]) and not all(expected[5 + 4 * len(bad):])
+
+
 @pytest.mark.parametrize("row", [[1, 1, 1], [0, 2, 0], [0, 0, 1, 1, 1, 0]])
 def test_batch_decode_rejects_invalid(row):
     digits = np.zeros((3, len(row)), dtype=np.uint8)

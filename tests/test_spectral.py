@@ -36,26 +36,6 @@ from tribalance.spectral import (
 from tribalance.verify import SPECTRAL_CONSTANTS_5DP, matches_truncated
 
 
-# Each case names the part of the certificate a negative cutoff would corrupt
-# unchecked: at -2 the head slice terms[:cutoff + 1] wraps to drop the last
-# term, at -1 the tail bound r^(cutoff+1) covers the whole series with no
-# head term summed.
-@pytest.mark.parametrize("cutoff", [
-    pytest.param(-2, id="head_extremes"),
-    pytest.param(-1, id="tail_bound"),
-])
-def test_negative_cutoff_is_refused(cutoff):
-    with pytest.raises(InvalidInputError, match="cutoff must be an integer >= 0"):
-        certify_balance_bounds(cutoffs=(7, cutoff, 13))
-
-
-def test_malformed_cutoffs_are_refused():
-    with pytest.raises(InvalidInputError, match="cutoff must be an integer >= 0"):
-        certify_balance_bounds(cutoffs=(7, 10.0, 13))
-    with pytest.raises(InvalidInputError, match="one cutoff per letter"):
-        certify_balance_bounds(cutoffs=(7, 10))
-
-
 def test_discrepancy_blocks_refuse_past_buffer(tribo, sd):
     with pytest.raises(RangeError, match="exceeds buffer length"):
         discrepancy_blocks(tribo, len(tribo) + 1, 0, sd)
@@ -264,10 +244,11 @@ def test_certified_derivations(sd):
         assert abs(float(upper) - f_hi) < 1e-12
 
 
-def test_certified_derivation_failure_raises():
+def test_certified_derivation_failure_raises(monkeypatch):
     # A cutoff of 0 leaves a huge geometric tail; the interval cannot fit.
+    monkeypatch.setattr(spectral, "HEAD_CUTOFFS", (0, 0, 0))
     with pytest.raises(VerificationFailureError):
-        certify_balance_bounds(cutoffs=(0, 0, 0))
+        certify_balance_bounds()
 
 
 def test_empirical_extremes_strictly_inside(tribo, sd):
