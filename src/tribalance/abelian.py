@@ -114,11 +114,14 @@ class _Block:
     first occurs at s.  So each row reads one window per distinct factor
     of n1, with repeats among the shorter factors but none missing, and
     the smallest start holding an extreme count of a length (a first
-    occurrence) is among them.
+    occurrence) is among them.  ``counts`` writes into ``out``, a flat
+    buffer the walk shares among its blocks, so a block's counts hold only
+    until the next block reads its own.
     """
 
-    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]]):
-        self.pc, self.n0, self.n1, self.runs = pc, n0, n1, runs
+    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
+                 out: np.ndarray):
+        self.pc, self.n0, self.n1, self.runs, self.out = pc, n0, n1, runs, out
 
     @property
     def starts(self) -> np.ndarray:
@@ -132,7 +135,8 @@ class _Block:
         pc = self.pc[letters]
         lengths = self.n1 - self.n0 + 1
         ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
-        out = np.empty((len(pc), lengths, sum(b - a for a, b in self.runs)), dtype=pc.dtype)
+        shape = (len(pc), lengths, sum(b - a for a, b in self.runs))
+        out = self.out[: shape[0] * shape[1] * shape[2]].reshape(shape)
         col = 0
         for a, b in self.runs:
             np.subtract(ends[:, a + self.n0 : b + self.n0].transpose(0, 2, 1), pc[:, None, a:b],
@@ -154,8 +158,11 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     windows at the short lengths.
     Each length is certified in order, and a block ends before a length
     that fails, so a caller that stops early certifies no length past its
-    block.  Every window query checks its lengths here: n_from >= 1 and
-    n_to >= n_from, both integers.
+    block.  The walk allocates one counts buffer for its largest block and
+    every block writes its counts there: a fresh array per block would let
+    the allocator hand its pages back and fault them in again.  Every
+    window query checks its lengths here: n_from >= 1 and n_to >= n_from,
+    both integers.
     """
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
@@ -165,6 +172,11 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     # pass of a block moves half the bytes of the published int32 counts.
     pc = buffer.prefix_counts[:, : int(index.cover_end[n_to]) + 1]
     pc = pc.astype(np.min_scalar_type(n_to))
+    # A block of several lengths reads at most _BLOCK_WINDOWS windows per
+    # letter, and a one-length block the counts[n1] <= counts[n_to] ones.
+    widest = int(index.counts[n_to])
+    out = np.empty(len(pc) * min(max(_BLOCK_WINDOWS, widest), (n_to - n_from + 1) * widest),
+                   dtype=pc.dtype)
     n0 = n_from
     while n0 <= n_to:
         index.certify(n0)
@@ -176,7 +188,7 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
             except (SaturationError, InvariantViolationError):
                 break
             n1 += 1
-        yield _Block(pc, n0, n1, index.first_runs(n1))
+        yield _Block(pc, n0, n1, index.first_runs(n1), out)
         n0 = n1 + 1
 
 

@@ -29,6 +29,7 @@ the benchmark tracer wraps it by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -179,33 +180,40 @@ class FactorIndex:
     # -- construction ------------------------------------------------------
 
     def _build(self, data: bytes, m: int) -> None:
-        # First-occurrence ends are exact at creation, so nothing is
-        # propagated afterwards: the state made for the prefix of length e
-        # first ends at e (its ``length``), and a clone of q first ends where
-        # q does, since its end set is q's plus the current, later end
-        # (firstpos(clone) = firstpos(q), Blumer et al. 1985).  End sets
-        # only gain later ends, so no first end moves; only clones need an
-        # entry of their own.
-        link = [-1]
-        length = [0]
-        clone_end = {}
-        trans = [-1] * m  # flat: trans[s * m + c]
+        """Online suffix automaton (Blumer et al. 1985) over ``data``, with
+        states numbered by prefix: state i (0 <= i <= R) is the state made
+        for the prefix of length i, so its longest length and its first
+        end are both i, and clones take the ids R + 1, R + 2, ... in the
+        order they are made.
+
+        One ``list(range(R + 1))`` supplies the int objects of the prefix
+        states to the lengths and every link and transition that points at
+        them.  Transitions are m per-letter rows preallocated to R + 1
+        entries, -1 for none; a clone appends its row entries.  First ends
+        are exact at creation: a clone of q first ends where q does, since
+        its end set is q's plus the current, later end (firstpos(clone) =
+        firstpos(q)), and end sets only gain later ends, so no first end
+        moves and nothing is propagated afterwards.  The per-state arrays
+        are int32 (int64 once 2R + 2 reaches 2**31).
+        """
+        R = len(data)
+        ids = list(range(R + 1))
+        length = ids  # prefix states; clones extend it below
+        link = [-1] * (R + 1)
+        trans = [[-1] * (R + 1) for _ in range(m)]
+        clone_end = []
+        n_states = R + 1
         last = 0
-        n_states = 1
-        for c in data:
-            cur = n_states
-            n_states += 1
-            length.append(length[last] + 1)
-            link.append(-1)
-            trans.extend([-1] * m)
+        for cur, c in zip(islice(ids, 1, None), data):
+            row = trans[c]
             p = last
-            while p != -1 and trans[p * m + c] == -1:
-                trans[p * m + c] = cur
+            while p != -1 and row[p] == -1:
+                row[p] = cur
                 p = link[p]
             if p == -1:
                 link[cur] = 0
             else:
-                q = trans[p * m + c]
+                q = row[p]
                 if length[p] + 1 == length[q]:
                     link[cur] = q
                 else:
@@ -213,10 +221,11 @@ class FactorIndex:
                     n_states += 1
                     length.append(length[p] + 1)
                     link.append(link[q])
-                    clone_end[clone] = clone_end.get(q, length[q])
-                    trans.extend(trans[q * m : q * m + m])
-                    while p != -1 and trans[p * m + c] == q:
-                        trans[p * m + c] = clone
+                    clone_end.append(q if q <= R else clone_end[q - R - 1])
+                    for r in trans:
+                        r.append(r[q])
+                    while p != -1 and row[p] == q:
+                        row[p] = clone
                         p = link[p]
                     link[q] = clone
                     link[cur] = clone
@@ -224,25 +233,37 @@ class FactorIndex:
 
         # Free each list of Python ints once its array exists: together
         # they are the peak of the build.
+        dtype = np.int32 if 2 * R + 2 < 2**31 else np.int64
         self.n_states = n_states
-        self._len = np.array(length, dtype=np.int64)
-        del length
+        self._len = np.array(length, dtype=dtype)
+        del length, ids
         self._first_end = self._len.copy()
-        self._first_end[list(clone_end)] = list(clone_end.values())
-        self._link = np.array(link, dtype=np.int64)
+        self._first_end[R + 1 :] = clone_end
+        del clone_end
+        self._link = np.array(link, dtype=dtype)
         del link
         # Right-extension degree per state; the transitions are not kept.
-        self._outdeg = (np.array(trans, dtype=np.int64).reshape(n_states, m) >= 0).sum(axis=1)
+        outdeg = np.zeros(n_states, dtype=dtype)
+        while trans:
+            outdeg += np.array(trans.pop(), dtype=dtype) >= 0
+        self._outdeg = outdeg
 
     def _aggregate(self) -> None:
-        R = self.region_len
-        min_len = np.where(self._link >= 0, self._len[np.maximum(self._link, 0)] + 1, 0)
+        R, dtype = self.region_len, self._len.dtype
+        link, first_end = self._link[1:], self._first_end[1:]
+        min_len = np.zeros_like(self._len)
+        min_len[1:] = self._len[link] + 1
 
-        # counts[n]: number of distinct substrings of length n in the region.
-        diff = np.zeros(R + 2, dtype=np.int64)
-        np.add.at(diff, min_len[1:], 1)  # skip the root (empty word)
-        np.add.at(diff, self._len[1:] + 1, -1)
-        self.counts = np.cumsum(diff)[: R + 1]
+        def per_length(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
+            """For each n <= R, how many of the intervals [opens, closes]
+            hold n: the prefix sum of +1 at each opening and -1 past each
+            close, counted with ``np.bincount``."""
+            diff = np.bincount(opens, minlength=R + 2) - np.bincount(closes + 1, minlength=R + 2)
+            return np.cumsum(diff)[: R + 1].astype(dtype)
+
+        # counts[n]: number of distinct substrings of length n in the region
+        # (the root, the empty word, is skipped).
+        self.counts = per_length(min_len[1:], self._len[1:])
         self.counts[0] = 1
 
         # cover_end[n]: prefix length containing every length-n substring
@@ -251,8 +272,8 @@ class FactorIndex:
         # in n (every factor extends to the right), so a running maximum
         # over interval-opening values is exact away from the region end
         # and a sound overestimate there.
-        new_max = np.zeros(R + 2, dtype=np.int64)
-        np.maximum.at(new_max, min_len[1:], self._first_end[1:])
+        new_max = np.zeros(R + 2, dtype=dtype)
+        np.maximum.at(new_max, min_len[1:], first_end)
         self.cover_end = np.maximum.accumulate(new_max)[: R + 1]
         self.cover_end[0] = 0
 
@@ -261,23 +282,20 @@ class FactorIndex:
         # 2008).  The suffixes first ending at e are the strings of the
         # states with first end e, and their lengths fill (lrs[e], e], so
         # lrs[e] is the least shortest-length-minus-one among those states.
-        lrs = np.full(R + 1, R, dtype=np.int64)
-        np.minimum.at(lrs, self._first_end[1:], self._len[self._link[1:]])
+        lrs = np.full(R + 1, R, dtype=dtype)
+        np.minimum.at(lrs, first_end, self._len[link])
         lrs[0] = 0
-        self._lrs = lrs.astype(np.int32)
+        self._lrs = lrs
 
         # Per-length count of right-special substrings (>= 2 extensions),
         # the state holding one of each length, and each state's number of
         # children in the suffix-link tree.
         special = np.flatnonzero(self._outdeg >= 2)
-        d2 = np.zeros(R + 2, dtype=np.int64)
-        np.add.at(d2, min_len[special], 1)
-        np.add.at(d2, self._len[special] + 1, -1)
-        self._special_count = np.cumsum(d2)[: R + 1]
-        self._rs_state = np.zeros(R + 1, dtype=np.int64)
+        self._special_count = per_length(min_len[special], self._len[special])
+        self._rs_state = np.zeros(R + 1, dtype=dtype)
         for s in special:
             self._rs_state[min_len[s] : self._len[s] + 1] = s
-        self._children = np.bincount(self._link[1:], minlength=self.n_states)
+        self._children = np.bincount(link, minlength=self.n_states).astype(dtype)
 
     # -- queries -----------------------------------------------------------
 

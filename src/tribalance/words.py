@@ -1,9 +1,9 @@
 """Generation of prefixes of fixed points of substitutions.
 
 Words are sequences of small integer symbols (one byte each), held as
-``bytes``.  The buffer of a fixed point is grown by applying the morphism
-to the whole current content and truncating, which preserves the prefix
-property: the image of a prefix of the fixed point is again a prefix.
+``bytes``.  The buffer of a fixed point grows by appending the images of
+its next unexpanded symbols: the image of a prefix of the fixed point is
+again a prefix, so each symbol is expanded once.
 """
 
 from __future__ import annotations
@@ -171,7 +171,10 @@ class WordBuffer:
         self.morphism = morphism
         self.seed = seed
         self.max_symbols = max_symbols
+        # The image of the seed starts with the seed.
         self._symbols: bytes = bytes((seed,))
+        self._tail = morphism.images[seed][1:]
+        self._expanded = 1
         self._prefix_counts: np.ndarray | None = None
         self.index = None
 
@@ -189,9 +192,11 @@ class WordBuffer:
     def ensure(self, min_len: int) -> "WordBuffer":
         """Grow the buffer to at least min_len symbols (no-op if long enough).
 
-        Growth applies the morphism to the whole current content until the
-        requested length is reached, then truncates; the image of a prefix
-        of the fixed point is again a prefix, so regrowing later is sound.
+        The image of the fixed point's first ``_expanded`` symbols is a
+        prefix of it; the buffer holds that image cut at its length,
+        and ``_tail`` the cut-off rest.  Growth takes symbols from the tail
+        first, then appends the images of just enough of the next symbols,
+        so each symbol is expanded once over the life of the buffer.
         ``min_len`` must be an integer >= 0.
         """
         min_len = integer_in(min_len, "buffer length", 0)
@@ -201,13 +206,15 @@ class WordBuffer:
             )
         if min_len <= len(self._symbols):
             return self
-        w = self._symbols
+        w, k = self._symbols + self._tail, self._expanded
+        sizes = np.array([len(im) for im in self.morphism.images])
         while len(w) < min_len:
-            grown = apply_morphism(self.morphism, w)
-            if len(grown) <= len(w):
+            if k == len(w):
                 raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
-            w = grown
-        self._symbols = w[:min_len]
+            ends = np.cumsum(sizes[np.frombuffer(w, dtype=np.uint8, offset=k)])
+            stop = k + min(int(np.searchsorted(ends, min_len - len(w))) + 1, len(ends))
+            w, k = w + apply_morphism(self.morphism, w[k:stop]), stop
+        self._symbols, self._tail, self._expanded = w[:min_len], w[min_len:], k
         self._prefix_counts = None
         return self
 

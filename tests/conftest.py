@@ -6,7 +6,8 @@ touch prefix sums, fingerprints, or the factor index, so agreement with
 the library is meaningful.  The one exception is ``unique_profile``, the
 sorting route the dense profile pass replaced: it reads window bounds from
 an index over the full capped region and deduplicates count columns with
-``np.unique``.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
+an ``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
+factor index's first builder, the oracle of the prefix-numbered one.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
 loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
@@ -100,6 +101,72 @@ def full_region_index(buffer, n_max: int) -> FactorIndex:
     return FactorIndex(buffer, position_cap(buffer, n_max + 1) + n_max + 1)
 
 
+def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:
+    """The suffix automaton of data as the index first built it: states in
+    creation order, one flat transition list ``trans[s * m + c]`` grown by
+    m entries per state, and the first ends of clones in a dict (a clone
+    first ends where the state it splits does).  Returns int64 arrays:
+    per state ``length``, ``shortest`` (0 for the root), ``first_end``,
+    ``outdeg`` and ``children`` (in the suffix-link tree); and per length
+    n <= len(data), by ``np.add.at`` / ``np.maximum.at`` over the states'
+    length intervals, ``counts``, ``cover_end`` and ``special`` (the
+    number of right-special factors)."""
+    link, length, clone_end = [-1], [0], {}
+    trans = [-1] * m
+    last = 0
+    for c in data:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(-1)
+        trans.extend([-1] * m)
+        p = last
+        while p != -1 and trans[p * m + c] == -1:
+            trans[p * m + c] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        else:
+            q = trans[p * m + c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                clone_end[clone] = clone_end.get(q, length[q])
+                trans.extend(trans[q * m : q * m + m])
+                while p != -1 and trans[p * m + c] == q:
+                    trans[p * m + c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    length, link = np.array(length), np.array(link)
+    first_end = length.copy()
+    first_end[list(clone_end)] = list(clone_end.values())
+    shortest = np.where(link >= 0, length[np.maximum(link, 0)] + 1, 0)
+    outdeg = (np.array(trans).reshape(-1, m) >= 0).sum(axis=1)
+    R = len(data)
+
+    def per_length(states):
+        diff = np.zeros(R + 2, dtype=np.int64)
+        np.add.at(diff, shortest[states], 1)
+        np.add.at(diff, length[states] + 1, -1)
+        return np.cumsum(diff)[: R + 1]
+
+    states = np.arange(1, len(length))
+    counts = per_length(states)
+    counts[0] = 1
+    opening = np.zeros(R + 2, dtype=np.int64)
+    np.maximum.at(opening, shortest[states], first_end[states])
+    cover_end = np.maximum.accumulate(opening)[: R + 1]
+    cover_end[0] = 0
+    return {"length": length, "shortest": shortest, "first_end": first_end, "outdeg": outdeg,
+            "children": np.bincount(link[1:], minlength=len(length)),
+            "counts": counts, "cover_end": cover_end,
+            "special": per_length(np.flatnonzero(outdeg >= 2))}
+
+
 def unique_profile(buffer, n_max: int):
     """(n, rho, max_imbalance, vectors) for n = 1..n_max, vectors in
     first-occurrence order, by sorting the window count columns."""
@@ -109,7 +176,11 @@ def unique_profile(buffer, n_max: int):
     for n in range(1, n_max + 1):
         bound = index.certify(n)
         counts = pc[:, n : n + bound + 1] - pc[:, : bound + 1]
-        _, first = np.unique(counts.T, axis=0, return_index=True)
+        # Sort the columns by their letter rows (a stable sort, so equal
+        # columns keep their start order) and keep the first of each group.
+        order = np.lexsort(counts[::-1])
+        ordered = counts[:, order]
+        first = order[np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]]
         vectors = tuple(tuple(int(x) for x in counts[:, i]) for i in sorted(first))
         imbalance = tuple(int(x) for x in counts.max(axis=1) - counts.min(axis=1))
         rows.append((n, len(vectors), imbalance, vectors))

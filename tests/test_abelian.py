@@ -292,6 +292,18 @@ def test_count_dtype_follows_the_last_length(tribo, n_to):
     assert block.counts().dtype == np.min_scalar_type(n_to)
 
 
+def test_blocks_of_one_walk_share_their_counts_buffer(tribo):
+    # One buffer per walk: a fresh array per block let the allocator trim
+    # and regrow its heap on every block.  Each block's counts are read
+    # before the next block writes its own.
+    first, second, *_ = abelian._certified_windows(tribo, 1, 200)
+    a = first.counts()
+    expected = a.copy()
+    b = second.counts()
+    assert np.shares_memory(a, b)
+    assert first.counts().tolist() == expected.tolist()
+
+
 @functools.lru_cache(maxsize=None)
 def sorted_oracle(m: int) -> list:
     """``unique_profile`` to 200 with each row's vectors sorted."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, cap_positions, full_region_index
+from conftest import brute_factors, cap_positions, flat_suffix_automaton, full_region_index
 from tribalance import (
     InvariantViolationError,
     Morphism,
@@ -165,16 +165,73 @@ def test_index_clone_first_ends_match_brute_force(images):
         assert sorted(first_end[(shortest <= n) & (n <= longest)].tolist()) == ends
 
 
+class FixedWord:
+    """A word given whole, with the three members ``FactorIndex`` reads."""
+
+    def __init__(self, data: bytes, alphabet_size: int):
+        self.symbols, self.alphabet_size = data, alphabet_size
+
+    def ensure(self, min_len: int) -> None:
+        assert min_len <= len(self.symbols)
+
+
+def check_against_flat_automaton(data: bytes, m: int) -> None:
+    """Every per-length table and the multiset of per-state rows of the
+    prefix-numbered index against ``flat_suffix_automaton``, and
+    ``first_runs`` against the first occurrences in the data."""
+    R = len(data)
+    index = FactorIndex(FixedWord(data, m), R)
+    flat = flat_suffix_automaton(data, m)
+    assert index.n_states == len(flat["length"])
+    assert index.counts.tolist() == flat["counts"].tolist()
+    assert index.cover_end.tolist() == flat["cover_end"].tolist()
+    assert index._special_count.tolist() == flat["special"].tolist()
+    shortest = np.where(index._link >= 0, index._len[np.maximum(index._link, 0)] + 1, 0)
+    ours = zip(index._len.tolist(), shortest.tolist(), index._first_end.tolist(),
+               index._outdeg.tolist(), index._children.tolist())
+    theirs = zip(*(flat[k].tolist() for k in ("length", "shortest", "first_end", "outdeg",
+                                              "children")))
+    assert sorted(ours) == sorted(theirs)
+    for n in range(1, min(R, 40) + 1):
+        firsts = [s for s in range(R - n + 1) if data.find(data[s : s + n]) == s]
+        assert expand(index.first_runs(n)) == firsts
+
+
+@pytest.mark.parametrize("m, size", [(2, 300), (2, 1500), (3, 1000), (4, 800), (7, 500)])
+def test_index_matches_flat_automaton_on_random_words(m, size):
+    rng = random.Random(1000 * m + size)
+    for _ in range(3):
+        check_against_flat_automaton(bytes(rng.randrange(m) for _ in range(size)), m)
+
+
+@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
+def test_index_matches_flat_automaton_on_cloning_words(images):
+    buf = WordBuffer(Morphism(images), 0).ensure(3000)
+    assert FactorIndex(buf, 3000).n_states > 3001
+    check_against_flat_automaton(buf.symbols, buf.alphabet_size)
+
+
+def test_index_arrays_are_int32(tribo):
+    index = FactorIndex(tribo, 5000)
+    for array in (index.counts, index.cover_end, index._len, index._link, index._first_end,
+                  index._outdeg, index._lrs, index._special_count, index._rs_state,
+                  index._children):
+        assert array.dtype == np.int32
+
+
 def test_index_build_memory(tribo):
-    # The saturation claim's region.  A build that also keeps a first-end
-    # list and sorts every state for a propagation pass traces 31.6 MB.
+    # The saturation claim's region, whose build traces 10.2 MB: its lists
+    # of Python ints are the peak.  Numbering states in creation order with
+    # one flat transition list and int64 arrays traced 15.4 MB, and a build
+    # that also kept a first-end list and sorted every state for a
+    # propagation pass 31.6 MB.
     tracemalloc.start()
     try:
         FactorIndex(tribo, 132_990)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 10**6
+    assert peak < 11.3 * 10**6
 
 
 def test_index_counts_match_scanner(tribo):

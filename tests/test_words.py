@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_parikh, concat_images
+from tribalance import words
 from tribalance import (
     BufferLimitError,
     ConfigurationError,
     InvalidInputError,
     Morphism,
     RangeError,
+    WordBuffer,
     apply_morphism,
     as_word,
     fixed_point_prefix,
@@ -229,6 +231,51 @@ def test_growth_is_append_only(tribo):
     head = tribo.slice(0, 1000)
     tribo.ensure(len(tribo) + 1)
     assert tribo.slice(0, 1000) == head
+
+
+def iterate_images(morphism, seed: int, n: int) -> bytes:
+    """The first n symbols of the fixed point, by re-joining the images of
+    the whole word until it is long enough."""
+    w = bytes((seed,))
+    while len(w) < n:
+        grown = concat_images(morphism, w)
+        assert len(grown) > len(w)
+        w = grown
+    return w[:n]
+
+
+@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"],
+                                    ["0120", "1", "22"], ["0102", "", "2"]])
+def test_stepwise_growth_matches_the_iterates(images):
+    morphism = Morphism(images)
+    whole = iterate_images(morphism, 0, 5000)
+    rng = random.Random(7)
+    buf = WordBuffer(morphism, 0)
+    for n in sorted(rng.sample(range(1, 5001), 40)) + [5000]:
+        assert buf.ensure(n).symbols == whole[:n]
+
+
+def test_each_symbol_is_expanded_once(monkeypatch):
+    expanded = []
+
+    def counting(morphism, w):
+        expanded.append(len(w))
+        return apply_morphism(morphism, w)
+
+    monkeypatch.setattr(words, "apply_morphism", counting)
+    buf = tribonacci_word(1)
+    for n in range(1, 100_001, 997):
+        buf.ensure(n)
+    # The image of the first k symbols is about 1.84 k long.
+    assert sum(expanded) < 100_000 / 1.8
+
+
+def test_erasing_morphism_that_stops_growing_is_refused():
+    stalled = Morphism(["01", ""])  # the fixed point from 0 is 01
+    buf = WordBuffer(stalled, 0)
+    assert buf.ensure(2).symbols == b"\x00\x01"
+    with pytest.raises(ConfigurationError):
+        buf.ensure(3)
 
 
 def test_non_prolongable_rejected():
