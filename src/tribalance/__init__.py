@@ -6,15 +6,11 @@ special-factor characterizations."""
 
 from .abelian import (
     BalanceWitness,
-    Desubstitution,
     ParikhVector,
     ProfileRow,
     abelian_complexity,
     abelian_profile,
-    desubstitute,
     imbalance_witness_search,
-    is_tribonacci_factor,
-    parikh,
     parikh_set,
     prefix_balance_check,
     prefix_balance_profile,
@@ -27,7 +23,6 @@ from .errors import (
     InvalidInputError,
     InvalidRepresentationError,
     InvariantViolationError,
-    NotAFactorError,
     NumericError,
     RangeError,
     SaturationError,
@@ -39,7 +34,6 @@ from .numeration import (
     is_valid_rep,
     is_valid_rep_many,
     prefix_parikh_from_digits,
-    prefix_parikh_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
@@ -52,13 +46,9 @@ from .special import (
     GeometryClassification,
     GeometryRegion,
     SpecialFactorRecord,
-    bispecial_lengths,
-    boundary_set,
-    central_set,
     is_min_complexity_length,
     min_complexity_lengths,
     right_special_factor,
-    successor_length,
     twelve_vector_geometry,
     verify_equivalences,
 )

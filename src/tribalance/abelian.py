@@ -1,4 +1,4 @@
-"""Parikh vectors, abelian complexity, balance checking, desubstitution.
+"""Parikh vectors, abelian complexity and balance checking.
 
 A Parikh vector is the tuple of per-letter occurrence counts of a factor.
 The abelian complexity of a word at length n is the number of distinct
@@ -18,33 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    InvalidInputError,
-    InvariantViolationError,
-    NotAFactorError,
-    RangeError,
-    SaturationError,
-    integer_in,
-)
+from .errors import InvariantViolationError, RangeError, SaturationError, integer_in
 from .factors import factor_index
-from .words import (
-    WordBuffer,
-    WordLike,
-    apply_morphism,
-    as_word,
-    tribonacci_morphism,
-)
+from .words import WordBuffer
 
 ParikhVector = tuple[int, ...]
-
-
-def parikh(w: WordLike, alphabet_size: int) -> ParikhVector:
-    """Per-letter occurrence counts of a finite word."""
-    w = as_word(w)
-    alphabet_size = integer_in(alphabet_size, "alphabet size")
-    if any(c >= alphabet_size for c in w):
-        raise InvalidInputError("word uses symbols outside the alphabet")
-    return tuple(w.count(a) for a in range(alphabet_size))
 
 
 def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
@@ -347,88 +325,3 @@ def prefix_balance_profile(buffer: WordBuffer, n_from: int, n_to: int) -> list[b
         balanced += ((counts.max(axis=2) - prefix <= 1)
                      & (prefix - counts.min(axis=2) <= 1)).all(axis=0).tolist()
     return balanced
-
-
-# ---------------------------------------------------------------------------
-# Desubstitution
-
-@dataclass(frozen=True)
-class Desubstitution:
-    """Preimage word and the two corrections against its image: the leading
-    0 ``dropped`` and a trailing 0 ``appended``.
-
-    The invariant relating the factor U to its preimage u is
-    parikh(U) = (len(u) + delta, count of 0 in u, count of 1 in u).
-    """
-
-    u: bytes
-    dropped: bool
-    appended: bool
-
-    @property
-    def delta(self) -> int:
-        """Length correction: ``appended - dropped``."""
-        return self.appended - self.dropped
-
-    def reconstruct(self) -> bytes:
-        w = apply_morphism(tribonacci_morphism(), self.u)
-        return w[self.dropped:] + b"\x00" * self.appended
-
-
-def is_tribonacci_factor(w: WordLike) -> bool:
-    """Exact membership test by repeated desubstitution.
-
-    A word is a factor exactly when its preimage ``desubstitute(w).u`` is
-    one, and each step shortens the word (the single letters go 2 -> 1 ->
-    0 -> empty), so the preimages reach the empty word unless a step
-    fails to decode.
-    """
-    w = as_word(w)
-    try:
-        while w:
-            w = desubstitute(w, verify=False).u
-    except NotAFactorError:
-        return False
-    return True
-
-
-def desubstitute(U: WordLike, verify: bool = True) -> Desubstitution:
-    """Decompose a factor of the Tribonacci word against its morphism.
-
-    Decoding: a factor starting with 1 or 2 regains the 0 that always
-    precedes those letters (a dropped-0 form); the extended word is then
-    cut at each 0 into blocks 01 -> 0, 02 -> 1, 0 -> 2, a trailing lone 0
-    marking an appended-0 form.  ``verify=False`` skips the factor-of-the-
-    word membership check (useful when the caller took U from the buffer).
-    """
-    U = as_word(U)
-    if not U:
-        raise InvalidInputError("cannot desubstitute the empty word")
-    if any(c > 2 for c in U):
-        raise NotAFactorError(f"symbols outside {{0,1,2}} in {U!r}")
-    if verify and not is_tribonacci_factor(U):
-        raise NotAFactorError(f"{U!r} is not a factor of the Tribonacci word")
-    dropped = U[0] != 0
-    w = b"\x00" + U if dropped else U
-    out = bytearray()
-    appended = False
-    i = 0
-    L = len(w)
-    while i < L:
-        if w[i] != 0:
-            raise NotAFactorError(f"{U!r} cannot be decoded against the morphism")
-        if i + 1 < L:
-            nxt = w[i + 1]
-            if nxt == 1:
-                out.append(0)
-                i += 2
-            elif nxt == 2:
-                out.append(1)
-                i += 2
-            else:
-                out.append(2)
-                i += 1
-        else:
-            appended = True
-            i += 1
-    return Desubstitution(bytes(out), dropped, appended)

@@ -35,11 +35,6 @@ class SaturationError(TribalanceError, RuntimeError):
         self.positions_scanned = positions_scanned
 
 
-class NotAFactorError(TribalanceError, ValueError):
-    """A word that was required to be a factor of the analyzed sequence
-    is not one (or cannot be decoded as one)."""
-
-
 class InvalidRepresentationError(TribalanceError, ValueError):
     """A digit string violates the numeration-system constraint."""
 

@@ -24,9 +24,10 @@ The digits of N also spell out the prefix of length N of the Tribonacci
 word (Dumont and Thomas, 1989): t[:N] is the concatenation, from the most
 significant set digit down, of the words tau^k(0), one per set digit k,
 so its Parikh vector is sum(p_k * M^k e_0) for the incidence matrix M
-(``prefix_parikh_many``).  By Horner's rule that sum is one pass from the
-top digit down, S <- M S + p_k e_0, and M (a, b, c) = (a + b + c, a, b)
-for the Tribonacci substitution 0 -> 01, 1 -> 02, 2 -> 0.
+(``prefix_parikh_from_digits``).  By Horner's rule that sum is one pass
+from the top digit down, S <- M S + p_k e_0, and M (a, b, c) =
+(a + b + c, a, b) for the Tribonacci substitution 0 -> 01, 1 -> 02,
+2 -> 0.
 """
 
 from __future__ import annotations
@@ -290,9 +291,3 @@ def tau_parikh_table(width: int) -> np.ndarray:
         vector = mat @ vector
     return table
 
-
-def prefix_parikh_many(ns) -> np.ndarray:
-    """Letter counts of the Tribonacci prefixes of lengths ``ns``, read off
-    their numeration digits: a ``(3, len(ns))`` int64 array equal to
-    ``prefix_counts[:, ns]`` of a buffer at least ``max(ns)`` long."""
-    return prefix_parikh_from_digits(zeckendorf_encode_many(ns))

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .factors import factor_index
 from .numeration import tribonacci_number
-from .words import WordBuffer, apply_morphism
+from .words import WordBuffer
 
 
 @dataclass
@@ -84,32 +84,12 @@ def _require_tribonacci(buffer: WordBuffer, what: str) -> None:
         )
 
 
-def _closed_form_lengths(c: int) -> Iterator[int]:
-    """The increasing lengths (T_m + T_{m+2} - c) / 2 for m = 0, 1, 2, ..."""
+def _closed_form_lengths() -> Iterator[int]:
+    """The increasing lengths (T_m + T_{m+2} - 1) / 2 for m = 0, 1, 2, ..."""
     m = 0
     while True:
-        yield (tribonacci_number(m) + tribonacci_number(m + 2) - c) // 2
+        yield (tribonacci_number(m) + tribonacci_number(m + 2) - 1) // 2
         m += 1
-
-
-def bispecial_lengths(max_len: int, buffer: WordBuffer | None = None) -> list[int]:
-    """Lengths of the bispecial factors up to max_len, by the closed form
-    (T_m + T_{m+2} - 3) / 2.
-
-    With a buffer, each listed length is cross-checked against the
-    extension-counted bispecial flag; the buffer must hold the Tribonacci
-    word (3 letters), the only word the closed form describes.
-    """
-    if buffer is not None:
-        _require_tribonacci(buffer, "bispecial_lengths")
-    out = list(takewhile(lambda v: v <= max_len, _closed_form_lengths(3)))
-    if buffer is not None:
-        for length in out:
-            if not right_special_factor(buffer, length).is_bispecial:
-                raise VerificationFailureError(
-                    f"closed form lists {length} but the factor is not bispecial"
-                )
-    return out
 
 
 def central_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
@@ -122,30 +102,6 @@ def boundary_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
     """The boundary triple over the special factor's Parikh vector ``base``."""
     i, j, k = base
     return ((i - 1, j + 1, k + 1), (i + 1, j - 1, k + 1), (i + 1, j + 1, k - 1))
-
-
-def central_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
-    """Central vector triple at length n, with the containment assertion
-    that every one of the three is realized."""
-    _require_tribonacci(buffer, "central_set")
-    n = integer_in(n, "length", 1)
-    vectors = central_vectors(right_special_factor(buffer, n - 1).parikh)
-    realized = parikh_set(buffer, n)
-    for v in vectors:
-        if v not in realized:
-            raise InvariantViolationError(
-                f"central vector {v} not realized among length-{n} factors"
-            )
-    return vectors
-
-
-def boundary_set(buffer: WordBuffer, n: int) -> tuple[ParikhVector, ...]:
-    """Boundary vector triple at length n: it meets the realized Parikh set
-    exactly when the abelian complexity exceeds 3.  Entries may be negative
-    for tiny n; such vectors are simply never realized."""
-    _require_tribonacci(buffer, "boundary_set")
-    n = integer_in(n, "length", 1)
-    return boundary_vectors(right_special_factor(buffer, n - 1).parikh)
 
 
 # ---------------------------------------------------------------------------
@@ -308,35 +264,14 @@ def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector
 def is_min_complexity_length(n: int) -> bool:
     """Closed-form membership: n = 1 or n = (T_m + T_{m+2} - 1) / 2."""
     n = integer_in(n, "length", 1)
-    return n == 1 or n == next(v for v in _closed_form_lengths(1) if v >= n)
+    return n == 1 or n == next(v for v in _closed_form_lengths() if v >= n)
 
 
 def min_complexity_lengths(max_len: int) -> list[int]:
     """All lengths up to max_len with minimal (= 3) abelian complexity."""
     out = {1} if max_len >= 1 else set()
-    out.update(takewhile(lambda v: v <= max_len, _closed_form_lengths(1)))
+    out.update(takewhile(lambda v: v <= max_len, _closed_form_lengths()))
     return sorted(out)
-
-
-def successor_length(buffer: WordBuffer, n: int) -> int:
-    """Length propagation map of the substitution.
-
-    The image of the right special factor of length n-1, extended by 0, is
-    again right special; this returns that factor's length plus one, i.e.
-    the length whose special-factor analysis the substitution maps n to.
-    Satisfies successor_length(n) = n + i + j + 1 for the special factor's
-    Parikh vector (i, j, k).
-    """
-    _require_tribonacci(buffer, "successor_length")
-    record = right_special_factor(buffer, n - 1)
-    image = apply_morphism(buffer.morphism, record.word) + b"\x00"
-    value = len(image) + 1
-    i, j, _ = record.parikh
-    if value != n + i + j + 1:
-        raise InvariantViolationError(
-            f"successor length of {n} is {value}, expected {n + i + j + 1}"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ float route the exact spectral certificate replaced: they read the
 eigendata of ``compute_spectral_data``, which the certificate never does.
 ``einsum_prefix_parikh`` is the one int64 contraction of the digit rows
 with the table of Parikh(tau^k(0)) that the Horner kernel of
-``prefix_parikh_from_digits`` replaced.  ``cap_positions`` stands in for
-a run whose certified queries may examine only a few window starts.
+``prefix_parikh_from_digits`` replaced.  ``desubstitute`` decodes a
+factor against the Tribonacci substitution, as the first proof's
+two-factor lemma does.  ``cap_positions`` stands in for a run whose
+certified queries may examine only a few window starts.
 """
 
 from __future__ import annotations
@@ -85,6 +87,22 @@ def concat_images(morphism, word) -> bytes:
 def brute_factors(symbols: bytes, n: int) -> set[bytes]:
     """Every distinct length-n window of the materialized symbols."""
     return {symbols[i : i + n] for i in range(len(symbols) - n + 1)}
+
+
+def desubstitute(U: bytes) -> tuple[bytes, bool, bool]:
+    """(u, dropped, appended) with U = tau(u)[dropped:] + 0 * appended for
+    the Tribonacci substitution tau: 0 -> 01, 1 -> 02, 2 -> 0.  A U that
+    starts with 1 or 2 regains the 0 that always precedes those letters
+    (``dropped``); the word is then cut at each 0 into the blocks 01 -> 0,
+    02 -> 1, 0 -> 2, and a lone 0 at its end is ``appended``.  U is not
+    checked to be a factor; a KeyError means it does not decode."""
+    dropped = U[0] != 0
+    w = b"\x00" + U if dropped else U
+    appended = w.endswith(b"\x00")
+    blocks = w.split(b"\x00")[1:]
+    if appended:
+        blocks.pop()
+    return bytes({b"\x01": 0, b"\x02": 1, b"": 2}[b] for b in blocks), dropped, appended
 
 
 def brute_parikh(word, m: int) -> tuple[int, ...]:

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import random
 
@@ -8,23 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, brute_parikh, brute_parikh_set, cap_positions, unique_profile
+from conftest import (
+    brute_factors,
+    brute_parikh,
+    brute_parikh_set,
+    cap_positions,
+    desubstitute,
+    unique_profile,
+)
 from tribalance import (
     BufferLimitError,
     InvalidInputError,
-    NotAFactorError,
     RangeError,
     SaturationError,
     abelian_complexity,
     abelian_profile,
-    desubstitute,
+    apply_morphism,
+    as_word,
     imbalance_witness_search,
-    is_tribonacci_factor,
     mbonacci_word,
-    parikh,
     parikh_set,
     prefix_balance_check,
     prefix_balance_profile,
+    tribonacci_morphism,
     tribonacci_word,
     verify_witness,
     window_parikh,
@@ -35,12 +40,10 @@ from tribalance.factors import FactorIndex, factor_index, scan_distinct_factors
 from tribalance.synchronized import synchronized_profile
 
 
-def test_parikh_examples():
-    assert parikh("0102010", 3) == (4, 2, 1)
-    assert parikh("", 3) == (0, 0, 0)
-    assert parikh("01010", 3) == (3, 2, 0)
-    with pytest.raises(InvalidInputError):
-        parikh([5], 3)
+def test_parikh_examples(tribo):
+    assert brute_parikh(as_word("0102010"), 3) == window_parikh(tribo, 0, 7) == (4, 2, 1)
+    assert brute_parikh(b"", 3) == (0, 0, 0)
+    assert brute_parikh(as_word("01010"), 3) == (3, 2, 0)
 
 
 def test_window_parikh_examples(tribo):
@@ -458,18 +461,15 @@ def test_prefix_balance_profile_matches_the_vectors(m):
 
 # -- desubstitution ----------------------------------------------------------
 
+def reconstruct(u: bytes, dropped: bool, appended: bool) -> bytes:
+    return apply_morphism(tribonacci_morphism(), u)[dropped:] + b"\x00" * appended
+
+
 def test_desubstitute_examples():
-    d = desubstitute("0102")
-    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", False, False, 0)
-
-    d = desubstitute("1020")
-    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", True, True, 0)
-
-    d = desubstitute("0")
-    assert (d.u, d.dropped, d.appended, d.delta) == (b"", False, True, 1)
-
-    d = desubstitute("102")
-    assert (d.u, d.dropped, d.appended, d.delta) == (b"\x00\x01", True, False, -1)
+    assert desubstitute(as_word("0102")) == (b"\x00\x01", False, False)
+    assert desubstitute(as_word("1020")) == (b"\x00\x01", True, True)
+    assert desubstitute(as_word("0")) == (b"", False, True)
+    assert desubstitute(as_word("102")) == (b"\x00\x01", True, False)
 
 
 def test_desubstitute_parikh_identity(tribo):
@@ -478,11 +478,10 @@ def test_desubstitute_parikh_identity(tribo):
         n = rng.randrange(1, 400)
         start = rng.randrange(0, 10_000)
         U = tribo.slice(start, n)
-        d = desubstitute(U, verify=False)
-        c = parikh(U, 3)
-        assert c == (len(d.u) + d.delta, d.u.count(0), d.u.count(1))
+        u, dropped, appended = desubstitute(U)
+        assert brute_parikh(U, 3) == (len(u) + appended - dropped, u.count(0), u.count(1))
         if n >= 3:
-            assert len(d.u) < n
+            assert len(u) < n
 
 
 def test_desubstitute_round_trip_exhaustive(tribo):
@@ -491,8 +490,7 @@ def test_desubstitute_round_trip_exhaustive(tribo):
         scan = scan_distinct_factors(tribo, n)
         for p in scan.first_positions:
             U = tribo.slice(p, n)
-            d = desubstitute(U, verify=False)
-            assert d.reconstruct() == U
+            assert reconstruct(*desubstitute(U)) == U
 
 
 def test_desubstitute_round_trip_long(tribo):
@@ -500,85 +498,38 @@ def test_desubstitute_round_trip_long(tribo):
     for _ in range(300):
         n = rng.randrange(200, 501)
         U = tribo.slice(rng.randrange(0, 30_000), n)
-        d = desubstitute(U, verify=False)
-        assert d.reconstruct() == U
-        assert len(d.u) < n
-
-
-def test_desubstitute_rejects_non_factors():
-    with pytest.raises(NotAFactorError):
-        desubstitute("11")
-    with pytest.raises(NotAFactorError):
-        desubstitute("000")  # decodes structurally but is not a factor
-    with pytest.raises(NotAFactorError):
-        desubstitute("21")  # 1 after 2 never occurs
-    with pytest.raises(InvalidInputError):
-        desubstitute("")
-    with pytest.raises(NotAFactorError):
-        desubstitute([0, 3])
-
-
-def test_is_tribonacci_factor(tribo):
-    assert is_tribonacci_factor("0102010")
-    assert is_tribonacci_factor(tribo.slice(777, 200))
-    assert is_tribonacci_factor("")
-    assert not is_tribonacci_factor("11")
-    assert not is_tribonacci_factor("000")
-    assert not is_tribonacci_factor([0, 3])
-
-
-def test_is_tribonacci_factor_matches_brute_force(tribo):
-    # Every word over {0, 1, 2} of length <= 9, against the windows of a
-    # prefix that holds all 2n + 1 factors of each of those lengths.
-    region = tribo.symbols[:2000]
-    for n in range(1, 10):
-        factors = brute_factors(region, n)
-        assert len(factors) == 2 * n + 1
-        for w in map(bytes, itertools.product(range(3), repeat=n)):
-            assert is_tribonacci_factor(w) == (w in factors), w
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 150_000), st.integers(1, 5000), st.data())
-def test_is_tribonacci_factor_long_words_and_mutations(tribo, start, n, data):
-    # Oracle: a word is a factor iff it occurs among the windows that the
-    # factor index certifies hold every factor of its length.
-    def oracle(w):
-        return tribo.symbols.find(w, 0, factor_index(tribo, 5000).certify(n) + n) >= 0
-
-    w = tribo.slice(start, n)
-    assert is_tribonacci_factor(w)
-    pos = data.draw(st.integers(0, n - 1))
-    letter = data.draw(st.sampled_from([a for a in range(3) if a != w[pos]]))
-    mutated = w[:pos] + bytes((letter,)) + w[pos + 1 :]
-    assert is_tribonacci_factor(mutated) == oracle(mutated)
+        u, dropped, appended = desubstitute(U)
+        assert reconstruct(u, dropped, appended) == U
+        assert len(u) < n
 
 
 def test_desubstitution_pair_schema(tribo):
     # The two-factor lemma (count_0(V) = count_0(U) + 2 and count_i(U) =
     # count_i(V) + 3 imply len(u) <= len(v) and count_{i-1}(u) =
     # count_{i-1}(v) + 3) rests entirely on three facts checked here on
-    # 1000 random factor pairs: delta stays in {-1, 0, 1}, the letter-0
-    # count determines the preimage length via count_0(U) = len(u) + delta,
-    # and counts of 1 and 2 pass through exactly (count_i(U) =
-    # count_{i-1}(u)).  Given those, the hypothesis forces
-    # len(u) = len(v) + delta_v - delta_u - 2 <= len(v) arithmetically.
+    # 1000 random factor pairs: delta = appended - dropped stays in
+    # {-1, 0, 1}, the letter-0 count determines the preimage length via
+    # count_0(U) = len(u) + delta, and counts of 1 and 2 pass through
+    # exactly (count_i(U) = count_{i-1}(u)).  Given those, the hypothesis
+    # forces len(u) = len(v) + delta_v - delta_u - 2 <= len(v)
+    # arithmetically.
     rng = random.Random(17)
     for _ in range(1000):
         nu, nv = rng.randrange(1, 200), rng.randrange(1, 200)
         U = tribo.slice(rng.randrange(0, 20_000), nu)
         V = tribo.slice(rng.randrange(0, 20_000), nv)
-        du, dv = desubstitute(U, verify=False), desubstitute(V, verify=False)
-        for w, d in ((U, du), (V, dv)):
-            c = parikh(w, 3)
-            assert d.delta in (-1, 0, 1)
-            assert c[0] == len(d.u) + d.delta
-            assert c[1] == d.u.count(0) and c[2] == d.u.count(1)
-        cu, cv = parikh(U, 3), parikh(V, 3)
+        du, dv = desubstitute(U), desubstitute(V)
+        for w, (p, dropped, appended) in ((U, du), (V, dv)):
+            c = brute_parikh(w, 3)
+            assert appended - dropped in (-1, 0, 1)
+            assert c[0] == len(p) + appended - dropped
+            assert c[1] == p.count(0) and c[2] == p.count(1)
+        (u, *_), (v, *_) = du, dv
+        cu, cv = brute_parikh(U, 3), brute_parikh(V, 3)
         for i in (1, 2):
             if cv[0] == cu[0] + 2 and cu[i] == cv[i] + 3:
-                assert len(du.u) <= len(dv.u)
-                assert du.u.count(i - 1) == dv.u.count(i - 1) + 3
+                assert len(u) <= len(v)
+                assert u.count(i - 1) == v.count(i - 1) + 3
 
 
 def test_pair_schema_hypothesis_is_never_realized(tribo):

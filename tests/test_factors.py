@@ -14,7 +14,6 @@ from tribalance import (
     WordBuffer,
     abelian_complexity,
     abelian_profile,
-    bispecial_lengths,
     factor_index,
     imbalance_witness_search,
     mbonacci_word,
@@ -22,7 +21,6 @@ from tribalance import (
     prefix_balance_check,
     right_special_factor,
     scan_distinct_factors,
-    successor_length,
     tribonacci_word,
     twelve_vector_geometry,
     verify_equivalences,
@@ -112,16 +110,13 @@ def test_index_certify_rejects_excess_factors():
     lambda b: imbalance_witness_search(b, 0, 3, 50),
     lambda b: right_special_factor(b, 50),
     lambda b: right_special_parikh(b, factor_index(b, 50), 50),
-    lambda b: bispecial_lengths(50, b),
     lambda b: twelve_vector_geometry(b, 50),
-    lambda b: successor_length(b, 50),
     lambda b: verify_equivalences(b, 50),
     lambda b: scan_distinct_factors(b, 50),
 ], ids=["parikh_set", "abelian_complexity", "abelian_profile",
         "prefix_balance_check", "imbalance_witness_search",
-        "right_special_factor", "right_special_parikh", "bispecial_lengths",
-        "twelve_vector_geometry", "successor_length", "verify_equivalences",
-        "scan_distinct_factors"])
+        "right_special_factor", "right_special_parikh", "twelve_vector_geometry",
+        "verify_equivalences", "scan_distinct_factors"])
 def test_certifying_queries_honour_the_buffer_cap(monkeypatch, query):
     # Length 50 has 101 factors, which 20 window starts cannot hold.
     cap_positions(monkeypatch, 20)

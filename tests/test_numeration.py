@@ -12,7 +12,6 @@ from tribalance import (
     is_valid_rep,
     is_valid_rep_many,
     prefix_parikh_from_digits,
-    prefix_parikh_many,
     tribonacci_number,
     tribonacci_numbers_upto,
     zeckendorf_decode,
@@ -245,11 +244,12 @@ def test_batch_decode_invalid_sentinel_only_replaces_invalid_rows():
 
 def test_prefix_parikh_examples():
     # t = 0102010010201...: the prefixes of lengths 0, 1, 2, 4 and 7.
-    assert prefix_parikh_many([0, 1, 2, 4, 7]).tolist() == [
+    digits = zeckendorf_encode_many([0, 1, 2, 4, 7])
+    assert prefix_parikh_from_digits(digits).tolist() == [
         [0, 1, 1, 2, 4], [0, 0, 1, 1, 2], [0, 0, 0, 1, 1]]
-    assert prefix_parikh_many([]).shape == (3, 0)
+    assert prefix_parikh_from_digits(zeckendorf_encode_many([])).shape == (3, 0)
     with pytest.raises(InvalidInputError):
-        prefix_parikh_many([-1])
+        zeckendorf_encode_many([-1])
     with pytest.raises(InvalidInputError):
         prefix_parikh_from_digits(np.zeros((1, 100), dtype=np.uint8))
 
@@ -261,7 +261,7 @@ def test_prefix_parikh_examples():
 def test_prefix_parikh_matches_prefix_counts(tribo_2e6, ns):
     # The Dumont-Thomas identity against letters counted along the word.
     expected = tribo_2e6.prefix_counts[:, ns]
-    got = prefix_parikh_many(ns)
+    got = prefix_parikh_from_digits(zeckendorf_encode_many(ns))
     assert got.dtype == np.int64
     assert (got == expected).all()
     assert (got.sum(axis=0) == ns).all()

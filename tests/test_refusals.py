@@ -15,18 +15,14 @@ from tribalance import (
     TribalanceError,
     abelian_profile,
     balance_bound_from_interval,
-    boundary_set,
-    central_set,
     discrepancy_blocks,
     discrepancy_direct,
     discrepancy_extremes,
     factor_index,
     imbalance_witness_search,
-    parikh,
     parikh_set,
     prefix_balance_check,
     prefix_balance_profile,
-    successor_length,
     tribonacci_numbers_upto,
     tribonacci_word,
     verify_equivalences,
@@ -52,9 +48,6 @@ CASES = {
     "blocks_n_max_10.0": lambda t, f, sd: discrepancy_blocks(t, 10.0, 0, sd),
     "blocks_letter_3": lambda t, f, sd: discrepancy_blocks(t, 10, 3, sd),
     # Tribonacci-only queries refuse other alphabets.
-    "central_set_4bonacci": lambda t, f, sd: central_set(f, 5),
-    "boundary_set_4bonacci": lambda t, f, sd: boundary_set(f, 5),
-    "successor_length_4bonacci": lambda t, f, sd: successor_length(f, 5),
     "verify_equivalences_4bonacci": lambda t, f, sd: verify_equivalences(f, 5),
     # Window lengths are integers n_from >= 1 and n_to >= n_from, checked
     # once for every window query; an index covers an n_max >= 0.
@@ -70,7 +63,6 @@ CASES = {
     "window_parikh_start_1.5": lambda t, f, sd: window_parikh(t, 1.5, 2),
     "window_parikh_start_True": lambda t, f, sd: window_parikh(t, True, 2),
     "slice_start_1.5": lambda t, f, sd: t.slice(1.5, 2),
-    "parikh_alphabet_2.5": lambda t, f, sd: parikh("012", 2.5),
     # The buffer cap is an integer >= 1: a string or None raised a bare
     # TypeError, and 1.5, -3 or True passed as a cap, then raised
     # BufferLimitError (exit 3, not 2).

@@ -8,15 +8,12 @@ from tribalance import (
     InvalidInputError,
     InvariantViolationError,
     abelian_profile,
-    bispecial_lengths,
-    boundary_set,
-    central_set,
+    apply_morphism,
     factor_index,
     is_min_complexity_length,
     min_complexity_lengths,
     parikh_set,
     right_special_factor,
-    successor_length,
     tribonacci_word,
     twelve_vector_geometry,
     verify_equivalences,
@@ -28,8 +25,34 @@ from tribalance.special import (
     NEIGHBORHOOD,
     REGIONS,
     boundary_vectors,
+    central_vectors,
     right_special_parikh,
 )
+
+
+def central(buffer, n: int) -> set[tuple[int, ...]]:
+    """The central triple at length n, over the right special factor of
+    length n - 1."""
+    return set(central_vectors(right_special_factor(buffer, n - 1).parikh))
+
+
+def boundary(buffer, n: int) -> set[tuple[int, ...]]:
+    """The boundary triple at length n."""
+    return set(boundary_vectors(right_special_factor(buffer, n - 1).parikh))
+
+
+def bispecial_lengths(max_len: int) -> list[int]:
+    """The closed form (T_m + T_{m+2} - 3) / 2 up to max_len: one less than
+    each minimal-complexity length (T_m + T_{m+2} - 1) / 2 past 1."""
+    return [n - 1 for n in min_complexity_lengths(max_len + 1) if n > 1]
+
+
+def successor_length(buffer, n: int) -> int:
+    """The length n is mapped to by the substitution: the image of the
+    right special factor of length n - 1, extended by 0, is again right
+    special, and n maps to its length plus one."""
+    image = apply_morphism(buffer.morphism, right_special_factor(buffer, n - 1).word)
+    return len(image + b"\x00") + 1
 
 
 def test_right_special_small(tribo):
@@ -83,10 +106,8 @@ def test_right_special_extension_degree(tribo):
 
 @pytest.mark.parametrize("query", [
     lambda b: right_special_factor(b, -1),
-    lambda b: central_set(b, 0),
-    lambda b: boundary_set(b, 0),
     lambda b: is_min_complexity_length(0),
-], ids=["right_special_factor", "central_set", "boundary_set", "is_min_complexity_length"])
+], ids=["right_special_factor", "is_min_complexity_length"])
 def test_length_checks(tribo, query):
     with pytest.raises(InvalidInputError, match="length must be an integer >= "):
         query(tribo)
@@ -110,12 +131,7 @@ def test_right_special_index_route_agrees(tribo):
 def test_bispecial_lengths_closed_form(tribo):
     assert bispecial_lengths(30) == [1, 3, 7, 14, 27]
     assert bispecial_lengths(0) == []
-    assert bispecial_lengths(30, buffer=tribo) == [1, 3, 7, 14, 27]
-
-
-def test_bispecial_lengths_refuses_non_tribonacci(fibo):
-    with pytest.raises(InvalidInputError):
-        bispecial_lengths(50, buffer=fibo)
+    assert all(right_special_factor(tribo, n).is_bispecial for n in bispecial_lengths(30))
 
 
 def test_bispecial_lengths_are_palindromic_prefixes(tribo):
@@ -134,24 +150,25 @@ def test_bispecial_flags_match_closed_form(tribo):
 
 
 def test_central_set_examples(tribo):
-    assert central_set(tribo, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert boundary_set(tribo, 1) == ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    base = right_special_factor(tribo, 0).parikh
+    assert central_vectors(base) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert boundary_vectors(base) == ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
 def test_central_contained_in_realized(tribo):
     for n in (1, 2, 7, 30, 100):
-        assert set(central_set(tribo, n)) <= parikh_set(tribo, n)
+        assert central(tribo, n) <= parikh_set(tribo, n)
 
 
 def test_boundary_meets_realized_iff_not_min(tribo):
     for n in range(1, 80):
         realized = parikh_set(tribo, n)
-        b = set(boundary_set(tribo, n))
+        b = boundary(tribo, n)
         assert (len(realized) == 3) == (not (b & realized))
 
 
 def test_boundary_disjoint_at_min_length(tribo):
-    assert not (set(boundary_set(tribo, 4)) & parikh_set(tribo, 4))
+    assert not (boundary(tribo, 4) & parikh_set(tribo, 4))
 
 
 def test_twelve_vector_geometry(tribo):
@@ -166,7 +183,7 @@ def test_twelve_vector_geometry(tribo):
     assert CLIQUE_SIZES == (7, 7, 7, 6, 6, 6, 6)
     (extra,) = EXTRA_CLIQUES
     assert set(boundary_vectors((0, 0, 0))) <= extra
-    assert set(boundary_set(tribo, 10)) == {
+    assert boundary(tribo, 10) == {
         tuple(b + d for b, d in zip(g.base, off)) for off in boundary_vectors((0, 0, 0))
     }
 

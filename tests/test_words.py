@@ -21,7 +21,6 @@ from tribalance import (
     incidence_matrix,
     mbonacci_morphism,
     mbonacci_word,
-    parikh,
     tribonacci_morphism,
     tribonacci_number,
     tribonacci_word,
@@ -94,8 +93,6 @@ def test_as_word_rejects_symbols_outside_a_byte():
     for bad in ([300], [-1], [0, 1, 256]):
         with pytest.raises(InvalidInputError):
             as_word(bad)
-    with pytest.raises(InvalidInputError):
-        parikh([300], 3)
 
 
 def test_mbonacci_examples():
@@ -223,8 +220,8 @@ def test_incidence_parikh_identity(tribo):
         n = rng.randrange(0, 200)
         start = rng.randrange(0, len(tribo) - n)
         w = tribo.slice(start, n)
-        expected = mat @ np.array(parikh(w, 3))
-        assert parikh(apply_morphism(tau, w), 3) == tuple(expected.tolist())
+        expected = mat @ np.array(brute_parikh(w, 3))
+        assert brute_parikh(apply_morphism(tau, w), 3) == tuple(expected.tolist())
 
 
 def test_growth_is_append_only(tribo):
