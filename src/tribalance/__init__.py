@@ -74,6 +74,7 @@ from .words import (
     incidence_matrix,
     mbonacci_morphism,
     mbonacci_word,
+    prefix_count_blocks,
     tribonacci_morphism,
     tribonacci_word,
     word_to_text,

@@ -4,8 +4,8 @@ A Parikh vector is the tuple of per-letter occurrence counts of a factor.
 The abelian complexity of a word at length n is the number of distinct
 Parikh vectors among its length-n factors; a word is C-balanced when the
 per-letter counts of any two equal-length factors differ by at most C.
-Everything here reduces to O(1) Parikh queries against the buffer's
-per-letter prefix sums, plus saturation certificates that a scanned region
+Everything here reduces to O(1) Parikh queries against per-letter prefix
+sums of the indexed region, plus saturation certificates that the region
 contains every factor of the relevant length.  The per-length queries read
 one window per distinct factor, at the starts where the factors first
 occur, in blocks of consecutive lengths (``_certified_windows``).
@@ -26,15 +26,16 @@ ParikhVector = tuple[int, ...]
 
 
 def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
-    """Parikh vector of the window at ``start``; O(1) via prefix sums."""
+    """Parikh vector of the window at ``start``, counted off its symbols
+    (``bytes.count``, one pass per letter)."""
     start = integer_in(start, "window start", None)
     length = integer_in(length, "window length", None)
     if start < 0 or length < 0 or start + length > len(buffer):
         raise RangeError(
             f"window [{start}, {start + length}) outside buffer of length {len(buffer)}"
         )
-    pc = buffer.prefix_counts
-    return tuple(int(x) for x in pc[:, start + length] - pc[:, start])
+    window = buffer.symbols[start : start + length]
+    return tuple(window.count(a) for a in range(buffer.alphabet_size))
 
 
 def parikh_set(buffer: WordBuffer, n: int) -> frozenset[ParikhVector]:
@@ -145,11 +146,14 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
-    # Every window count lies in [0, n_to], so differences wrapped in the
-    # narrowest unsigned type that holds n_to are exact; below 2**16 every
-    # pass of a block moves half the bytes of the published int32 counts.
-    pc = buffer.prefix_counts[:, : int(index.cover_end[n_to]) + 1]
-    pc = pc.astype(np.min_scalar_type(n_to))
+    # The prefix counts of the region, wrapped in the narrowest unsigned
+    # type that holds n_to: every window count lies in [0, n_to], so the
+    # wrapped differences are exact, and below 2**16 every pass of a block
+    # moves half the bytes of int32 counts.
+    data = np.frombuffer(buffer.symbols, dtype=np.uint8, count=int(index.cover_end[n_to]))
+    pc = np.zeros((buffer.alphabet_size, len(data) + 1), dtype=np.min_scalar_type(n_to))
+    for a, row in enumerate(pc):
+        np.cumsum(data == a, dtype=pc.dtype, out=row[1:])
     # A block of several lengths reads at most _BLOCK_WINDOWS windows per
     # letter, and a one-length block the counts[n1] <= counts[n_to] ones.
     widest = int(index.counts[n_to])

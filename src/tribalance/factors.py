@@ -33,7 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvariantViolationError, SaturationError, integer_in
+from .errors import BufferLimitError, InvariantViolationError, SaturationError, integer_in
 from .words import WordBuffer
 
 # Rolling fingerprint parameters: polynomial hash modulo the Mersenne
@@ -408,15 +408,28 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     is built on exactly that region, so ``certify`` reports the shortfall.
     Reuses ``buffer.index`` when it already covers n_max + 1, else builds a
     new index and publishes it there; this is the one writer of that slot.
+    A region past ``buffer.max_symbols`` raises ``BufferLimitError``, naming
+    the lengths, the region and its position-cap bound.
     """
     k = integer_in(n_max, "n_max") + 1
     if buffer.index is not None and buffer.index.covers(k):
         return buffer.index
-    full = position_cap(buffer, k) + k
-    region = min(full, max(8, 2**buffer.alphabet_size) * k + 1024)
-    index = FactorIndex(buffer, region)
+    m = buffer.alphabet_size
+    cap = position_cap(buffer, k)
+    full = cap + k
+
+    def build(region: int) -> FactorIndex:
+        if region > buffer.max_symbols:
+            raise BufferLimitError(
+                f"lengths up to {n_max} on {m} letters need an index region of {region} "
+                f"symbols (at most {full}: the position cap {cap} plus {k}), past the "
+                f"buffer cap of {buffer.max_symbols} symbols (--max-buffer)")
+        return FactorIndex(buffer, region)
+
+    region = min(full, max(8, 2**m) * k + 1024)
+    index = build(region)
     while region < full and not index.covers(k):
         region = min(full, 2 * region)
-        index = FactorIndex(buffer, region)
+        index = build(region)
     buffer.index = index
     return index

@@ -32,7 +32,7 @@ from .errors import (
     integer_in,
 )
 from .numeration import digit_columns, tau_parikh_table, zeckendorf_encode
-from .words import WordBuffer
+from .words import WordBuffer, prefix_count_blocks
 
 #: Head cutoff index per letter (terms 0..cutoff are summed exactly).
 HEAD_CUTOFFS = (7, 10, 13)
@@ -164,11 +164,10 @@ def discrepancy_blocks(buffer: WordBuffer, n_max: int, letter: int,
     letter, n_max = integer_in(letter, "letter", 0, 2), integer_in(n_max, "n_max")
     if n_max > len(buffer):
         raise RangeError(f"n_max {n_max} exceeds buffer length {len(buffer)}")
-    counts = buffer.prefix_counts[letter, : n_max + 1]
+    blocks = prefix_count_blocks(buffer, n_max + 1, DISCREPANCY_BLOCK, (letter,))
     freq = sd.frequency(letter)
-    return ((start, counts[start : start + DISCREPANCY_BLOCK]
-             - np.arange(start, min(start + DISCREPANCY_BLOCK, n_max + 1), dtype=np.float64) * freq)
-            for start in range(0, n_max + 1, DISCREPANCY_BLOCK))
+    return ((start, counts - np.arange(start, start + len(counts), dtype=np.float64) * freq)
+            for start, (counts,) in blocks)
 
 
 def discrepancy_extremes(buffer: WordBuffer, n_max: int, letter: int,

@@ -24,7 +24,13 @@ import numpy as np
 from . import abelian, numeration, special, spectral
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
 from .factors import FactorIndex, factor_index, position_cap
-from .words import DEFAULT_MAX_SYMBOLS, WordBuffer, mbonacci_word, tribonacci_word
+from .words import (
+    DEFAULT_MAX_SYMBOLS,
+    WordBuffer,
+    mbonacci_word,
+    prefix_count_blocks,
+    tribonacci_word,
+)
 
 #: Abelian complexity of the Tribonacci word at lengths 1..42.
 RHO_SEQUENCE_42 = (
@@ -217,16 +223,26 @@ def _claim_spectral_constants(ctx: SuiteContext):
         dict(SPECTRAL_CONSTANTS_5DP)
 
 
+#: Prefix-count columns per block the eq1 claim reads its samples from.
+SAMPLE_BLOCK = 1 << 16
+
+
 def _claim_oracle_equivalence(ctx: SuiteContext):
     sd = spectral.compute_spectral_data()
     buf = ctx.buffer(1_000_001)
     rng = random.Random(ctx.config.seed)
     ns = np.array([rng.randrange(0, 1_000_001) for _ in range(10_000)], dtype=np.int64)
+    # The worst gap is the same in any order; sorted, the samples are read
+    # off the prefix counts one block at a time, up to the largest.
+    ns.sort()
     digits = numeration.zeckendorf_encode_many(ns)
-    pc = buf.prefix_counts
+    counted = np.empty((3, ns.size), dtype=np.int32)
+    for start, counts in prefix_count_blocks(buf, int(ns[-1]) + 1, SAMPLE_BLOCK):
+        lo, hi = np.searchsorted(ns, [start, start + counts.shape[1]])
+        counted[:, lo:hi] = counts[:, ns[lo:hi] - start]
     worst = 0.0
     for letter in (0, 1, 2):
-        direct = pc[letter, ns] - ns * sd.frequency(letter)
+        direct = counted[letter] - ns * sd.frequency(letter)
         gap = np.abs(spectral.discrepancy_from_digits(digits, letter, sd) - direct)
         worst = max(worst, float(gap.max()))
     return worst < 1e-6, worst, "< 1e-06"
@@ -303,14 +319,12 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
     # vector that differs from the counted prefix of the word, or (on the
     # fixed sample) digits that differ from the scalar reference codec.
     limit = 1_000_000
-    pc = ctx.buffer(limit + 1).prefix_counts
     bad = None
-    for start in range(0, limit + 1, ROUNDTRIP_CHUNK):
-        stop = min(start + ROUNDTRIP_CHUNK, limit + 1)
-        ns = np.arange(start, stop, dtype=np.int64)
+    for start, counts in prefix_count_blocks(ctx.buffer(limit + 1), limit + 1, ROUNDTRIP_CHUNK):
+        ns = np.arange(start, start + counts.shape[1], dtype=np.int64)
         digits = numeration.zeckendorf_encode_many(ns)
         failed = numeration.zeckendorf_decode_many(digits, invalid=-1) != ns
-        failed |= (numeration.prefix_parikh_from_digits(digits) != pc[:, start:stop]).any(axis=0)
+        failed |= (numeration.prefix_parikh_from_digits(digits) != counts).any(axis=0)
         first_sample = -start % ROUNDTRIP_SCALAR_STRIDE
         for i in range(first_sample, ns.size, ROUNDTRIP_SCALAR_STRIDE):
             scalar = numeration.zeckendorf_encode(start + i)

@@ -8,7 +8,7 @@ again a prefix, so each symbol is expanded once.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -146,9 +146,11 @@ class WordBuffer:
     The symbol store is an immutable ``bytes`` object that is replaced
     wholesale by ``ensure``; readers holding views of the old content are
     never invalidated.  Growth is single-writer: the caller must not let
-    other threads read while a growth call is in flight.  Per-letter prefix
-    counts, computed on first read after each growth and published
-    read-only as int32, make any window's letter counts two array lookups.
+    other threads read while a growth call is in flight.  ``prefix_counts``
+    publishes read-only int32 per-letter prefix counts of the whole buffer,
+    computed on first read after each growth; the package's own readers
+    count only what they read instead (``prefix_count_blocks``, or the
+    symbols themselves).
 
     ``index`` holds the ``FactorIndex`` most recently built over the
     buffer, or None.  Only ``factors.factor_index`` writes it, and always
@@ -211,7 +213,11 @@ class WordBuffer:
         while len(w) < min_len:
             if k == len(w):
                 raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
-            ends = np.cumsum(sizes[np.frombuffer(w, dtype=np.uint8, offset=k)])
+            # The next min_len - len(w) symbols expand to enough when no
+            # image is empty, so the sizes of no more of them are summed.
+            ahead = np.frombuffer(w, dtype=np.uint8, offset=k,
+                                  count=min(len(w) - k, min_len - len(w)))
+            ends = np.cumsum(sizes[ahead])
             stop = k + min(int(np.searchsorted(ends, min_len - len(w))) + 1, len(ends))
             w, k = w + apply_morphism(self.morphism, w[k:stop]), stop
         self._symbols, self._tail, self._expanded = w[:min_len], w[min_len:], k
@@ -249,6 +255,48 @@ class WordBuffer:
                 f"window [{start}, {start + length}) outside buffer of length {len(self._symbols)}"
             )
         return self._symbols[start : start + length]
+
+
+def prefix_count_blocks(buffer: WordBuffer, stop: int, block: int,
+                        letters: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The prefix counts of the first ``stop`` columns of
+    ``buffer.prefix_counts``, as an iterator of ``(start, counts)``: int32
+    arrays of ``block`` columns (the last one shorter), row i of a block
+    for ``letters[i]`` (every letter by default), entry [i, j] the count of
+    ``letters[i]`` among the first start + j symbols.
+
+    Each block is counted from its own symbols plus the last column of the
+    block before, so no more than one block of counts exists at a time.
+    ``stop`` is at most ``len(buffer) + 1``; counting ``PREFIX_COUNTS_LIMIT``
+    (2**31) symbols or more raises ``BufferLimitError``.  The arguments are
+    checked on the call, before the first block.
+    """
+    stop = integer_in(stop, "prefix count columns", 0, len(buffer) + 1)
+    block = integer_in(block, "block columns", 1)
+    m = buffer.alphabet_size
+    letters = range(m) if letters is None else [integer_in(a, "letter", 0, m - 1) for a in letters]
+    if stop - 1 >= PREFIX_COUNTS_LIMIT:
+        raise BufferLimitError(
+            f"{stop - 1} symbols reach the int32 prefix count limit of {PREFIX_COUNTS_LIMIT}")
+    return _count_blocks(np.frombuffer(buffer.symbols, dtype=np.uint8), stop, block, letters)
+
+
+def _count_blocks(data: np.ndarray, stop: int, block: int,
+                  letters: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    carry = [0] * len(letters)
+    for start in range(0, stop, block):
+        counts = np.empty((len(letters), min(block, stop - start)), dtype=np.int32)
+        # Column 0 counts the symbols before start: the previous block's
+        # last column counts all but the one just before start.
+        symbols = data[start : start + counts.shape[1] - 1]
+        before = int(data[start - 1]) if start else -1
+        for i, a in enumerate(letters):
+            row = counts[i]
+            row[0] = carry[i] + (before == a)
+            np.equal(symbols, a, out=row[1:])
+            np.cumsum(row, out=row)
+            carry[i] = int(row[-1])
+        yield start, counts
 
 
 def fixed_point_prefix(morphism: Morphism, seed: Symbol, min_len: int,

@@ -16,7 +16,6 @@ from conftest import (
     unique_profile,
 )
 from tribalance import (
-    BufferLimitError,
     InvalidInputError,
     RangeError,
     SaturationError,
@@ -404,22 +403,6 @@ def test_witness_search_from_known_length(fourbo):
         imbalance_witness_search(fourbo, 1, 3, 3304, n_from=3305)
     with pytest.raises(InvalidInputError):
         imbalance_witness_search(fourbo, 1, 3, 10, n_from=0)
-
-
-def test_profile_refuses_windows_past_int32(monkeypatch, capsys):
-    # The guard is the buffer's: with its limit lowered below the first
-    # index region, the profile and the CLI reach it through prefix_counts.
-    import tribalance.words as words
-    from tribalance.cli import main
-
-    monkeypatch.setattr(words, "PREFIX_COUNTS_LIMIT", 100)
-    with pytest.raises(BufferLimitError, match="int32 prefix count limit of 100"):
-        abelian_profile(mbonacci_word(3), 1, 2)
-    with pytest.raises(BufferLimitError):
-        mbonacci_word(3, 100).prefix_counts
-    assert mbonacci_word(3, 99).prefix_counts.shape == (3, 100)
-    assert main(["balance", "mbonacci:4", "10"]) == 3
-    assert "int32 prefix count limit" in capsys.readouterr().err
 
 
 def test_witness_search_certifies_lazily(monkeypatch):

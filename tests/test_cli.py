@@ -145,7 +145,11 @@ def test_resource_exit_code(capsys):
     # The Fibonacci word still takes the window route, which the caps bind.
     code, _, err = run(capsys, "rho", "mbonacci:2", "1", "500", "--max-buffer", "64")
     assert code == 3
-    assert err == "resource failure: requested 5032 symbols exceeds the configured cap of 64\n"
+    # The refusal names the need, not one growth step: the lengths and
+    # letters, the first index region and its position-cap bound, the cap.
+    assert err == ("resource failure: lengths up to 500 on 2 letters need an index region of "
+                   "5032 symbols (at most 36661: the position cap 36160 plus 501), past the "
+                   "buffer cap of 64 symbols (--max-buffer)\n")
 
 
 @pytest.mark.parametrize("cap", [["--max-buffer", "64"], []])

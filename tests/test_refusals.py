@@ -23,12 +23,14 @@ from tribalance import (
     parikh_set,
     prefix_balance_check,
     prefix_balance_profile,
+    prefix_count_blocks,
     tribonacci_numbers_upto,
     tribonacci_word,
     verify_equivalences,
     verify_witness,
     window_parikh,
 )
+from tribalance.cli import main
 
 CASES = {
     # Witness letters are in 0..m-1.
@@ -63,6 +65,11 @@ CASES = {
     "window_parikh_start_1.5": lambda t, f, sd: window_parikh(t, 1.5, 2),
     "window_parikh_start_True": lambda t, f, sd: window_parikh(t, True, 2),
     "slice_start_1.5": lambda t, f, sd: t.slice(1.5, 2),
+    # Prefix-count blocks cover at most every column of the buffer, in
+    # blocks of one column or more, of letters of its alphabet.
+    "count_blocks_stop_past_buffer": lambda t, f, sd: prefix_count_blocks(t, len(t) + 2, 8),
+    "count_blocks_block_0": lambda t, f, sd: prefix_count_blocks(t, 10, 0),
+    "count_blocks_letter_3": lambda t, f, sd: prefix_count_blocks(t, 10, 8, [3]),
     # The buffer cap is an integer >= 1: a string or None raised a bare
     # TypeError, and 1.5, -3 or True passed as a cap, then raised
     # BufferLimitError (exit 3, not 2).
@@ -89,3 +96,21 @@ def test_bad_input_is_refused(tribo, fourbo, sd, call):
     with pytest.raises(TribalanceError) as info:
         call(tribo, fourbo, sd)
     assert isinstance(info.value, InvalidInputError)
+
+
+#: Resource refusals exit 3 with a message that names the need, not one
+#: growth step: the lengths and alphabet, the first index region, its
+#: position-cap bound and the --max-buffer value.
+RESOURCE_CASES = {
+    "balance_mbonacci4_3305_max_buffer_20000": (
+        ["balance", "mbonacci:4", "3305", "--max-buffer", "20000"],
+        "resource failure: lengths up to 3305 on 4 letters need an index region of 53920 "
+        "symbols (at most 218986: the position cap 215680 plus 3306), past the buffer cap "
+        "of 20000 symbols (--max-buffer)\n"),
+}
+
+
+@pytest.mark.parametrize("argv, message", RESOURCE_CASES.values(), ids=RESOURCE_CASES.keys())
+def test_resource_refusal_names_the_need(capsys, argv, message):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.endswith(message)

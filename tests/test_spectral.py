@@ -270,8 +270,8 @@ def test_blocked_extremes_equal_the_column(tribo_2e6, sd, n_max):
 
 
 def test_extremes_memory(tribo_2e6, sd):
-    # The whole 10^6 column with its float prefix lengths takes about 24 MB.
-    tribo_2e6.prefix_counts
+    # The whole 10^6 column with its float prefix lengths takes about 24 MB;
+    # the blocks count their own letter, so no whole-buffer counts either.
     tracemalloc.start()
     try:
         discrepancy_extremes(tribo_2e6, 10**6, 2, sd)

@@ -204,6 +204,53 @@ def test_prefix_count_steps(tribo):
     assert (steps.sum(axis=0) == 1).all()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("block, length", [(1, 300), (3, 1000), (2**14, 70_000),
+                                           (2**16, 200_000)])
+def test_prefix_count_blocks_match_prefix_counts(m, block, length):
+    # A buffer of exactly length symbols: stop = length + 1 is every column,
+    # as the discrepancy command asks for them; the last block then ends
+    # at the buffer's end and must read no symbol past it.
+    buf = mbonacci_word(m, length)
+    assert len(buf) == length
+    pc = buf.prefix_counts
+    for stop in (1, 2, length, length + 1):
+        for letters in (None, [m - 1], [1, 0]):
+            rows = list(range(m)) if letters is None else letters
+            starts, blocks = zip(*words.prefix_count_blocks(buf, stop, block, letters))
+            assert starts == tuple(range(0, stop, block))
+            assert all(b.dtype == np.int32 and b.shape[0] == len(rows) for b in blocks)
+            assert np.array_equal(np.concatenate(blocks, axis=1), pc[rows, :stop])
+
+
+def test_prefix_count_blocks_refuse_bad_arguments(tribo):
+    # Checked on the call, before the first block.
+    for stop, block, letters in [(len(tribo) + 2, 10, None), (-1, 10, None), (5, 0, None),
+                                 (5, 10, [3]), (5, 10, [-1])]:
+        with pytest.raises(InvalidInputError):
+            words.prefix_count_blocks(tribo, stop, block, letters)
+    assert list(words.prefix_count_blocks(tribo, 0, 10)) == []
+
+
+def test_prefix_counts_refuse_past_int32(monkeypatch, capsys):
+    # The guard is the counts': with its limit lowered, the whole-buffer
+    # property, the block generator and the discrepancy command (which
+    # counts n_max symbols of its one letter) refuse, and the CLI exits 3
+    # naming the limit.  The window pass counts its own region in a
+    # narrow wrapped type and has no such limit.
+    from tribalance.cli import main
+
+    monkeypatch.setattr(words, "PREFIX_COUNTS_LIMIT", 100)
+    with pytest.raises(BufferLimitError):
+        mbonacci_word(3, 100).prefix_counts
+    assert mbonacci_word(3, 99).prefix_counts.shape == (3, 100)
+    with pytest.raises(BufferLimitError, match="int32 prefix count limit of 100"):
+        words.prefix_count_blocks(mbonacci_word(3, 100), 101, 16)
+    assert len(list(words.prefix_count_blocks(mbonacci_word(3, 100), 100, 16))) == 7
+    assert main(["discrepancy", "0", "200"]) == 3
+    assert "int32 prefix count limit of 100" in capsys.readouterr().err
+
+
 def test_ones_and_twos_preceded_by_zero(tribo):
     sym = tribo.symbols
     for p in range(1, 50_000):
