@@ -4,6 +4,23 @@ Tribonacci numeration, spectral discrepancy bounds, the synchronized
 digit automaton of the Tribonacci word's abelian complexity, and
 special-factor characterizations."""
 
+import os
+
+# Load numpy with a one-thread OpenBLAS.  Every computation here runs in
+# one thread, and the only BLAS/LAPACK calls are a 3x3 solve and a small
+# matrix-vector product, so the worker pool OpenBLAS starts on load is
+# never used, yet it spins for about 0.13 s of CPU before it sleeps.
+# OpenBLAS reads the variable once, when it loads, so it is removed again
+# at once and child processes inherit nothing.  A value the caller set is
+# honoured.  When numpy was imported before this package, OpenBLAS has
+# already started its pool and this does nothing.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .abelian import (
     BalanceWitness,
     ParikhVector,

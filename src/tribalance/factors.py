@@ -42,16 +42,17 @@ _FP_MOD = (1 << 127) - 1
 _FP_BASE = 0x9E3779B97F4A7C15
 
 
-def position_cap(buffer: WordBuffer, n: int) -> int:
+def position_cap(alphabet_size: int, n: int) -> int:
     """Window start positions a certified length-n query may examine:
-    max(64, 2**m) * n + 4096 on m letters (64n + 4096 for m <= 6).
+    max(64, 2**m) * n + 4096 on m = alphabet_size letters (64n + 4096 for
+    m <= 6).
 
     The analyzed words are linearly recurrent: every length-n factor of
     the m-bonacci word first occurs within about 0.76 * 2**m * (n + 1)
     symbols, so the generous linear cap catches configuration errors
     without unbounded scans.
     """
-    return max(64, 2**buffer.alphabet_size) * n + 4096
+    return max(64, 2**alphabet_size) * n + 4096
 
 
 def default_target(alphabet_size: int, n: int) -> int:
@@ -89,7 +90,7 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
     """
     if n < 1:
         raise InvariantViolationError(f"factor length must be >= 1, got {n}")
-    cap = position_cap(buffer, n)
+    cap = position_cap(buffer.alphabet_size, n)
     target = default_target(buffer.alphabet_size, n)
 
     # Grow lazily: saturation usually happens within a few multiples of n.
@@ -167,11 +168,14 @@ class FactorIndex:
     interval (shortest-1, longest]; aggregating states by that interval
     yields per-length distinct counts, first-occurrence bounds, and
     right- and left-extension counts without ever materializing factor sets.
+
+    The index keeps no reference to the buffer that holds it in
+    ``buffer.index``, so the two form no reference cycle and are freed as
+    soon as the buffer is, without waiting for a garbage collection.
     """
 
     def __init__(self, buffer: WordBuffer, region_len: int):
         buffer.ensure(region_len)
-        self.buffer = buffer
         self.region_len = region_len
         self.alphabet_size = buffer.alphabet_size
         self._build(buffer.symbols[:region_len], buffer.alphabet_size)
@@ -327,7 +331,7 @@ class FactorIndex:
         target or the bound exceeds the position cap.
         """
         target = default_target(self.alphabet_size, n)
-        cap = position_cap(self.buffer, n)
+        cap = position_cap(self.alphabet_size, n)
         if n > self.region_len or self.counts[n] != target:
             found = int(self.counts[n]) if n <= self.region_len else 0
             if found > target:
@@ -415,7 +419,7 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     if buffer.index is not None and buffer.index.covers(k):
         return buffer.index
     m = buffer.alphabet_size
-    cap = position_cap(buffer, k)
+    cap = position_cap(m, k)
     full = cap + k
 
     def build(region: int) -> FactorIndex:

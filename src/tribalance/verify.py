@@ -361,7 +361,7 @@ def _claim_saturation_soundness(ctx: SuiteContext):
     index = factor_index(buf, max(samples))
     for n in samples:
         index.certify(n)
-    need = max(position_cap(buf, n) + n - 1 for n in samples)
+    need = max(position_cap(buf.alphabet_size, n) + n - 1 for n in samples)
     if index.region_len < need:
         index = FactorIndex(buf, need)
     failures = [n for n in samples if index.factor_count(n) != 2 * n + 1]

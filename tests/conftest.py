@@ -74,7 +74,7 @@ def patch_everywhere(monkeypatch, original, replacement) -> None:
 def cap_positions(monkeypatch, cap: int) -> None:
     """Limit every certified factor query to cap window starts at every
     length: ``factors.position_cap`` and each alias of it return cap."""
-    patch_everywhere(monkeypatch, factors.position_cap, lambda buffer, n: cap)
+    patch_everywhere(monkeypatch, factors.position_cap, lambda alphabet_size, n: cap)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -116,7 +116,7 @@ def brute_parikh_set(symbols: bytes, n: int, m: int) -> set[tuple[int, ...]]:
 
 def full_region_index(buffer, n_max: int) -> FactorIndex:
     """Index over the whole capped region for lengths up to n_max + 1."""
-    return FactorIndex(buffer, position_cap(buffer, n_max + 1) + n_max + 1)
+    return FactorIndex(buffer, position_cap(buffer.alphabet_size, n_max + 1) + n_max + 1)
 
 
 def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:

@@ -30,8 +30,8 @@ from tribalance.special import right_special_parikh
 
 
 def test_defaults():
-    assert position_cap(tribonacci_word(), 10) == 64 * 10 + 4096
-    assert position_cap(mbonacci_word(10), 10) == 1024 * 10 + 4096
+    assert position_cap(3, 10) == 64 * 10 + 4096
+    assert position_cap(10, 10) == 1024 * 10 + 4096
     assert default_target(3, 10) == 21
     assert default_target(2, 10) == 11
 
@@ -284,7 +284,7 @@ def test_index_cache_accepts_covering_index(monkeypatch):
     # The region grows from 8(n_max + 1) + 1024 symbols, far short of the
     # capped region, yet it serves every length it covers.
     assert index.region_len == 8 * 301 + 1024
-    assert index.region_len < position_cap(buf, 201) + 201
+    assert index.region_len < position_cap(buf.alphabet_size, 201) + 201
     assert factor_index(buf, 200) is index
 
     builds = []
@@ -334,7 +334,8 @@ def test_index_covers_needs_saturation_and_margin():
 @given(st.integers(2, 6), st.integers(0, 400))
 @example(6, 251)
 def test_adaptive_index_agrees_with_full_region(m, n_max):
-    index = factor_index(mbonacci_word(m), n_max)
+    buf = mbonacci_word(m)
+    index = factor_index(buf, n_max)
     full = full_region_index(mbonacci_word(m), n_max)
     k_max = n_max + 1
     assert index.region_len <= full.region_len
@@ -348,7 +349,7 @@ def test_adaptive_index_agrees_with_full_region(m, n_max):
     # n_max = 251 the adaptive region misses one extension at k_max).
     for k in range(n_max + 1):
         assert index.right_special_end(k) == full.right_special_end(k)
-    region = index.buffer.symbols[: index.region_len]
+    region = buf.symbols[: index.region_len]
     for k in {1, k_max // 2 + 1, k_max}:
         assert index.factor_count(k) == len(brute_factors(region, k)) == default_target(m, k)
 
