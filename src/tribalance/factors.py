@@ -28,8 +28,10 @@ the benchmark tracer wraps it by name.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,14 +162,90 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
 # ---------------------------------------------------------------------------
 # Suffix-automaton index
 
+def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Online suffix automaton (Blumer et al. 1985) of ``data`` over m
+    letters, as ``(length, link, first_end, outdeg)`` per state: the
+    longest length, the suffix link (-1 for the root), the end of the first
+    occurrence and the number of outgoing transitions.  The arrays are
+    int32, int64 once 2R + 2 reaches 2**31 (R = len(data)).
+
+    States are numbered by prefix: state i (0 <= i <= R) is the state made
+    for the prefix of length i, so its longest length and its first end are
+    both i, and clones take the ids R + 1, R + 2, ... in the order they are
+    made.  The transition of prefix state i on ``data[i]`` always leads to
+    i + 1 and is never stored: a clone's redirect moves only transitions
+    p -> q with length(p) + 1 < length(q), and a clone of a prefix state
+    stores the copy of that transition.  Every other transition goes into
+    one dict per letter, keyed by its source state; on an Arnoux-Rauzy word
+    the automaton is almost a path and the dicts stay small (35 entries
+    over the 132,990 Tribonacci symbols of the saturation claim).  The
+    suffix links are one typed array, clones' links appended to it; clones
+    keep their lengths and first ends in lists.  A clone of q first ends
+    where q does, since its end set is q's plus the current, later end, and
+    end sets only gain later ends, so no first end moves afterwards.
+    """
+    R = len(data)
+    typecode, dtype = ("i", np.int32) if 2 * R + 2 < 2**31 else ("q", np.int64)
+    link = array(typecode, [0]) * (R + 1)
+    link[0] = -1
+    edges: list[dict[int, int]] = [{} for _ in range(m)]
+    clone_len: list[int] = []
+    clone_end: list[int] = []
+    for cur, c in enumerate(data, 1):
+        row = edges[c]
+        p = link[cur - 1]  # state cur - 1 goes to cur on c without storage
+        while p != -1 and (p >= R or data[p] != c) and p not in row:
+            row[p] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        elif p < R and data[p] == c:
+            link[cur] = p + 1
+        else:
+            q = row[p]
+            len_p = p if p <= R else clone_len[p - R - 1]
+            if len_p + 1 == (q if q <= R else clone_len[q - R - 1]):
+                link[cur] = q
+            else:
+                clone = len(link)
+                clone_len.append(len_p + 1)
+                clone_end.append(q if q <= R else clone_end[q - R - 1])
+                link.append(link[q])
+                for r in edges:
+                    if q in r:
+                        r[clone] = r[q]
+                if q < R:
+                    edges[data[q]][clone] = q + 1
+                while p != -1 and row.get(p) == q:
+                    row[p] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+
+    n_states = len(link)
+    length = np.arange(n_states, dtype=dtype)
+    length[R + 1 :] = clone_len
+    first_end = length.copy()
+    first_end[R + 1 :] = clone_end
+    outdeg = np.zeros(n_states, dtype=dtype)
+    outdeg[:R] = 1  # the transitions that are not stored
+    for row in edges:
+        outdeg[np.fromiter(row, dtype=np.intp, count=len(row))] += 1
+    return length, np.frombuffer(link, dtype=dtype), first_end, outdeg
+
+
 class FactorIndex:
     """Index of all substrings of ``buffer[:region_len]``.
 
-    Backed by a suffix automaton.  Each automaton state covers the
-    substrings of one right-extension class, with lengths filling the
-    interval (shortest-1, longest]; aggregating states by that interval
-    yields per-length distinct counts, first-occurrence bounds, and
-    right- and left-extension counts without ever materializing factor sets.
+    Built from the suffix automaton of the region (``_suffix_automaton``).
+    Each automaton state covers the substrings of one right-extension
+    class, with lengths filling the interval (shortest-1, longest];
+    aggregating states by that interval yields per-length distinct counts,
+    first-occurrence bounds, and right- and left-extension counts without
+    ever materializing factor sets.  The per-state arrays are dropped once
+    aggregated: the index keeps three per-length tables (``counts``,
+    ``cover_end`` and the longest-repeated-suffix table) and a short table
+    of the right-special states.
 
     The index keeps no reference to the buffer that holds it in
     ``buffer.index``, so the two form no reference cycle and are freed as
@@ -176,99 +254,44 @@ class FactorIndex:
 
     def __init__(self, buffer: WordBuffer, region_len: int):
         buffer.ensure(region_len)
-        self.region_len = region_len
+        self.region_len = R = region_len
         self.alphabet_size = buffer.alphabet_size
-        self._build(buffer.symbols[:region_len], buffer.alphabet_size)
-        self._aggregate()
+        length, link, first_end, outdeg = _suffix_automaton(buffer.symbols[:region_len],
+                                                            buffer.alphabet_size)
+        self.n_states = len(length)
 
-    # -- construction ------------------------------------------------------
+        # The right-special states (>= 2 extensions; the root is one when
+        # the region has two letters), sorted by shortest length, each with
+        # its longest length, first end, extension degree and number of
+        # children in the suffix-link tree.  ``_special_reach[j]`` is the
+        # row that reaches the longest length among the first j + 1.
+        shortest = length[link]  # the root's entry is overwritten
+        shortest += 1
+        shortest[0] = 0
+        special = np.flatnonzero(outdeg >= 2)
+        children = np.bincount(link[1:], minlength=self.n_states)[special]
+        rows = sorted(zip(shortest[special].tolist(), length[special].tolist(),
+                          first_end[special].tolist(), outdeg[special].tolist(),
+                          children.tolist()))
+        self._special_shortest = [row[0] for row in rows]
+        self._special_longest = sorted(row[1] for row in rows)
+        self._special_reach = list(accumulate(rows, lambda a, b: b if b[1] > a[1] else a))
+        # Freed before the int64 bincounts below, the peak of the build
+        # (6.4 MB at 132,990 symbols with these and ``counts`` kept, 5.3 MB).
+        del link, outdeg
 
-    def _build(self, data: bytes, m: int) -> None:
-        """Online suffix automaton (Blumer et al. 1985) over ``data``, with
-        states numbered by prefix: state i (0 <= i <= R) is the state made
-        for the prefix of length i, so its longest length and its first
-        end are both i, and clones take the ids R + 1, R + 2, ... in the
-        order they are made.
+        # From here on the root, the empty word, is skipped.
+        shortest, longest, first_end = shortest[1:], length[1:], first_end[1:]
 
-        One ``list(range(R + 1))`` supplies the int objects of the prefix
-        states to the lengths and every link and transition that points at
-        them.  Transitions are m per-letter rows preallocated to R + 1
-        entries, -1 for none; a clone appends its row entries.  First ends
-        are exact at creation: a clone of q first ends where q does, since
-        its end set is q's plus the current, later end (firstpos(clone) =
-        firstpos(q)), and end sets only gain later ends, so no first end
-        moves and nothing is propagated afterwards.  The per-state arrays
-        are int32 (int64 once 2R + 2 reaches 2**31).
-        """
-        R = len(data)
-        ids = list(range(R + 1))
-        length = ids  # prefix states; clones extend it below
-        link = [-1] * (R + 1)
-        trans = [[-1] * (R + 1) for _ in range(m)]
-        clone_end = []
-        n_states = R + 1
-        last = 0
-        for cur, c in zip(islice(ids, 1, None), data):
-            row = trans[c]
-            p = last
-            while p != -1 and row[p] == -1:
-                row[p] = cur
-                p = link[p]
-            if p == -1:
-                link[cur] = 0
-            else:
-                q = row[p]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = n_states
-                    n_states += 1
-                    length.append(length[p] + 1)
-                    link.append(link[q])
-                    clone_end.append(q if q <= R else clone_end[q - R - 1])
-                    for r in trans:
-                        r.append(r[q])
-                    while p != -1 and row[p] == q:
-                        row[p] = clone
-                        p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
-            last = cur
-
-        # Free each list of Python ints once its array exists: together
-        # they are the peak of the build.
-        dtype = np.int32 if 2 * R + 2 < 2**31 else np.int64
-        self.n_states = n_states
-        self._len = np.array(length, dtype=dtype)
-        del length, ids
-        self._first_end = self._len.copy()
-        self._first_end[R + 1 :] = clone_end
-        del clone_end
-        self._link = np.array(link, dtype=dtype)
-        del link
-        # Right-extension degree per state; the transitions are not kept.
-        outdeg = np.zeros(n_states, dtype=dtype)
-        while trans:
-            outdeg += np.array(trans.pop(), dtype=dtype) >= 0
-        self._outdeg = outdeg
-
-    def _aggregate(self) -> None:
-        R, dtype = self.region_len, self._len.dtype
-        link, first_end = self._link[1:], self._first_end[1:]
-        min_len = np.zeros_like(self._len)
-        min_len[1:] = self._len[link] + 1
-
-        def per_length(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
-            """For each n <= R, how many of the intervals [opens, closes]
-            hold n: the prefix sum of +1 at each opening and -1 past each
-            close, counted with ``np.bincount``."""
-            diff = np.bincount(opens, minlength=R + 2) - np.bincount(closes + 1, minlength=R + 2)
-            return np.cumsum(diff)[: R + 1].astype(dtype)
-
-        # counts[n]: number of distinct substrings of length n in the region
-        # (the root, the empty word, is skipped).
-        self.counts = per_length(min_len[1:], self._len[1:])
+        # counts[n]: number of distinct substrings of length n in the
+        # region: the prefix sum of +1 at each interval's opening and -1
+        # one past its close.
+        counts = np.bincount(shortest, minlength=R + 2)
+        counts -= np.bincount(longest + 1, minlength=R + 2)
+        np.cumsum(counts, out=counts)
+        self.counts = counts[: R + 1].astype(length.dtype)
         self.counts[0] = 1
+        del counts
 
         # cover_end[n]: prefix length containing every length-n substring
         # of the region.  Within a state all lengths share one
@@ -276,9 +299,10 @@ class FactorIndex:
         # in n (every factor extends to the right), so a running maximum
         # over interval-opening values is exact away from the region end
         # and a sound overestimate there.
-        new_max = np.zeros(R + 2, dtype=dtype)
-        np.maximum.at(new_max, min_len[1:], first_end)
-        self.cover_end = np.maximum.accumulate(new_max)[: R + 1]
+        cover_end = np.zeros(R + 2, dtype=length.dtype)
+        np.maximum.at(cover_end, shortest, first_end)
+        np.maximum.accumulate(cover_end, out=cover_end)
+        self.cover_end = cover_end[: R + 1]
         self.cover_end[0] = 0
 
         # lrs[e]: length of the longest suffix of the prefix of length e
@@ -286,20 +310,10 @@ class FactorIndex:
         # 2008).  The suffixes first ending at e are the strings of the
         # states with first end e, and their lengths fill (lrs[e], e], so
         # lrs[e] is the least shortest-length-minus-one among those states.
-        lrs = np.full(R + 1, R, dtype=dtype)
-        np.minimum.at(lrs, first_end, self._len[link])
+        lrs = np.full(R + 1, R, dtype=length.dtype)
+        np.minimum.at(lrs, first_end, shortest - 1)
         lrs[0] = 0
         self._lrs = lrs
-
-        # Per-length count of right-special substrings (>= 2 extensions),
-        # the state holding one of each length, and each state's number of
-        # children in the suffix-link tree.
-        special = np.flatnonzero(self._outdeg >= 2)
-        self._special_count = per_length(min_len[special], self._len[special])
-        self._rs_state = np.zeros(R + 1, dtype=dtype)
-        for s in special:
-            self._rs_state[min_len[s] : self._len[s] + 1] = s
-        self._children = np.bincount(link, minlength=self.n_states).astype(dtype)
 
     # -- queries -----------------------------------------------------------
 
@@ -390,15 +404,21 @@ class FactorIndex:
         state in the suffix-link tree.  The caller is responsible for having
         certified saturation at n and n + 1; uniqueness failure signals a
         word outside the Arnoux-Rauzy family.
+
+        The count of right-special states whose lengths hold n is exact:
+        the i states with shortest length <= n, less those with longest
+        length < n (each of which is among the i), two bisections.  When
+        the count is one, the state is the one of the i that reaches the
+        longest length.
         """
-        if self._special_count[n] != 1:
+        i = bisect_right(self._special_shortest, n)
+        count = i - bisect_left(self._special_longest, n)
+        if count != 1:
             raise InvariantViolationError(
-                f"expected exactly one right-special factor of length {n}, "
-                f"found {int(self._special_count[n])}"
+                f"expected exactly one right-special factor of length {n}, found {count}"
             )
-        s = int(self._rs_state[n])
-        left = 1 if n < self._len[s] else int(self._children[s])
-        return int(self._first_end[s]), int(self._outdeg[s]), left
+        _, longest, first_end, outdeg, children = self._special_reach[i - 1]
+        return first_end, outdeg, 1 if n < longest else children
 
 
 def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:

@@ -25,7 +25,7 @@ from tribalance import (
     twelve_vector_geometry,
     verify_equivalences,
 )
-from tribalance.factors import FactorIndex, default_target, position_cap
+from tribalance.factors import FactorIndex, _suffix_automaton, default_target, position_cap
 from tribalance.special import right_special_parikh
 
 
@@ -149,8 +149,8 @@ def test_index_clone_first_ends_match_brute_force(images):
     index = FactorIndex(buf, region)
     assert index.n_states > region + 1
     data = buf.symbols[:region]
-    longest, first_end = index._len, index._first_end
-    shortest = longest[np.maximum(index._link, 0)] + 1
+    longest, link, first_end, _ = _suffix_automaton(data, buf.alphabet_size)
+    shortest = longest[np.maximum(link, 0)] + 1
     cover = 0
     for n in range(1, 41):
         ends = sorted(data.find(w) + n for w in brute_factors(data, n))
@@ -170,26 +170,58 @@ class FixedWord:
         assert min_len <= len(self.symbols)
 
 
+def check_right_special_end(index: FactorIndex, flat: dict, n_max: int) -> list[int]:
+    """``right_special_end(n)`` for every n <= n_max against the oracle's
+    count of right-special factors of length n: where it is one, the first
+    end, degree and left count of the one right-special state whose
+    lengths hold n; elsewhere an ``InvariantViolationError`` that names
+    the count.  Returns the counts."""
+    special = np.flatnonzero(flat["outdeg"] >= 2)
+    counts = flat["special"][: n_max + 1].tolist()
+    for n, count in enumerate(counts):
+        if count != 1:
+            with pytest.raises(InvariantViolationError,
+                               match=f"one right-special factor of length {n}, found {count}$"):
+                index.right_special_end(n)
+            continue
+        (s,) = special[(flat["shortest"][special] <= n) & (n <= flat["length"][special])]
+        left = 1 if n < flat["length"][s] else flat["children"][s]
+        assert index.right_special_end(n) == (flat["first_end"][s], flat["outdeg"][s], left)
+    return counts
+
+
+def first_starts(data: bytes, n: int) -> list[int]:
+    """Every start whose length-n window occurs at no earlier start."""
+    seen, firsts = set(), []
+    for s in range(len(data) - n + 1):
+        if data[s : s + n] not in seen:
+            seen.add(data[s : s + n])
+            firsts.append(s)
+    return firsts
+
+
 def check_against_flat_automaton(data: bytes, m: int) -> None:
-    """Every per-length table and the multiset of per-state rows of the
-    prefix-numbered index against ``flat_suffix_automaton``, and
-    ``first_runs`` against the first occurrences in the data."""
+    """The multiset of per-state rows of the prefix-numbered automaton,
+    every per-length table of the index and ``right_special_end`` through
+    length 40 against ``flat_suffix_automaton``, and ``first_runs`` against
+    the first occurrences in the data."""
     R = len(data)
     index = FactorIndex(FixedWord(data, m), R)
     flat = flat_suffix_automaton(data, m)
-    assert index.n_states == len(flat["length"])
+    length, link, first_end, outdeg = _suffix_automaton(data, m)
+    assert index.n_states == len(length) == len(flat["length"])
     assert index.counts.tolist() == flat["counts"].tolist()
     assert index.cover_end.tolist() == flat["cover_end"].tolist()
-    assert index._special_count.tolist() == flat["special"].tolist()
-    shortest = np.where(index._link >= 0, index._len[np.maximum(index._link, 0)] + 1, 0)
-    ours = zip(index._len.tolist(), shortest.tolist(), index._first_end.tolist(),
-               index._outdeg.tolist(), index._children.tolist())
+    check_right_special_end(index, flat, min(R, 40))
+    shortest = np.where(link >= 0, length[np.maximum(link, 0)] + 1, 0)
+    children = np.bincount(link[1:], minlength=len(length))
+    ours = zip(length.tolist(), shortest.tolist(), first_end.tolist(), outdeg.tolist(),
+               children.tolist())
     theirs = zip(*(flat[k].tolist() for k in ("length", "shortest", "first_end", "outdeg",
                                               "children")))
     assert sorted(ours) == sorted(theirs)
     for n in range(1, min(R, 40) + 1):
-        firsts = [s for s in range(R - n + 1) if data.find(data[s : s + n]) == s]
-        assert expand(index.first_runs(n)) == firsts
+        assert expand(index.first_runs(n)) == first_starts(data, n)
 
 
 @pytest.mark.parametrize("m, size", [(2, 300), (2, 1500), (3, 1000), (4, 800), (7, 500)])
@@ -206,27 +238,53 @@ def test_index_matches_flat_automaton_on_cloning_words(images):
     check_against_flat_automaton(buf.symbols, buf.alphabet_size)
 
 
+@pytest.mark.parametrize("data, m", [
+    (thue_morse().ensure(1000).symbols[:1000], 2),
+    (bytes(random.Random(30).choices(range(3), k=1000)), 3),
+], ids=["thue_morse", "random_ternary"])
+def test_right_special_end_requires_exactly_one(data, m):
+    # Off the Arnoux-Rauzy family a length may have no right-special
+    # factor or several; the index must refuse each such length, and only
+    # those, with the exact count.
+    index = FactorIndex(FixedWord(data, m), len(data))
+    counts = check_right_special_end(index, flat_suffix_automaton(data, m), 40)
+    assert 1 in counts
+    assert set(counts) - {1}
+
+
 def test_index_arrays_are_int32(tribo):
     index = FactorIndex(tribo, 5000)
-    for array in (index.counts, index.cover_end, index._len, index._link, index._first_end,
-                  index._outdeg, index._lrs, index._special_count, index._rs_state,
-                  index._children):
+    for array in (index.counts, index.cover_end, index._lrs,
+                  *_suffix_automaton(tribo.symbols[:5000], 3)):
         assert array.dtype == np.int32
 
 
 def test_index_build_memory(tribo):
-    # The saturation claim's region, whose build traces 10.2 MB: its lists
-    # of Python ints are the peak.  Numbering states in creation order with
-    # one flat transition list and int64 arrays traced 15.4 MB, and a build
-    # that also kept a first-end list and sorted every state for a
-    # propagation pass 31.6 MB.
+    # The saturation claim's region, whose build traces 5.3 MB: the
+    # automaton's four per-state arrays and the per-length bincounts.  With
+    # m stored transition rows and one Python int per state it traced
+    # 10.2 MB.
     tracemalloc.start()
     try:
         FactorIndex(tribo, 132_990)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 11.3 * 10**6
+    assert peak < 5.9 * 10**6
+
+
+def test_index_holds_its_per_length_tables_only(tribo):
+    # counts, cover_end and the longest-repeated-suffix table, R + 1
+    # entries each, and a few rows of right-special states (18 here): it
+    # holds 1.60 MB, and 5.32 MB when the per-state arrays stay too.
+    region = 132_990
+    tracemalloc.start()
+    try:
+        index = FactorIndex(tribo, region)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 3 * index.counts.itemsize * (region + 1) + 64 * 1024
 
 
 def test_index_counts_match_scanner(tribo):
