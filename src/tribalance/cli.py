@@ -199,6 +199,7 @@ def cmd_special(args, parser) -> int:
     # word; the complexity-3 closed form is Tribonacci-only.
     letters = ["i", "j", "k"] if m == 3 else [f"count_{a}" for a in range(m)]
     closed_form = ["rho3_closed_form"] if m == 3 else []
+    min_lengths = set(special.min_complexity_lengths(args.n_to))
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "right_special_word", *letters, "bispecial", "rho", *closed_form])
@@ -207,7 +208,7 @@ def cmd_special(args, parser) -> int:
             record = special.right_special_factor(buf, n - 1)
             row = [n, word_to_text(record.word), *record.parikh, int(record.is_bispecial), prow.rho]
             if closed_form:
-                row.append(int(special.is_min_complexity_length(n)))
+                row.append(int(n in min_lengths))
             writer.writerow(row)
     return EXIT_OK
 

@@ -18,12 +18,11 @@ distinct factors first occur, as a few runs of consecutive starts.  Every
 per-length query of the package (Parikh sets, window bounds, special
 factors, profiles, the saturation claim) goes through the index.
 
-``scan_distinct_factors`` slides a 127-bit rolling fingerprint over the
-buffer and counts distinct windows, confirming every fingerprint match by
-symbol comparison so the count is exact, never probabilistic.  It stops as
-soon as the factor count reaches the target.  It shares no code with the
-index and backs no claim: the tests use it as an oracle for the index, and
-the benchmark tracer wraps it by name.
+``scan_distinct_factors`` counts distinct windows exactly, with a
+dictionary from each window's symbols to its first start, and stops once
+the count reaches the target.  It shares no code with the index and backs
+no claim: the tests use it as an oracle for the index, and the benchmark
+tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ import numpy as np
 
 from .errors import BufferLimitError, InvariantViolationError, SaturationError, integer_in
 from .words import WordBuffer
-
-# Rolling fingerprint parameters: polynomial hash modulo the Mersenne
-# prime 2**127 - 1 with a fixed odd base.
-_FP_MOD = (1 << 127) - 1
-_FP_BASE = 0x9E3779B97F4A7C15
 
 
 def position_cap(alphabet_size: int, n: int) -> int:
@@ -72,21 +66,14 @@ class ScanResult:
     last_new_position: int
     positions_scanned: int
 
-    @property
-    def saturation_end(self) -> int:
-        """Prefix length containing every factor found (end of the last
-        first occurrence)."""
-        return self.last_new_position + self.n
-
 
 def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> ScanResult:
     """Count distinct length-n windows left to right, exactly.
 
-    Windows are keyed by rolling fingerprint and every fingerprint match is
-    confirmed by symbol comparison before the window is treated as a
-    repeat, so a genuine 127-bit collision cannot corrupt the count.  The
-    scan stops once the complexity target is reached; if the position cap
-    is hit first, ``SaturationError`` is raised.  ``extend_after`` keeps
+    Each window's symbols key a dictionary that holds the window's first
+    start, so a window is new exactly when its symbols are not yet a key.
+    The scan stops once the complexity target is reached; if the position
+    cap is hit first, ``SaturationError`` is raised.  ``extend_after`` keeps
     scanning that many positions past the window that reaches the target;
     a factor found there exceeds it and raises ``InvariantViolationError``.
     """
@@ -95,55 +82,23 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
     cap = position_cap(buffer.alphabet_size, n)
     target = default_target(buffer.alphabet_size, n)
 
-    # Grow lazily: saturation usually happens within a few multiples of n.
-    want = min(cap - 1 + n, max(8 * n + 256, 1024, len(buffer)))
-    if want > buffer.max_symbols and n <= buffer.max_symbols:
-        want = buffer.max_symbols
-    buffer.ensure(want)
+    first: dict[bytes, int] = {}
+    stop_at = None
     sym = buffer.symbols
-
-    shift = pow(_FP_BASE, n - 1, _FP_MOD)
-    h = 0
-    for c in sym[:n]:
-        h = (h * _FP_BASE + c) % _FP_MOD
-    table: dict[int, object] = {h: 0}
-    firsts = [0]
-    count = 1
-    last_new = 0
-    stop_at = extend_after if count >= target else None
-    p = 0
-    limit = cap - 1
-    while p < limit and (stop_at is None or p < stop_at):
-        p += 1
+    for p in range(cap):
         if p + n > len(sym):
-            want = min(limit + n, max(2 * len(sym), p + n))
-            if want > buffer.max_symbols and p + n <= buffer.max_symbols:
-                want = buffer.max_symbols
-            buffer.ensure(want)
-            sym = buffer.symbols
-        h = ((h - sym[p - 1] * shift) * _FP_BASE + sym[p + n - 1]) % _FP_MOD
-        prev = table.get(h)
-        if prev is None:
-            table[h] = p
-            count += 1
-            firsts.append(p)
-            last_new = p
-        else:
-            if isinstance(prev, int):
-                if sym[prev : prev + n] == sym[p : p + n]:
-                    continue
-                table[h] = prev = [prev]
-            else:
-                if any(sym[q : q + n] == sym[p : p + n] for q in prev):
-                    continue
-            # True fingerprint collision: same key, different content.
-            prev.append(p)
-            count += 1
-            firsts.append(p)
-            last_new = p
-        if count >= target and stop_at is None:
-            stop_at = p + extend_after
-    positions_scanned = p + 1
+            # Grow lazily (saturation usually comes within a few multiples of
+            # n), clamped to max_symbols unless window p itself ends past it.
+            sym = buffer.ensure(min(cap - 1 + n, max(2 * len(sym), 8 * n + 256, 1024),
+                                    max(buffer.max_symbols, p + n))).symbols
+        window = sym[p : p + n]
+        if window not in first:
+            first[window] = p
+            if len(first) == target:
+                stop_at = p + extend_after
+        if p == stop_at:
+            break
+    count = len(first)
     if count > target:
         raise InvariantViolationError(
             f"found {count} distinct factors of length {n}, exceeding the "
@@ -154,9 +109,10 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
             f"scan of length {n} hit the position cap {cap} at {count} factors "
             f"(target {target})",
             n=n,
-            positions_scanned=positions_scanned,
+            positions_scanned=p + 1,
         )
-    return ScanResult(n, count, firsts, last_new, positions_scanned)
+    firsts = list(first.values())
+    return ScanResult(n, count, firsts, firsts[-1], p + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable
@@ -74,14 +74,7 @@ class ClaimResult:
     runtime_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "description": self.description,
-            "status": self.status,
-            "observed": self.observed,
-            "expected": self.expected,
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
+        return {**asdict(self), "runtime_ms": round(self.runtime_ms, 3)}
 
 
 @dataclass
@@ -320,8 +313,13 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
     # fixed sample) digits that differ from the scalar reference codec.
     limit = 1_000_000
     bad = None
+    checked = 0  # the blocks must count N = 0, 1, ..., limit, in order
     for start, counts in prefix_count_blocks(ctx.buffer(limit + 1), limit + 1, ROUNDTRIP_CHUNK):
+        if start != checked:
+            bad = checked
+            break
         ns = np.arange(start, start + counts.shape[1], dtype=np.int64)
+        checked += ns.size
         digits = numeration.zeckendorf_encode_many(ns)
         failed = numeration.zeckendorf_decode_many(digits, invalid=-1) != ns
         failed |= (numeration.prefix_parikh_from_digits(digits) != counts).any(axis=0)
@@ -334,6 +332,8 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
         if failed.any():
             bad = start + int(np.argmax(failed))
             break
+    if bad is None and checked != limit + 1:
+        bad = min(checked, limit + 1)
     return bad is None, {"first_failure": bad}, {"first_failure": None}
 
 

@@ -2,11 +2,11 @@
 
 The oracles are deliberately primitive: direct window enumeration over a
 materialized prefix, and counting with ``collections.Counter``.  They never
-touch prefix sums, fingerprints, or the factor index, so agreement with
-the library is meaningful.  The one exception is ``unique_profile``, the
-sorting route the dense profile pass replaced: it reads window bounds from
-an index over the full capped region and deduplicates count columns with
-an ``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
+touch prefix sums or the factor index, so agreement with the library is
+meaningful.  The one exception is ``unique_profile``, the sorting route
+the dense profile pass replaced: it reads window bounds from an index
+over the full capped region and deduplicates count columns with an
+``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
 factor index's first builder, the oracle of the prefix-numbered one.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
 loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_factors, cap_positions, flat_suffix_automaton, full_region_index
 from tribalance import (
+    BufferLimitError,
     InvariantViolationError,
     Morphism,
     SaturationError,
@@ -39,7 +40,7 @@ def test_defaults():
 def test_scan_counts_match_brute_force(tribo):
     for n in (1, 2, 3, 5, 8, 13, 40, 100):
         scan = scan_distinct_factors(tribo, n)
-        oracle = brute_factors(tribo.symbols[: scan.saturation_end + 64 * n], n)
+        oracle = brute_factors(tribo.symbols[: scan.last_new_position + n + 64 * n], n)
         assert scan.count == 2 * n + 1
         assert scan.count == len(oracle)
         firsts = {tribo.symbols[p : p + n] for p in scan.first_positions}
@@ -77,6 +78,16 @@ def test_scan_cap_failure_reports_position(monkeypatch):
     err = excinfo.value
     assert err.n == 100
     assert err.positions_scanned <= 30
+
+
+def test_scan_grows_up_to_the_buffer_cap_and_no_further():
+    # The scan reads windows up to start positions_scanned - 1, so a cap of
+    # exactly that many symbols suffices, and one fewer raises.
+    need = scan_distinct_factors(tribonacci_word(), 50, extend_after=500).positions_scanned + 49
+    scan = scan_distinct_factors(tribonacci_word(max_symbols=need), 50, extend_after=500)
+    assert scan.positions_scanned + 49 == need
+    with pytest.raises(BufferLimitError):
+        scan_distinct_factors(tribonacci_word(max_symbols=need - 1), 50, extend_after=500)
 
 
 def thue_morse():
@@ -124,18 +135,20 @@ def test_certifying_queries_honour_the_buffer_cap(monkeypatch, query):
         query(tribonacci_word())
 
 
-def test_scan_exact_under_forced_collisions(tribo, monkeypatch):
-    # Degrade the fingerprint to 5 bits: almost every window collides, so
-    # the count survives only because matches are confirmed by content.
-    import tribalance.factors as factors
-
-    monkeypatch.setattr(factors, "_FP_MOD", 31)
-    monkeypatch.setattr(factors, "_FP_BASE", 7)
-    for n in (3, 9, 24):
-        scan = scan_distinct_factors(tribo, n)
-        assert scan.count == 2 * n + 1
-        firsts = {tribo.symbols[p : p + n] for p in scan.first_positions}
-        assert len(firsts) == scan.count
+@pytest.mark.parametrize("extend", [0, 10])
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+@pytest.mark.parametrize("m", [2, 4])
+def test_scan_matches_index_on_other_alphabets(m, n, extend):
+    buf = mbonacci_word(m)
+    scan = scan_distinct_factors(buf, n, extend_after=extend * n)
+    index = factor_index(buf, n)
+    assert scan.count == default_target(m, n) == index.factor_count(n)
+    assert scan.last_new_position == index.certify(n)
+    assert scan.positions_scanned == scan.last_new_position + extend * n + 1
+    scanned = buf.symbols[: scan.positions_scanned + n - 1]
+    firsts = [scanned[p : p + n] for p in scan.first_positions]
+    assert [scanned.find(w) for w in firsts] == scan.first_positions
+    assert set(firsts) == brute_factors(scanned, n)
 
 
 @pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
@@ -291,7 +304,7 @@ def test_index_counts_match_scanner(tribo):
     index = factor_index(tribo, 300)
     for n in range(1, 301):
         assert index.factor_count(n) == 2 * n + 1
-    # Dual route: the fingerprint scanner agrees with the automaton.
+    # Dual route: the dictionary scanner agrees with the automaton.
     rng = random.Random(1)
     for n in [1, 2, 299] + [rng.randrange(3, 299) for _ in range(10)]:
         assert scan_distinct_factors(tribo, n).count == index.factor_count(n)

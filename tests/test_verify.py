@@ -1,10 +1,10 @@
 """Single claims run on their own, and the suite runner's input checks.
 
 The saturation claim counts factors with the suffix-automaton index; the
-rolling fingerprint scanner, which shares no code with the index, is the
-oracle.  The batched oracle-equivalence claim is checked against the
+dictionary scanner, which shares no code with the index, is the oracle.
+The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
-codec routes, and the prefix-balance walk and the shared profile against
+codec routes and prefix-count blocks that miss values, and the prefix-balance walk and the shared profile against
 the number of indexes they build.  The four spectral certificate claims run without the float
 eigendata, and fail when one of their stated targets is tightened past
 the exact value.
@@ -23,6 +23,7 @@ from tribalance import (
     scan_distinct_factors,
     spectral,
     verify,
+    words,
 )
 from tribalance.factors import FactorIndex
 from tribalance.verify import SuiteConfig, run_suite
@@ -164,6 +165,39 @@ def test_roundtrip_claim_reports_the_first_corrupted_value(monkeypatch, route):
     (result,) = report.claims
     assert result.status == "fail"
     assert result.observed == {"first_failure": bad}
+
+
+def _blocks_from_one(blocks):
+    # The first block starts at N = 1: N = 0 is never counted.
+    for start, counts in blocks:
+        yield (1, counts[:, 1:]) if start == 0 else (start, counts)
+
+
+def _blocks_with_a_gap(blocks):
+    # The second block is dropped: its values are never counted.
+    for i, block in enumerate(blocks):
+        if i != 1:
+            yield block
+
+
+def _blocks_cut_short(blocks):
+    # The last value, N = 10^6, is never counted.
+    for start, counts in blocks:
+        yield start, counts if start + counts.shape[1] <= 1_000_000 else counts[:, :-1]
+
+
+@pytest.mark.parametrize("blocks, first_unchecked", [
+    (_blocks_from_one, 0),
+    (_blocks_with_a_gap, verify.ROUNDTRIP_CHUNK),
+    (_blocks_cut_short, 1_000_000),
+], ids=["from_one", "gap", "cut_short"])
+def test_roundtrip_claim_requires_every_value_from_zero(monkeypatch, blocks, first_unchecked):
+    original = words._count_blocks
+    monkeypatch.setattr(words, "_count_blocks", lambda *args: blocks(original(*args)))
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={"zeckendorf_roundtrip_1e6"})
+    (result,) = report.claims
+    assert result.status == "fail"
+    assert result.observed == {"first_failure": first_unchecked}
 
 
 CERTIFICATE_CLAIMS = ("spectral_constants_5dp", "prop_bounds_letter_0", "prop_bounds_letter_1",
