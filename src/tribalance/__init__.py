@@ -7,9 +7,9 @@ special-factor characterizations."""
 import os
 
 # Load numpy with a one-thread OpenBLAS.  Every computation here runs in
-# one thread, and the only BLAS/LAPACK calls are a 3x3 solve and a small
-# matrix-vector product, so the worker pool OpenBLAS starts on load is
-# never used, yet it spins for about 0.13 s of CPU before it sleeps.
+# one thread, and the only BLAS/LAPACK call is a 3x3 solve, so the worker
+# pool OpenBLAS starts on load is never used, yet it spins for about
+# 0.13 s of CPU before it sleeps.
 # OpenBLAS reads the variable once, when it loads, so it is removed again
 # at once and child processes inherit nothing.  A value the caller set is
 # honoured.  When numpy was imported before this package, OpenBLAS has
@@ -63,7 +63,6 @@ from .special import (
     GeometryClassification,
     GeometryRegion,
     SpecialFactorRecord,
-    is_min_complexity_length,
     min_complexity_lengths,
     right_special_factor,
     twelve_vector_geometry,
@@ -88,7 +87,6 @@ from .words import (
     apply_morphism,
     as_word,
     fixed_point_prefix,
-    incidence_matrix,
     mbonacci_morphism,
     mbonacci_word,
     prefix_count_blocks,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvariantViolationError, RangeError, SaturationError, integer_in
+from .errors import InvariantViolationError, SaturationError, integer_in
 from .factors import factor_index
 from .words import WordBuffer
 
@@ -26,15 +26,9 @@ ParikhVector = tuple[int, ...]
 
 
 def window_parikh(buffer: WordBuffer, start: int, length: int) -> ParikhVector:
-    """Parikh vector of the window at ``start``, counted off its symbols
-    (``bytes.count``, one pass per letter)."""
-    start = integer_in(start, "window start", None)
-    length = integer_in(length, "window length", None)
-    if start < 0 or length < 0 or start + length > len(buffer):
-        raise RangeError(
-            f"window [{start}, {start + length}) outside buffer of length {len(buffer)}"
-        )
-    window = buffer.symbols[start : start + length]
+    """Parikh vector of the window ``buffer.slice(start, length)``, counted
+    off its symbols (``bytes.count``, one pass per letter)."""
+    window = buffer.slice(start, length)
     return tuple(window.count(a) for a in range(buffer.alphabet_size))
 
 

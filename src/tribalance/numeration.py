@@ -42,7 +42,6 @@ from .errors import (
     InvariantViolationError,
     integer_in,
 )
-from .words import incidence_matrix, tribonacci_morphism
 
 
 def _terms_until(done) -> list[int]:
@@ -279,15 +278,6 @@ def prefix_parikh_from_digits(digits) -> np.ndarray:
 
 def tau_parikh_table(width: int) -> np.ndarray:
     """Parikh vectors of tau^0(0), ..., tau^(width-1)(0) as the columns of
-    a ``(3, width)`` int64 array; column k sums to ``tribonacci_number(k)``.
-    Read by the exact spectral certificate."""
-    if width > _MAX_WIDTH:
-        raise InvalidInputError(f"digit rows wider than {_MAX_WIDTH} overflow int64")
-    mat = incidence_matrix(tribonacci_morphism())
-    table = np.zeros((3, width), dtype=np.int64)
-    vector = np.array([1, 0, 0], dtype=np.int64)  # Parikh(tau^0(0))
-    for k in range(width):
-        table[:, k] = vector
-        vector = mat @ vector
-    return table
-
+    a ``(3, width)`` int64 array: row k of the identity is the digit row of
+    T_k = |tau^k(0)|.  Read by the exact spectral certificate."""
+    return prefix_parikh_from_digits(np.eye(width, dtype=np.uint8))

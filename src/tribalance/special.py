@@ -18,9 +18,8 @@ bound the abelian complexity by 7.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .abelian import ParikhVector, abelian_profile, parikh_set, window_parikh
 from .errors import (
@@ -82,14 +81,6 @@ def _require_tribonacci(buffer: WordBuffer, what: str) -> None:
             f"{what} applies to the 3-letter Tribonacci word, "
             f"got a {buffer.alphabet_size}-letter buffer"
         )
-
-
-def _closed_form_lengths() -> Iterator[int]:
-    """The increasing lengths (T_m + T_{m+2} - 1) / 2 for m = 0, 1, 2, ..."""
-    m = 0
-    while True:
-        yield (tribonacci_number(m) + tribonacci_number(m + 2) - 1) // 2
-        m += 1
 
 
 def central_vectors(base: ParikhVector) -> tuple[ParikhVector, ...]:
@@ -261,17 +252,15 @@ def right_special_parikh(buffer: WordBuffer, index, length: int) -> ParikhVector
 # ---------------------------------------------------------------------------
 # Lengths of minimal abelian complexity
 
-def is_min_complexity_length(n: int) -> bool:
-    """Closed-form membership: n = 1 or n = (T_m + T_{m+2} - 1) / 2."""
-    n = integer_in(n, "length", 1)
-    return n == 1 or n == next(v for v in _closed_form_lengths() if v >= n)
-
-
 def min_complexity_lengths(max_len: int) -> list[int]:
-    """All lengths up to max_len with minimal (= 3) abelian complexity."""
-    out = {1} if max_len >= 1 else set()
-    out.update(takewhile(lambda v: v <= max_len, _closed_form_lengths()))
-    return sorted(out)
+    """All lengths up to max_len with minimal (= 3) abelian complexity: 1
+    and the increasing lengths (T_m + T_{m+2} - 1) / 2 for m = 0, 1, 2, ..."""
+    out = [1] if max_len >= 1 else []
+    m = 0
+    while (n := (tribonacci_number(m) + tribonacci_number(m + 2) - 1) // 2) <= max_len:
+        out.append(n)
+        m += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +291,7 @@ def verify_equivalences(buffer: WordBuffer, n_max: int) -> list[EquivalenceRow]:
     rows = []
     if n_max < 1:
         return rows
+    closed = set(min_complexity_lengths(n_max))
     for prow in abelian_profile(buffer, 1, n_max, collect_vectors=True):
         n = prow.n
         record = right_special_factor(buffer, n - 1)
@@ -311,7 +301,7 @@ def verify_equivalences(buffer: WordBuffer, n_max: int) -> list[EquivalenceRow]:
             complexity_is_min=prow.rho == 3,
             boundary_disjoint=set(prow.vectors).isdisjoint(boundary_vectors(record.parikh)),
             bispecial_exists=record.is_bispecial,
-            closed_form=is_min_complexity_length(n),
+            closed_form=n in closed,
         )
         if not row.all_agree():
             raise VerificationFailureError(

@@ -339,7 +339,8 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
 
 def _claim_zeckendorf_uniqueness(ctx: SuiteContext):
     # Exhaustive: every valid digit string short enough to matter, counted
-    # per represented value.  16 digits cover every N <= 10^4.
+    # per represented value.  16 digits cover every N <= 10^4.  With each 1
+    # read as a 2, every string but the all-zero one must be refused.
     width, limit = 16, 10_000
     terms = np.array([numeration.tribonacci_number(k) for k in range(width)], dtype=np.int64)
     codes = np.arange(2**width, dtype=np.uint16)
@@ -347,7 +348,11 @@ def _claim_zeckendorf_uniqueness(ctx: SuiteContext):
     values = bits[numeration.is_valid_rep_many(bits)] @ terms
     seen = np.bincount(values[values <= limit], minlength=limit + 1)
     non_unique = int(np.count_nonzero(seen != 1))
-    return not non_unique, {"non_unique_count": non_unique}, {"non_unique_count": 0}
+    digit2_accepted = int(np.count_nonzero(numeration.is_valid_rep_many(2 * bits)[1:]))
+    observed = {"non_unique_count": non_unique}
+    if digit2_accepted:
+        observed["digit2_accepted"] = digit2_accepted
+    return not non_unique and not digit2_accepted, observed, {"non_unique_count": 0}
 
 
 def _claim_saturation_soundness(ctx: SuiteContext):

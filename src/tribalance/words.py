@@ -8,6 +8,7 @@ again a prefix, so each symbol is expanded once.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -126,27 +127,13 @@ def tribonacci_morphism() -> Morphism:
     return mbonacci_morphism(3)
 
 
-def incidence_matrix(morphism: Morphism) -> np.ndarray:
-    """m x m matrix whose (i, j) entry counts the letter i in the image of j.
-
-    Column j therefore sums to the length of the image of j, and Parikh
-    vectors transform linearly: parikh(image of w) = matrix @ parikh(w).
-    """
-    m = morphism.alphabet_size
-    mat = np.zeros((m, m), dtype=np.int64)
-    for j, im in enumerate(morphism.images):
-        for i in range(m):
-            mat[i, j] = im.count(i)
-    return mat
-
-
 class WordBuffer:
     """Materialized prefix of the fixed point of a morphism.
 
     The symbol store is an immutable ``bytes`` object that is replaced
     wholesale by ``ensure``; readers holding views of the old content are
-    never invalidated.  Growth is single-writer: the caller must not let
-    other threads read while a growth call is in flight.  ``prefix_counts``
+    never invalidated.  Growth is serialized by the buffer's own lock, and
+    a buffer never gets shorter.  ``prefix_counts``
     publishes read-only int32 per-letter prefix counts of the whole buffer,
     computed on first read after each growth; the package's own readers
     count only what they read instead (``prefix_count_blocks``, or the
@@ -178,6 +165,7 @@ class WordBuffer:
         self._tail = morphism.images[seed][1:]
         self._expanded = 1
         self._prefix_counts: np.ndarray | None = None
+        self._growth = threading.Lock()
         self.index = None
 
     def __len__(self) -> int:
@@ -199,7 +187,8 @@ class WordBuffer:
         and ``_tail`` the cut-off rest.  Growth takes symbols from the tail
         first, then appends the images of just enough of the next symbols,
         so each symbol is expanded once over the life of the buffer.
-        ``min_len`` must be an integer >= 0.
+        ``min_len`` must be an integer >= 0.  Growth checks the length again,
+        grows and stores under the buffer's lock, so it never shrinks.
         """
         min_len = integer_in(min_len, "buffer length", 0)
         if min_len > self.max_symbols:
@@ -208,21 +197,24 @@ class WordBuffer:
             )
         if min_len <= len(self._symbols):
             return self
-        w, k = self._symbols + self._tail, self._expanded
-        sizes = np.array([len(im) for im in self.morphism.images])
-        while len(w) < min_len:
-            if k == len(w):
-                raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
-            # The next min_len - len(w) symbols expand to enough when no
-            # image is empty, so the sizes of no more of them are summed.
-            ahead = np.frombuffer(w, dtype=np.uint8, offset=k,
-                                  count=min(len(w) - k, min_len - len(w)))
-            ends = np.cumsum(sizes[ahead])
-            stop = k + min(int(np.searchsorted(ends, min_len - len(w))) + 1, len(ends))
-            w, k = w + apply_morphism(self.morphism, w[k:stop]), stop
-        self._symbols, self._tail, self._expanded = w[:min_len], w[min_len:], k
-        self._prefix_counts = None
-        return self
+        with self._growth:
+            if min_len <= len(self._symbols):  # grown while this call waited
+                return self
+            w, k = self._symbols + self._tail, self._expanded
+            sizes = np.array([len(im) for im in self.morphism.images])
+            while len(w) < min_len:
+                if k == len(w):
+                    raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
+                # The next min_len - len(w) symbols expand to enough when no
+                # image is empty, so the sizes of no more of them are summed.
+                ahead = np.frombuffer(w, dtype=np.uint8, offset=k,
+                                      count=min(len(w) - k, min_len - len(w)))
+                ends = np.cumsum(sizes[ahead])
+                stop = k + min(int(np.searchsorted(ends, min_len - len(w))) + 1, len(ends))
+                w, k = w + apply_morphism(self.morphism, w[k:stop]), stop
+            self._symbols, self._tail, self._expanded = w[:min_len], w[min_len:], k
+            self._prefix_counts = None
+            return self
 
     @property
     def prefix_counts(self) -> np.ndarray:

@@ -12,11 +12,14 @@ loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
 eigendata of ``compute_spectral_data``, which the certificate never does.
-``einsum_prefix_parikh`` is the one int64 contraction of the digit rows
-with the table of Parikh(tau^k(0)) that the Horner kernel of
-``prefix_parikh_from_digits`` replaced.  ``desubstitute`` decodes a
-factor against the Tribonacci substitution, as the first proof's
-two-factor lemma does.  ``cap_positions`` stands in for a run whose
+``incidence_matrix`` counts each letter in each image of a morphism, and
+``matrix_power_parikh_table`` reads Parikh(tau^k(0)) off the int64 matrix
+powers M^k e_0: the oracle of ``numeration.tau_parikh_table``, which
+reads the same table off the Horner kernel.  ``einsum_prefix_parikh`` is
+the one int64 contraction of the digit rows with that table of matrix
+powers, the route the Horner kernel of ``prefix_parikh_from_digits``
+replaced.  ``desubstitute`` decodes a factor against the Tribonacci
+substitution, as the first proof's two-factor lemma does.  ``cap_positions`` stands in for a run whose
 certified queries may examine only a few window starts.
 """
 
@@ -29,10 +32,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tribalance import compute_spectral_data, mbonacci_word, tribonacci_word, zeckendorf_encode
+from tribalance import (
+    compute_spectral_data,
+    mbonacci_word,
+    tribonacci_morphism,
+    tribonacci_word,
+    zeckendorf_encode,
+)
 from tribalance import factors
 from tribalance.factors import FactorIndex, position_cap
-from tribalance.numeration import tau_parikh_table
 
 
 @pytest.fixture(scope="session")
@@ -205,11 +213,29 @@ def unique_profile(buffer, n_max: int):
     return rows
 
 
+def incidence_matrix(morphism) -> np.ndarray:
+    """m x m int64 matrix whose (i, j) entry counts the letter i in the
+    image of j, so parikh(image of w) = matrix @ parikh(w)."""
+    m = morphism.alphabet_size
+    return np.array([[im.count(i) for im in morphism.images] for i in range(m)], dtype=np.int64)
+
+
+def matrix_power_parikh_table(width: int) -> np.ndarray:
+    """Parikh(tau^k(0)) = M^k e_0 for k < width as the columns of a
+    (3, width) int64 array, each from ``np.linalg.matrix_power`` of the
+    Tribonacci incidence matrix (exact for width <= 72)."""
+    mat = incidence_matrix(tribonacci_morphism())
+    table = np.zeros((3, width), dtype=np.int64)
+    for k in range(width):
+        table[:, k] = np.linalg.matrix_power(mat, k)[:, 0]
+    return table
+
+
 def einsum_prefix_parikh(digits) -> np.ndarray:
     """The Dumont-Thomas sum of each digit row, sum(p_k * Parikh(tau^k(0))),
     as a (3, rows) int64 array: one int64 einsum over the whole array."""
     d = np.asarray(digits).astype(np.int64)
-    return np.einsum("ak,nk->an", tau_parikh_table(d.shape[1]), d)
+    return np.einsum("ak,nk->an", matrix_power_parikh_table(d.shape[1]), d)
 
 
 def float_head_terms(sd, letter: int, cutoff: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import einsum_prefix_parikh
+from conftest import einsum_prefix_parikh, matrix_power_parikh_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from tribalance import (
     zeckendorf_encode,
     zeckendorf_encode_many,
 )
+from tribalance.numeration import tau_parikh_table
 
 
 def test_sequence_start():
@@ -252,6 +253,17 @@ def test_prefix_parikh_examples():
         zeckendorf_encode_many([-1])
     with pytest.raises(InvalidInputError):
         prefix_parikh_from_digits(np.zeros((1, 100), dtype=np.uint8))
+
+
+def test_tau_parikh_table_is_the_matrix_powers():
+    # Every width through 72, the widest whose terms fit in int64.
+    for width in range(73):
+        table = tau_parikh_table(width)
+        assert table.dtype == np.int64
+        assert table.tolist() == matrix_power_parikh_table(width).tolist()
+    assert table.sum(axis=0).tolist() == [tribonacci_number(k) for k in range(72)]
+    with pytest.raises(InvalidInputError, match="digit rows wider than 72 overflow int64"):
+        tau_parikh_table(73)
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,6 @@ from tribalance import (
     abelian_profile,
     apply_morphism,
     factor_index,
-    is_min_complexity_length,
     min_complexity_lengths,
     parikh_set,
     right_special_factor,
@@ -106,8 +105,7 @@ def test_right_special_extension_degree(tribo):
 
 @pytest.mark.parametrize("query", [
     lambda b: right_special_factor(b, -1),
-    lambda b: is_min_complexity_length(0),
-], ids=["right_special_factor", "is_min_complexity_length"])
+], ids=["right_special_factor"])
 def test_length_checks(tribo, query):
     with pytest.raises(InvalidInputError, match="length must be an integer >= "):
         query(tribo)
@@ -265,9 +263,9 @@ def test_geometry_refuses_escaping_and_unfit_sets(tribo):
 
 
 def test_min_complexity_closed_form():
-    assert is_min_complexity_length(1)
-    assert is_min_complexity_length(2)  # (1 + 4 - 1) / 2
-    assert not is_min_complexity_length(30)
+    assert min_complexity_lengths(0) == []
+    assert min_complexity_lengths(1) == [1]
+    assert min_complexity_lengths(2) == [1, 2]  # (1 + 4 - 1) / 2
     assert min_complexity_lengths(30) == [1, 2, 4, 8, 15, 28]
     assert min_complexity_lengths(5000) == [
         1, 2, 4, 8, 15, 28, 52, 96, 177, 326, 600, 1104, 2031, 3736,
@@ -280,8 +278,9 @@ def test_successor_length_examples(tribo):
 
 
 def test_successor_maps_min_complexity_into_itself(tribo):
+    closed = set(min_complexity_lengths(10_000))
     for n in min_complexity_lengths(600):
-        assert is_min_complexity_length(successor_length(tribo, n))
+        assert successor_length(tribo, n) in closed
 
 
 def test_successor_formula(tribo):

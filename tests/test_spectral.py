@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import float_head_terms, float_interval, float_tail_bound
+from conftest import float_head_terms, float_interval, float_tail_bound, incidence_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from tribalance import (
     discrepancy_extremes,
     discrepancy_from_digits,
     discrepancy_spectral,
-    incidence_matrix,
     is_valid_rep_many,
     tribonacci_morphism,
     zeckendorf_encode_many,

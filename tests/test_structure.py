@@ -1,5 +1,5 @@
-"""Structural guards for the single-writer / multi-reader promise, and for
-one route per job.
+"""Structural guards for the promise that reads leave shared state alone,
+and for one route per job.
 
 No module holds mutable state, no module reaches into another object's
 private attributes, and the analyses leave a buffer's published state --

@@ -1,19 +1,25 @@
-"""The package runs in one OS thread, and its output does not depend on the
-BLAS thread count.
+"""The package runs in one OS thread, its output does not depend on the
+BLAS thread count, and queries from several threads on one buffer give the
+serial answers.
 
 Importing ``tribalance`` loads numpy with OpenBLAS capped at one thread
 unless the caller set ``OPENBLAS_NUM_THREADS``, and removes the variable
-again once OpenBLAS has read it.  Each check runs in a fresh interpreter,
-since OpenBLAS reads the variable only when it loads.
+again once OpenBLAS has read it.  Each of those checks runs in a fresh
+interpreter, since OpenBLAS reads the variable only when it loads.  A
+buffer's growth is serialized by its own lock, so two growths never
+overlap and a buffer never gets shorter.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+
+from tribalance import abelian_complexity, tribonacci_word, words
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +63,74 @@ def test_output_does_not_depend_on_the_blas_thread_count(argv):
     one, two = (python(["-m", "tribalance", *argv], blas_threads=k) for k in (1, 2))
     assert one == two
     assert one
+
+
+def run_threads(*targets) -> None:
+    """Run each target in its own thread, join them, and re-raise the
+    first exception any of them raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+
+
+def test_overlapping_growths_never_shrink_the_buffer(monkeypatch):
+    # The shorter growth is held inside its first expansion until the
+    # longer one has stored, or for at most a second.  Serialized, the
+    # longer growth waits for the shorter one and then grows past it.
+    buf = tribonacci_word(10)
+    inside, stored = threading.Event(), threading.Event()
+    original = words.apply_morphism
+
+    def held(morphism, w):
+        if not inside.is_set():
+            inside.set()
+            stored.wait(timeout=1.0)
+        return original(morphism, w)
+
+    monkeypatch.setattr(words, "apply_morphism", held)
+
+    def shorter():
+        buf.ensure(1_000)
+
+    def longer():
+        assert inside.wait(timeout=30)
+        buf.ensure(100_000)
+        stored.set()
+
+    run_threads(shorter, longer)
+    assert len(buf) == 100_000
+    assert buf.symbols == tribonacci_word(100_000).symbols
+
+
+def test_concurrent_queries_on_a_fresh_buffer_give_the_serial_answers():
+    # More threads than the two cores of a small machine, switched often.
+    ns = (30, 342, 3914, 7199)
+    serial = [abelian_complexity(tribonacci_word(10), n) for n in ns]
+    assert serial == [5, 6, 7, 7]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            buf = tribonacci_word(10)
+            answers = {}
+
+            def query(n):
+                return lambda: answers.__setitem__(n, abelian_complexity(buf, n))
+
+            run_threads(*(query(n) for n in ns))
+            assert [answers[n] for n in ns] == serial
+    finally:
+        sys.setswitchinterval(interval)

@@ -4,7 +4,8 @@ The saturation claim counts factors with the suffix-automaton index; the
 dictionary scanner, which shares no code with the index, is the oracle.
 The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
-codec routes and prefix-count blocks that miss values, and the prefix-balance walk and the shared profile against
+codec routes and prefix-count blocks that miss values, the uniqueness
+claim against a validity check that reads a digit 2 as a 1, and the prefix-balance walk and the shared profile against
 the number of indexes they build.  The four spectral certificate claims run without the float
 eigendata, and fail when one of their stated targets is tightened past
 the exact value.
@@ -12,6 +13,7 @@ the exact value.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import cap_positions, scalar_eq1_worst
 
@@ -198,6 +200,17 @@ def test_roundtrip_claim_requires_every_value_from_zero(monkeypatch, blocks, fir
     (result,) = report.claims
     assert result.status == "fail"
     assert result.observed == {"first_failure": first_unchecked}
+
+
+def test_uniqueness_claim_fails_when_a_digit_2_is_read_as_a_1(monkeypatch):
+    # Every valid 16-digit string but the all-zero one, with its 1s made 2s.
+    original = numeration._valid_columns
+    monkeypatch.setattr(numeration, "_valid_columns",
+                        lambda columns: original(np.where(columns == 2, 1, columns)))
+    report = run_suite("paper", SuiteConfig(seed=0), claim_ids={"zeckendorf_uniqueness_1e4"})
+    (result,) = report.claims
+    assert result.status == "fail"
+    assert result.observed == {"non_unique_count": 0, "digit2_accepted": 19_512}
 
 
 CERTIFICATE_CLAIMS = ("spectral_constants_5dp", "prop_bounds_letter_0", "prop_bounds_letter_1",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_parikh, concat_images
+from conftest import brute_parikh, concat_images, incidence_matrix
 from tribalance import words
 from tribalance import (
     BufferLimitError,
@@ -18,7 +18,6 @@ from tribalance import (
     apply_morphism,
     as_word,
     fixed_point_prefix,
-    incidence_matrix,
     mbonacci_morphism,
     mbonacci_word,
     tribonacci_morphism,
