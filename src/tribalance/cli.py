@@ -87,9 +87,16 @@ def cmd_generate(args, parser) -> int:
     if args.length < 1:
         parser.error(f"length must be >= 1, got {args.length}")
     buf = _make_buffer(args.word_spec, parser, args.max_buffer)
-    buf.ensure(args.length)
+    # The word is written block by block and never held whole.  Each
+    # distinct block is converted once, before any byte is written, the one
+    # with the largest symbol first: a symbol of 10 or more exits 2 naming
+    # the prefix's largest symbol, and no output is opened.
+    blocks = buf.blocks(args.length)
+    distinct = sorted({id(b): b for b in blocks}.values(), key=max, reverse=True)
+    texts = {id(b): word_to_text(b) for b in distinct}
     with _open_out(args.out) as out:
-        out.write(word_to_text(buf.slice(0, args.length)))
+        for b in blocks:
+            out.write(texts[id(b)])
         out.write("\n")
     return EXIT_OK
 

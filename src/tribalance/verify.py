@@ -106,6 +106,16 @@ class SuiteConfig:
 SHARED_PROFILE = 7199
 SHARED_VECTORS = 2000
 
+#: The saturation claim counts the factors of its longest sample, at most
+#: 2000 symbols long, over the position cap plus n - 1 symbols: 134,095.
+SATURATION_REGION = position_cap(3, 2000) + 2000 - 1
+
+#: The length the shared index is requested at.  ``factor_index`` starts a
+#: three-letter region at 8 (n + 1) + 1024 symbols, which holds
+#: ``SATURATION_REGION`` from this n on (16,633), so one index, built early
+#: while little else is held, serves the profile and the saturation claim.
+SHARED_INDEX = -(-(SATURATION_REGION - 1024) // 8) - 1
+
 
 class SuiteContext:
     """Lazily built shared artifacts: one word buffer, one factor index,
@@ -136,13 +146,20 @@ class SuiteContext:
     def profile(self) -> list[abelian.ProfileRow]:
         """The certified rows of lengths 1..``SHARED_PROFILE``, those up
         to ``SHARED_VECTORS`` with their Parikh vectors: one factor index
-        and one walk over every length, built at the first call."""
+        and one walk over every length, built at the first call.
+
+        The index is requested at ``SHARED_INDEX``, so it also covers the
+        saturation claim's region; under a ``max_buffer`` below that
+        region, at ``SHARED_PROFILE``, as the profile alone needs."""
         if self._profile is None:
             buf = self.buffer()
             self.log(f"building certified profile up to n={SHARED_PROFILE}")
             # The longest length's index first: the walk with vectors would
             # otherwise build a shorter one of its own.
-            factor_index(buf, SHARED_PROFILE)
+            try:
+                factor_index(buf, SHARED_INDEX)
+            except BufferLimitError:
+                factor_index(buf, SHARED_PROFILE)
             self._profile = (
                 abelian.abelian_profile(buf, 1, SHARED_VECTORS, collect_vectors=True)
                 + abelian.abelian_profile(buf, SHARED_VECTORS + 1, SHARED_PROFILE))
@@ -337,18 +354,27 @@ def _claim_zeckendorf_roundtrip(ctx: SuiteContext):
     return bad is None, {"first_failure": bad}, {"first_failure": None}
 
 
+#: Digit rows per chunk of the uniqueness claim: 2^12 rows of 16 digits.
+UNIQUENESS_CHUNK = 1 << 12
+
+
 def _claim_zeckendorf_uniqueness(ctx: SuiteContext):
     # Exhaustive: every valid digit string short enough to matter, counted
     # per represented value.  16 digits cover every N <= 10^4.  With each 1
     # read as a 2, every string but the all-zero one must be refused.
+    # The rows are built and checked UNIQUENESS_CHUNK at a time.
     width, limit = 16, 10_000
     terms = np.array([numeration.tribonacci_number(k) for k in range(width)], dtype=np.int64)
-    codes = np.arange(2**width, dtype=np.uint16)
-    bits = ((codes[:, None] >> np.arange(width, dtype=np.uint16)) & 1).astype(np.uint8)
-    values = bits[numeration.is_valid_rep_many(bits)] @ terms
-    seen = np.bincount(values[values <= limit], minlength=limit + 1)
+    seen = np.zeros(limit + 1, dtype=np.int64)
+    digit2_accepted = 0
+    for start in range(0, 2**width, UNIQUENESS_CHUNK):
+        codes = np.arange(start, start + UNIQUENESS_CHUNK, dtype=np.uint16)
+        bits = ((codes[:, None] >> np.arange(width, dtype=np.uint16)) & 1).astype(np.uint8)
+        values = bits[numeration.is_valid_rep_many(bits)] @ terms
+        seen += np.bincount(values[values <= limit], minlength=limit + 1)
+        accepted = numeration.is_valid_rep_many(2 * bits)
+        digit2_accepted += int(np.count_nonzero(accepted[codes != 0]))
     non_unique = int(np.count_nonzero(seen != 1))
-    digit2_accepted = int(np.count_nonzero(numeration.is_valid_rep_many(2 * bits)[1:]))
     observed = {"non_unique_count": non_unique}
     if digit2_accepted:
         observed["digit2_accepted"] = digit2_accepted

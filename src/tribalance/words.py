@@ -1,9 +1,10 @@
 """Generation of prefixes of fixed points of substitutions.
 
 Words are sequences of small integer symbols (one byte each), held as
-``bytes``.  The buffer of a fixed point grows by appending the images of
-its next unexpanded symbols: the image of a prefix of the fixed point is
-again a prefix, so each symbol is expanded once.
+``bytes``.  A fixed point t of a morphism τ is also the fixed point of
+every power τ^j, so its buffer grows by appending the τ^j images of its
+next unexpanded symbols: the image of a prefix of t is again a prefix, so
+each symbol is expanded once, and the images are long, so few symbols are.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ DEFAULT_MAX_SYMBOLS = 1 << 27
 PREFIX_COUNTS_LIMIT = 1 << 31
 
 _MAX_ALPHABET = 256  # one byte per symbol
+
+#: A buffer grows by the images of τ^j for the largest j that keeps every
+#: image within ``IMAGE_LIMIT`` symbols and all of them together within
+#: ``IMAGES_TOTAL_LIMIT`` (1 MiB, whatever the alphabet's size).
+IMAGE_LIMIT = 1 << 16
+IMAGES_TOTAL_LIMIT = 1 << 20
 
 
 def as_word(w: WordLike) -> bytes:
@@ -77,7 +84,7 @@ class Morphism:
         images = tuple(as_word(im) for im in images)
         m = integer_in(len(images), "alphabet size", 2, _MAX_ALPHABET)
         for a, im in enumerate(images):
-            if any(c >= m for c in im):
+            if im and max(im) >= m:
                 raise InvalidInputError(f"image of {a} uses symbols outside the {m}-letter alphabet")
         self.alphabet_size = m
         self.images = images
@@ -98,19 +105,52 @@ class Morphism:
 
 
 def apply_morphism(morphism: Morphism, w: WordLike) -> bytes:
-    """Concatenation of the images of the symbols of w, in order: each
-    symbol picks its row of a zero-padded image table, and a mask of the
-    image lengths keeps the image part of each row, in row-major order."""
-    data = np.frombuffer(as_word(w), dtype=np.uint8)
-    if data.size and data.max() >= morphism.alphabet_size:
+    """Concatenation of the images of the symbols of w, in order, joined
+    once: it holds no more than the words in and out, however unequal the
+    image lengths."""
+    data = as_word(w)
+    if data and max(data) >= morphism.alphabet_size:
         raise InvalidInputError("word uses symbols outside the morphism's alphabet")
     images = morphism.images
-    lengths = np.array([len(im) for im in images])
-    table = np.zeros((len(images), lengths.max()), dtype=np.uint8)
-    for a, im in enumerate(images):
-        table[a, : len(im)] = np.frombuffer(im, dtype=np.uint8)
-    mask = np.arange(table.shape[1]) < lengths[:, None]
-    return table[data][mask[data]].tobytes()
+    return b"".join([images[c] for c in data])
+
+
+def power_images(morphism: Morphism) -> tuple[bytes, ...]:
+    """The images τ^j(a) of every symbol a under the largest power j >= 1
+    of τ that keeps each of them within ``IMAGE_LIMIT`` symbols and their
+    total within ``IMAGES_TOTAL_LIMIT`` (j = 1 when τ itself is past
+    either).
+
+    j is found by binary lifting: τ^(2^i) by squaring while the squares
+    stay within the limits, then each smaller of those powers composed on,
+    largest first, where the result stays within them.  Powers of τ commute,
+    so each composition joins the long images along the short ones.  A
+    composition whose images are no longer in total than the current ones
+    is not taken, so an erasing morphism stops composing once the total
+    length stops growing.
+    """
+    powers = [morphism.images]
+    while (square := _compose(powers[-1], powers[-1])) is not None:
+        powers.append(square)
+    images = powers.pop()
+    for power in reversed(powers):
+        images = _compose(images, power) or images
+    return images
+
+
+def _compose(outer: tuple[bytes, ...], inner: tuple[bytes, ...]) -> tuple[bytes, ...] | None:
+    """The images of outer after inner, or None when one of them would be
+    longer than ``IMAGE_LIMIT``, or their total past ``IMAGES_TOTAL_LIMIT``
+    or no longer than inner's.  The lengths are summed before any image is
+    built, and each image is ``apply_morphism`` of outer to an image of
+    inner."""
+    lengths = np.array([len(im) for im in outer])
+    sizes = [int(lengths[np.frombuffer(im, dtype=np.uint8)].sum()) for im in inner]
+    total = sum(sizes)
+    if max(sizes) > IMAGE_LIMIT or not sum(map(len, inner)) < total <= IMAGES_TOTAL_LIMIT:
+        return None
+    morphism = Morphism(outer)
+    return tuple(apply_morphism(morphism, im) for im in inner)
 
 
 def mbonacci_morphism(m: int) -> Morphism:
@@ -133,7 +173,9 @@ class WordBuffer:
     The symbol store is an immutable ``bytes`` object that is replaced
     wholesale by ``ensure``; readers holding views of the old content are
     never invalidated.  Growth is serialized by the buffer's own lock, and
-    a buffer never gets shorter.  ``prefix_counts``
+    a buffer never gets shorter.  ``power_images`` holds the τ^j images the
+    buffer grows by (see ``power_images``); ``blocks`` hands out a long
+    prefix as those images without materializing it.  ``prefix_counts``
     publishes read-only int32 per-letter prefix counts of the whole buffer,
     computed on first read after each growth; the package's own readers
     count only what they read instead (``prefix_count_blocks``, or the
@@ -160,9 +202,10 @@ class WordBuffer:
         self.morphism = morphism
         self.seed = seed
         self.max_symbols = max_symbols
+        self.power_images = power_images(morphism)
         # The image of the seed starts with the seed.
         self._symbols: bytes = bytes((seed,))
-        self._tail = morphism.images[seed][1:]
+        self._tail = self.power_images[seed][1:]
         self._expanded = 1
         self._prefix_counts: np.ndarray | None = None
         self._growth = threading.Lock()
@@ -179,63 +222,85 @@ class WordBuffer:
     def symbols(self) -> bytes:
         return self._symbols
 
+    def _checked_length(self, length: int) -> int:
+        length = integer_in(length, "buffer length", 0)
+        if length > self.max_symbols:
+            raise BufferLimitError(
+                f"requested {length} symbols exceeds the configured cap of {self.max_symbols}"
+            )
+        return length
+
     def ensure(self, min_len: int) -> "WordBuffer":
         """Grow the buffer to at least min_len symbols (no-op if long enough).
 
-        The image of the fixed point's first ``_expanded`` symbols is a
-        prefix of it; the buffer holds that image cut at its length,
-        and ``_tail`` the cut-off rest.  Growth takes symbols from the tail
-        first, then appends the images of just enough of the next symbols,
-        so each symbol is expanded once over the life of the buffer.
-        ``min_len`` must be an integer >= 0.  Growth checks the length again,
-        grows and stores under the buffer's lock, so it never shrinks.
+        The buffer holds τ^j of the fixed point's first ``_expanded``
+        symbols, cut at its length, and ``_tail`` the cut-off rest
+        (``_expand``), so each symbol is expanded once over the life of the
+        buffer.  ``min_len`` must be an integer >= 0.  Growth checks the
+        length again, grows and stores under the buffer's lock, so it never
+        shrinks.
         """
-        min_len = integer_in(min_len, "buffer length", 0)
-        if min_len > self.max_symbols:
-            raise BufferLimitError(
-                f"requested {min_len} symbols exceeds the configured cap of {self.max_symbols}"
-            )
+        min_len = self._checked_length(min_len)
         if min_len <= len(self._symbols):
             return self
         with self._growth:
             if min_len <= len(self._symbols):  # grown while this call waited
                 return self
-            w, k = self._symbols + self._tail, self._expanded
-            sizes = np.array([len(im) for im in self.morphism.images])
-            while len(w) < min_len:
-                if k == len(w):
-                    raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
-                # The next min_len - len(w) symbols expand to enough when no
-                # image is empty, so the sizes of no more of them are summed.
-                ahead = np.frombuffer(w, dtype=np.uint8, offset=k,
-                                      count=min(len(w) - k, min_len - len(w)))
-                ends = np.cumsum(sizes[ahead])
-                stop = k + min(int(np.searchsorted(ends, min_len - len(w))) + 1, len(ends))
-                w, k = w + apply_morphism(self.morphism, w[k:stop]), stop
-            self._symbols, self._tail, self._expanded = w[:min_len], w[min_len:], k
+            symbols, self._tail, self._expanded = _expand(
+                self.power_images, self._symbols, self._tail, self._expanded, min_len)
+            # The counts go first: a reader that sees the new symbols then
+            # finds no counts of the old ones.
             self._prefix_counts = None
+            self._symbols = symbols
             return self
+
+    def blocks(self, n: int) -> list[bytes]:
+        """The first n symbols of the fixed point as consecutive blocks:
+        the ``power_images`` of its first symbols, in order, the last one
+        cut at n.  The fixed point is its own τ^j image, so the buffer grows
+        only to those first symbols, a small fraction of n.  ``n`` is
+        refused as ``ensure`` refuses it, before any growth."""
+        n = self._checked_length(n)
+        blocks, size, k = [], 0, 0
+        while size < n:
+            if k == len(self._symbols):
+                self.ensure(max(min(2 * k, n), k + 1))  # doubling, up to n
+            image = self.power_images[self._symbols[k]]
+            if size + len(image) > n:
+                image = image[: n - size]
+            blocks.append(image)
+            size += len(image)
+            k += 1
+        return blocks
 
     @property
     def prefix_counts(self) -> np.ndarray:
         """Read-only int32 array of shape (alphabet_size, len + 1); entry
         [a, N] counts the letter a among the first N symbols.  A buffer of
         ``PREFIX_COUNTS_LIMIT`` (2**31) symbols or more raises
-        ``BufferLimitError``."""
+        ``BufferLimitError``.
+
+        The symbols are read once and counted; the counts are kept, under
+        the growth lock, only while those are still the buffer's symbols,
+        so a growth during the count never leaves counts of a shorter
+        buffer behind."""
+        symbols = self._symbols
         pc = self._prefix_counts
         if pc is None:
-            if len(self._symbols) >= PREFIX_COUNTS_LIMIT:
+            if len(symbols) >= PREFIX_COUNTS_LIMIT:
                 raise BufferLimitError(
-                    f"{len(self._symbols)} symbols reach the int32 prefix count limit "
+                    f"{len(symbols)} symbols reach the int32 prefix count limit "
                     f"of {PREFIX_COUNTS_LIMIT}"
                 )
-            data = np.frombuffer(self._symbols, dtype=np.uint8)
+            data = np.frombuffer(symbols, dtype=np.uint8)
             m = self.alphabet_size
             pc = np.zeros((m, len(data) + 1), dtype=np.int32)
             for a in range(m):
                 np.cumsum(data == a, dtype=np.int32, out=pc[a, 1:])
             pc.flags.writeable = False
-            self._prefix_counts = pc
+            with self._growth:
+                if self._symbols is symbols:
+                    self._prefix_counts = pc
         return pc
 
     def slice(self, start: int, length: int) -> bytes:
@@ -247,6 +312,35 @@ class WordBuffer:
                 f"window [{start}, {start + length}) outside buffer of length {len(self._symbols)}"
             )
         return self._symbols[start : start + length]
+
+
+def _expand(images: tuple[bytes, ...], symbols: bytes, tail: bytes, expanded: int,
+            min_len: int) -> tuple[bytes, bytes, int]:
+    """``(symbols, tail, expanded)`` of a buffer grown to min_len symbols.
+
+    The buffer holds the images of its first ``expanded`` symbols, cut at
+    its length, and ``tail`` the cut-off rest.  The images of the next
+    symbols are appended whole until they reach min_len, and the last one
+    is cut there; all of it is joined once.  The next symbols are read from
+    ``symbols``, and, only if those run out (a buffer short next to its
+    growth), from everything joined so far.  A word that stops growing
+    raises ``ConfigurationError``.
+    """
+    parts, size, source = [symbols, tail], len(symbols) + len(tail), symbols
+    while size < min_len:
+        if expanded == len(source):
+            source = b"".join(parts)
+            parts = [source]
+            if expanded == len(source):
+                raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
+        image = images[source[expanded]]
+        parts.append(image)
+        size += len(image)
+        expanded += 1
+    last = parts[-1]
+    cut = len(last) - (size - min_len)
+    parts[-1] = last[:cut]
+    return b"".join(parts), last[cut:], expanded
 
 
 def prefix_count_blocks(buffer: WordBuffer, stop: int, block: int,

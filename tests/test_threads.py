@@ -7,7 +7,8 @@ unless the caller set ``OPENBLAS_NUM_THREADS``, and removes the variable
 again once OpenBLAS has read it.  Each of those checks runs in a fresh
 interpreter, since OpenBLAS reads the variable only when it loads.  A
 buffer's growth is serialized by its own lock, so two growths never
-overlap and a buffer never gets shorter.
+overlap and a buffer never gets shorter, and the whole-buffer counts are
+kept only while the symbols they count are still the buffer's.
 """
 
 import json
@@ -87,20 +88,21 @@ def run_threads(*targets) -> None:
 
 
 def test_overlapping_growths_never_shrink_the_buffer(monkeypatch):
-    # The shorter growth is held inside its first expansion until the
-    # longer one has stored, or for at most a second.  Serialized, the
-    # longer growth waits for the shorter one and then grows past it.
+    # The shorter growth is held inside its expansion, with the buffer's
+    # state read, until the longer one has stored, or for at most a second.
+    # Serialized, the longer growth waits for the shorter one and then
+    # grows past it.
     buf = tribonacci_word(10)
     inside, stored = threading.Event(), threading.Event()
-    original = words.apply_morphism
+    original = words._expand
 
-    def held(morphism, w):
+    def held(*state):
         if not inside.is_set():
             inside.set()
             stored.wait(timeout=1.0)
-        return original(morphism, w)
+        return original(*state)
 
-    monkeypatch.setattr(words, "apply_morphism", held)
+    monkeypatch.setattr(words, "_expand", held)
 
     def shorter():
         buf.ensure(1_000)
@@ -132,5 +134,20 @@ def test_concurrent_queries_on_a_fresh_buffer_give_the_serial_answers():
 
             run_threads(*(query(n) for n in ns))
             assert [answers[n] for n in ns] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_counts_kept_after_a_concurrent_growth_are_of_the_whole_buffer():
+    # One thread reads the whole-buffer counts while another grows the
+    # buffer, switched often: whichever finishes last, the counts the
+    # buffer keeps are of all its symbols.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            buf = tribonacci_word(200_000)
+            run_threads(lambda: buf.prefix_counts, lambda: buf.ensure(300_000))
+            assert buf.prefix_counts.shape == (3, 300_001)
     finally:
         sys.setswitchinterval(interval)

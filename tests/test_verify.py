@@ -6,7 +6,8 @@ The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
 codec routes and prefix-count blocks that miss values, the uniqueness
 claim against a validity check that reads a digit 2 as a 1, and the prefix-balance walk and the shared profile against
-the number of indexes they build.  The four spectral certificate claims run without the float
+the number of indexes they build; in a full run the saturation claim builds
+none, and under a tight buffer cap the same claims are skipped as before.  The four spectral certificate claims run without the float
 eigendata, and fail when one of their stated targets is tightened past
 the exact value.
 """
@@ -149,6 +150,38 @@ def test_shared_profile_walks_each_length_once(monkeypatch):
     walked = Counter(n for n_from, n_to in walks for n in range(n_from, n_to + 1))
     assert [walked[n] for n in range(1, 2001)] == [1] * 2000
     assert indexes == [3]
+
+
+def test_saturation_claim_reuses_the_shared_index(monkeypatch):
+    # In a full run the shared profile builds the one index that also
+    # covers the saturation claim's region, so that claim builds none.
+    running, builds = [None], []
+    init = FactorIndex.__init__
+
+    def spy(self, buffer, region_len):
+        builds.append((running[0], region_len))
+        init(self, buffer, region_len)
+
+    monkeypatch.setattr(FactorIndex, "__init__", spy)
+    report = run_suite("paper", SuiteConfig(seed=0, progress=lambda m: running.__setitem__(0, m)))
+    assert report.all_passed
+    assert [region for claim, region in builds if claim == f"claim {CLAIM}"] == []
+    shared = [region for claim, region in builds if claim.startswith("building certified profile")]
+    assert shared == [8 * (verify.SHARED_INDEX + 1) + 1024]
+    assert shared[0] >= verify.SATURATION_REGION
+
+
+def test_a_tight_buffer_cap_skips_the_same_claims(capsys):
+    # Below the shared index's region, the profile builds the index it
+    # needs alone, and only the claims that need more symbols are skipped.
+    from tribalance.cli import main
+
+    assert main(["verify", "--max-buffer", "60000"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert Counter(line.split()[0] for line in lines) == {"PASS": 18, "SKIPPED": 4}
+    assert [line.split()[1] for line in lines if line.startswith("SKIPPED")] == [
+        "eq1_oracle_equivalence_1e6", "empirical_discrepancy_containment",
+        "zeckendorf_roundtrip_1e6", CLAIM]
 
 
 @pytest.mark.parametrize("route", ["zeckendorf_decode_many", "prefix_parikh_from_digits"])

@@ -299,18 +299,98 @@ def test_stepwise_growth_matches_the_iterates(images):
 
 
 def test_each_symbol_is_expanded_once(monkeypatch):
+    # The buffer holds the τ^j images of its first k symbols, cut at its
+    # length, with the rest as its tail.  Each growth expands the symbols
+    # from k on, so the expanded ranges follow each other without overlap,
+    # and 10^5 symbols take no more of them than the shortest τ^j image
+    # divides into 10^5.
     expanded = []
+    original = words._expand
 
-    def counting(morphism, w):
-        expanded.append(len(w))
-        return apply_morphism(morphism, w)
+    def recording(images, symbols, tail, k, min_len):
+        grown, rest, k_after = original(images, symbols, tail, k, min_len)
+        assert b"".join(images[s] for s in grown[:k_after]) == grown + rest
+        expanded.append((k, k_after))
+        return grown, rest, k_after
 
-    monkeypatch.setattr(words, "apply_morphism", counting)
+    monkeypatch.setattr(words, "_expand", recording)
     buf = tribonacci_word(1)
     for n in range(1, 100_001, 997):
         buf.ensure(n)
-    # The image of the first k symbols is about 1.84 k long.
-    assert sum(expanded) < 100_000 / 1.8
+    assert len(expanded) == 100
+    assert expanded[0][0] == 1
+    assert all(after == k for (_, after), (k, _) in zip(expanded, expanded[1:]))
+    assert expanded[-1][1] <= 100_000 // min(map(len, buf.power_images)) + 1
+
+
+@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"],
+                                    ["0120", "1", "22"], ["0102", "", "2"], ["01", ""],
+                                    ["1", "10"], mbonacci_morphism(5).images,
+                                    mbonacci_morphism(256).images])
+def test_power_images_take_the_largest_power_within_the_limits(images):
+    # τ applied one step at a time: the images of the largest power whose
+    # images all fit the limits, where for an erasing morphism the powers
+    # stop once their total length stops growing.  On 256 letters the total
+    # limit binds first.
+    morphism = Morphism(images)
+    power, step = morphism.images, morphism.images
+    while True:
+        step = tuple(concat_images(morphism, im) for im in step)
+        if (max(map(len, step)) > words.IMAGE_LIMIT
+                or sum(map(len, step)) > words.IMAGES_TOTAL_LIMIT
+                or sum(map(len, step)) <= sum(map(len, power))):
+            break
+        power = step
+    assert words.power_images(morphism) == power
+
+
+def test_tribonacci_power_images_are_tau_17():
+    images = words.power_images(tribonacci_morphism())
+    assert [len(im) for im in images] == [35890, 30122, 19513]
+    assert images[0] == tribonacci_word(35890).symbols
+
+
+def test_linear_growth_reaches_the_limit():
+    # τ^j(0) = 0 1^j grows by one symbol a step: j = 65535, reached by
+    # squaring and lifting, not by 65535 compositions.
+    assert words.power_images(Morphism(["01", "1"])) == (b"\x00" + b"\x01" * 65535, b"\x01")
+
+
+@pytest.mark.parametrize("images, seed", [(["01", "10"], 0), (["0102", "", "2"], 0),
+                                          (["1", "10"], 1), (["01", "12", "20"], 0)])
+def test_blocks_join_to_the_prefix_from_a_short_buffer(images, seed):
+    morphism = Morphism(images)
+    whole = iterate_images(morphism, seed, 300_000)
+    for n in (1, 2, 17, 65_536, 65_537, 300_000):
+        buf = WordBuffer(morphism, seed)
+        blocks = buf.blocks(n)
+        assert b"".join(blocks) == whole[:n]
+        # The buffer holds the symbols whose images the blocks are.
+        assert len(buf) < max(len(blocks), 2) * 2
+    with pytest.raises(BufferLimitError):
+        WordBuffer(morphism, seed, max_symbols=10).blocks(11)
+
+
+def test_counts_of_a_buffer_that_grew_during_the_count_are_not_kept(monkeypatch):
+    # The first cumsum of the count grows the buffer: the counts returned
+    # are of the symbols the count read, and the buffer keeps none of them.
+    buf = tribonacci_word(1000)
+
+    class GrowingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cumsum(self, *args, **kwargs):
+            monkeypatch.setattr(words, "np", np)
+            buf.ensure(2000)
+            return np.cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(words, "np", GrowingNumpy())
+    assert buf.prefix_counts.shape == (3, 1001)
+    assert len(buf) == 2000
+    counts = buf.prefix_counts
+    assert counts.shape == (3, 2001)
+    assert [int(counts[a, 2000]) for a in range(3)] == [buf.symbols.count(a) for a in range(3)]
 
 
 def test_erasing_morphism_that_stops_growing_is_refused():
