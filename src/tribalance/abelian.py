@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvariantViolationError, SaturationError, integer_in
 from .factors import factor_index
-from .words import WordBuffer
+from .words import WordBuffer, prefix_count_blocks
 
 ParikhVector = tuple[int, ...]
 
@@ -140,14 +140,12 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
-    # The prefix counts of the region, wrapped in the narrowest unsigned
-    # type that holds n_to: every window count lies in [0, n_to], so the
-    # wrapped differences are exact, and below 2**16 every pass of a block
-    # moves half the bytes of int32 counts.
-    data = np.frombuffer(buffer.symbols, dtype=np.uint8, count=int(index.cover_end[n_to]))
-    pc = np.zeros((buffer.alphabet_size, len(data) + 1), dtype=np.min_scalar_type(n_to))
-    for a, row in enumerate(pc):
-        np.cumsum(data == a, dtype=pc.dtype, out=row[1:])
+    # The prefix counts of the region in one block, wrapped in the narrowest
+    # unsigned type that holds n_to: every window count lies in [0, n_to],
+    # so the wrapped differences are exact, and below 2**16 every pass of a
+    # block moves half the bytes of int32 counts.
+    columns = int(index.cover_end[n_to]) + 1
+    ((_, pc),) = prefix_count_blocks(buffer, columns, columns, dtype=np.min_scalar_type(n_to))
     # A block of several lengths reads at most _BLOCK_WINDOWS windows per
     # letter, and a one-length block the counts[n1] <= counts[n_to] ones.
     widest = int(index.counts[n_to])

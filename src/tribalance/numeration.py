@@ -253,7 +253,8 @@ def prefix_parikh_from_digits(digits) -> np.ndarray:
 
     Column i is sum(p_k * Parikh(tau^k(0))) over the digits p_k of row i,
     the Dumont-Thomas identity; for the rows of ``zeckendorf_encode_many(ns)``
-    it equals ``tribonacci_word(...).prefix_counts[:, ns]``.  It is read in
+    it equals the Tribonacci word's letter counts at the prefix lengths ns
+    (``words.prefix_count_blocks``).  It is read in
     Horner form, from the top digit down: (a, b, c) <- (a + b + c + p_k,
     a, b).  Every entry formed is at most the largest digit magnitude times
     the sum of the row's terms, so the pass runs in int32 when that bound

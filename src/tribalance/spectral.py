@@ -116,7 +116,7 @@ def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData
     letter, n = integer_in(letter, "letter", 0, 2), integer_in(n, "prefix length")
     if n > len(buffer):
         raise RangeError(f"prefix length {n} outside buffer of length {len(buffer)}")
-    return float(buffer.prefix_counts[letter, n] - n * sd.frequency(letter))
+    return float(buffer.symbols.count(letter, 0, n) - n * sd.frequency(letter))
 
 
 def discrepancy_from_digits(digits, letter: int, sd: SpectralData) -> np.ndarray:

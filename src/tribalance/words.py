@@ -28,8 +28,8 @@ WordLike = Union[bytes, bytearray, str, Sequence[int]]
 #: Default hard cap on materialized symbols (2**27).
 DEFAULT_MAX_SYMBOLS = 1 << 27
 
-#: Buffers of this many symbols or more have no prefix counts: the counts
-#: are int32, and the last column of a buffer of N symbols holds N.
+#: Prefixes of this many symbols or more have no int32 prefix counts: the
+#: last column of the counts of N symbols holds N.
 PREFIX_COUNTS_LIMIT = 1 << 31
 
 _MAX_ALPHABET = 256  # one byte per symbol
@@ -176,10 +176,8 @@ class WordBuffer:
     a buffer never gets shorter.  ``power_images`` holds the τ^j images the
     buffer grows by (see ``power_images``); ``blocks`` hands out a long
     prefix as those images without materializing it.  ``prefix_counts``
-    publishes read-only int32 per-letter prefix counts of the whole buffer,
-    computed on first read after each growth; the package's own readers
-    count only what they read instead (``prefix_count_blocks``, or the
-    symbols themselves).
+    counts the whole buffer on every read (``prefix_count_blocks``) and
+    keeps nothing; the package's own readers count only what they read.
 
     ``index`` holds the ``FactorIndex`` most recently built over the
     buffer, or None.  Only ``factors.factor_index`` writes it, and always
@@ -207,7 +205,6 @@ class WordBuffer:
         self._symbols: bytes = bytes((seed,))
         self._tail = self.power_images[seed][1:]
         self._expanded = 1
-        self._prefix_counts: np.ndarray | None = None
         self._growth = threading.Lock()
         self.index = None
 
@@ -246,12 +243,8 @@ class WordBuffer:
         with self._growth:
             if min_len <= len(self._symbols):  # grown while this call waited
                 return self
-            symbols, self._tail, self._expanded = _expand(
+            self._symbols, self._tail, self._expanded = _expand(
                 self.power_images, self._symbols, self._tail, self._expanded, min_len)
-            # The counts go first: a reader that sees the new symbols then
-            # finds no counts of the old ones.
-            self._prefix_counts = None
-            self._symbols = symbols
             return self
 
     def blocks(self, n: int) -> list[bytes]:
@@ -276,32 +269,14 @@ class WordBuffer:
     @property
     def prefix_counts(self) -> np.ndarray:
         """Read-only int32 array of shape (alphabet_size, len + 1); entry
-        [a, N] counts the letter a among the first N symbols.  A buffer of
+        [a, N] counts the letter a among the first N symbols: one block of
+        ``prefix_count_blocks``, counted on each read.  A buffer of
         ``PREFIX_COUNTS_LIMIT`` (2**31) symbols or more raises
-        ``BufferLimitError``.
-
-        The symbols are read once and counted; the counts are kept, under
-        the growth lock, only while those are still the buffer's symbols,
-        so a growth during the count never leaves counts of a shorter
-        buffer behind."""
-        symbols = self._symbols
-        pc = self._prefix_counts
-        if pc is None:
-            if len(symbols) >= PREFIX_COUNTS_LIMIT:
-                raise BufferLimitError(
-                    f"{len(symbols)} symbols reach the int32 prefix count limit "
-                    f"of {PREFIX_COUNTS_LIMIT}"
-                )
-            data = np.frombuffer(symbols, dtype=np.uint8)
-            m = self.alphabet_size
-            pc = np.zeros((m, len(data) + 1), dtype=np.int32)
-            for a in range(m):
-                np.cumsum(data == a, dtype=np.int32, out=pc[a, 1:])
-            pc.flags.writeable = False
-            with self._growth:
-                if self._symbols is symbols:
-                    self._prefix_counts = pc
-        return pc
+        ``BufferLimitError``."""
+        columns = len(self) + 1
+        ((_, counts),) = prefix_count_blocks(self, columns, columns)
+        counts.flags.writeable = False
+        return counts
 
     def slice(self, start: int, length: int) -> bytes:
         """The factor occurring at position start (the buffer is not grown)."""
@@ -344,43 +319,52 @@ def _expand(images: tuple[bytes, ...], symbols: bytes, tail: bytes, expanded: in
 
 
 def prefix_count_blocks(buffer: WordBuffer, stop: int, block: int,
-                        letters: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The prefix counts of the first ``stop`` columns of
-    ``buffer.prefix_counts``, as an iterator of ``(start, counts)``: int32
-    arrays of ``block`` columns (the last one shorter), row i of a block
-    for ``letters[i]`` (every letter by default), entry [i, j] the count of
-    ``letters[i]`` among the first start + j symbols.
+                        letters: Sequence[int] | None = None,
+                        dtype=np.int32) -> Iterator[tuple[int, np.ndarray]]:
+    """The per-letter prefix counts of the buffer's first ``stop`` columns,
+    as an iterator of ``(start, counts)``: arrays of ``block`` columns (the
+    last one shorter), row i of a block for ``letters[i]`` (every letter by
+    default), entry [i, j] the count of ``letters[i]`` among the first
+    start + j symbols: the package's one count of letters along the word.
 
     Each block is counted from its own symbols plus the last column of the
     block before, so no more than one block of counts exists at a time.
-    ``stop`` is at most ``len(buffer) + 1``; counting ``PREFIX_COUNTS_LIMIT``
-    (2**31) symbols or more raises ``BufferLimitError``.  The arguments are
-    checked on the call, before the first block.
+    int32 counts (the default) of ``PREFIX_COUNTS_LIMIT`` (2**31) symbols
+    or more raise ``BufferLimitError``; unsigned counts, and the carry
+    between blocks, wrap modulo 2**bits, so their differences up to the
+    type's maximum stay exact.  ``stop`` is at most ``len(buffer) + 1``;
+    the arguments are checked on the call, before the first block.
     """
     stop = integer_in(stop, "prefix count columns", 0, len(buffer) + 1)
     block = integer_in(block, "block columns", 1)
     m = buffer.alphabet_size
     letters = range(m) if letters is None else [integer_in(a, "letter", 0, m - 1) for a in letters]
-    if stop - 1 >= PREFIX_COUNTS_LIMIT:
+    types = map(np.dtype, (np.int32, np.uint8, np.uint16, np.uint32, np.uint64))
+    count_type = next((t for t in types if t == dtype), None)
+    if count_type is None:
+        raise InvalidInputError(f"prefix counts are int32 or unsigned, not {dtype!r}")
+    if count_type == np.int32 and stop - 1 >= PREFIX_COUNTS_LIMIT:
         raise BufferLimitError(
             f"{stop - 1} symbols reach the int32 prefix count limit of {PREFIX_COUNTS_LIMIT}")
-    return _count_blocks(np.frombuffer(buffer.symbols, dtype=np.uint8), stop, block, letters)
+    data = np.frombuffer(buffer.symbols, dtype=np.uint8)
+    return _count_blocks(data, stop, block, letters, count_type)
 
 
-def _count_blocks(data: np.ndarray, stop: int, block: int,
-                  letters: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    carry = [0] * len(letters)
+def _count_blocks(data: np.ndarray, stop: int, block: int, letters: Sequence[int],
+                  dtype: np.dtype) -> Iterator[tuple[int, np.ndarray]]:
+    carry, wrap = [0] * len(letters), int(np.iinfo(dtype).max)
     for start in range(0, stop, block):
-        counts = np.empty((len(letters), min(block, stop - start)), dtype=np.int32)
+        counts = np.empty((len(letters), min(block, stop - start)), dtype=dtype)
         # Column 0 counts the symbols before start: the previous block's
-        # last column counts all but the one just before start.
+        # last column counts all but the one just before start.  An
+        # unsigned carry wraps (wrap is 2**bits - 1); int32 never reaches it.
         symbols = data[start : start + counts.shape[1] - 1]
         before = int(data[start - 1]) if start else -1
         for i, a in enumerate(letters):
             row = counts[i]
-            row[0] = carry[i] + (before == a)
+            row[0] = (carry[i] + (before == a)) & wrap
             np.equal(symbols, a, out=row[1:])
-            np.cumsum(row, out=row)
+            np.cumsum(row, dtype=dtype, out=row)
             carry[i] = int(row[-1])
         yield start, counts
 

@@ -2,9 +2,12 @@
 
 The oracles are deliberately primitive: direct window enumeration over a
 materialized prefix, and counting with ``collections.Counter``.  They never
-touch prefix sums or the factor index, so agreement with the library is
-meaningful.  The one exception is ``unique_profile``, the sorting route
-the dense profile pass replaced: it reads window bounds from an index
+touch the library's prefix counts or the factor index, so agreement with
+the library is meaningful.  ``count_prefixes`` counts every letter along
+a word in one ``np.cumsum`` over its one-hot rows, not the package's
+blocked kernel; ``tribo_2e6_counts`` holds its counts of ``tribo_2e6``,
+counted once a session.  The one exception is ``unique_profile``, the
+sorting route the dense profile pass replaced: it reads window bounds from an index
 over the full capped region and deduplicates count columns with an
 ``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
 factor index's first builder, the oracle of the prefix-numbered one.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
@@ -53,6 +56,11 @@ def tribo_2e6():
     """A prefix past 2 * 10^6, kept apart from ``tribo`` so that no other
     test has grown or indexed it."""
     return tribonacci_word(2_000_001)
+
+
+@pytest.fixture(scope="session")
+def tribo_2e6_counts(tribo_2e6):
+    return count_prefixes(tribo_2e6.symbols, 3)
 
 
 @pytest.fixture(scope="session")
@@ -111,6 +119,15 @@ def desubstitute(U: bytes) -> tuple[bytes, bool, bool]:
     if appended:
         blocks.pop()
     return bytes({b"\x01": 0, b"\x02": 1, b"": 2}[b] for b in blocks), dropped, appended
+
+
+def count_prefixes(symbols: bytes, m: int) -> np.ndarray:
+    """(m, len + 1) int32 array whose entry [a, N] counts the letter a among
+    the first N symbols: the one-hot rows of the word, summed along it."""
+    data = np.frombuffer(symbols, dtype=np.uint8)
+    counts = np.zeros((m, len(data) + 1), dtype=np.int32)
+    np.cumsum(data == np.arange(m)[:, None], axis=1, out=counts[:, 1:])
+    return counts
 
 
 def brute_parikh(word, m: int) -> tuple[int, ...]:
@@ -197,7 +214,7 @@ def unique_profile(buffer, n_max: int):
     """(n, rho, max_imbalance, vectors) for n = 1..n_max, vectors in
     first-occurrence order, by sorting the window count columns."""
     index = full_region_index(buffer, n_max)
-    pc = buffer.prefix_counts
+    pc = count_prefixes(buffer.symbols, buffer.alphabet_size)
     rows = []
     for n in range(1, n_max + 1):
         bound = index.certify(n)
@@ -258,11 +275,12 @@ def float_interval(sd, letter: int, cutoff: int) -> tuple[float, float]:
     return float(terms[terms < 0].sum()) - tail, float(terms[terms > 0].sum()) + tail
 
 
-def scalar_eq1_worst(buffer, sd, seed: int) -> float:
+def scalar_eq1_worst(counts, sd, seed: int) -> float:
     """Largest gap between the digit-expansion and the direct discrepancy
     over the eq1 claim's 10^4 seeded prefix lengths and three letters, one
     value at a time: the scalar digits of each N, a Python power sum over
-    alpha^k, and the prefix count read for that one N."""
+    alpha^k, and the prefix count of that one N read off ``counts`` (those
+    of ``count_prefixes``)."""
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(10_000):
@@ -277,6 +295,6 @@ def scalar_eq1_worst(buffer, sd, seed: int) -> float:
                     power_sum += a_k
                 a_k *= sd.alpha
             spectral = 2.0 * (coef * power_sum).real
-            direct = float(buffer.prefix_counts[letter, n] - n * sd.frequency(letter))
+            direct = float(counts[letter, n] - n * sd.frequency(letter))
             worst = max(worst, abs(spectral - direct))
     return worst

@@ -1,13 +1,13 @@
 """Memory guards: what a run holds is bounded by what it reads.
 
 No command and no claim reads ``WordBuffer.prefix_counts``, the int32
-counts of the whole buffer (12 MB for 10^6 Tribonacci symbols).  The
-claims that read 10^6 symbols count them block by block, the window pass
-counts its own region, and Parikh queries count their window's symbols.
-Only ``spectral.discrepancy_direct``, kept because the benchmark tracer
-wraps it, still reads the property.  A buffer grows by joining whole τ^j
-images once, and ``generate`` writes those images one by one, so it never
-holds the word.
+counts of the whole buffer (12 MB for 10^6 Tribonacci symbols), and
+nothing in the package reads it at all.  The claims that read 10^6
+symbols count them block by block, the window pass counts its own region
+in one narrow block, and Parikh queries and
+``spectral.discrepancy_direct`` count their symbols with ``bytes.count``.
+A buffer grows by joining whole τ^j images once, and ``generate`` writes
+those images one by one, so it never holds the word.
 """
 
 import gc

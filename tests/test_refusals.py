@@ -66,10 +66,14 @@ CASES = {
     "window_parikh_start_True": lambda t, f, sd: window_parikh(t, True, 2),
     "slice_start_1.5": lambda t, f, sd: t.slice(1.5, 2),
     # Prefix-count blocks cover at most every column of the buffer, in
-    # blocks of one column or more, of letters of its alphabet.
+    # blocks of one column or more, of letters of its alphabet, counted in
+    # int32 or an unsigned type.
     "count_blocks_stop_past_buffer": lambda t, f, sd: prefix_count_blocks(t, len(t) + 2, 8),
     "count_blocks_block_0": lambda t, f, sd: prefix_count_blocks(t, 10, 0),
     "count_blocks_letter_3": lambda t, f, sd: prefix_count_blocks(t, 10, 8, [3]),
+    "count_blocks_int64": lambda t, f, sd: prefix_count_blocks(t, 10, 8, dtype="int64"),
+    "count_blocks_float": lambda t, f, sd: prefix_count_blocks(t, 10, 8, dtype=float),
+    "count_blocks_type_x": lambda t, f, sd: prefix_count_blocks(t, 10, 8, dtype="x"),
     # The buffer cap is an integer >= 1: a string or None raised a bare
     # TypeError, and 1.5, -3 or True passed as a cap, then raised
     # BufferLimitError (exit 3, not 2).

@@ -258,9 +258,9 @@ def test_empirical_extremes_strictly_inside(tribo, sd):
 
 
 @pytest.mark.parametrize("n_max", [0, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
-def test_blocked_extremes_equal_the_column(tribo_2e6, sd, n_max):
+def test_blocked_extremes_equal_the_column(tribo_2e6, tribo_2e6_counts, sd, n_max):
     for letter in (0, 1, 2):
-        counts = tribo_2e6.prefix_counts[letter, : n_max + 1]
+        counts = tribo_2e6_counts[letter, : n_max + 1]
         column = counts - np.arange(n_max + 1) * sd.frequency(letter)
         starts, blocks = zip(*discrepancy_blocks(tribo_2e6, n_max, letter, sd))
         assert starts == tuple(range(0, n_max + 1, 2**16))

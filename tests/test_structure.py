@@ -5,7 +5,8 @@ No module holds mutable state, no module reaches into another object's
 private attributes, and the analyses leave a buffer's published state --
 its symbols, prefix counts and factor index -- exactly as they found it.
 The digit route of the discrepancy has one alpha-power sum, and the
-oracle-equivalence claim reaches it through the batch codec.  Every
+oracle-equivalence claim reaches it through the batch codec.  Letters are
+counted along the word by one kernel, ``words._count_blocks``.  Every
 per-length window query reads its windows through one certified slicer,
 and returns its value itself, not a wrapper that repeats the arguments.
 The spectral certificate and the pruning of the synchronized automaton are
@@ -116,7 +117,8 @@ def test_queries_leave_published_state_alone():
         discrepancy_extremes(buf, len(buf), letter, sd)
 
     assert buf.symbols is symbols
-    assert buf.prefix_counts is counts
+    assert np.array_equal(buf.prefix_counts, counts)
+    assert not buf.prefix_counts.flags.writeable
     assert buf.index is index
     with pytest.raises(ValueError):
         counts[0, 1] += 1
@@ -133,6 +135,28 @@ def alpha_power_steps(path: Path):
 def test_one_alpha_power_sum_in_src():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in alpha_power_steps(path)]
     assert len(found) == 1 and found[0].startswith("spectral.py:"), found
+
+
+def cumsum_callers(path: Path):
+    """The functions (``module.qualified_name``) with a ``cumsum`` call."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + [child.name])
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "cumsum"):
+                    yield ".".join([path.stem] + scope)
+                yield from walk(child, scope)
+
+    return set(walk(ast.parse(path.read_text()), []))
+
+
+def test_one_letter_counting_kernel_in_src():
+    # The factor index's cumsum forms per-length factor counts, not letter
+    # counts; every count of letters along the word is ``_count_blocks``.
+    found = set().union(*(cumsum_callers(path) for path in sorted(SRC.glob("*.py"))))
+    assert found == {"words._count_blocks", "factors.FactorIndex.__init__"}
 
 
 def count_calls(monkeypatch, owner, name):

@@ -104,11 +104,11 @@ def test_unknown_suite_is_invalid_input():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_eq1_claim_equals_the_scalar_loop(tribo_2e6, sd, seed):
+def test_eq1_claim_equals_the_scalar_loop(tribo_2e6_counts, sd, seed):
     report = run_suite("paper", SuiteConfig(seed=seed), claim_ids={"eq1_oracle_equivalence_1e6"})
     (result,) = report.claims
     assert result.status == "pass"
-    assert result.observed == scalar_eq1_worst(tribo_2e6, sd, seed)
+    assert result.observed == scalar_eq1_worst(tribo_2e6_counts, sd, seed)
     if seed == 0:
         assert result.observed == 6.416733810965525e-11
 

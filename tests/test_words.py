@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_parikh, concat_images, incidence_matrix
+from conftest import brute_parikh, concat_images, count_prefixes, incidence_matrix
 from tribalance import words
 from tribalance import (
     BufferLimitError,
@@ -189,11 +189,14 @@ def test_prefix_counts_match_direct_count(tribo):
 
 
 def test_prefix_counts_are_published_int32(tribo):
+    # Counted on each read and kept nowhere: two reads are equal arrays.
     pc = tribo.prefix_counts
     assert pc.dtype == np.int32
     assert not pc.flags.writeable
     assert pc.nbytes == 4 * 3 * (len(tribo) + 1)
-    assert tribo.prefix_counts is pc
+    again = tribo.prefix_counts
+    assert np.array_equal(again, pc)
+    assert not again.flags.writeable
 
 
 def test_prefix_count_steps(tribo):
@@ -212,7 +215,8 @@ def test_prefix_count_blocks_match_prefix_counts(m, block, length):
     # at the buffer's end and must read no symbol past it.
     buf = mbonacci_word(m, length)
     assert len(buf) == length
-    pc = buf.prefix_counts
+    pc = count_prefixes(buf.symbols, m)
+    assert np.array_equal(buf.prefix_counts, pc)
     for stop in (1, 2, length, length + 1):
         for letters in (None, [m - 1], [1, 0]):
             rows = list(range(m)) if letters is None else letters
@@ -220,6 +224,27 @@ def test_prefix_count_blocks_match_prefix_counts(m, block, length):
             assert starts == tuple(range(0, stop, block))
             assert all(b.dtype == np.int32 and b.shape[0] == len(rows) for b in blocks)
             assert np.array_equal(np.concatenate(blocks, axis=1), pc[rows, :stop])
+
+
+@pytest.mark.parametrize("dtype, length, sizes", [
+    (np.uint8, 5_000, [1, 2, 3, 255, 256, 257, 4096]),
+    (np.uint16, 140_000, [255, 256, 4096, 65536]),
+], ids=["uint8", "uint16"])
+def test_narrow_prefix_counts_wrap(dtype, length, sizes):
+    # Unsigned counts wrap modulo 2**bits instead of raising, and so does
+    # the carry from one block to the next: one block size starts a block
+    # just past the 2**bits-th 0, whose first column wraps to 0.
+    buf = tribonacci_word(length)
+    modulus = int(np.iinfo(dtype).max) + 1
+    expected = count_prefixes(buf.symbols, 3) % modulus
+    wrapped = int(np.flatnonzero(np.frombuffer(buf.symbols, dtype=np.uint8) == 0)[modulus - 1])
+    for block in sizes + [wrapped + 1, length + 1]:
+        for letters in (None, [2, 0]):
+            rows = [0, 1, 2] if letters is None else letters
+            blocks = [counts for _, counts in words.prefix_count_blocks(
+                buf, length + 1, block, letters, dtype=dtype)]
+            assert all(b.dtype == dtype for b in blocks)
+            assert np.array_equal(np.concatenate(blocks, axis=1), expected[rows])
 
 
 def test_prefix_count_blocks_refuse_bad_arguments(tribo):
@@ -232,11 +257,11 @@ def test_prefix_count_blocks_refuse_bad_arguments(tribo):
 
 
 def test_prefix_counts_refuse_past_int32(monkeypatch, capsys):
-    # The guard is the counts': with its limit lowered, the whole-buffer
-    # property, the block generator and the discrepancy command (which
-    # counts n_max symbols of its one letter) refuse, and the CLI exits 3
-    # naming the limit.  The window pass counts its own region in a
-    # narrow wrapped type and has no such limit.
+    # The guard is the int32 counts': with its limit lowered, the
+    # whole-buffer property, the block generator and the discrepancy
+    # command (which counts n_max symbols of its one letter) refuse, and
+    # the CLI exits 3 naming the limit.  Unsigned counts wrap, so the
+    # window pass, which counts its region in one, has no such limit.
     from tribalance.cli import main
 
     monkeypatch.setattr(words, "PREFIX_COUNTS_LIMIT", 100)
@@ -246,6 +271,7 @@ def test_prefix_counts_refuse_past_int32(monkeypatch, capsys):
     with pytest.raises(BufferLimitError, match="int32 prefix count limit of 100"):
         words.prefix_count_blocks(mbonacci_word(3, 100), 101, 16)
     assert len(list(words.prefix_count_blocks(mbonacci_word(3, 100), 100, 16))) == 7
+    assert len(list(words.prefix_count_blocks(mbonacci_word(3, 200), 201, 16, dtype=np.uint8))) == 13
     assert main(["discrepancy", "0", "200"]) == 3
     assert "int32 prefix count limit of 100" in capsys.readouterr().err
 
