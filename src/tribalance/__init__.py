@@ -1,5 +1,5 @@
 """Balance and abelian-complexity analysis of the Tribonacci word and the
-m-bonacci family: morphic word generation, Parikh/balance analysis,
+m-bonacci family: m-bonacci word generation, Parikh/balance analysis,
 Tribonacci numeration, spectral discrepancy bounds, the synchronized
 digit automaton of the Tribonacci word's abelian complexity, and
 special-factor characterizations."""
@@ -82,15 +82,9 @@ from .spectral import (
 )
 from .synchronized import synchronized_profile
 from .words import (
-    Morphism,
     WordBuffer,
-    apply_morphism,
-    as_word,
-    fixed_point_prefix,
-    mbonacci_morphism,
     mbonacci_word,
     prefix_count_blocks,
-    tribonacci_morphism,
     tribonacci_word,
     word_to_text,
 )

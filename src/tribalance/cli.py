@@ -22,13 +22,7 @@ from contextlib import contextmanager, nullcontext
 
 from . import abelian, numeration, special, spectral, synchronized, verify
 from .errors import BufferLimitError, InvalidInputError, SaturationError, TribalanceError
-from .words import (
-    DEFAULT_MAX_SYMBOLS,
-    WordBuffer,
-    fixed_point_prefix,
-    mbonacci_morphism,
-    word_to_text,
-)
+from .words import DEFAULT_MAX_SYMBOLS, WordBuffer, mbonacci_word, word_to_text
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -70,7 +64,7 @@ def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -
             parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer >= 2")
     else:
         parser.error(f"word spec must be 'tribonacci' or 'mbonacci:<m>', got {spec!r}")
-    return fixed_point_prefix(mbonacci_morphism(m), 0, 1, max_symbols=max_symbols)
+    return mbonacci_word(m, max_symbols=max_symbols)
 
 
 def _positive_int(text: str) -> int:
@@ -202,6 +196,12 @@ def cmd_special(args, parser) -> int:
         parser.error(f"bad length range [{args.n_from}, {args.n_to}]")
     buf = _make_buffer(args.word_spec, parser, args.max_buffer)
     m = buf.alphabet_size
+    if m > 10:
+        # The right-special factor of length n - 1 is the reversal of the
+        # prefix of that length (Droubay, Justin and Pirillo 2001), so the
+        # rows hold the symbols of the first n_to - 1: one of 10 or more has
+        # no one-digit form and is refused before any output is opened.
+        word_to_text(buf.ensure(args.n_to - 1).symbols[: args.n_to - 1])
     # The Parikh columns keep the paper's (i, j, k) names for the Tribonacci
     # word; the complexity-3 closed form is Tribonacci-only.
     letters = ["i", "j", "k"] if m == 3 else [f"count_{a}" for a in range(m)]

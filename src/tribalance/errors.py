@@ -13,8 +13,8 @@ class InvalidInputError(TribalanceError, ValueError):
 
 
 class ConfigurationError(TribalanceError, ValueError):
-    """A morphism or buffer is configured in a way that cannot work
-    (non-prolongable seed, non-growing morphism, ...)."""
+    """A buffer is configured in a way that cannot serve a request; the
+    base of ``BufferLimitError``."""
 
 
 class BufferLimitError(ConfigurationError):

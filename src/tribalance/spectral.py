@@ -308,25 +308,34 @@ def balance_bound_from_interval(lower, upper) -> int:
     return math.ceil(2 * (upper - lower)) - 1
 
 
+def _head_interval(beta: _Interval, terms: list[_Interval],
+                   cutoff: int) -> tuple[Fraction, Fraction, Fraction]:
+    """``(lower, upper, tail)`` for head terms h_k = 2 Re(C alpha^k),
+    k = 0..cutoff, of a sum over free digits: the sums of the negative
+    and of the positive parts of the head terms, widened by the tail bound
+    2 |C| r^(cutoff+1) / (1 - r), r = |alpha| = beta^-1/2, with |C| read
+    off h_0 and h_1.  Rationals, rounded outward."""
+    r = (beta**-1).sqrt()
+    tail = (2 * _coefficient_squared(beta, *terms[:2]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
+    head = terms[: cutoff + 1]
+    return (sum(min(t.lo, 0) for t in head) - tail,
+            sum(max(t.hi, 0) for t in head) + tail, tail)
+
+
 def certify_balance_bounds() -> list[tuple[tuple[Fraction, Fraction], Fraction, int]]:
     """Per letter, ``((lower, upper), tail, bound)``, rationals rounded
     outward, at the letter's cutoff in ``HEAD_CUTOFFS``: the head extremes
-    (digits 0..cutoff free, so the sums of the negative and of the positive
-    head terms) widened by the tail bound 2 |C| r^(cutoff+1) / (1 - r),
-    r = |alpha| = beta^-1/2, and the balance bound.  Raises
+    (digits 0..cutoff free) widened by the tail bound (``_head_interval``;
+    every head term's sign is decided first), and the balance bound.  Raises
     ``VerificationFailureError`` naming the letter if an interval escapes
     its target, read exactly from its decimal text."""
     beta = _beta()
-    r = (beta**-1).sqrt()
     derivations = []
     for letter, cutoff in enumerate(HEAD_CUTOFFS):
         terms = _head_terms(beta, letter, max(cutoff, 1))
-        tail = (2 * _coefficient_squared(beta, *terms[:2]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
-        head = terms[: cutoff + 1]
-        if any(t.lo <= 0 <= t.hi for t in head):
+        if any(t.lo <= 0 <= t.hi for t in terms[: cutoff + 1]):
             raise NumericError(f"letter {letter}: the sign of a head term is undecided")
-        lower = sum(t.lo for t in head if t.hi < 0) - tail
-        upper = sum(t.hi for t in head if t.lo > 0) + tail
+        lower, upper, tail = _head_interval(beta, terms, cutoff)
         target = TARGET_INTERVALS[letter]
         if lower < Fraction(str(target[0])) or upper > Fraction(str(target[1])):
             raise VerificationFailureError(
@@ -346,8 +355,8 @@ def synchronization_window() -> tuple[Fraction, Fraction]:
     The head terms of u.D(x), for the prefix discrepancy vector
     D(x) = P(x) - x f, are g_k = sum_a u_a h_(a,k) over the letters' head
     terms, so A = sup u.D is at most the sum of the positive g_k, k <= K,
-    plus the tail 2 |C_g| r^(K+1) / (1 - r), and B = inf u.D at least the
-    sum of the negative ones minus the tail.  An accepting S is
+    plus the tail bound, and B = inf u.D at least the sum of the negative
+    ones minus it (``_head_interval``).  An accepting S is
     D(j) - D(i) - D(n), so u.S lies in [B - 2A, A - 2B].  Each digit read
     maps S to M S + d e_0 with d in [-2, 1], so with t digits still to read
     u.S is a convex combination, weights beta^-t and 1 - beta^-t, of the
@@ -359,9 +368,6 @@ def synchronization_window() -> tuple[Fraction, Fraction]:
     u = (1, beta - 1, beta**-1)
     heads = [_head_terms(beta, letter, cutoff) for letter in range(3)]
     g = [sum((u_a * h[k] for u_a, h in zip(u, heads)), _Interval(0)) for k in range(cutoff + 1)]
-    r = (beta**-1).sqrt()
-    tail = (2 * _coefficient_squared(beta, g[0], g[1]).sqrt() * r ** (cutoff + 1) / (1 - r)).hi
-    sup_d = sum(max(t.hi, 0) for t in g) + tail
-    inf_d = sum(min(t.lo, 0) for t in g) - tail
+    inf_d, sup_d, _ = _head_interval(beta, g, cutoff)
     step = (beta - 1) ** -1
     return min(inf_d - 2 * sup_d, -step.hi), max(sup_d - 2 * inf_d, 2 * step.hi)

@@ -1,29 +1,23 @@
-"""Generation of prefixes of fixed points of substitutions.
+"""Prefixes of the m-bonacci words, the words this package analyses.
 
-Words are sequences of small integer symbols (one byte each), held as
-``bytes``.  A fixed point t of a morphism τ is also the fixed point of
-every power τ^j, so its buffer grows by appending the τ^j images of its
-next unexpanded symbols: the image of a prefix of t is again a prefix, so
-each symbol is expanded once, and the images are long, so few symbols are.
+The m-bonacci word (2 <= m <= 256) is the fixed point of the morphism τ
+that maps i to the two-letter word 0,(i+1) for i < m-1 and m-1 to 0; m = 3
+gives the Tribonacci word, m = 2 the Fibonacci word.  Words are sequences
+of small integer symbols (one byte each), held as ``bytes``.  The fixed
+point t of τ is also the fixed point of every power τ^j, so its buffer
+grows by appending the τ^j images of its next unexpanded symbols: the
+image of a prefix of t is again a prefix, so each symbol is expanded
+once, and the images are long, so few symbols are.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    BufferLimitError,
-    ConfigurationError,
-    InvalidInputError,
-    RangeError,
-    integer_in,
-)
-
-Symbol = int
-WordLike = Union[bytes, bytearray, str, Sequence[int]]
+from .errors import BufferLimitError, InvalidInputError, RangeError, integer_in
 
 #: Default hard cap on materialized symbols (2**27).
 DEFAULT_MAX_SYMBOLS = 1 << 27
@@ -41,134 +35,51 @@ IMAGE_LIMIT = 1 << 16
 IMAGES_TOTAL_LIMIT = 1 << 20
 
 
-def as_word(w: WordLike) -> bytes:
-    """Normalize a word given as bytes, a digit string, or an int sequence."""
-    if isinstance(w, bytes):
-        return w
-    if isinstance(w, bytearray):
-        return bytes(w)
-    if isinstance(w, str):
-        try:
-            return bytes(int(c) for c in w)
-        except ValueError:
-            raise InvalidInputError(f"word text must be decimal digits, got {w!r}") from None
-    try:
-        return bytes(w)
-    except ValueError:
-        raise InvalidInputError("word symbols must be integers in 0..255") from None
-
-
 #: ``bytes.translate`` table from the symbols 0..9 to their ASCII digits;
 #: every other byte maps to "?", which is not a digit.
 _TEXT = bytes(b"0123456789" + b"?" * (256 - 10))
 
 
-def word_to_text(w: WordLike) -> str:
-    """ASCII digit form, one digit per symbol, no separators: the form
-    ``as_word`` reads back.  A symbol of 10 or more has no one-digit form
-    and raises ``InvalidInputError``."""
-    data = as_word(w)
-    text = data.translate(_TEXT)
-    if data and not text.isdigit():
+def word_to_text(w: bytes) -> str:
+    """ASCII digit form, one digit per symbol, no separators.  A symbol of
+    10 or more has no one-digit form and raises ``InvalidInputError``."""
+    text = w.translate(_TEXT)
+    if w and not text.isdigit():
         raise InvalidInputError(
-            f"symbol {max(data)} has no one-digit text form; text covers the symbols 0..9")
+            f"symbol {max(w)} has no one-digit text form; text covers the symbols 0..9")
     return text.decode("ascii")
 
 
-class Morphism:
-    """Map from each symbol of an alphabet {0..m-1} to a finite word over it."""
-
-    __slots__ = ("alphabet_size", "images")
-
-    def __init__(self, images: Iterable[WordLike]):
-        images = tuple(as_word(im) for im in images)
-        m = integer_in(len(images), "alphabet size", 2, _MAX_ALPHABET)
-        for a, im in enumerate(images):
-            if im and max(im) >= m:
-                raise InvalidInputError(f"image of {a} uses symbols outside the {m}-letter alphabet")
-        self.alphabet_size = m
-        self.images = images
-
-    def __repr__(self) -> str:
-        return f"Morphism({[list(im) for im in self.images]})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Morphism) and self.images == other.images
-
-    def is_prolongable_at(self, seed: Symbol) -> bool:
-        """The image of seed begins with seed and has length >= 2, so the
-        iterates converge to an infinite fixed point."""
-        if not 0 <= seed < self.alphabet_size:
-            return False
-        im = self.images[seed]
-        return len(im) >= 2 and im[0] == seed
-
-
-def apply_morphism(morphism: Morphism, w: WordLike) -> bytes:
-    """Concatenation of the images of the symbols of w, in order, joined
-    once: it holds no more than the words in and out, however unequal the
-    image lengths."""
-    data = as_word(w)
-    if data and max(data) >= morphism.alphabet_size:
-        raise InvalidInputError("word uses symbols outside the morphism's alphabet")
-    images = morphism.images
-    return b"".join([images[c] for c in data])
-
-
-def power_images(morphism: Morphism) -> tuple[bytes, ...]:
-    """The images τ^j(a) of every symbol a under the largest power j >= 1
-    of τ that keeps each of them within ``IMAGE_LIMIT`` symbols and their
-    total within ``IMAGES_TOTAL_LIMIT`` (j = 1 when τ itself is past
-    either).
-
-    j is found by binary lifting: τ^(2^i) by squaring while the squares
-    stay within the limits, then each smaller of those powers composed on,
-    largest first, where the result stays within them.  Powers of τ commute,
-    so each composition joins the long images along the short ones.  A
-    composition whose images are no longer in total than the current ones
-    is not taken, so an erasing morphism stops composing once the total
-    length stops growing.
-    """
-    powers = [morphism.images]
-    while (square := _compose(powers[-1], powers[-1])) is not None:
-        powers.append(square)
-    images = powers.pop()
-    for power in reversed(powers):
-        images = _compose(images, power) or images
-    return images
-
-
-def _compose(outer: tuple[bytes, ...], inner: tuple[bytes, ...]) -> tuple[bytes, ...] | None:
-    """The images of outer after inner, or None when one of them would be
-    longer than ``IMAGE_LIMIT``, or their total past ``IMAGES_TOTAL_LIMIT``
-    or no longer than inner's.  The lengths are summed before any image is
-    built, and each image is ``apply_morphism`` of outer to an image of
-    inner."""
-    lengths = np.array([len(im) for im in outer])
-    sizes = [int(lengths[np.frombuffer(im, dtype=np.uint8)].sum()) for im in inner]
-    total = sum(sizes)
-    if max(sizes) > IMAGE_LIMIT or not sum(map(len, inner)) < total <= IMAGES_TOTAL_LIMIT:
-        return None
-    morphism = Morphism(outer)
-    return tuple(apply_morphism(morphism, im) for im in inner)
-
-
-def mbonacci_morphism(m: int) -> Morphism:
-    """The order-m generalization of the Fibonacci/Tribonacci morphism:
-    i maps to the two-letter word 0,(i+1) for i < m-1, and m-1 maps to 0."""
+def mbonacci_images(m: int) -> tuple[bytes, ...]:
+    """The images τ(0), ..., τ(m-1) of the m-bonacci morphism: 0,(i+1)
+    for i < m-1, and 0 for m-1.  An order outside 2..256 raises
+    ``InvalidInputError``."""
     m = integer_in(m, "m-bonacci order", 2, _MAX_ALPHABET)
-    images = [bytes((0, i + 1)) for i in range(m - 1)]
-    images.append(bytes((0,)))
-    return Morphism(images)
+    return tuple(bytes((0, i + 1)) for i in range(m - 1)) + (b"\x00",)
 
 
-def tribonacci_morphism() -> Morphism:
-    """0 -> 01, 1 -> 02, 2 -> 0."""
-    return mbonacci_morphism(3)
+def power_images(images: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The images τ^j(a) of every symbol a, for the m-bonacci images τ(a),
+    under the largest power j >= 1 of τ that keeps each of them within
+    ``IMAGE_LIMIT`` symbols and their total within ``IMAGES_TOTAL_LIMIT``.
+
+    τ is composed on one step at a time: τ^(j+1)(a) is the join of the
+    τ^j images of the one or two symbols of τ(a), its length summed before
+    it is built.  No image gets shorter from one power to the next
+    (|τ^(j+1)(a)| = |τ^j(0)| + |τ^j(a+1)|), so the first power past a
+    limit ends the search.
+    """
+    power = images
+    while True:
+        sizes = [sum(len(power[c]) for c in im) for im in images]
+        if max(sizes) > IMAGE_LIMIT or sum(sizes) > IMAGES_TOTAL_LIMIT:
+            return power
+        power = tuple(b"".join([power[c] for c in im]) for im in images)
 
 
 class WordBuffer:
-    """Materialized prefix of the fixed point of a morphism.
+    """Materialized prefix of the m-bonacci word, 2 <= m <= 256; any other
+    order raises ``InvalidInputError``.
 
     The symbol store is an immutable ``bytes`` object that is replaced
     wholesale by ``ensure``; readers holding views of the old content are
@@ -189,31 +100,20 @@ class WordBuffer:
     ``factors.position_cap``).
     """
 
-    def __init__(self, morphism: Morphism, seed: Symbol,
-                 max_symbols: int = DEFAULT_MAX_SYMBOLS):
-        seed = integer_in(seed, "seed", 0, morphism.alphabet_size - 1)
-        max_symbols = integer_in(max_symbols, "max_symbols", 1)
-        if not morphism.is_prolongable_at(seed):
-            raise ConfigurationError(
-                f"morphism is not prolongable at {seed}: image must start with the seed and have length >= 2"
-            )
-        self.morphism = morphism
-        self.seed = seed
-        self.max_symbols = max_symbols
-        self.power_images = power_images(morphism)
-        # The image of the seed starts with the seed.
-        self._symbols: bytes = bytes((seed,))
-        self._tail = self.power_images[seed][1:]
+    def __init__(self, m: int, max_symbols: int = DEFAULT_MAX_SYMBOLS):
+        images = mbonacci_images(m)
+        self.alphabet_size = len(images)
+        self.max_symbols = integer_in(max_symbols, "max_symbols", 1)
+        self.power_images = power_images(images)
+        # The word and τ^j(0) start with 0.
+        self._symbols: bytes = b"\x00"
+        self._tail = self.power_images[0][1:]
         self._expanded = 1
         self._growth = threading.Lock()
         self.index = None
 
     def __len__(self) -> int:
         return len(self._symbols)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.morphism.alphabet_size
 
     @property
     def symbols(self) -> bytes:
@@ -298,16 +198,13 @@ def _expand(images: tuple[bytes, ...], symbols: bytes, tail: bytes, expanded: in
     symbols are appended whole until they reach min_len, and the last one
     is cut there; all of it is joined once.  The next symbols are read from
     ``symbols``, and, only if those run out (a buffer short next to its
-    growth), from everything joined so far.  A word that stops growing
-    raises ``ConfigurationError``.
+    growth), from everything joined so far.
     """
     parts, size, source = [symbols, tail], len(symbols) + len(tail), symbols
     while size < min_len:
         if expanded == len(source):
             source = b"".join(parts)
             parts = [source]
-            if expanded == len(source):
-                raise ConfigurationError("morphism does not grow the buffer; cannot reach requested length")
         image = images[source[expanded]]
         parts.append(image)
         size += len(image)
@@ -369,19 +266,13 @@ def _count_blocks(data: np.ndarray, stop: int, block: int, letters: Sequence[int
         yield start, counts
 
 
-def fixed_point_prefix(morphism: Morphism, seed: Symbol, min_len: int,
-                       max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
-    """Buffer holding at least min_len symbols of the fixed point of the
-    morphism at the given seed."""
+def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
+    """Buffer holding at least min_len >= 1 symbols of the m-bonacci word,
+    2 <= m <= 256."""
     min_len = integer_in(min_len, "prefix length", 1)
-    return WordBuffer(morphism, seed, max_symbols=max_symbols).ensure(min_len)
+    return WordBuffer(m, max_symbols=max_symbols).ensure(min_len)
 
 
 def tribonacci_word(min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
     """Prefix buffer of the Tribonacci word 0102010010201..."""
-    return fixed_point_prefix(tribonacci_morphism(), 0, min_len, max_symbols=max_symbols)
-
-
-def mbonacci_word(m: int, min_len: int = 1, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> WordBuffer:
-    """Prefix buffer of the m-bonacci word."""
-    return fixed_point_prefix(mbonacci_morphism(m), 0, min_len, max_symbols=max_symbols)
+    return mbonacci_word(3, min_len, max_symbols=max_symbols)

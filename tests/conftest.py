@@ -15,9 +15,14 @@ loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
 eigendata of ``compute_spectral_data``, which the certificate never does.
-``incidence_matrix`` counts each letter in each image of a morphism, and
-``matrix_power_parikh_table`` reads Parikh(tau^k(0)) off the int64 matrix
-powers M^k e_0: the oracle of ``numeration.tau_parikh_table``, which
+``concat_images`` applies a morphism, given as its tuple of images, to a
+word symbol by symbol, and ``iterate_images`` grows the fixed point of one
+by re-applying it to the whole word: the test-side generator for words
+outside the m-bonacci family, such as Thue-Morse, which the package does
+not build.  ``TAU`` holds the Tribonacci images, and ``digits`` reads a
+word written as a digit string.  ``incidence_matrix`` counts each letter
+in each image, and ``matrix_power_parikh_table`` reads Parikh(tau^k(0))
+off the int64 matrix powers M^k e_0: the oracle of ``numeration.tau_parikh_table``, which
 reads the same table off the Horner kernel.  ``einsum_prefix_parikh`` is
 the one int64 contraction of the digit rows with that table of matrix
 powers, the route the Horner kernel of ``prefix_parikh_from_digits``
@@ -38,12 +43,15 @@ import pytest
 from tribalance import (
     compute_spectral_data,
     mbonacci_word,
-    tribonacci_morphism,
     tribonacci_word,
     zeckendorf_encode,
 )
 from tribalance import factors
 from tribalance.factors import FactorIndex, position_cap
+from tribalance.words import mbonacci_images
+
+#: The Tribonacci substitution 0 -> 01, 1 -> 02, 2 -> 0, as its images.
+TAU = mbonacci_images(3)
 
 
 @pytest.fixture(scope="session")
@@ -95,9 +103,26 @@ def cap_positions(monkeypatch, cap: int) -> None:
 
 # -- oracles ----------------------------------------------------------------
 
-def concat_images(morphism, word) -> bytes:
+def digits(text: str) -> bytes:
+    """The word written as the digit string text: "0102" is 0, 1, 0, 2."""
+    return bytes(int(c) for c in text)
+
+
+def concat_images(images, word) -> bytes:
     """The images of the symbols of word, joined one by one."""
-    return b"".join(morphism.images[c] for c in word)
+    return b"".join(images[c] for c in word)
+
+
+def iterate_images(images, n: int) -> bytes:
+    """The first n symbols of the fixed point from 0 of the morphism with
+    these images (the image of 0 starts with 0), by re-joining the images
+    of the whole word until it is long enough."""
+    w = b"\x00"
+    while len(w) < n:
+        grown = concat_images(images, w)
+        assert len(grown) > len(w)
+        w = grown
+    return w[:n]
 
 
 def brute_factors(symbols: bytes, n: int) -> set[bytes]:
@@ -230,18 +255,17 @@ def unique_profile(buffer, n_max: int):
     return rows
 
 
-def incidence_matrix(morphism) -> np.ndarray:
-    """m x m int64 matrix whose (i, j) entry counts the letter i in the
-    image of j, so parikh(image of w) = matrix @ parikh(w)."""
-    m = morphism.alphabet_size
-    return np.array([[im.count(i) for im in morphism.images] for i in range(m)], dtype=np.int64)
+def incidence_matrix(images) -> np.ndarray:
+    """m x m int64 matrix, m = len(images), whose (i, j) entry counts the
+    letter i in the image of j, so parikh(image of w) = matrix @ parikh(w)."""
+    return np.array([[im.count(i) for im in images] for i in range(len(images))], dtype=np.int64)
 
 
 def matrix_power_parikh_table(width: int) -> np.ndarray:
     """Parikh(tau^k(0)) = M^k e_0 for k < width as the columns of a
     (3, width) int64 array, each from ``np.linalg.matrix_power`` of the
     Tribonacci incidence matrix (exact for width <= 72)."""
-    mat = incidence_matrix(tribonacci_morphism())
+    mat = incidence_matrix(TAU)
     table = np.zeros((3, width), dtype=np.int64)
     for k in range(width):
         table[:, k] = np.linalg.matrix_power(mat, k)[:, 0]

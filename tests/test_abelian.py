@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TAU,
     brute_factors,
     brute_parikh,
     brute_parikh_set,
     cap_positions,
+    concat_images,
     desubstitute,
+    digits,
     unique_profile,
 )
 from tribalance import (
@@ -21,14 +24,11 @@ from tribalance import (
     SaturationError,
     abelian_complexity,
     abelian_profile,
-    apply_morphism,
-    as_word,
     imbalance_witness_search,
     mbonacci_word,
     parikh_set,
     prefix_balance_check,
     prefix_balance_profile,
-    tribonacci_morphism,
     tribonacci_word,
     verify_witness,
     window_parikh,
@@ -40,9 +40,9 @@ from tribalance.synchronized import synchronized_profile
 
 
 def test_parikh_examples(tribo):
-    assert brute_parikh(as_word("0102010"), 3) == window_parikh(tribo, 0, 7) == (4, 2, 1)
+    assert brute_parikh(digits("0102010"), 3) == window_parikh(tribo, 0, 7) == (4, 2, 1)
     assert brute_parikh(b"", 3) == (0, 0, 0)
-    assert brute_parikh(as_word("01010"), 3) == (3, 2, 0)
+    assert brute_parikh(digits("01010"), 3) == (3, 2, 0)
 
 
 def test_window_parikh_examples(tribo):
@@ -445,14 +445,14 @@ def test_prefix_balance_profile_matches_the_vectors(m):
 # -- desubstitution ----------------------------------------------------------
 
 def reconstruct(u: bytes, dropped: bool, appended: bool) -> bytes:
-    return apply_morphism(tribonacci_morphism(), u)[dropped:] + b"\x00" * appended
+    return concat_images(TAU, u)[dropped:] + b"\x00" * appended
 
 
 def test_desubstitute_examples():
-    assert desubstitute(as_word("0102")) == (b"\x00\x01", False, False)
-    assert desubstitute(as_word("1020")) == (b"\x00\x01", True, True)
-    assert desubstitute(as_word("0")) == (b"", False, True)
-    assert desubstitute(as_word("102")) == (b"\x00\x01", True, False)
+    assert desubstitute(digits("0102")) == (b"\x00\x01", False, False)
+    assert desubstitute(digits("1020")) == (b"\x00\x01", True, True)
+    assert desubstitute(digits("0")) == (b"", False, True)
+    assert desubstitute(digits("102")) == (b"\x00\x01", True, False)
 
 
 def test_desubstitute_parikh_identity(tribo):

@@ -447,6 +447,29 @@ def test_outputs_opened_before_computing(capsys, monkeypatch, tmp_path):
         assert err.startswith(f"error: cannot write {missing}: ")
 
 
+def test_generate_refuses_an_order_past_256(capsys):
+    code, out, err = run(capsys, "generate", "mbonacci:257", "5")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: m-bonacci order must be an integer in 2..256, got 257"]
+
+
+def test_special_refuses_two_digit_symbols_before_any_output(capsys, tmp_path):
+    # The 11-bonacci word first shows the symbol 10 at position 1023, so
+    # rows up to n = 1024 print, and n = 1025 (a right-special factor of
+    # length 1024) is refused before the report is opened.
+    path = tmp_path / "special.csv"
+    code, out, err = run(capsys, "special", "mbonacci:11", "1", "1025", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: symbol 10 has no one-digit text form; text covers the symbols 0..9\n"
+    assert not path.exists()
+    code, out, _ = run(capsys, "special", "mbonacci:11", "1", "1025")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "special", "mbonacci:11", "1", "1024")
+    assert code == 0
+    assert _sha256(out) == "b949f384392ced55bcff49195ff21b4594c972aee02115753bed191db63d4036"
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_special_report_columns_follow_alphabet(capsys, m):
     code, out, _ = run(capsys, "special", f"mbonacci:{m}", "1", "12")

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, cap_positions, flat_suffix_automaton, full_region_index
+from conftest import (
+    brute_factors,
+    cap_positions,
+    digits,
+    flat_suffix_automaton,
+    full_region_index,
+    iterate_images,
+)
 from tribalance import (
     BufferLimitError,
     InvariantViolationError,
-    Morphism,
     SaturationError,
-    WordBuffer,
     abelian_complexity,
     abelian_profile,
     factor_index,
@@ -90,10 +95,18 @@ def test_scan_grows_up_to_the_buffer_cap_and_no_further():
         scan_distinct_factors(tribonacci_word(max_symbols=need - 1), 50, extend_after=500)
 
 
+def fixed_point(images: list[str], n: int) -> "FixedWord":
+    """The first n symbols of the fixed point from 0 of the morphism with
+    these images, written as digit strings."""
+    images = tuple(map(digits, images))
+    return FixedWord(iterate_images(images, n), len(images))
+
+
 def thue_morse():
     # Two letters with more than n + 1 factors of length n >= 2: outside
-    # the Arnoux-Rauzy family the complexity target assumes.
-    return WordBuffer(Morphism(["01", "10"]), 0)
+    # the Arnoux-Rauzy family the complexity target assumes.  2**14 symbols
+    # hold every index region and scan the tests here ask for.
+    return fixed_point(["01", "10"], 1 << 14)
 
 
 def test_scan_detects_wrong_complexity_target():
@@ -158,7 +171,7 @@ def test_index_clone_first_ends_match_brute_force(images):
     # factor's first end from the region itself; the states whose length
     # interval holds n carry the same first ends, one per factor.
     region = 600
-    buf = WordBuffer(Morphism(images), 0)
+    buf = fixed_point(images, region)
     index = FactorIndex(buf, region)
     assert index.n_states > region + 1
     data = buf.symbols[:region]
@@ -174,13 +187,22 @@ def test_index_clone_first_ends_match_brute_force(images):
 
 
 class FixedWord:
-    """A word given whole, with the three members ``FactorIndex`` reads."""
+    """A word given whole, with the members of a buffer the factor queries
+    read: ``symbols``, ``alphabet_size``, ``max_symbols``, ``index`` and
+    ``ensure``, which refuses any length past the word."""
 
     def __init__(self, data: bytes, alphabet_size: int):
         self.symbols, self.alphabet_size = data, alphabet_size
+        self.max_symbols = len(data)
+        self.index = None
 
-    def ensure(self, min_len: int) -> None:
-        assert min_len <= len(self.symbols)
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def ensure(self, min_len: int) -> "FixedWord":
+        if min_len > len(self.symbols):
+            raise BufferLimitError(f"requested {min_len} symbols of a word of {len(self.symbols)}")
+        return self
 
 
 def check_right_special_end(index: FactorIndex, flat: dict, n_max: int) -> list[int]:
@@ -246,13 +268,13 @@ def test_index_matches_flat_automaton_on_random_words(m, size):
 
 @pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
 def test_index_matches_flat_automaton_on_cloning_words(images):
-    buf = WordBuffer(Morphism(images), 0).ensure(3000)
+    buf = fixed_point(images, 3000)
     assert FactorIndex(buf, 3000).n_states > 3001
     check_against_flat_automaton(buf.symbols, buf.alphabet_size)
 
 
 @pytest.mark.parametrize("data, m", [
-    (thue_morse().ensure(1000).symbols[:1000], 2),
+    (thue_morse().symbols[:1000], 2),
     (bytes(random.Random(30).choices(range(3), k=1000)), 3),
 ], ids=["thue_morse", "random_ternary"])
 def test_right_special_end_requires_exactly_one(data, m):

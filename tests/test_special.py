@@ -3,12 +3,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import brute_factors, brute_parikh
+from conftest import TAU, brute_factors, brute_parikh, concat_images
 from tribalance import (
     InvalidInputError,
     InvariantViolationError,
     abelian_profile,
-    apply_morphism,
     factor_index,
     min_complexity_lengths,
     parikh_set,
@@ -50,7 +49,7 @@ def successor_length(buffer, n: int) -> int:
     """The length n is mapped to by the substitution: the image of the
     right special factor of length n - 1, extended by 0, is again right
     special, and n maps to its length plus one."""
-    image = apply_morphism(buffer.morphism, right_special_factor(buffer, n - 1).word)
+    image = concat_images(TAU, right_special_factor(buffer, n - 1).word)
     return len(image + b"\x00") + 1
 
 

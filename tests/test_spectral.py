@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import float_head_terms, float_interval, float_tail_bound, incidence_matrix
+from conftest import TAU, float_head_terms, float_interval, float_tail_bound, incidence_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from tribalance import (
     discrepancy_from_digits,
     discrepancy_spectral,
     is_valid_rep_many,
-    tribonacci_morphism,
     zeckendorf_encode_many,
 )
 from tribalance import spectral
@@ -93,7 +92,7 @@ def test_truncation_rule_is_exact():
 
 
 def test_eigenvectors(sd):
-    mat = incidence_matrix(tribonacci_morphism())
+    mat = incidence_matrix(TAU)
     assert np.abs(mat @ sd.evec_beta - sd.beta * sd.evec_beta).max() < 1e-10
     assert np.abs(mat @ sd.evec_alpha - sd.alpha * sd.evec_alpha).max() < 1e-10
     assert abs(sd.evec_beta.sum() - 1) < 1e-12

@@ -3,74 +3,31 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import brute_parikh, concat_images, count_prefixes, incidence_matrix
+from conftest import (
+    TAU,
+    brute_parikh,
+    concat_images,
+    count_prefixes,
+    incidence_matrix,
+    iterate_images,
+)
 from tribalance import words
 from tribalance import (
     BufferLimitError,
-    ConfigurationError,
     InvalidInputError,
-    Morphism,
     RangeError,
     WordBuffer,
-    apply_morphism,
-    as_word,
-    fixed_point_prefix,
-    mbonacci_morphism,
     mbonacci_word,
-    tribonacci_morphism,
     tribonacci_number,
     tribonacci_word,
     word_to_text,
 )
+from tribalance.words import mbonacci_images
 
 
 def test_tribonacci_images():
-    tau = tribonacci_morphism()
-    assert [word_to_text(im) for im in tau.images] == ["01", "02", "0"]
-
-
-def test_apply_morphism_examples():
-    tau = tribonacci_morphism()
-    assert word_to_text(apply_morphism(tau, "0")) == "01"
-    assert apply_morphism(tau, "") == b""
-    assert word_to_text(apply_morphism(tau, "01")) == "0102"
-
-
-def test_apply_morphism_rejects_bad_symbol():
-    tau = tribonacci_morphism()
-    with pytest.raises(InvalidInputError):
-        apply_morphism(tau, [3])
-
-
-# m-bonacci for m = 2..6, Thue-Morse, images of length 3 and 4, an empty image.
-_MORPHISMS = [mbonacci_morphism(m) for m in range(2, 7)] + [
-    Morphism(["01", "10"]),
-    Morphism(["012", "2", "1200"]),
-    Morphism(["01", "", "2210"]),
-]
-
-
-@settings(max_examples=100)
-@given(st.sampled_from(_MORPHISMS), st.data())
-def test_apply_morphism_matches_concatenation(morphism, data):
-    word = data.draw(st.lists(st.integers(0, morphism.alphabet_size - 1), max_size=300))
-    assert apply_morphism(morphism, word) == concat_images(morphism, word)
-    assert apply_morphism(morphism, bytes(word)) == concat_images(morphism, word)
-
-
-def test_apply_morphism_edge_words():
-    for morphism in _MORPHISMS:
-        m = morphism.alphabet_size
-        assert apply_morphism(morphism, b"") == b""
-        every = bytes(range(m))
-        assert apply_morphism(morphism, every) == concat_images(morphism, every)
-        with pytest.raises(InvalidInputError):
-            apply_morphism(morphism, [0, m])
-        with pytest.raises(InvalidInputError):
-            apply_morphism(morphism, [300])
+    assert [word_to_text(im) for im in TAU] == ["01", "02", "0"]
 
 
 def test_grown_prefixes_match_goldens():
@@ -87,50 +44,36 @@ def test_grown_prefixes_match_goldens():
         assert hashlib.sha256(buf.symbols).hexdigest() == digest
 
 
-def test_as_word_rejects_symbols_outside_a_byte():
-    assert as_word([0, 255]) == b"\x00\xff"
-    for bad in ([300], [-1], [0, 1, 256]):
-        with pytest.raises(InvalidInputError):
-            as_word(bad)
-
-
 def test_mbonacci_examples():
-    assert [word_to_text(im) for im in mbonacci_morphism(3).images] == ["01", "02", "0"]
-    assert [word_to_text(im) for im in mbonacci_morphism(2).images] == ["01", "0"]
-    assert [word_to_text(im) for im in mbonacci_morphism(4).images] == ["01", "02", "03", "0"]
+    assert [word_to_text(im) for im in mbonacci_images(3)] == ["01", "02", "0"]
+    assert [word_to_text(im) for im in mbonacci_images(2)] == ["01", "0"]
+    assert [word_to_text(im) for im in mbonacci_images(4)] == ["01", "02", "03", "0"]
     with pytest.raises(InvalidInputError):
-        mbonacci_morphism(1)
+        mbonacci_images(1)
 
 
 def test_word_text_is_one_digit_per_symbol():
     assert word_to_text(bytes(range(10))) == "0123456789"
     assert word_to_text(b"") == ""
-    assert as_word(word_to_text([9, 0, 3])) == bytes([9, 0, 3])
+    assert word_to_text(bytes([9, 0, 3])) == "903"
     # Symbol 10 would print as "10", which reads back as 1, 0.
-    for bad in ([0, 10], [255], bytes([1, 2, 63])):
+    for bad in (bytes([0, 10]), bytes([255]), bytes([1, 2, 63])):
         with pytest.raises(InvalidInputError, match=r"symbol \d+ has no one-digit text form"):
             word_to_text(bad)
 
 
-def test_morphism_repr_covers_any_alphabet():
-    assert repr(tribonacci_morphism()) == "Morphism([[0, 1], [0, 2], [0]])"
-    big = mbonacci_morphism(12)
-    assert "[0, 10]" in repr(big)
-    assert eval(repr(big), {"Morphism": Morphism}) == big
-
-
 def test_incidence_matrix_tribonacci():
-    mat = incidence_matrix(tribonacci_morphism())
+    mat = incidence_matrix(TAU)
     assert mat.tolist() == [[1, 1, 1], [1, 0, 0], [0, 1, 0]]
 
 
 def test_incidence_matrix_identity():
-    ident = Morphism([[0], [1], [2]])
+    ident = (b"\x00", b"\x01", b"\x02")
     assert incidence_matrix(ident).tolist() == np.eye(3, dtype=int).tolist()
 
 
 def test_incidence_matrix_4bonacci():
-    mat = incidence_matrix(mbonacci_morphism(4))
+    mat = incidence_matrix(mbonacci_images(4))
     assert mat[0].tolist() == [1, 1, 1, 1]
     for i in range(1, 4):
         assert mat[i].tolist() == [1 if j == i - 1 else 0 for j in range(4)]
@@ -138,9 +81,9 @@ def test_incidence_matrix_4bonacci():
 
 def test_incidence_column_sums_are_image_lengths():
     for m in (2, 3, 4, 7):
-        mo = mbonacci_morphism(m)
-        mat = incidence_matrix(mo)
-        assert mat.sum(axis=0).tolist() == [len(im) for im in mo.images]
+        images = mbonacci_images(m)
+        mat = incidence_matrix(images)
+        assert mat.sum(axis=0).tolist() == [len(im) for im in images]
 
 
 def test_fixed_point_prefix_examples(tribo):
@@ -163,20 +106,18 @@ def test_slice_examples(tribo):
 
 
 def test_fixed_point_coherence(tribo):
-    # Iterating the morphism from the seed must reproduce prefixes.
-    tau = tribo.morphism
+    # Iterating the substitution from 0 must reproduce prefixes.
     w = b"\x00"
     while len(w) <= 20_000:
         assert tribo.slice(0, len(w)) == w
-        w = apply_morphism(tau, w)
+        w = concat_images(TAU, w)
 
 
 def test_iterate_lengths_are_tribonacci_numbers():
-    tau = tribonacci_morphism()
     w = b"\x00"
     for k in range(21):
         assert len(w) == tribonacci_number(k)
-        w = apply_morphism(tau, w)
+        w = concat_images(TAU, w)
 
 
 def test_prefix_counts_match_direct_count(tribo):
@@ -285,15 +226,14 @@ def test_ones_and_twos_preceded_by_zero(tribo):
 
 def test_incidence_parikh_identity(tribo):
     # parikh(image of w) = matrix @ parikh(w) on 1000 random factors.
-    tau = tribo.morphism
-    mat = incidence_matrix(tau)
+    mat = incidence_matrix(TAU)
     rng = random.Random(0)
     for _ in range(1000):
         n = rng.randrange(0, 200)
         start = rng.randrange(0, len(tribo) - n)
         w = tribo.slice(start, n)
         expected = mat @ np.array(brute_parikh(w, 3))
-        assert brute_parikh(apply_morphism(tau, w), 3) == tuple(expected.tolist())
+        assert brute_parikh(concat_images(TAU, w), 3) == tuple(expected.tolist())
 
 
 def test_growth_is_append_only(tribo):
@@ -302,24 +242,15 @@ def test_growth_is_append_only(tribo):
     assert tribo.slice(0, 1000) == head
 
 
-def iterate_images(morphism, seed: int, n: int) -> bytes:
-    """The first n symbols of the fixed point, by re-joining the images of
-    the whole word until it is long enough."""
-    w = bytes((seed,))
-    while len(w) < n:
-        grown = concat_images(morphism, w)
-        assert len(grown) > len(w)
-        w = grown
-    return w[:n]
+#: The m-bonacci images for orders from both ends of 2..256.
+_IMAGES = [mbonacci_images(m) for m in (2, 3, 5, 11, 256)]
 
 
-@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"],
-                                    ["0120", "1", "22"], ["0102", "", "2"]])
+@pytest.mark.parametrize("images", _IMAGES)
 def test_stepwise_growth_matches_the_iterates(images):
-    morphism = Morphism(images)
-    whole = iterate_images(morphism, 0, 5000)
+    whole = iterate_images(images, 5000)
     rng = random.Random(7)
-    buf = WordBuffer(morphism, 0)
+    buf = WordBuffer(len(images))
     for n in sorted(rng.sample(range(1, 5001), 40)) + [5000]:
         assert buf.ensure(n).symbols == whole[:n]
 
@@ -349,52 +280,40 @@ def test_each_symbol_is_expanded_once(monkeypatch):
     assert expanded[-1][1] <= 100_000 // min(map(len, buf.power_images)) + 1
 
 
-@pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"],
-                                    ["0120", "1", "22"], ["0102", "", "2"], ["01", ""],
-                                    ["1", "10"], mbonacci_morphism(5).images,
-                                    mbonacci_morphism(256).images])
+@pytest.mark.parametrize("images", [mbonacci_images(m) for m in (*range(2, 12), 64, 256)])
 def test_power_images_take_the_largest_power_within_the_limits(images):
-    # τ applied one step at a time: the images of the largest power whose
-    # images all fit the limits, where for an erasing morphism the powers
-    # stop once their total length stops growing.  On 256 letters the total
-    # limit binds first.
-    morphism = Morphism(images)
-    power, step = morphism.images, morphism.images
+    # τ applied one step at a time, to the whole images: the images of the
+    # largest power whose images all fit the limits.  No image shrinks from
+    # one power to the next, which lets power_images stop at the first
+    # power past a limit.  On 64 and 256 letters the total limit binds.
+    power = step = images
     while True:
-        step = tuple(concat_images(morphism, im) for im in step)
+        step = tuple(concat_images(images, im) for im in step)
+        assert all(len(longer) >= len(im) for longer, im in zip(step, power))
         if (max(map(len, step)) > words.IMAGE_LIMIT
-                or sum(map(len, step)) > words.IMAGES_TOTAL_LIMIT
-                or sum(map(len, step)) <= sum(map(len, power))):
+                or sum(map(len, step)) > words.IMAGES_TOTAL_LIMIT):
             break
         power = step
-    assert words.power_images(morphism) == power
+    assert words.power_images(images) == power
 
 
 def test_tribonacci_power_images_are_tau_17():
-    images = words.power_images(tribonacci_morphism())
+    images = words.power_images(TAU)
     assert [len(im) for im in images] == [35890, 30122, 19513]
     assert images[0] == tribonacci_word(35890).symbols
 
 
-def test_linear_growth_reaches_the_limit():
-    # τ^j(0) = 0 1^j grows by one symbol a step: j = 65535, reached by
-    # squaring and lifting, not by 65535 compositions.
-    assert words.power_images(Morphism(["01", "1"])) == (b"\x00" + b"\x01" * 65535, b"\x01")
-
-
-@pytest.mark.parametrize("images, seed", [(["01", "10"], 0), (["0102", "", "2"], 0),
-                                          (["1", "10"], 1), (["01", "12", "20"], 0)])
-def test_blocks_join_to_the_prefix_from_a_short_buffer(images, seed):
-    morphism = Morphism(images)
-    whole = iterate_images(morphism, seed, 300_000)
+@pytest.mark.parametrize("images", [mbonacci_images(m) for m in (2, 3, 5, 256)])
+def test_blocks_join_to_the_prefix_from_a_short_buffer(images):
+    whole = iterate_images(images, 300_000)
     for n in (1, 2, 17, 65_536, 65_537, 300_000):
-        buf = WordBuffer(morphism, seed)
+        buf = WordBuffer(len(images))
         blocks = buf.blocks(n)
         assert b"".join(blocks) == whole[:n]
         # The buffer holds the symbols whose images the blocks are.
         assert len(buf) < max(len(blocks), 2) * 2
     with pytest.raises(BufferLimitError):
-        WordBuffer(morphism, seed, max_symbols=10).blocks(11)
+        WordBuffer(len(images), max_symbols=10).blocks(11)
 
 
 def test_counts_of_a_buffer_that_grew_during_the_count_are_not_kept(monkeypatch):
@@ -419,43 +338,27 @@ def test_counts_of_a_buffer_that_grew_during_the_count_are_not_kept(monkeypatch)
     assert [int(counts[a, 2000]) for a in range(3)] == [buf.symbols.count(a) for a in range(3)]
 
 
-def test_erasing_morphism_that_stops_growing_is_refused():
-    stalled = Morphism(["01", ""])  # the fixed point from 0 is 01
-    buf = WordBuffer(stalled, 0)
-    assert buf.ensure(2).symbols == b"\x00\x01"
-    with pytest.raises(ConfigurationError):
-        buf.ensure(3)
-
-
-def test_non_prolongable_rejected():
-    backwards = Morphism(["10", "0"])  # image of 0 does not start with 0
-    with pytest.raises(ConfigurationError):
-        fixed_point_prefix(backwards, 0, 10)
-
-
-def test_prolongable_at_other_seed():
-    swapped = Morphism(["1", "10"])  # prolongable at 1, not at 0
-    buf = fixed_point_prefix(swapped, 1, 10)
-    # fixed point from 1: 1 -> 10 -> 101 -> 10110 -> ...
-    assert word_to_text(buf.slice(0, 5)) == "10110"
-    with pytest.raises(ConfigurationError):
-        fixed_point_prefix(swapped, 0, 10)
-
-
 def test_buffer_cap_is_hard_error():
     with pytest.raises(BufferLimitError):
-        fixed_point_prefix(tribonacci_morphism(), 0, 1 << 20, max_symbols=1 << 10)
-    buf = fixed_point_prefix(tribonacci_morphism(), 0, 10, max_symbols=1 << 10)
+        tribonacci_word(1 << 20, max_symbols=1 << 10)
+    buf = tribonacci_word(10, max_symbols=1 << 10)
     with pytest.raises(BufferLimitError):
         buf.ensure((1 << 10) + 1)
 
 
 def test_alphabet_byte_limit():
     with pytest.raises(InvalidInputError):
-        mbonacci_morphism(257)
-    assert mbonacci_morphism(256).alphabet_size == 256
+        mbonacci_images(257)
+    assert len(mbonacci_images(256)) == WordBuffer(256).alphabet_size == 256
+
+
+@pytest.mark.parametrize("m", [1, 257, True, 3.0, "3"])
+def test_orders_outside_2_to_256_are_refused(m):
+    for build in (WordBuffer, mbonacci_word):
+        with pytest.raises(InvalidInputError, match=r"m-bonacci order must be an integer in 2\.\.256"):
+            build(m)
 
 
 def test_min_len_validation():
     with pytest.raises(InvalidInputError):
-        fixed_point_prefix(tribonacci_morphism(), 0, 0)
+        tribonacci_word(0)
