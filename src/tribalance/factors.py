@@ -9,12 +9,12 @@ position cap, derived from the alphabet and the length by
 ``SaturationError``, and a count above the target raises
 ``InvariantViolationError``.
 
-``FactorIndex`` builds a suffix automaton over a fixed prefix region and
-answers, for every length at once: how many distinct factors the region
-contains, how long a prefix suffices to contain them all, where the
-unique right special factor first occurs with its right and left extension
-counts, and (``first_runs``) at which window starts each length's
-distinct factors first occur, as a few runs of consecutive starts.  Every
+``FactorIndex`` builds the suffix automaton of a prefix region, which has
+no clone on the standard episturmian words it accepts, and answers for
+every length at once: how many distinct factors the region contains, how
+long a prefix holds them all, where the unique right special factor first
+occurs with its extension counts, and (``first_runs``) at which window
+starts each length's factors first occur, as a few runs.  Every
 per-length query of the package (Parikh sets, window bounds, special
 factors, profiles, the saturation claim) goes through the index.
 
@@ -118,90 +118,69 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
 # ---------------------------------------------------------------------------
 # Suffix-automaton index
 
-def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Online suffix automaton (Blumer et al. 1985) of ``data`` over m
-    letters, as ``(length, link, first_end, outdeg)`` per state: the
-    longest length, the suffix link (-1 for the root), the end of the first
-    occurrence and the number of outgoing transitions.  The arrays are
-    int32, int64 once 2R + 2 reaches 2**31 (R = len(data)).
+    letters, as ``(link, outdeg)`` per state: the suffix link (-1 for the
+    root) and the number of outgoing transitions, int32 arrays (int64 once
+    R = len(data) reaches 2**31).
 
-    States are numbered by prefix: state i (0 <= i <= R) is the state made
-    for the prefix of length i, so its longest length and its first end are
-    both i, and clones take the ids R + 1, R + 2, ... in the order they are
-    made.  The transition of prefix state i on ``data[i]`` always leads to
-    i + 1 and is never stored: a clone's redirect moves only transitions
-    p -> q with length(p) + 1 < length(q), and a clone of a prefix state
-    stores the copy of that transition.  Every other transition goes into
-    one dict per letter, keyed by its source state; on an Arnoux-Rauzy word
-    the automaton is almost a path and the dicts stay small (35 entries
-    over the 132,990 Tribonacci symbols of the saturation claim).  The
-    suffix links are one typed array, clones' links appended to it; clones
-    keep their lengths and first ends in lists.  A clone of q first ends
-    where q does, since its end set is q's plus the current, later end, and
-    end sets only gain later ends, so no first end moves afterwards.
+    A clone is made exactly when a suffix that occurred before, never as a
+    prefix, follows a second letter.  Every left special factor of a
+    standard episturmian word, such as an m-bonacci word, is a prefix
+    (Droubay-Justin-Pirillo 2001), so its automaton has no clone: its
+    states are the R + 1 prefixes, state i with longest length and first
+    end i and shortest length link + 1.  Any other word raises
+    ``InvariantViolationError`` where it would need a clone, naming the
+    prefix and the suffix.
+
+    The transition of state i on ``data[i]`` leads to i + 1 and is never
+    stored; the others go into one dict per letter, keyed by source state,
+    and stay few (35 over the 132,990 Tribonacci symbols of the saturation
+    claim).  The suffix links are one typed array, so no Python object per
+    state outlives the build loop.
     """
     R = len(data)
-    typecode, dtype = ("i", np.int32) if 2 * R + 2 < 2**31 else ("q", np.int64)
+    typecode, dtype = ("i", np.int32) if R < 2**31 else ("q", np.int64)
     link = array(typecode, [0]) * (R + 1)
     link[0] = -1
     edges: list[dict[int, int]] = [{} for _ in range(m)]
-    clone_len: list[int] = []
-    clone_end: list[int] = []
     for cur, c in enumerate(data, 1):
         row = edges[c]
         p = link[cur - 1]  # state cur - 1 goes to cur on c without storage
-        while p != -1 and (p >= R or data[p] != c) and p not in row:
+        while p != -1 and data[p] != c and p not in row:
             row[p] = cur
             p = link[p]
         if p == -1:
             link[cur] = 0
-        elif p < R and data[p] == c:
+        elif data[p] == c:
             link[cur] = p + 1
         else:
-            q = row[p]
-            len_p = p if p <= R else clone_len[p - R - 1]
-            if len_p + 1 == (q if q <= R else clone_len[q - R - 1]):
-                link[cur] = q
-            else:
-                clone = len(link)
-                clone_len.append(len_p + 1)
-                clone_end.append(q if q <= R else clone_end[q - R - 1])
-                link.append(link[q])
-                for r in edges:
-                    if q in r:
-                        r[clone] = r[q]
-                if q < R:
-                    edges[data[q]][clone] = q + 1
-                while p != -1 and row.get(p) == q:
-                    row[p] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-
-    n_states = len(link)
-    length = np.arange(n_states, dtype=dtype)
-    length[R + 1 :] = clone_len
-    first_end = length.copy()
-    first_end[R + 1 :] = clone_end
-    outdeg = np.zeros(n_states, dtype=dtype)
+            # The suffix of length p + 1 occurred before, always after one
+            # other letter, and is no prefix: its state would split.
+            suffix = "".join(map(str, data[cur - p - 1 : cur][:20])) + "..." * (p >= 20)
+            raise InvariantViolationError(
+                f"the prefix of length {cur} ends with {suffix} (length {p + 1}), a factor "
+                f"that occurred before, not as a prefix, and now follows a second letter: "
+                f"the word is not standard episturmian, and its index would need a clone")
+    outdeg = np.zeros(R + 1, dtype=dtype)
     outdeg[:R] = 1  # the transitions that are not stored
     for row in edges:
         outdeg[np.fromiter(row, dtype=np.intp, count=len(row))] += 1
-    return length, np.frombuffer(link, dtype=dtype), first_end, outdeg
+    return np.frombuffer(link, dtype=dtype), outdeg
 
 
 class FactorIndex:
     """Index of all substrings of ``buffer[:region_len]``.
 
-    Built from the suffix automaton of the region (``_suffix_automaton``).
-    Each automaton state covers the substrings of one right-extension
-    class, with lengths filling the interval (shortest-1, longest];
-    aggregating states by that interval yields per-length distinct counts,
-    first-occurrence bounds, and right- and left-extension counts without
-    ever materializing factor sets.  The per-state arrays are dropped once
-    aggregated: the index keeps three per-length tables (``counts``,
-    ``cover_end`` and the longest-repeated-suffix table) and a short table
-    of the right-special states.
+    Built from the suffix automaton of the region (``_suffix_automaton``),
+    which refuses a region that needs a clone, so ``n_states`` is always
+    R + 1.  State i holds the substrings of one
+    right-extension class, with lengths (link[i], i], all first ending at
+    i; aggregating the states by that interval yields per-length distinct
+    counts, first-occurrence bounds, and right- and left-extension counts
+    without materializing factor sets.  The index keeps three per-length
+    tables (``counts``, ``cover_end`` and the longest-repeated-suffix
+    table, the suffix links themselves) and the right-special states.
 
     The index keeps no reference to the buffer that holds it in
     ``buffer.index``, so the two form no reference cycle and are freed as
@@ -212,64 +191,44 @@ class FactorIndex:
         buffer.ensure(region_len)
         self.region_len = R = region_len
         self.alphabet_size = buffer.alphabet_size
-        length, link, first_end, outdeg = _suffix_automaton(buffer.symbols[:region_len],
-                                                            buffer.alphabet_size)
-        self.n_states = len(length)
+        link, outdeg = _suffix_automaton(buffer.symbols[:region_len], buffer.alphabet_size)
+        self.n_states = len(link)
+        shortest = link + 1  # 0 for the root
 
         # The right-special states (>= 2 extensions; the root is one when
         # the region has two letters), sorted by shortest length, each with
-        # its longest length, first end, extension degree and number of
-        # children in the suffix-link tree.  ``_special_reach[j]`` is the
-        # row that reaches the longest length among the first j + 1.
-        shortest = length[link]  # the root's entry is overwritten
-        shortest += 1
-        shortest[0] = 0
+        # its longest length (its first end too), extension degree and
+        # number of children in the suffix-link tree.  ``_special_reach[j]``
+        # is the row that reaches the longest length among the first j + 1.
         special = np.flatnonzero(outdeg >= 2)
         children = np.bincount(link[1:], minlength=self.n_states)[special]
-        rows = sorted(zip(shortest[special].tolist(), length[special].tolist(),
-                          first_end[special].tolist(), outdeg[special].tolist(),
-                          children.tolist()))
+        rows = sorted(zip(shortest[special].tolist(), special.tolist(),
+                          outdeg[special].tolist(), children.tolist()))
         self._special_shortest = [row[0] for row in rows]
         self._special_longest = sorted(row[1] for row in rows)
         self._special_reach = list(accumulate(rows, lambda a, b: b if b[1] > a[1] else a))
-        # Freed before the int64 bincounts below, the peak of the build
-        # (6.4 MB at 132,990 symbols with these and ``counts`` kept, 5.3 MB).
-        del link, outdeg
-
-        # From here on the root, the empty word, is skipped.
-        shortest, longest, first_end = shortest[1:], length[1:], first_end[1:]
 
         # counts[n]: number of distinct substrings of length n in the
-        # region: the prefix sum of +1 at each interval's opening and -1
-        # one past its close.
-        counts = np.bincount(shortest, minlength=R + 2)
-        counts -= np.bincount(longest + 1, minlength=R + 2)
-        np.cumsum(counts, out=counts)
-        self.counts = counts[: R + 1].astype(length.dtype)
-        self.counts[0] = 1
-        del counts
+        # region: the states 1..R whose shortest length is at most n, less
+        # the n - 1 of them whose longest length is below n (1 at n = 0).
+        self.counts = np.cumsum(np.bincount(shortest[1:], minlength=R + 1), dtype=link.dtype)
+        self.counts -= np.arange(-1, R, dtype=link.dtype)
 
         # cover_end[n]: prefix length containing every length-n substring
-        # of the region.  Within a state all lengths share one
-        # first-occurrence end, and the true cover bound is non-decreasing
-        # in n (every factor extends to the right), so a running maximum
-        # over interval-opening values is exact away from the region end
-        # and a sound overestimate there.
-        cover_end = np.zeros(R + 2, dtype=length.dtype)
-        np.maximum.at(cover_end, shortest, first_end)
+        # of the region, the last state whose shortest length is at most n.
+        # The true cover bound is non-decreasing in n (every factor extends
+        # to the right), so this running maximum is exact away from the
+        # region end and a sound overestimate there.
+        self.cover_end = cover_end = np.zeros(R + 1, dtype=link.dtype)
+        np.maximum.at(cover_end, shortest[1:], np.arange(1, R + 1, dtype=link.dtype))
         np.maximum.accumulate(cover_end, out=cover_end)
-        self.cover_end = cover_end[: R + 1]
-        self.cover_end[0] = 0
 
         # lrs[e]: length of the longest suffix of the prefix of length e
         # that already occurs in the prefix of length e - 1 (Crochemore-Ilie
-        # 2008).  The suffixes first ending at e are the strings of the
-        # states with first end e, and their lengths fill (lrs[e], e], so
-        # lrs[e] is the least shortest-length-minus-one among those states.
-        lrs = np.full(R + 1, R, dtype=length.dtype)
-        np.minimum.at(lrs, first_end, shortest - 1)
-        lrs[0] = 0
-        self._lrs = lrs
+        # 2008).  The suffixes first ending at e are the strings of state e,
+        # with lengths (link[e], e], so lrs[e] is link[e].
+        link[0] = 0
+        self._lrs = link
 
     # -- queries -----------------------------------------------------------
 
@@ -352,7 +311,8 @@ class FactorIndex:
 
     def right_special_end(self, n: int) -> tuple[int, int, int]:
         """First-occurrence end, right extension degree and left extension
-        count of the unique right-special factor of length n.
+        count of the unique right-special factor of length n; the end is
+        the longest length of its state.
 
         The left count needs no scan: a word shorter than the longest word
         of its state has the same left neighbour at every occurrence, and
@@ -373,8 +333,8 @@ class FactorIndex:
             raise InvariantViolationError(
                 f"expected exactly one right-special factor of length {n}, found {count}"
             )
-        _, longest, first_end, outdeg, children = self._special_reach[i - 1]
-        return first_end, outdeg, 1 if n < longest else children
+        _, longest, outdeg, children = self._special_reach[i - 1]
+        return longest, outdeg, 1 if n < longest else children
 
 
 def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
@@ -387,13 +347,13 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     n_max + 1 symbols.  When even that region does not saturate, the index
     is built on exactly that region, so ``certify`` reports the shortfall.
     Reuses ``buffer.index`` when it already covers n_max + 1, else builds a
-    new index and publishes it there; this is the one writer of that slot.
-    A region past ``buffer.max_symbols`` raises ``BufferLimitError``, naming
-    the lengths, the region and its position-cap bound.
+    new index and offers it to ``buffer.keep_index``.  A region past
+    ``buffer.max_symbols`` raises ``BufferLimitError``, naming the lengths,
+    the region and its position-cap bound.
     """
     k = integer_in(n_max, "n_max") + 1
-    if buffer.index is not None and buffer.index.covers(k):
-        return buffer.index
+    if (held := buffer.index) is not None and held.covers(k):
+        return held
     m = buffer.alphabet_size
     cap = position_cap(m, k)
     full = cap + k
@@ -411,5 +371,5 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
     while region < full and not index.covers(k):
         region = min(full, 2 * region)
         index = build(region)
-    buffer.index = index
+    buffer.keep_index(index)
     return index

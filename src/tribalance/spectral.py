@@ -46,20 +46,15 @@ TARGET_TAIL_BOUNDS = (0.17, 0.075, 0.0354)
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Roots, eigenvectors, and expansion coefficients of the incidence
-    matrix of the Tribonacci morphism.
-
-    ``evec_beta`` and ``evec_alpha`` are the eigenvectors with coordinates
-    (root^-1, root^-2, root^-3), normalized so the coordinates sum to 1.
-    The coefficients expand the first standard basis vector as
-    coeff_beta * evec_beta + 2 Re(coeff_alpha * evec_alpha).
+    """The real root ``beta`` and the complex root ``alpha`` of the
+    incidence matrix of the Tribonacci morphism, and the coefficient of
+    ``alpha`` in the expansion of the first standard basis vector over the
+    eigenvectors (root^-1, root^-2, root^-3), whose coordinates sum to 1:
+    e_0 = c_beta * v_beta + 2 Re(coeff_alpha * v_alpha).
     """
 
     beta: float
     alpha: complex
-    evec_beta: np.ndarray
-    evec_alpha: np.ndarray
-    coeff_beta: float
     coeff_alpha: complex
 
     def frequency(self, letter: int) -> float:
@@ -101,14 +96,7 @@ def compute_spectral_data() -> SpectralData:
     coeffs = np.linalg.solve(system, np.array([1.0, 0.0, 0.0], dtype=complex))
     if abs(coeffs[0].imag) > 1e-10 or abs(coeffs[2] - np.conj(coeffs[1])) > 1e-10:
         raise NumericError("coefficient solve lost conjugate symmetry")
-    return SpectralData(
-        beta=beta,
-        alpha=alpha,
-        evec_beta=evec_beta,
-        evec_alpha=evec_alpha,
-        coeff_beta=float(coeffs[0].real),
-        coeff_alpha=complex(coeffs[1]),
-    )
+    return SpectralData(beta=beta, alpha=alpha, coeff_alpha=complex(coeffs[1]))
 
 
 def discrepancy_direct(buffer: WordBuffer, n: int, letter: int, sd: SpectralData) -> float:

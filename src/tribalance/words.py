@@ -90,9 +90,9 @@ class WordBuffer:
     counts the whole buffer on every read (``prefix_count_blocks``) and
     keeps nothing; the package's own readers count only what they read.
 
-    ``index`` holds the ``FactorIndex`` most recently built over the
-    buffer, or None.  Only ``factors.factor_index`` writes it, and always
-    replaces it whole, so a reader holding an older index keeps a valid one.
+    ``index`` holds the ``FactorIndex`` over the longest region built so
+    far, or None.  Only ``keep_index`` writes it, and always replaces it
+    whole, so a reader holding an older index keeps a valid one.
 
     ``max_symbols`` is the one per-run resource cap: it bounds the
     materialized prefix.  The window starts a certified factor query may
@@ -146,6 +146,16 @@ class WordBuffer:
             self._symbols, self._tail, self._expanded = _expand(
                 self.power_images, self._symbols, self._tail, self._expanded, min_len)
             return self
+
+    def keep_index(self, index) -> None:
+        """Hold ``index`` as ``self.index`` unless the one held has a
+        region at least as long: an index over a longer prefix covers every
+        length that one over a shorter prefix does.  The check and the
+        store run under the growth lock, so a smaller index that finishes
+        last never replaces a larger one."""
+        with self._growth:
+            if self.index is None or index.region_len > self.index.region_len:
+                self.index = index
 
     def blocks(self, n: int) -> list[bytes]:
         """The first n symbols of the fixed point as consecutive blocks:

@@ -10,7 +10,10 @@ counted once a session.  The one exception is ``unique_profile``, the
 sorting route the dense profile pass replaced: it reads window bounds from an index
 over the full capped region and deduplicates count columns with an
 ``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
-factor index's first builder, the oracle of the prefix-numbered one.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
+factor index's first builder, the oracle of the prefix-numbered one; it
+keeps its clones, so it also says where the index must refuse a word.
+``standard_episturmian`` builds, by iterated palindromic closure, the words
+the index accepts.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
 loop the batched oracle-equivalence claim replaced, with its own copy of
 the alpha-power sum.  ``float_head_terms`` and ``float_tail_bound`` are the
 float route the exact spectral certificate replaced: they read the
@@ -178,11 +181,13 @@ def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:
     ``outdeg`` and ``children`` (in the suffix-link tree); and per length
     n <= len(data), by ``np.add.at`` / ``np.maximum.at`` over the states'
     length intervals, ``counts``, ``cover_end`` and ``special`` (the
-    number of right-special factors)."""
-    link, length, clone_end = [-1], [0], {}
+    number of right-special factors).  ``clones`` lists, for each clone in
+    order, the prefix length at which it is made and the length of the
+    suffix that makes it."""
+    link, length, clone_end, clones = [-1], [0], {}, []
     trans = [-1] * m
     last = 0
-    for c in data:
+    for i, c in enumerate(data, 1):
         cur = len(length)
         length.append(length[last] + 1)
         link.append(-1)
@@ -199,6 +204,7 @@ def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:
                 link[cur] = q
             else:
                 clone = len(length)
+                clones.append((i, length[p] + 1))
                 length.append(length[p] + 1)
                 link.append(link[q])
                 clone_end[clone] = clone_end.get(q, length[q])
@@ -232,7 +238,27 @@ def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:
     return {"length": length, "shortest": shortest, "first_end": first_end, "outdeg": outdeg,
             "children": np.bincount(link[1:], minlength=len(length)),
             "counts": counts, "cover_end": cover_end,
-            "special": per_length(np.flatnonzero(outdeg >= 2))}
+            "special": per_length(np.flatnonzero(outdeg >= 2)), "clones": clones}
+
+
+def standard_episturmian(directive, n: int) -> bytes:
+    """The first n symbols of the standard episturmian word with this
+    directive sequence of letters, by iterated palindromic closure: w_0 is
+    empty and w_(k+1) the shortest palindrome that starts with w_k a_k.
+    Each closure is read off Justin's formula: w_k a_k w_k when a_k is new,
+    else w_k with w_j cut from the front of a second copy, where j is the
+    last earlier step with a_j = a_k.  The directive must grow the word to
+    n symbols; the directives (0, ..., m-1) repeated give the m-bonacci
+    words."""
+    w, last, steps = b"", {}, []
+    for k, a in enumerate(directive):
+        if len(w) >= n:
+            break
+        steps.append(w)
+        w = w + bytes([a]) + w if a not in last else w + w[len(steps[last[a]]):]
+        last[a] = k
+    assert len(w) >= n, "the directive is too short"
+    return w[:n]
 
 
 def unique_profile(buffer, n_max: int):

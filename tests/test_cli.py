@@ -454,6 +454,22 @@ def test_generate_refuses_an_order_past_256(capsys):
     assert err.splitlines() == ["error: m-bonacci order must be an integer in 2..256, got 257"]
 
 
+@pytest.mark.parametrize("order", ["1", "0", "-3"])
+def test_generate_refuses_an_order_below_2_as_past_256(capsys, order):
+    # Both ends of 2..256 are refused by mbonacci_word, with one message.
+    code, out, err = run(capsys, "generate", f"mbonacci:{order}", "5")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: m-bonacci order must be an integer in 2..256, got {order}"]
+
+
+def test_generate_refuses_an_order_that_is_no_integer(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "mbonacci:x", "5"])
+    assert excinfo.value.code == 2
+    assert "bad word spec 'mbonacci:x': m-bonacci order must be an integer\n" in capsys.readouterr().err
+
+
 def test_special_refuses_two_digit_symbols_before_any_output(capsys, tmp_path):
     # The 11-bonacci word first shows the symbol 10 at position 1023, so
     # rows up to n = 1024 print, and n = 1025 (a right-special factor of

@@ -1,5 +1,7 @@
 import random
+import re
 import tracemalloc
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     flat_suffix_automaton,
     full_region_index,
     iterate_images,
+    standard_episturmian,
 )
 from tribalance import (
     BufferLimitError,
@@ -116,14 +119,18 @@ def test_scan_detects_wrong_complexity_target():
         scan_distinct_factors(thue_morse(), 10, extend_after=2000)
 
 
-def test_index_certify_rejects_excess_factors():
-    buf = thue_morse()
-    index = factor_index(buf, 10)
-    assert index.factor_count(10) > default_target(2, 10)
-    with pytest.raises(InvariantViolationError, match="exceeding the complexity target 11"):
+def test_index_certify_rejects_excess_factors(tribo):
+    # Thue-Morse has more than n + 1 factors of length n >= 2, and its
+    # index is refused at the build.  No index that builds holds more than
+    # the target (test_index_counts_never_exceed_the_target), so certify's
+    # excess branch guards against a fault in the counts: tampered here.
+    with pytest.raises(InvariantViolationError, match="not standard episturmian"):
+        abelian_complexity(thue_morse(), 10)
+    index = FactorIndex(tribo, 2_000)
+    index.counts[10] += 1
+    with pytest.raises(InvariantViolationError, match="22 distinct factors of length 10, "
+                                                      "exceeding the complexity target 21"):
         index.certify(10)
-    with pytest.raises(InvariantViolationError):
-        abelian_complexity(buf, 10)
 
 
 @pytest.mark.parametrize("query", [
@@ -165,24 +172,22 @@ def test_scan_matches_index_on_other_alphabets(m, n, extend):
 
 
 @pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
-def test_index_clone_first_ends_match_brute_force(images):
-    # m-bonacci words never clone a state, so the clone rule of the first
-    # ends is checked on words that do.  The oracle takes each distinct
-    # factor's first end from the region itself; the states whose length
-    # interval holds n carry the same first ends, one per factor.
-    region = 600
-    buf = fixed_point(images, region)
-    index = FactorIndex(buf, region)
-    assert index.n_states > region + 1
-    data = buf.symbols[:region]
-    longest, link, first_end, _ = _suffix_automaton(data, buf.alphabet_size)
-    shortest = longest[np.maximum(link, 0)] + 1
+def test_flat_automaton_clone_first_ends_match_brute_force(images):
+    # The index refuses every word that clones a state, and the oracle
+    # tells where from its clones, so the oracle's clone rule of the first
+    # ends is checked here on words that clone.  Brute force takes each
+    # distinct factor's first end from the region itself; the states whose
+    # length interval holds n carry the same first ends, one per factor.
+    data = fixed_point(images, 600).symbols
+    flat = flat_suffix_automaton(data, len(images))
+    assert flat["clones"]
+    shortest, longest, first_end = flat["shortest"], flat["length"], flat["first_end"]
     cover = 0
     for n in range(1, 41):
         ends = sorted(data.find(w) + n for w in brute_factors(data, n))
         cover = max(cover, ends[-1])
-        assert index.counts[n] == len(ends)
-        assert index.cover_end[n] == cover
+        assert flat["counts"][n] == len(ends)
+        assert flat["cover_end"][n] == cover
         assert sorted(first_end[(shortest <= n) & (n <= longest)].tolist()) == ends
 
 
@@ -235,42 +240,58 @@ def first_starts(data: bytes, n: int) -> list[int]:
     return firsts
 
 
-def check_against_flat_automaton(data: bytes, m: int) -> None:
-    """The multiset of per-state rows of the prefix-numbered automaton,
-    every per-length table of the index and ``right_special_end`` through
-    length 40 against ``flat_suffix_automaton``, and ``first_runs`` against
-    the first occurrences in the data."""
+def check_against_flat_automaton(data: bytes, m: int, n_max: int = 40) -> FactorIndex:
+    """The index against ``flat_suffix_automaton``.  A word that the oracle
+    clones is refused, with a message that names the prefix and the suffix
+    of the first clone; the index over the longest prefix that makes no
+    clone (the whole of a word that makes none) is returned.  Checked over
+    that prefix: the per-state rows, every per-length table,
+    ``right_special_end`` through length n_max against the oracle, and
+    ``first_runs`` through n_max against the first occurrences in it."""
+    clones = flat_suffix_automaton(data, m)["clones"]
+    if clones:
+        prefix, suffix = clones[0]
+        text = "".join(map(str, data[prefix - suffix : prefix]))
+        assert suffix <= 20  # so the message shows the whole suffix
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"the prefix of length {prefix} ends with {text} (length {suffix}), ")):
+            FactorIndex(FixedWord(data, m), len(data))
+        data = data[: prefix - 1]
     R = len(data)
     index = FactorIndex(FixedWord(data, m), R)
     flat = flat_suffix_automaton(data, m)
-    length, link, first_end, outdeg = _suffix_automaton(data, m)
-    assert index.n_states == len(length) == len(flat["length"])
+    assert not flat["clones"]
+    link, outdeg = _suffix_automaton(data, m)
+    assert index.n_states == len(link) == len(flat["length"]) == R + 1
     assert index.counts.tolist() == flat["counts"].tolist()
     assert index.cover_end.tolist() == flat["cover_end"].tolist()
-    check_right_special_end(index, flat, min(R, 40))
-    shortest = np.where(link >= 0, length[np.maximum(link, 0)] + 1, 0)
-    children = np.bincount(link[1:], minlength=len(length))
-    ours = zip(length.tolist(), shortest.tolist(), first_end.tolist(), outdeg.tolist(),
-               children.tolist())
+    check_right_special_end(index, flat, min(R, n_max))
+    # State i is the prefix of length i: its longest length and first end.
+    state = np.arange(R + 1)
+    ours = zip(state.tolist(), (link + 1).tolist(), state.tolist(), outdeg.tolist(),
+               np.bincount(link[1:], minlength=R + 1).tolist())
     theirs = zip(*(flat[k].tolist() for k in ("length", "shortest", "first_end", "outdeg",
                                               "children")))
     assert sorted(ours) == sorted(theirs)
-    for n in range(1, min(R, 40) + 1):
+    for n in range(1, min(R, n_max) + 1):
         assert expand(index.first_runs(n)) == first_starts(data, n)
+    return index
 
 
 @pytest.mark.parametrize("m, size", [(2, 300), (2, 1500), (3, 1000), (4, 800), (7, 500)])
 def test_index_matches_flat_automaton_on_random_words(m, size):
+    # A random word makes a clone within a few symbols, so its index is
+    # refused, and only a short prefix is checked.
     rng = random.Random(1000 * m + size)
     for _ in range(3):
-        check_against_flat_automaton(bytes(rng.randrange(m) for _ in range(size)), m)
+        data = bytes(rng.randrange(m) for _ in range(size))
+        assert check_against_flat_automaton(data, m).region_len < size
 
 
 @pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
 def test_index_matches_flat_automaton_on_cloning_words(images):
     buf = fixed_point(images, 3000)
-    assert FactorIndex(buf, 3000).n_states > 3001
-    check_against_flat_automaton(buf.symbols, buf.alphabet_size)
+    assert check_against_flat_automaton(buf.symbols, buf.alphabet_size).region_len < 3000
 
 
 @pytest.mark.parametrize("data, m", [
@@ -279,12 +300,53 @@ def test_index_matches_flat_automaton_on_cloning_words(images):
 ], ids=["thue_morse", "random_ternary"])
 def test_right_special_end_requires_exactly_one(data, m):
     # Off the Arnoux-Rauzy family a length may have no right-special
-    # factor or several; the index must refuse each such length, and only
-    # those, with the exact count.
-    index = FactorIndex(FixedWord(data, m), len(data))
-    counts = check_right_special_end(index, flat_suffix_automaton(data, m), 40)
+    # factor or several.  Several come with a clone, so the index refuses
+    # these words at the build; over the prefix it accepts, it must refuse
+    # each length without exactly one, and only those, with the exact count.
+    assert flat_suffix_automaton(data, m)["special"].max() >= 2
+    index = check_against_flat_automaton(data, m)
+    prefix = data[: index.region_len]
+    counts = check_right_special_end(index, flat_suffix_automaton(prefix, m), 40)
     assert 1 in counts
     assert set(counts) - {1}
+
+
+def arnoux_rauzy_directive(m: int, rng: random.Random, blocks: int) -> list[int]:
+    """A directive of ``blocks`` blocks of m letters, each block a random
+    order of all m letters."""
+    return [a for _ in range(blocks) for a in rng.sample(range(m), m)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_index_matches_oracles_on_standard_episturmian_words(m):
+    # Every left special factor of a standard episturmian word is a prefix
+    # (Droubay-Justin-Pirillo 2001), so its automaton needs no clone.  On
+    # random Arnoux-Rauzy directives the index accepts the word and agrees
+    # with both oracles: the flat automaton, and brute force for the first
+    # occurrences and a few counts.
+    rng = random.Random(m)
+    for _ in range(8):
+        data = standard_episturmian(arnoux_rauzy_directive(m, rng, 40), 2_500)
+        index = check_against_flat_automaton(data, m, n_max=60)
+        assert index.region_len == len(data)
+        for n in (1, 2, 7, 30, 120):
+            assert index.factor_count(n) == len(brute_factors(data, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(
+           st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=12))),
+       st.integers(1, 4_000))
+def test_index_counts_never_exceed_the_target(order_directive, size):
+    # At most one left special factor per length, with at most m left
+    # extensions, so p(n + 1) - p(n) <= m - 1: no standard episturmian word
+    # on m letters, Arnoux-Rauzy or not, holds more than (m - 1)n + 1
+    # factors of length n, and certify's excess branch is never reached.
+    m, directive = order_directive
+    data = standard_episturmian(cycle(directive), size)
+    index = FactorIndex(FixedWord(data, m), size)
+    n = np.arange(size + 1)
+    assert (index.counts <= (m - 1) * n + 1).all()
 
 
 def test_index_arrays_are_int32(tribo):
@@ -295,23 +357,25 @@ def test_index_arrays_are_int32(tribo):
 
 
 def test_index_build_memory(tribo):
-    # The saturation claim's region, whose build traces 5.3 MB: the
-    # automaton's four per-state arrays and the per-length bincounts.  With
-    # m stored transition rows and one Python int per state it traced
-    # 10.2 MB.
+    # The saturation claim's region, whose build traces 3.7 MB: the
+    # automaton's two per-state arrays and the per-length bincounts.  With
+    # clones, and longest-length and first-end arrays beside the links, it
+    # traced 5.3 MB; with m stored transition rows and one Python int per
+    # state, 10.2 MB.
     tracemalloc.start()
     try:
         FactorIndex(tribo, 132_990)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.9 * 10**6
+    assert peak < 4.2 * 10**6
 
 
 def test_index_holds_its_per_length_tables_only(tribo):
     # counts, cover_end and the longest-repeated-suffix table, R + 1
     # entries each, and a few rows of right-special states (18 here): it
-    # holds 1.60 MB, and 5.32 MB when the per-state arrays stay too.
+    # holds 1.60 MB, and 5.32 MB when the per-state arrays of the clone
+    # build stayed too.  The suffix links are the third table.
     region = 132_990
     tracemalloc.start()
     try:
@@ -471,14 +535,6 @@ def check_first_runs(buf, region: int, n_max: int) -> None:
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_first_runs_match_first_occurrences(m):
     check_first_runs(mbonacci_word(m), 12_000, 150)
-
-
-def test_first_runs_match_first_occurrences_with_clones():
-    # m-bonacci words never clone a state; Thue-Morse does, so here the
-    # longest-repeated-suffix table is also read off clones' first ends.
-    buf = thue_morse()
-    assert FactorIndex(buf, 12_000).n_states > 12_001
-    check_first_runs(buf, 12_000, 150)
 
 
 def test_first_runs_check_their_total(tribo):

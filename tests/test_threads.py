@@ -8,7 +8,9 @@ again once OpenBLAS has read it.  Each of those checks runs in a fresh
 interpreter, since OpenBLAS reads the variable only when it loads.  A
 buffer's growth is serialized by its own lock, so two growths never
 overlap and a buffer never gets shorter, and the whole-buffer counts are
-kept only while the symbols they count are still the buffer's.
+kept only while the symbols they count are still the buffer's.  The
+buffer keeps the factor index over the longest region built, whatever
+order the builds finish in.
 """
 
 import json
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tribalance import abelian_complexity, tribonacci_word, words
+from tribalance import abelian_complexity, factor_index, factors, tribonacci_word, words
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,6 +117,38 @@ def test_overlapping_growths_never_shrink_the_buffer(monkeypatch):
     run_threads(shorter, longer)
     assert len(buf) == 100_000
     assert buf.symbols == tribonacci_word(100_000).symbols
+
+
+def test_a_smaller_index_that_finishes_last_never_replaces_a_larger_one(monkeypatch):
+    # The smaller build is held inside its automaton, after its caller found
+    # no index to reuse, until the larger build has been kept.  The smaller
+    # one then finishes last, and the buffer keeps the larger.
+    buf = tribonacci_word(10)
+    small_region = 8 * (10 + 1) + 1024  # the first region factor_index(buf, 10) tries
+    inside, kept = threading.Event(), threading.Event()
+    original = factors._suffix_automaton
+
+    def held(data, m):
+        if len(data) == small_region:
+            inside.set()
+            assert kept.wait(timeout=30)
+        return original(data, m)
+
+    monkeypatch.setattr(factors, "_suffix_automaton", held)
+    built = {}
+
+    def smaller():
+        built["small"] = factor_index(buf, 10)
+
+    def larger():
+        assert inside.wait(timeout=30)
+        built["large"] = factor_index(buf, 1000)
+        kept.set()
+
+    run_threads(smaller, larger)
+    assert built["small"].region_len == small_region < built["large"].region_len
+    assert buf.index is built["large"]
+    assert factor_index(buf, 10) is built["large"]
 
 
 def test_concurrent_queries_on_a_fresh_buffer_give_the_serial_answers():
