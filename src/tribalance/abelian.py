@@ -7,18 +7,19 @@ per-letter counts of any two equal-length factors differ by at most C.
 Everything here reduces to O(1) Parikh queries against per-letter prefix
 sums of the indexed region, plus saturation certificates that the region
 contains every factor of the relevant length.  The per-length queries read
-one window per distinct factor, at the starts where the factors first
-occur, in blocks of consecutive lengths (``_certified_windows``).
+one window per distinct factor, where it first occurs, in blocks of
+lengths (``_certified_windows``), one byte a count up to imbalance 127.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvariantViolationError, SaturationError, integer_in
+from .errors import integer_in
 from .factors import factor_index
 from .words import WordBuffer, prefix_count_blocks
 
@@ -63,11 +64,11 @@ class ProfileRow:
     vectors: tuple[ParikhVector, ...] | None = None
 
 
-#: Windows per letter one block of lengths reads, about: the window count
-#: of its last length times the number of lengths.  Blocks of 2**17 run as
-#: fast as blocks of 2**18 and hold half the memory (2**16: a quarter
-#: slower).
-_BLOCK_WINDOWS = 1 << 17
+#: Bytes of counts per letter one block of lengths reads, about: its
+#: lengths times the windows of its last length times the count size.
+#: 2**18 one-byte windows take the memory 2**17 uint16 ones took, and run
+#: the walk 2001..7199 about 15% faster than 2**17 (2**19: no faster).
+_BLOCK_BYTES = 1 << 18
 
 #: Lengths a block may span whatever its first length n0 (1 + n0 // 32 is
 #: more from n0 = 480 on).  At short lengths a block's set-up costs more
@@ -89,81 +90,90 @@ class _Block:
     the smallest start holding an extreme count of a length (a first
     occurrence) is among them.  ``counts`` writes into ``out``, a flat
     buffer the walk shares among its blocks, so a block's counts hold only
-    until the next block reads its own.
+    until the next block reads its own.  A window of length n reads c -
+    P(n) + half wrapped like ``pc`` (c its count, P(n) the prefix's, half
+    the type's midpoint), exact below imbalance half; c is that + ``base``.
+    ``spread`` bounds the imbalance of n1, and ``counts`` sets it to n1's.
     """
 
     def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
-                 out: np.ndarray):
+                 out: np.ndarray, base: np.ndarray, spread: int):
         self.pc, self.n0, self.n1, self.runs, self.out = pc, n0, n1, runs, out
+        self.base, self.spread = base, spread
 
     @property
     def starts(self) -> np.ndarray:
         """The window start of each column, in increasing order."""
         return np.concatenate([np.arange(a, b) for a, b in self.runs])
 
-    def counts(self, letters=slice(None)) -> np.ndarray:
-        """(letters, lengths, windows) array: entry [a, r, j] counts the
-        letter a in the window of length n0 + r at ``starts[j]``.  Each run
-        of starts reads one strided view of the prefix counts, no gather."""
-        pc = self.pc[letters]
-        lengths = self.n1 - self.n0 + 1
+    def counts(self) -> np.ndarray:
+        """(letters, lengths, windows) array: entry [i, r, j] is the walk's
+        i-th letter in the window of length n0 + r at ``starts[j]``, shifted.
+        Each run of starts reads one strided view of ``pc``, no gather."""
+        pc, lengths = self.pc, self.n1 - self.n0 + 1
         ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
         shape = (len(pc), lengths, sum(b - a for a, b in self.runs))
-        out = self.out[: shape[0] * shape[1] * shape[2]].reshape(shape)
+        out = self.out[: int(np.prod(shape)) * pc.itemsize].view(pc.dtype).reshape(shape)
         col = 0
         for a, b in self.runs:
             np.subtract(ends[:, a + self.n0 : b + self.n0].transpose(0, 2, 1), pc[:, None, a:b],
                         out=out[:, :, col : col + b - a])
             col += b - a
+        out -= self.base.astype(pc.dtype)[:, :, None]
+        self.spread = int(np.ptp(out[:, -1], axis=1).max())
         return out
 
 
-def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int):
-    """Yield a ``_Block`` per run of consecutive lengths, covering [n_from,
-    n_to] in order.
+def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int, letters=None):
+    """Yield a ``_Block`` of the counts of ``letters`` (by default every
+    letter) per run of consecutive lengths, covering [n_from, n_to] in order.
 
     One factor index covers n_to.  A block of lengths [n0, n1] reads the
     first-occurrence runs of n1 (``FactorIndex.first_runs``), about
-    ``_BLOCK_WINDOWS`` windows per letter, and spans at most
+    ``_BLOCK_BYTES`` of counts per letter, and spans at most
     max(1 + n0 // 32, ``_MIN_BLOCK_LENGTHS``) lengths, so reading every
     length at the starts of the last costs at most about 1/64 more windows
     than the first occurrences themselves, apart from a few thousand
-    windows at the short lengths.
-    Each length is certified in order, and a block ends before a length
-    that fails, so a caller that stops early certifies no length past its
-    block.  The walk allocates one counts buffer for its largest block and
-    every block writes its counts there: a fresh array per block would let
+    windows at the short lengths.  A block ends before the first length
+    ``first_refused`` finds, where ``certify`` raises, so a caller that
+    stops early certifies no length past its block.  A letter's imbalance
+    grows by at most 1 per length and is at most n, so the one a block
+    reads at n1 bounds the next block's, which reads the narrowest unsigned
+    type whose half-range covers its bound: one byte, but for the first
+    block of a walk from past 127.  Every block writes its counts into one
+    buffer, allocated for the largest: a fresh array per block would let
     the allocator hand its pages back and fault them in again.  Every
-    window query checks its lengths here: n_from >= 1 and n_to >= n_from,
-    both integers.
+    window query checks its lengths here: n_from >= 1 and n_to >= n_from.
     """
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
-    # The prefix counts of the region in one block, wrapped in the narrowest
-    # unsigned type that holds n_to: every window count lies in [0, n_to],
-    # so the wrapped differences are exact, and below 2**16 every pass of a
-    # block moves half the bytes of int32 counts.
-    columns = int(index.cover_end[n_to]) + 1
-    ((_, pc),) = prefix_count_blocks(buffer, columns, columns, dtype=np.min_scalar_type(n_to))
-    # A block of several lengths reads at most _BLOCK_WINDOWS windows per
-    # letter, and a one-length block the counts[n1] <= counts[n_to] ones.
-    widest = int(index.counts[n_to])
-    out = np.empty(len(pc) * min(max(_BLOCK_WINDOWS, widest), (n_to - n_from + 1) * widest),
-                   dtype=pc.dtype)
-    n0 = n_from
+    refused = index.first_refused(n_from, n_to)
+
+    @functools.lru_cache(maxsize=1)  # a first block's wide counts go when one-byte ones come
+    def prefix_counts(columns: int, dtype) -> np.ndarray:
+        return next(prefix_count_blocks(buffer, columns, columns, letters, dtype))[1]
+
+    ((_, exact),) = prefix_count_blocks(buffer, n_to + 1, n_to + 1, letters)
+    # A block reads at most _BLOCK_BYTES a letter, or one length's counts[n_to] windows.
+    widest = int(index.counts[n_to]) * np.min_scalar_type(2 * n_to + 1).itemsize
+    out = np.empty(len(exact) * min(max(_BLOCK_BYTES, widest), (n_to - n_from + 1) * widest),
+                   dtype=np.uint8)
+    n0, spread = n_from, n_from - 1  # a bound on the imbalance of n0 - 1
     while n0 <= n_to:
         index.certify(n0)
+        dtype = np.min_scalar_type(2 * spread + 3)  # holds 2**(bits - 1) +- (spread + 1)
+        half = 1 << 8 * dtype.itemsize - 1
         n1 = n0
-        while (n1 < n_to and n1 - n0 < max(n0 // 32, _MIN_BLOCK_LENGTHS - 1)
-               and (n1 + 2 - n0) * int(index.counts[n1 + 1]) <= _BLOCK_WINDOWS):
-            try:
-                index.certify(n1 + 1)
-            except (SaturationError, InvariantViolationError):
-                break
+        while (n1 + 1 < refused and n1 - n0 < max(n0 // 32, _MIN_BLOCK_LENGTHS - 1)
+               and spread + n1 + 2 - n0 < half
+               and (n1 + 2 - n0) * int(index.counts[n1 + 1]) * dtype.itemsize <= _BLOCK_BYTES):
             n1 += 1
-        yield _Block(pc, n0, n1, index.first_runs(n1), out)
-        n0 = n1 + 1
+        pc = prefix_counts(int(index.cover_end[n_to if dtype == np.uint8 else n1]) + 1, dtype)
+        base = exact[:, n0 : n1 + 1].astype(np.int64) - half
+        block = _Block(pc, n0, n1, index.first_runs(n1), out, base, spread + n1 + 1 - n0)
+        yield block
+        n0, spread = n1 + 1, block.spread
 
 
 def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
@@ -180,14 +190,14 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     rows = []
     for block in _certified_windows(buffer, n_from, n_to):
-        rows += _block_rows(block.counts(), block.n0, collect_vectors)
+        rows += _block_rows(block.counts(), block.n0, collect_vectors, block.base)
     return rows
 
 
-def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
+def _block_rows(counts: np.ndarray, n0: int, vectors: bool, base=0) -> list[ProfileRow]:
     """``ProfileRow`` of each row of the (alphabet, lengths, windows)
-    letter counts ``counts``, row r of length n0 + r: the per-letter
-    imbalance, the number of distinct Parikh vectors and, with
+    letter counts ``counts`` + ``base``, row r of length n0 + r: the
+    per-letter imbalance, the number of distinct Parikh vectors and, with
     ``vectors``, those vectors in increasing lexicographic order.
 
     Within a row the letter counts vary only within the imbalance, so each
@@ -196,15 +206,16 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
     others); key order is lexicographic vector order.  Rows whose key space
     has at most 32 values are keyed together in the counts' dtype (wrapped
     arithmetic is exact for keys this small) and counted as the set bits of
-    a uint32 OR over ``1 << key``; every wider row counts its int64 keys
-    with ``np.bincount``, whatever its window count.  Either way the keys
+    an OR over ``1 << key``, in the narrowest unsigned type with a bit per
+    key, some rows at a time; every wider row counts its int64 keys with
+    ``np.bincount``, whatever its window count.  Either way the keys
     present come out sorted.
     """
     m, lengths = counts.shape[:2]
     lo = counts.min(axis=2)
     span = counts.max(axis=2) - lo
     radix = span[:-1].astype(np.int64) + 1
-    lows, spans, shapes = lo.T.tolist(), span.T.tolist(), radix.T.tolist()
+    lows, spans, shapes = (lo + base).T.tolist(), span.T.tolist(), radix.T.tolist()
     sizes = radix.prod(axis=0).tolist()
     small = [r for r in range(lengths) if sizes[r] <= 32]
     masks = {}
@@ -217,8 +228,12 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool) -> list[ProfileRow]:
             key *= rad[a]
             key += part[a]
             key -= low[a]
-        bits = np.left_shift(1, key, dtype=np.uint32, casting="unsafe")
-        masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
+        width = np.min_scalar_type((1 << max(sizes[r] for r in small)) - 1)  # a bit per key
+        step = max(1, 2 * _BLOCK_BYTES // (width.itemsize * key.shape[1]))
+        for i in range(0, len(small), step):  # at most 2 * _BLOCK_BYTES of masks at once
+            ors = np.bitwise_or.reduce(  # the bits die here, before the next rows' are made
+                np.left_shift(1, key[i : i + step], dtype=width, casting="unsafe"), axis=1)
+            masks.update(zip(small[i : i + step], ors.tolist()))
     keys = {}
     for r in (r for r in range(lengths) if sizes[r] > 32):
         offsets = counts[:, r].astype(np.int64) - lo[:, r, None]
@@ -292,9 +307,9 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     minimal count.
     """
     letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
-    for block in _certified_windows(buffer, n_from, max_len):
-        (counts,) = block.counts(slice(letter, letter + 1))
-        hi, lo = counts.max(axis=1), counts.min(axis=1)
+    for block in _certified_windows(buffer, n_from, max_len, (letter,)):
+        (counts,) = block.counts()
+        hi, lo = counts.max(axis=1) + block.base[0], counts.min(axis=1) + block.base[0]
         reached = np.flatnonzero(hi - lo >= target_diff)
         if reached.size:
             r = int(reached[0])

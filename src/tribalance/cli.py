@@ -16,6 +16,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager, nullcontext
@@ -53,15 +54,14 @@ def _open_out(path: str | None):
 
 
 def _make_buffer(spec: str, parser: argparse.ArgumentParser, max_symbols: int) -> WordBuffer:
-    """The word a spec names; an integer order outside 2..256 is refused by
-    ``mbonacci_word``, with one message for both ends."""
+    """The word a spec names; an order of ASCII digits outside 2..256 is
+    refused by ``mbonacci_word``, with one message for both ends."""
     if spec == "tribonacci":
         m = 3
+    elif re.fullmatch("mbonacci:-?[0-9]+", spec):
+        m = int(spec.split(":", 1)[1])
     elif spec.startswith("mbonacci:"):
-        try:
-            m = int(spec.split(":", 1)[1])
-        except ValueError:
-            parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer")
+        parser.error(f"bad word spec {spec!r}: m-bonacci order must be an integer")
     else:
         parser.error(f"word spec must be 'tribonacci' or 'mbonacci:<m>', got {spec!r}")
     return mbonacci_word(m, max_symbols=max_symbols)

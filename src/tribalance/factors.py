@@ -27,7 +27,6 @@ tracer wraps it by name.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -118,6 +117,18 @@ def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> 
 # ---------------------------------------------------------------------------
 # Suffix-automaton index
 
+def _common_prefix(sym: np.ndarray, i: int, j: int) -> int:
+    """Common prefix length of ``sym[i:]`` and ``sym[j:]``, i < j, in chunks from 64 up."""
+    n, size = 0, 64
+    while j + n < len(sym):
+        size = min(size, len(sym) - j - n)
+        differ = np.flatnonzero(sym[i + n : i + n + size] != sym[j + n : j + n + size])
+        if differ.size:
+            return n + int(differ[0])
+        n, size = n + size, 2 * size
+    return n
+
+
 def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Online suffix automaton (Blumer et al. 1985) of ``data`` over m
     letters, as ``(link, outdeg)`` per state: the suffix link (-1 for the
@@ -136,20 +147,23 @@ def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
     The transition of state i on ``data[i]`` leads to i + 1 and is never
     stored; the others go into one dict per letter, keyed by source state,
     and stay few (35 over the 132,990 Tribonacci symbols of the saturation
-    claim).  The suffix links are one typed array, so no Python object per
-    state outlives the build loop.
+    claim).  Nearly every step is trivial: it stores no edge and links
+    state i + 1 to link[i] + 1, and such steps run on while ``data[p:]``
+    repeats ``data[i:]`` (p = link[i]).  A run takes one ``arange``; only
+    the first step and the 18 mismatches of the suite's region run in Python.
     """
     R = len(data)
-    typecode, dtype = ("i", np.int32) if R < 2**31 else ("q", np.int64)
-    link = array(typecode, [0]) * (R + 1)
+    dtype = np.int32 if R < 2**31 else np.int64
+    link = np.empty(R + 1, dtype=dtype)
     link[0] = -1
     edges: list[dict[int, int]] = [{} for _ in range(m)]
-    for cur, c in enumerate(data, 1):
-        row = edges[c]
-        p = link[cur - 1]  # state cur - 1 goes to cur on c without storage
+    sym, cur = np.frombuffer(data, dtype=np.uint8), 1
+    while cur <= R:
+        p, c = int(link[cur - 1]), data[cur - 1]
+        row = edges[c]  # state cur - 1 goes to cur on c without storage
         while p != -1 and data[p] != c and p not in row:
             row[p] = cur
-            p = link[p]
+            p = int(link[p])
         if p == -1:
             link[cur] = 0
         elif data[p] == c:
@@ -162,11 +176,15 @@ def _suffix_automaton(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
                 f"the prefix of length {cur} ends with {suffix} (length {p + 1}), a factor "
                 f"that occurred before, not as a prefix, and now follows a second letter: "
                 f"the word is not standard episturmian, and its index would need a clone")
+        p = int(link[cur])  # the next steps are trivial while data[p:] repeats data[cur:]
+        run = _common_prefix(sym, p, cur)
+        link[cur + 1 : cur + 1 + run] = np.arange(p + 1, p + 1 + run, dtype=dtype)
+        cur += 1 + run
     outdeg = np.zeros(R + 1, dtype=dtype)
     outdeg[:R] = 1  # the transitions that are not stored
     for row in edges:
         outdeg[np.fromiter(row, dtype=np.intp, count=len(row))] += 1
-    return np.frombuffer(link, dtype=dtype), outdeg
+    return link, outdeg
 
 
 class FactorIndex:
@@ -282,6 +300,13 @@ class FactorIndex:
                 positions_scanned=cap,
             )
         return bound
+
+    def first_refused(self, n_from: int, n_to: int) -> int:
+        """The first length of [n_from, n_to] ``certify`` refuses, or n_to + 1."""
+        m, ns = self.alphabet_size, np.arange(n_from, min(n_to, self.region_len) + 1)
+        fits = ((self.counts[ns] == default_target(m, ns))
+                & (self.cover_end[ns] - ns < position_cap(m, ns)))
+        return n_from + (len(ns) if fits.all() else int(fits.argmin()))
 
     def first_runs(self, n: int) -> list[tuple[int, int]]:
         """Window starts where a length-n factor of the region first

@@ -12,6 +12,10 @@ over the full capped region and deduplicates count columns with an
 ``np.lexsort`` over the letter rows.  ``flat_suffix_automaton`` is the
 factor index's first builder, the oracle of the prefix-numbered one; it
 keeps its clones, so it also says where the index must refuse a word.
+``online_suffix_links`` is the prefix-numbered build one symbol at a time,
+the loop the index's run-at-once build replaced, with the same refusal.
+``FixedWord`` serves a word given whole, such as a standard episturmian
+word, to the factor and window queries.
 ``standard_episturmian`` builds, by iterated palindromic closure, the words
 the index accepts.  ``scalar_eq1_worst`` is the value-at-a-time discrepancy
 loop the batched oracle-equivalence claim replaced, with its own copy of
@@ -44,6 +48,8 @@ import numpy as np
 import pytest
 
 from tribalance import (
+    BufferLimitError,
+    InvariantViolationError,
     compute_spectral_data,
     mbonacci_word,
     tribonacci_word,
@@ -239,6 +245,60 @@ def flat_suffix_automaton(data: bytes, m: int) -> dict[str, np.ndarray]:
             "children": np.bincount(link[1:], minlength=len(length)),
             "counts": counts, "cover_end": cover_end,
             "special": per_length(np.flatnonzero(outdeg >= 2)), "clones": clones}
+
+
+def online_suffix_links(data: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(link, outdeg)`` of the clone-free suffix automaton of data, built
+    one symbol at a time: the transition of state i on ``data[i]`` is not
+    stored, every other one goes into a dict per letter, and a step that
+    would need a clone raises ``InvariantViolationError`` with the index's
+    message.  int32 arrays."""
+    link = [-1] + [0] * len(data)
+    edges: list[dict[int, int]] = [{} for _ in range(m)]
+    for cur, c in enumerate(data, 1):
+        p = link[cur - 1]
+        while p != -1 and data[p] != c and p not in edges[c]:
+            edges[c][p] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        elif data[p] == c:
+            link[cur] = p + 1
+        else:
+            suffix = "".join(map(str, data[cur - p - 1 : cur][:20])) + "..." * (p >= 20)
+            raise InvariantViolationError(
+                f"the prefix of length {cur} ends with {suffix} (length {p + 1}), a factor "
+                f"that occurred before, not as a prefix, and now follows a second letter: "
+                f"the word is not standard episturmian, and its index would need a clone")
+    outdeg = np.array([1] * len(data) + [0], dtype=np.int32)
+    for row in edges:
+        for p in row:
+            outdeg[p] += 1
+    return np.array(link, dtype=np.int32), outdeg
+
+
+class FixedWord:
+    """A word given whole, with the members of a buffer the factor and
+    window queries read: ``symbols``, ``alphabet_size``, ``max_symbols``,
+    ``index``, ``keep_index`` and ``ensure``, which refuses any length
+    past the word."""
+
+    def __init__(self, data: bytes, alphabet_size: int):
+        self.symbols, self.alphabet_size = data, alphabet_size
+        self.max_symbols = len(data)
+        self.index = None
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def ensure(self, min_len: int) -> "FixedWord":
+        if min_len > len(self.symbols):
+            raise BufferLimitError(f"requested {min_len} symbols of a word of {len(self.symbols)}")
+        return self
+
+    def keep_index(self, index) -> None:
+        if self.index is None or index.region_len > self.index.region_len:
+            self.index = index
 
 
 def standard_episturmian(directive, n: int) -> bytes:

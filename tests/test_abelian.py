@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     TAU,
+    FixedWord,
     brute_factors,
     brute_parikh,
     brute_parikh_set,
     cap_positions,
     concat_images,
+    count_prefixes,
     desubstitute,
     digits,
+    standard_episturmian,
     unique_profile,
 )
 from tribalance import (
@@ -253,8 +256,8 @@ def record_blocks(monkeypatch) -> list[tuple[int, int]]:
     shapes = []
     counts = abelian._Block.counts
 
-    def recording(self, letters=slice(None)):
-        out = counts(self, letters)
+    def recording(self):
+        out = counts(self)
         shapes.append(out.shape[1:])
         return out
 
@@ -278,20 +281,123 @@ def test_blocks_of_one_length_change_nothing(monkeypatch, m, n_to):
     blocks = window_answers(m, n_to)
     assert max(lengths for lengths, _ in shapes) > 1
     shapes.clear()
-    monkeypatch.setattr(abelian, "_BLOCK_WINDOWS", 1)
+    monkeypatch.setattr(abelian, "_BLOCK_BYTES", 1)
     assert window_answers(m, n_to) == blocks
     assert {lengths for lengths, _ in shapes} == {1}
 
 
-@pytest.mark.parametrize("n_to", [255, 256, 2**16 - 1, 2**16])
-def test_count_dtype_follows_the_last_length(tribo, n_to):
-    # The counts are copied to the narrowest unsigned type holding n_to:
-    # uint8, uint16 or uint32 on either side of 2**8 and 2**16.  Each
+@pytest.mark.parametrize("n_to", [127, 128, 255, 256, 2**15 - 1, 2**15, 2**16 - 1, 2**16])
+def test_count_dtype_follows_the_last_length(tribo, monkeypatch, n_to):
+    # A walk's first block knows only that the imbalance of n_to is at
+    # most n_to, so it reads the narrowest unsigned type whose half-range
+    # exceeds n_to: uint8 through 127, uint16 through 2**15 - 1, then
+    # uint32.  The next block is bounded by the imbalance the first one
+    # read, at most 2 on the Tribonacci word, and reads one byte.  Each
     # agrees with the synchronized digit automaton, which reads no window.
-    expected = list(synchronized_profile(n_to - 1, n_to))
-    assert abelian_profile(tribo, n_to - 1, n_to) == expected
-    (block, *_) = abelian._certified_windows(tribo, n_to, n_to)
-    assert block.counts().dtype == np.min_scalar_type(n_to)
+    monkeypatch.setattr(abelian, "_BLOCK_BYTES", 1)  # one length per block
+    assert abelian_profile(tribo, n_to, n_to + 1) == list(synchronized_profile(n_to, n_to + 1))
+    wide = np.uint8 if n_to < 2**7 else np.uint16 if n_to < 2**15 else np.uint32
+    walk = abelian._certified_windows(tribo, n_to, n_to + 1)
+    assert next(walk).counts().dtype == wide
+    assert next(walk).counts().dtype == np.uint8
+
+
+def tribonacci_crossings(n_to: int) -> list[int]:
+    """The lengths n <= n_to at which some letter's count in the
+    Tribonacci prefix of length n reaches a multiple of 256."""
+    prefix = count_prefixes(tribonacci_word(n_to).symbols[:n_to], 3) // 256
+    return (np.flatnonzero((prefix[:, 1:] != prefix[:, :-1]).any(axis=0)) + 1).tolist()
+
+
+def test_one_byte_rows_where_the_prefix_counts_wrap(tribo, monkeypatch):
+    # The one-byte counts wrap modulo 256, and each row is shifted by its
+    # prefix window's count P(n).  Where P(n) of a letter crosses a
+    # multiple of 256 (seven lengths below 2000), every block still reads
+    # one byte, and the rows agree with the synchronized digit automaton,
+    # whatever block the length falls in.
+    crossings = tribonacci_crossings(2000)
+    assert len(crossings) == 7
+    expected = list(synchronized_profile(1, 2000))
+    counts = abelian._Block.counts
+    types = set()
+
+    def recording(self):
+        out = counts(self)
+        types.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(abelian._Block, "counts", recording)
+    assert abelian_profile(tribo, 1, 2000) == expected
+    assert types == {np.dtype(np.uint8)}
+    for n in crossings:
+        # Walks that start one length before the crossing; the first block
+        # is wide, the ones after it narrow.
+        assert abelian_profile(tribo, n - 1, n + 40) == expected[n - 2 : n + 40]
+    monkeypatch.setattr(abelian, "_BLOCK_BYTES", 1)
+    assert abelian_profile(tribo, 1, 2000) == expected
+
+
+def brute_parikh_rows(data: bytes, m: int, lengths) -> list[tuple]:
+    """(n, rho, imbalance, sorted vectors) of each length, off the Parikh
+    vectors of every window of data, which must hold every factor."""
+    rows = []
+    for n in lengths:
+        vectors = sorted(brute_parikh_set(data, n, m))
+        spans = tuple(max(v[a] for v in vectors) - min(v[a] for v in vectors) for a in range(m))
+        rows.append((n, len(vectors), spans, tuple(vectors)))
+    return rows
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_one_byte_rows_match_brute_force_parikh_sets(m):
+    # Lengths on either side of the first length whose letter-0 prefix
+    # count reaches 256, against the Parikh vectors of every window.
+    buf = mbonacci_word(m)
+    prefix = count_prefixes(buf.ensure(1000).symbols[:1000], m)[0]
+    cross = int(np.argmax(prefix >= 256))
+    lengths = [1, 2, 127, 128, cross - 1, cross, cross + 1]
+    data = buf.ensure(64 * (cross + 2) + 4096).symbols
+    rows = abelian_profile(buf, 1, cross + 1, collect_vectors=True)
+    assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows if r.n in lengths] == \
+        brute_parikh_rows(data, m, lengths)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_one_byte_rows_on_standard_episturmian_words(m):
+    # Random Arnoux-Rauzy directives: the index accepts each word, some
+    # letter's prefix count passes 256 by length 600, and rows before and
+    # after that match brute force.
+    rng = random.Random(70 + m)
+    for _ in range(3):
+        directive = [a for _ in range(40) for a in rng.sample(range(m), m)]
+        word = FixedWord(standard_episturmian(directive, 60_000), m)
+        assert count_prefixes(word.symbols[:600], m)[:, -1].max() > 256
+        lengths = [1, 100, 200, 400, 600, 601]
+        rows = abelian_profile(word, 1, 601, collect_vectors=True)
+        assert [(r.n, r.rho, r.max_imbalance, r.vectors) for r in rows if r.n in lengths] == \
+            brute_parikh_rows(word.symbols, m, lengths)
+
+
+@pytest.mark.parametrize("m, n_to", [(2, 300), (3, 600), (4, 400), (5, 200)])
+def test_wide_blocks_within_a_walk_change_nothing(monkeypatch, m, n_to):
+    # Every other block passes on the true but loose bound n1 in place of
+    # the imbalance it read, so the block after it reads wide counts (past
+    # length 127) in the middle of the walk.  Nothing any query answers
+    # changes.
+    answers = window_answers(m, n_to)
+    counts, types = abelian._Block.counts, []
+
+    def loosened(self):
+        out = counts(self)
+        types.append((self.n0, out.dtype))
+        if len(types) % 2:
+            self.spread = self.n1
+        return out
+
+    monkeypatch.setattr(abelian._Block, "counts", loosened)
+    assert window_answers(m, n_to) == answers
+    assert any(n0 > 128 and dtype == np.uint16 for n0, dtype in types)
+    assert any(n0 > 128 and dtype == np.uint8 for n0, dtype in types)
 
 
 def test_blocks_of_one_walk_share_their_counts_buffer(tribo):

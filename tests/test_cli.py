@@ -470,6 +470,19 @@ def test_generate_refuses_an_order_that_is_no_integer(capsys):
     assert "bad word spec 'mbonacci:x': m-bonacci order must be an integer\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["1_0", "\u0663", "+3", " 3", "3 ", "3\n", "", "-", "0x3", "3.0"])
+def test_generate_refuses_an_order_that_is_not_ascii_digits(capsys, order):
+    # int() reads underscores, non-ASCII digits, a plus sign and spaces,
+    # so "mbonacci:1_0" printed the 10-bonacci word and "mbonacci:\u0663"
+    # (an Arabic-Indic 3) the Tribonacci word.  Only -?[0-9]+ is an order.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", f"mbonacci:{order}", "12"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"bad word spec {f'mbonacci:{order}'!r}: m-bonacci order must be an integer\n" in err
+
+
 def test_special_refuses_two_digit_symbols_before_any_output(capsys, tmp_path):
     # The 11-bonacci word first shows the symbol 10 at position 1023, so
     # rows up to n = 1024 print, and n = 1025 (a right-special factor of

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FixedWord,
     brute_factors,
     cap_positions,
     digits,
     flat_suffix_automaton,
     full_region_index,
     iterate_images,
+    online_suffix_links,
     standard_episturmian,
 )
 from tribalance import (
@@ -191,25 +193,6 @@ def test_flat_automaton_clone_first_ends_match_brute_force(images):
         assert sorted(first_end[(shortest <= n) & (n <= longest)].tolist()) == ends
 
 
-class FixedWord:
-    """A word given whole, with the members of a buffer the factor queries
-    read: ``symbols``, ``alphabet_size``, ``max_symbols``, ``index`` and
-    ``ensure``, which refuses any length past the word."""
-
-    def __init__(self, data: bytes, alphabet_size: int):
-        self.symbols, self.alphabet_size = data, alphabet_size
-        self.max_symbols = len(data)
-        self.index = None
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def ensure(self, min_len: int) -> "FixedWord":
-        if min_len > len(self.symbols):
-            raise BufferLimitError(f"requested {min_len} symbols of a word of {len(self.symbols)}")
-        return self
-
-
 def check_right_special_end(index: FactorIndex, flat: dict, n_max: int) -> list[int]:
     """``right_special_end(n)`` for every n <= n_max against the oracle's
     count of right-special factors of length n: where it is one, the first
@@ -349,6 +332,54 @@ def test_index_counts_never_exceed_the_target(order_directive, size):
     assert (index.counts <= (m - 1) * n + 1).all()
 
 
+def check_against_online_links(data: bytes, m: int) -> None:
+    """``_suffix_automaton`` against the per-symbol build: the same int32
+    ``(link, outdeg)``, or the same refusal, word for word."""
+    try:
+        expected = online_suffix_links(data, m)
+    except InvariantViolationError as refusal:
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(refusal))}$"):
+            _suffix_automaton(data, m)
+        return
+    for ours, theirs in zip(_suffix_automaton(data, m), expected):
+        assert ours.dtype == np.int32
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("m, size", [(3, 132_990), (4, 53_920), (2, 20_000), (5, 20_000)])
+def test_automaton_runs_match_the_per_symbol_build(m, size):
+    # The saturation claim's Tribonacci region and the m = 4 balance
+    # region: every run of trivial steps is taken at once, and the few
+    # steps at a mismatch store the same edges.
+    check_against_online_links(mbonacci_word(m).ensure(size).symbols[:size], m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_automaton_runs_match_on_standard_episturmian_words(m):
+    # Arnoux-Rauzy directives, and directives that leave letters out or
+    # repeat them, whose words are standard episturmian all the same.
+    rng = random.Random(50 + m)
+    for _ in range(6):
+        check_against_online_links(
+            standard_episturmian(cycle(arnoux_rauzy_directive(m, rng, 4)), 5_000), m)
+        directive = [rng.randrange(m) for _ in range(rng.randrange(1, 9))]
+        check_against_online_links(standard_episturmian(cycle(directive), 5_000), m)
+
+
+@pytest.mark.parametrize("data, m", [
+    (thue_morse().symbols, 2),
+    *((fixed_point(images, 3000).symbols, len(images)) for images in (["001", "10"],
+                                                                    ["01", "12", "20"])),
+    *((bytes(random.Random(seed).choices(range(3), k=500)), 3) for seed in range(5)),
+], ids=["thue_morse", "001_10", "01_12_20", *(f"random_{i}" for i in range(5))])
+def test_automaton_refuses_where_the_per_symbol_build_does(data, m):
+    # A word that needs a clone is refused with the same message, which
+    # names the prefix and the suffix; a run may end just before it.
+    check_against_online_links(data, m)
+    with pytest.raises(InvariantViolationError, match="not standard episturmian"):
+        _suffix_automaton(data, m)
+
+
 def test_index_arrays_are_int32(tribo):
     index = FactorIndex(tribo, 5000)
     for array in (index.counts, index.cover_end, index._lrs,
@@ -427,6 +458,33 @@ def test_index_certify_failure_outside_region(tribo):
     index = FactorIndex(tribo, 64)
     with pytest.raises(SaturationError):
         index.certify(60)  # 60 cannot saturate in 64 symbols
+
+
+@pytest.mark.parametrize("cap, region", [(None, 2_000), (20, 2_000), (300, 5_000), (None, 64)])
+def test_first_refused_agrees_with_certify(monkeypatch, tribo, cap, region):
+    # The window walk certifies its lengths with one comparison and lets
+    # certify raise at the first length refused: both must refuse the same
+    # lengths, whether the count misses the target (short regions, and
+    # lengths past the region), exceeds it (tampered) or the bound passes
+    # the position cap.
+    if cap is not None:
+        cap_positions(monkeypatch, cap)
+    index = FactorIndex(tribo, region)
+
+    def refused(n: int) -> bool:
+        try:
+            index.certify(n)
+        except (SaturationError, InvariantViolationError):
+            return True
+        return False
+
+    def first(n_from: int, n_to: int) -> int:
+        return next((n for n in range(n_from, n_to + 1) if refused(n)), n_to + 1)
+
+    for n_from, n_to in [(1, 1), (1, 40), (1, region + 5), (5, 9), (region, region + 2)]:
+        assert index.first_refused(n_from, n_to) == first(n_from, n_to)
+    index.counts[3] += 1
+    assert index.first_refused(1, 40) == first(1, 40) == 3
 
 
 def test_index_cache_reuse(tribo):
