@@ -13,7 +13,6 @@ lengths (``_certified_windows``), one byte a count up to imbalance 127.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,9 @@ class ProfileRow:
 
 #: Bytes of counts per letter one block of lengths reads, about: its
 #: lengths times the windows of its last length times the count size.
-#: 2**18 one-byte windows take the memory 2**17 uint16 ones took, and run
-#: the walk 2001..7199 about 15% faster than 2**17 (2**19: no faster).
-_BLOCK_BYTES = 1 << 18
+#: Twice as many made the walk 2001..7199 15% faster in-process, but
+#: raised the peak resident set of ``balance mbonacci:4 3305`` by 0.9 MB.
+_BLOCK_BYTES = 1 << 17
 
 #: Lengths a block may span whatever its first length n0 (1 + n0 // 32 is
 #: more from n0 = 480 on).  At short lengths a block's set-up costs more
@@ -78,6 +77,7 @@ _BLOCK_BYTES = 1 << 18
 _MIN_BLOCK_LENGTHS = 16
 
 
+@dataclass
 class _Block:
     """The window letter counts of the lengths n0..n1 at the starts where
     the length-n1 factors first occur, given as sorted ``(start, stop)``
@@ -88,40 +88,41 @@ class _Block:
     first occurs at s.  So each row reads one window per distinct factor
     of n1, with repeats among the shorter factors but none missing, and
     the smallest start holding an extreme count of a length (a first
-    occurrence) is among them.  ``counts`` writes into ``out``, a flat
-    buffer the walk shares among its blocks, so a block's counts hold only
-    until the next block reads its own.  A window of length n reads c -
-    P(n) + half wrapped like ``pc`` (c its count, P(n) the prefix's, half
-    the type's midpoint), exact below imbalance half; c is that + ``base``.
-    ``spread`` bounds the imbalance of n1, and ``counts`` sets it to n1's.
+    occurrence) is among them.  ``counts`` + ``base`` are the counts
+    (``_block_counts``); they hold only until the walk makes its next block.
     """
 
-    def __init__(self, pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
-                 out: np.ndarray, base: np.ndarray, spread: int):
-        self.pc, self.n0, self.n1, self.runs, self.out = pc, n0, n1, runs, out
-        self.base, self.spread = base, spread
+    n0: int
+    runs: list[tuple[int, int]]
+    counts: np.ndarray
+    base: np.ndarray
 
     @property
     def starts(self) -> np.ndarray:
         """The window start of each column, in increasing order."""
         return np.concatenate([np.arange(a, b) for a, b in self.runs])
 
-    def counts(self) -> np.ndarray:
-        """(letters, lengths, windows) array: entry [i, r, j] is the walk's
-        i-th letter in the window of length n0 + r at ``starts[j]``, shifted.
-        Each run of starts reads one strided view of ``pc``, no gather."""
-        pc, lengths = self.pc, self.n1 - self.n0 + 1
-        ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
-        shape = (len(pc), lengths, sum(b - a for a, b in self.runs))
-        out = self.out[: int(np.prod(shape)) * pc.itemsize].view(pc.dtype).reshape(shape)
-        col = 0
-        for a, b in self.runs:
-            np.subtract(ends[:, a + self.n0 : b + self.n0].transpose(0, 2, 1), pc[:, None, a:b],
-                        out=out[:, :, col : col + b - a])
-            col += b - a
-        out -= self.base.astype(pc.dtype)[:, :, None]
-        self.spread = int(np.ptp(out[:, -1], axis=1).max())
-        return out
+
+def _block_counts(pc: np.ndarray, n0: int, n1: int, runs: list[tuple[int, int]],
+                  out: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, int]:
+    """A block's (letters, lengths, windows) counts, written into the walk's
+    shared buffer ``out``, and the imbalance of n1 they read.  Entry [i, r,
+    j] is c - P(n) + half wrapped like ``pc`` (c the walk's i-th letter in
+    the window of length n = n0 + r at the j-th start, P(n) the prefix's,
+    half the type's midpoint, ``base`` = P(n) - half), exact below imbalance
+    half.  Each run of starts reads one strided view of ``pc``, no gather.
+    """
+    lengths = n1 - n0 + 1
+    ends = sliding_window_view(pc, lengths, axis=1)  # ends[a, e, r] = pc[a, e + r]
+    shape = (len(pc), lengths, sum(b - a for a, b in runs))
+    counts = out[: int(np.prod(shape)) * pc.itemsize].view(pc.dtype).reshape(shape)
+    col = 0
+    for a, b in runs:
+        np.subtract(ends[:, a + n0 : b + n0].transpose(0, 2, 1), pc[:, None, a:b],
+                    out=counts[:, :, col : col + b - a])
+        col += b - a
+    counts -= base.astype(pc.dtype)[:, :, None]
+    return counts, int(np.ptp(counts[:, -1], axis=1).max())
 
 
 def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int, letters=None):
@@ -140,26 +141,23 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int, letters=None)
     grows by at most 1 per length and is at most n, so the one a block
     reads at n1 bounds the next block's, which reads the narrowest unsigned
     type whose half-range covers its bound: one byte, but for the first
-    block of a walk from past 127.  Every block writes its counts into one
-    buffer, allocated for the largest: a fresh array per block would let
-    the allocator hand its pages back and fault them in again.  Every
-    window query checks its lengths here: n_from >= 1 and n_to >= n_from.
+    block of a walk from past 127.  That block counts only its own columns,
+    and its counts go before the one-byte counts of the region are made.
+    Every block writes its counts into one buffer, allocated for the
+    largest: a fresh array per block would let the allocator hand its
+    pages back and fault them in again.  Every window query checks its
+    lengths here: n_from >= 1 and n_to >= n_from.
     """
     n_from = integer_in(n_from, "first length", 1)
     n_to = integer_in(n_to, "last length", n_from)
     index = factor_index(buffer, n_to)
     refused = index.first_refused(n_from, n_to)
-
-    @functools.lru_cache(maxsize=1)  # a first block's wide counts go when one-byte ones come
-    def prefix_counts(columns: int, dtype) -> np.ndarray:
-        return next(prefix_count_blocks(buffer, columns, columns, letters, dtype))[1]
-
     ((_, exact),) = prefix_count_blocks(buffer, n_to + 1, n_to + 1, letters)
     # A block reads at most _BLOCK_BYTES a letter, or one length's counts[n_to] windows.
     widest = int(index.counts[n_to]) * np.min_scalar_type(2 * n_to + 1).itemsize
     out = np.empty(len(exact) * min(max(_BLOCK_BYTES, widest), (n_to - n_from + 1) * widest),
                    dtype=np.uint8)
-    n0, spread = n_from, n_from - 1  # a bound on the imbalance of n0 - 1
+    pc, n0, spread = None, n_from, n_from - 1  # a bound on the imbalance of n0 - 1
     while n0 <= n_to:
         index.certify(n0)
         dtype = np.min_scalar_type(2 * spread + 3)  # holds 2**(bits - 1) +- (spread + 1)
@@ -169,11 +167,14 @@ def _certified_windows(buffer: WordBuffer, n_from: int, n_to: int, letters=None)
                and spread + n1 + 2 - n0 < half
                and (n1 + 2 - n0) * int(index.counts[n1 + 1]) * dtype.itemsize <= _BLOCK_BYTES):
             n1 += 1
-        pc = prefix_counts(int(index.cover_end[n_to if dtype == np.uint8 else n1]) + 1, dtype)
-        base = exact[:, n0 : n1 + 1].astype(np.int64) - half
-        block = _Block(pc, n0, n1, index.first_runs(n1), out, base, spread + n1 + 1 - n0)
-        yield block
-        n0, spread = n1 + 1, block.spread
+        columns = int(index.cover_end[n_to if dtype == np.uint8 else n1]) + 1
+        if pc is None or pc.dtype != dtype or pc.shape[1] != columns:
+            pc = None  # the previous block's counts go before these are made
+            ((_, pc),) = prefix_count_blocks(buffer, columns, columns, letters, dtype)
+        runs, base = index.first_runs(n1), exact[:, n0 : n1 + 1].astype(np.int64) - half
+        counts, spread = _block_counts(pc, n0, n1, runs, out, base)
+        yield _Block(n0, runs, counts, base)
+        n0 = n1 + 1
 
 
 def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
@@ -190,7 +191,7 @@ def abelian_profile(buffer: WordBuffer, n_from: int, n_to: int, *,
     # ``threads`` is accepted because the benchmark tracer's --speedup passes it.
     rows = []
     for block in _certified_windows(buffer, n_from, n_to):
-        rows += _block_rows(block.counts(), block.n0, collect_vectors, block.base)
+        rows += _block_rows(block.counts, block.n0, collect_vectors, block.base)
     return rows
 
 
@@ -207,7 +208,7 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool, base=0) -> list[Prof
     has at most 32 values are keyed together in the counts' dtype (wrapped
     arithmetic is exact for keys this small) and counted as the set bits of
     an OR over ``1 << key``, in the narrowest unsigned type with a bit per
-    key, some rows at a time; every wider row counts its int64 keys with
+    key; every wider row counts its int64 keys with
     ``np.bincount``, whatever its window count.  Either way the keys
     present come out sorted.
     """
@@ -229,11 +230,8 @@ def _block_rows(counts: np.ndarray, n0: int, vectors: bool, base=0) -> list[Prof
             key += part[a]
             key -= low[a]
         width = np.min_scalar_type((1 << max(sizes[r] for r in small)) - 1)  # a bit per key
-        step = max(1, 2 * _BLOCK_BYTES // (width.itemsize * key.shape[1]))
-        for i in range(0, len(small), step):  # at most 2 * _BLOCK_BYTES of masks at once
-            ors = np.bitwise_or.reduce(  # the bits die here, before the next rows' are made
-                np.left_shift(1, key[i : i + step], dtype=width, casting="unsafe"), axis=1)
-            masks.update(zip(small[i : i + step], ors.tolist()))
+        bits = np.left_shift(1, key, dtype=width, casting="unsafe")
+        masks = dict(zip(small, np.bitwise_or.reduce(bits, axis=1).tolist()))
     keys = {}
     for r in (r for r in range(lengths) if sizes[r] > 32):
         offsets = counts[:, r].astype(np.int64) - lo[:, r, None]
@@ -308,7 +306,7 @@ def imbalance_witness_search(buffer: WordBuffer, letter: int, target_diff: int,
     """
     letter = integer_in(letter, "letter", 0, buffer.alphabet_size - 1)
     for block in _certified_windows(buffer, n_from, max_len, (letter,)):
-        (counts,) = block.counts()
+        (counts,) = block.counts
         hi, lo = counts.max(axis=1) + block.base[0], counts.min(axis=1) + block.base[0]
         reached = np.flatnonzero(hi - lo >= target_diff)
         if reached.size:
@@ -331,7 +329,7 @@ def prefix_balance_profile(buffer: WordBuffer, n_from: int, n_to: int) -> list[b
     minimum both lie within 1 of that column."""
     balanced = []
     for block in _certified_windows(buffer, n_from, n_to):
-        counts = block.counts()
+        counts = block.counts
         prefix = counts[:, :, 0]
         balanced += ((counts.max(axis=2) - prefix <= 1)
                      & (prefix - counts.min(axis=2) <= 1)).all(axis=0).tolist()

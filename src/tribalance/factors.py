@@ -275,37 +275,39 @@ class FactorIndex:
         Returns the last window start position that must be scanned so that
         every factor of length n is seen at least once.  Raises
         ``SaturationError`` if the distinct count misses the complexity
-        target or the bound exceeds the position cap.
+        target or the bound exceeds the position cap (``_saturates``).
         """
+        if n <= self.region_len and self._saturates(n):
+            return int(self.cover_end[n]) - n
         target = default_target(self.alphabet_size, n)
-        cap = position_cap(self.alphabet_size, n)
-        if n > self.region_len or self.counts[n] != target:
-            found = int(self.counts[n]) if n <= self.region_len else 0
-            if found > target:
-                raise InvariantViolationError(
-                    f"region holds {found} distinct factors of length {n}, exceeding "
-                    f"the complexity target {target}; the word is outside the certified family"
-                )
+        found = int(self.counts[n]) if n <= self.region_len else 0
+        if found > target:
+            raise InvariantViolationError(
+                f"region holds {found} distinct factors of length {n}, exceeding "
+                f"the complexity target {target}; the word is outside the certified family"
+            )
+        if found < target:
             raise SaturationError(
                 f"region of {self.region_len} symbols holds {found} factors of "
                 f"length {n}, target {target}",
                 n=n,
                 positions_scanned=max(self.region_len - n + 1, 0),
             )
-        bound = int(self.cover_end[n]) - n
-        if bound > cap - 1:
-            raise SaturationError(
-                f"length {n} saturates only at window start {bound}, beyond the cap {cap}",
-                n=n,
-                positions_scanned=cap,
-            )
-        return bound
+        cap = position_cap(self.alphabet_size, n)
+        raise SaturationError(f"length {n} saturates only at window start "
+                              f"{int(self.cover_end[n]) - n}, beyond the cap {cap}",
+                              n=n, positions_scanned=cap)
+
+    def _saturates(self, n):
+        """Whether a length n (or each of an array of them) within the region
+        has the target factor count, all first occurring before the cap."""
+        return ((self.counts[n] == default_target(self.alphabet_size, n))
+                & (self.cover_end[n] - n < position_cap(self.alphabet_size, n)))
 
     def first_refused(self, n_from: int, n_to: int) -> int:
-        """The first length of [n_from, n_to] ``certify`` refuses, or n_to + 1."""
-        m, ns = self.alphabet_size, np.arange(n_from, min(n_to, self.region_len) + 1)
-        fits = ((self.counts[ns] == default_target(m, ns))
-                & (self.cover_end[ns] - ns < position_cap(m, ns)))
+        """The first length of [n_from, n_to] that ``certify`` refuses, or n_to + 1."""
+        ns = np.arange(n_from, min(n_to, self.region_len) + 1)
+        fits = self._saturates(ns)
         return n_from + (len(ns) if fits.all() else int(fits.argmin()))
 
     def first_runs(self, n: int) -> list[tuple[int, int]]:

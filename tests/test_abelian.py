@@ -254,14 +254,14 @@ def test_window_classes_key_space_routes(spans, extra, seed, dtype, want_vectors
 def record_blocks(monkeypatch) -> list[tuple[int, int]]:
     """(lengths, windows) of every block whose counts the window pass reads."""
     shapes = []
-    counts = abelian._Block.counts
+    block_counts = abelian._block_counts
 
-    def recording(self):
-        out = counts(self)
-        shapes.append(out.shape[1:])
-        return out
+    def recording(*args):
+        counts, spread = block_counts(*args)
+        shapes.append(counts.shape[1:])
+        return counts, spread
 
-    monkeypatch.setattr(abelian._Block, "counts", recording)
+    monkeypatch.setattr(abelian, "_block_counts", recording)
     return shapes
 
 
@@ -298,8 +298,8 @@ def test_count_dtype_follows_the_last_length(tribo, monkeypatch, n_to):
     assert abelian_profile(tribo, n_to, n_to + 1) == list(synchronized_profile(n_to, n_to + 1))
     wide = np.uint8 if n_to < 2**7 else np.uint16 if n_to < 2**15 else np.uint32
     walk = abelian._certified_windows(tribo, n_to, n_to + 1)
-    assert next(walk).counts().dtype == wide
-    assert next(walk).counts().dtype == np.uint8
+    assert next(walk).counts.dtype == wide
+    assert next(walk).counts.dtype == np.uint8
 
 
 def tribonacci_crossings(n_to: int) -> list[int]:
@@ -318,15 +318,14 @@ def test_one_byte_rows_where_the_prefix_counts_wrap(tribo, monkeypatch):
     crossings = tribonacci_crossings(2000)
     assert len(crossings) == 7
     expected = list(synchronized_profile(1, 2000))
-    counts = abelian._Block.counts
-    types = set()
+    block_counts, types = abelian._block_counts, set()
 
-    def recording(self):
-        out = counts(self)
-        types.add(out.dtype)
-        return out
+    def recording(*args):
+        counts, spread = block_counts(*args)
+        types.add(counts.dtype)
+        return counts, spread
 
-    monkeypatch.setattr(abelian._Block, "counts", recording)
+    monkeypatch.setattr(abelian, "_block_counts", recording)
     assert abelian_profile(tribo, 1, 2000) == expected
     assert types == {np.dtype(np.uint8)}
     for n in crossings:
@@ -385,16 +384,14 @@ def test_wide_blocks_within_a_walk_change_nothing(monkeypatch, m, n_to):
     # length 127) in the middle of the walk.  Nothing any query answers
     # changes.
     answers = window_answers(m, n_to)
-    counts, types = abelian._Block.counts, []
+    block_counts, types = abelian._block_counts, []
 
-    def loosened(self):
-        out = counts(self)
-        types.append((self.n0, out.dtype))
-        if len(types) % 2:
-            self.spread = self.n1
-        return out
+    def loosened(pc, n0, n1, *args):
+        counts, spread = block_counts(pc, n0, n1, *args)
+        types.append((n0, counts.dtype))
+        return counts, n1 if len(types) % 2 else spread
 
-    monkeypatch.setattr(abelian._Block, "counts", loosened)
+    monkeypatch.setattr(abelian, "_block_counts", loosened)
     assert window_answers(m, n_to) == answers
     assert any(n0 > 128 and dtype == np.uint16 for n0, dtype in types)
     assert any(n0 > 128 and dtype == np.uint8 for n0, dtype in types)
@@ -404,12 +401,9 @@ def test_blocks_of_one_walk_share_their_counts_buffer(tribo):
     # One buffer per walk: a fresh array per block let the allocator trim
     # and regrow its heap on every block.  Each block's counts are read
     # before the next block writes its own.
-    first, second, *_ = abelian._certified_windows(tribo, 1, 200)
-    a = first.counts()
-    expected = a.copy()
-    b = second.counts()
-    assert np.shares_memory(a, b)
-    assert first.counts().tolist() == expected.tolist()
+    walk = abelian._certified_windows(tribo, 1, 200)
+    first, second = next(walk).counts, next(walk).counts
+    assert np.shares_memory(first, second)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ A buffer grows by joining whole τ^j images once, and ``generate`` writes
 those images one by one, so it never holds the word.
 """
 
-import gc
+import json
 import os
 import subprocess
 import sys
@@ -85,17 +85,17 @@ def test_long_buffer_claims_hold_no_whole_buffer_counts():
 def test_finished_claims_free_their_buffers_without_a_collection():
     # With the collector off, only reference counts free memory: a cycle
     # between a buffer and its ``buffer.index`` kept 3.7 MB held here
-    # until a collection; without one 0.4 MB stays.  A first, untraced run
-    # interns the strings the claims use, so that the interpreter's table
-    # of interned strings (1.9 MB at 131,072 slots) does not grow inside
-    # the traced run when earlier tests have filled it to a resize.
-    run_suite(claim_ids=INDEXING_CLAIMS)
-    gc.disable()
-    try:
-        report, _, held = traced(lambda: run_suite(claim_ids=INDEXING_CLAIMS))
-    finally:
-        gc.enable()
-    assert [c.status for c in report.claims] == ["pass"] * len(INDEXING_CLAIMS)
+    # until a collection; without one 0.4 MB stays.  The claims run first
+    # in a fresh interpreter, so what they keep once per process is traced
+    # and nothing that earlier tests left (such as a resize of the table
+    # of interned strings) is.
+    script = ("import gc, json, sys, tracemalloc; from tribalance.verify import run_suite; "
+              "gc.disable(); tracemalloc.start(); "
+              "report = run_suite(claim_ids=set(sys.argv[1:])); "
+              "held = tracemalloc.get_traced_memory()[0]; tracemalloc.stop(); "
+              "print(json.dumps([[c.status for c in report.claims], held]))")
+    statuses, held = json.loads(python_output(script, *sorted(INDEXING_CLAIMS)))
+    assert statuses == ["pass"] * len(INDEXING_CLAIMS)
     assert held < 1 * 10**6
 
 
@@ -109,17 +109,22 @@ def test_growth_peak_per_symbol():
     assert peak <= 1.5 * length
 
 
-def peak_rss_mb(*argv: str) -> float:
-    """Peak resident set of a fresh interpreter that runs the command line
-    on argv, in MB."""
-    script = ("import resource, sys; from tribalance.cli import main; main(sys.argv[1:]); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+def python_output(script: str, *argv: str) -> str:
+    """Standard output of a fresh interpreter that runs script on argv."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    return proc.stdout
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """Peak resident set of a fresh interpreter that runs the command line
+    on argv, in MB."""
+    script = ("import resource, sys; from tribalance.cli import main; main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    return int(python_output(script, *argv)) / 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
