@@ -18,11 +18,10 @@ starts each length's factors first occur, as a few runs.  Every
 per-length query of the package (Parikh sets, window bounds, special
 factors, profiles, the saturation claim) goes through the index.
 
-``scan_distinct_factors`` counts distinct windows exactly, with a
-dictionary from each window's symbols to its first start, and stops once
-the count reaches the target.  It shares no code with the index and backs
-no claim: the tests use it as an oracle for the index, and the benchmark
-tracer wraps it by name.
+``scan_distinct_factors`` is the one-length view of the index: the
+certified factor count and first-occurrence starts of a single length.
+Nothing in the package calls it; it stays because the benchmark tracer
+wraps it by name.
 """
 
 from __future__ import annotations
@@ -53,65 +52,6 @@ def position_cap(alphabet_size: int, n: int) -> int:
 def default_target(alphabet_size: int, n: int) -> int:
     """Distinct-factor count of an Arnoux-Rauzy word: (m-1)*n + 1."""
     return (alphabet_size - 1) * n + 1
-
-
-@dataclass
-class ScanResult:
-    """Outcome of one certified distinct-factor scan at a single length."""
-
-    n: int
-    count: int
-    first_positions: list[int]
-    last_new_position: int
-    positions_scanned: int
-
-
-def scan_distinct_factors(buffer: WordBuffer, n: int, extend_after: int = 0) -> ScanResult:
-    """Count distinct length-n windows left to right, exactly.
-
-    Each window's symbols key a dictionary that holds the window's first
-    start, so a window is new exactly when its symbols are not yet a key.
-    The scan stops once the complexity target is reached; if the position
-    cap is hit first, ``SaturationError`` is raised.  ``extend_after`` keeps
-    scanning that many positions past the window that reaches the target;
-    a factor found there exceeds it and raises ``InvariantViolationError``.
-    """
-    if n < 1:
-        raise InvariantViolationError(f"factor length must be >= 1, got {n}")
-    cap = position_cap(buffer.alphabet_size, n)
-    target = default_target(buffer.alphabet_size, n)
-
-    first: dict[bytes, int] = {}
-    stop_at = None
-    sym = buffer.symbols
-    for p in range(cap):
-        if p + n > len(sym):
-            # Grow lazily (saturation usually comes within a few multiples of
-            # n), clamped to max_symbols unless window p itself ends past it.
-            sym = buffer.ensure(min(cap - 1 + n, max(2 * len(sym), 8 * n + 256, 1024),
-                                    max(buffer.max_symbols, p + n))).symbols
-        window = sym[p : p + n]
-        if window not in first:
-            first[window] = p
-            if len(first) == target:
-                stop_at = p + extend_after
-        if p == stop_at:
-            break
-    count = len(first)
-    if count > target:
-        raise InvariantViolationError(
-            f"found {count} distinct factors of length {n}, exceeding the "
-            f"complexity target {target}; the word is outside the certified family"
-        )
-    if count < target:
-        raise SaturationError(
-            f"scan of length {n} hit the position cap {cap} at {count} factors "
-            f"(target {target})",
-            n=n,
-            positions_scanned=p + 1,
-        )
-    firsts = list(first.values())
-    return ScanResult(n, count, firsts, firsts[-1], p + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +340,28 @@ def factor_index(buffer: WordBuffer, n_max: int) -> FactorIndex:
         index = build(region)
     buffer.keep_index(index)
     return index
+
+
+@dataclass
+class ScanResult:
+    """The certified factors of one length n: their ``count``, the sorted
+    window starts where each first occurs, and the last of those starts,
+    ``last_new_position``; ``positions_scanned`` is the window starts up to
+    it, the fewest that hold every length-n factor."""
+
+    n: int
+    count: int
+    first_positions: list[int]
+    last_new_position: int
+    positions_scanned: int
+
+
+def scan_distinct_factors(buffer: WordBuffer, n: int) -> ScanResult:
+    """The certified length-n factors of the buffer's word, read off its
+    ``factor_index``: ``certify`` checks the count against the complexity
+    target, and ``first_runs`` gives the first-occurrence starts."""
+    n = integer_in(n, "factor length", 1)
+    index = factor_index(buffer, n)
+    index.certify(n)
+    starts = [s for start, stop in index.first_runs(n) for s in range(start, stop)]
+    return ScanResult(n, len(starts), starts, starts[-1], starts[-1] + 1)

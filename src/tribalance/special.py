@@ -124,29 +124,23 @@ class GeometryClassification:
 
 
 def _maximal_cliques(vectors: list[ParikhVector]) -> list[frozenset[ParikhVector]]:
-    """All maximal subsets with pairwise max-norm distance <= 2, by bitmask
-    enumeration (the vertex count is 12, so 4096 subsets)."""
-    k = len(vectors)
-    adj = []
-    for a in range(k):
-        mask = 0
-        for b in range(k):
-            if a != b and _max_norm(vectors[a], vectors[b]) <= 2:
-                mask |= 1 << b
-        adj.append(mask)
-    valid = [False] * (1 << k)
-    valid[0] = True
-    for s in range(1, 1 << k):
-        v = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        valid[s] = valid[rest] and (adj[v] & rest) == rest
+    """All maximal subsets with pairwise max-norm distance <= 2, by
+    Bron-Kerbosch: a clique grows by a candidate near all of it, and the
+    candidates already tried go to a ``seen`` set, so that a clique is
+    reported once, when neither a candidate nor a seen vertex is near all
+    of it."""
+    near = {v: {u for u in vectors if u != v and _max_norm(u, v) <= 2} for v in vectors}
     cliques = []
-    for s in range(1, 1 << k):
-        if not valid[s]:
-            continue
-        if any(not (s >> v) & 1 and (adj[v] & s) == s for v in range(k)):
-            continue
-        cliques.append(frozenset(vectors[v] for v in range(k) if (s >> v) & 1))
+
+    def grow(clique: frozenset, candidates: set, seen: set) -> None:
+        if not candidates and not seen:
+            cliques.append(clique)
+        for v in list(candidates):
+            grow(clique | {v}, candidates & near[v], seen & near[v])
+            candidates.remove(v)
+            seen.add(v)
+
+    grow(frozenset(), set(vectors), set())
     return cliques
 
 

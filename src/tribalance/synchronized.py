@@ -200,8 +200,9 @@ def synchronized_profile(n_from: int, n_to: int) -> Iterator[ProfileRow]:
     ``digit_automaton``.  The arguments are checked and the automaton is
     built at the call; the rows are produced lazily, ``BLOCK`` lengths at
     a time, so memory does not grow with the range."""
-    n_from = integer_in(n_from, "first length", 1)
-    n_to = integer_in(n_to, "last length", n_from, int(np.iinfo(np.int64).max) - 1)
+    limit = int(np.iinfo(np.int64).max) - 1
+    n_from = integer_in(n_from, "first length", 1, limit)
+    n_to = integer_in(n_to, "last length", n_from, limit)
     return _walk(digit_automaton(), n_from, n_to)
 
 

@@ -118,14 +118,13 @@ SHARED_INDEX = -(-(SATURATION_REGION - 1024) // 8) - 1
 
 
 class SuiteContext:
-    """Lazily built shared artifacts: one word buffer, one factor index,
-    one profile and one spectral certificate, reused by every claim that
-    needs them."""
+    """Lazily built shared artifacts: one Tribonacci word buffer (which
+    holds its factor index), one profile and one spectral certificate,
+    reused by every claim that needs them."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._buffer: WordBuffer | None = None
-        self._fourbonacci: WordBuffer | None = None
         self._profile: list[abelian.ProfileRow] | None = None
         self._certificate: list | None = None
 
@@ -137,11 +136,6 @@ class SuiteContext:
         if self._buffer is None:
             self._buffer = tribonacci_word(min_len, max_symbols=self.config.max_buffer)
         return self._buffer.ensure(min_len)
-
-    def fourbonacci(self, min_len: int) -> WordBuffer:
-        if self._fourbonacci is None:
-            self._fourbonacci = mbonacci_word(4, min_len, max_symbols=self.config.max_buffer)
-        return self._fourbonacci.ensure(min_len)
 
     def profile(self) -> list[abelian.ProfileRow]:
         """The certified rows of lengths 1..``SHARED_PROFILE``, those up
@@ -217,7 +211,7 @@ def _claim_balance_2000(ctx: SuiteContext):
 
 
 def _claim_fourbonacci_witness(ctx: SuiteContext):
-    buf = ctx.fourbonacci(9048 + 3305)
+    buf = mbonacci_word(4, 9048 + 3305, max_symbols=ctx.config.max_buffer)
     w = abelian.verify_witness(buf, 1, 2663, 9048, 3305)
     observed = (w.count_u, w.count_v, w.diff)
     return observed == (891, 888, 3), list(observed), [891, 888, 3]

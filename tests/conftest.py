@@ -3,7 +3,9 @@
 The oracles are deliberately primitive: direct window enumeration over a
 materialized prefix, and counting with ``collections.Counter``.  They never
 touch the library's prefix counts or the factor index, so agreement with
-the library is meaningful.  ``count_prefixes`` counts every letter along
+the library is meaningful.  ``dictionary_scan`` counts the distinct
+windows of one length with a dictionary from each window's symbols to its
+first start, the oracle of the index's counts and first occurrences.  ``count_prefixes`` counts every letter along
 a word in one ``np.cumsum`` over its one-hot rows, not the package's
 blocked kernel; ``tribo_2e6_counts`` holds its counts of ``tribo_2e6``,
 counted once a session.  The one exception is ``unique_profile``, the
@@ -50,13 +52,14 @@ import pytest
 from tribalance import (
     BufferLimitError,
     InvariantViolationError,
+    SaturationError,
     compute_spectral_data,
     mbonacci_word,
     tribonacci_word,
     zeckendorf_encode,
 )
 from tribalance import factors
-from tribalance.factors import FactorIndex, position_cap
+from tribalance.factors import FactorIndex, ScanResult, default_target, position_cap
 from tribalance.words import mbonacci_images
 
 #: The Tribonacci substitution 0 -> 01, 1 -> 02, 2 -> 0, as its images.
@@ -137,6 +140,56 @@ def iterate_images(images, n: int) -> bytes:
 def brute_factors(symbols: bytes, n: int) -> set[bytes]:
     """Every distinct length-n window of the materialized symbols."""
     return {symbols[i : i + n] for i in range(len(symbols) - n + 1)}
+
+
+def dictionary_scan(buffer, n: int, extend_after: int = 0) -> ScanResult:
+    """Count distinct length-n windows left to right, exactly: the scan
+    ``factors.scan_distinct_factors`` ran before it read the factor index.
+
+    Each window's symbols key a dictionary that holds the window's first
+    start, so a window is new exactly when its symbols are not yet a key.
+    The scan stops once the complexity target is reached; if the position
+    cap (``factors.position_cap``, which ``cap_positions`` lowers) is hit
+    first, ``SaturationError`` is raised.  ``extend_after`` keeps scanning
+    that many positions past the window that reaches the target; a factor
+    found there exceeds it and raises ``InvariantViolationError``.
+    """
+    if n < 1:
+        raise InvariantViolationError(f"factor length must be >= 1, got {n}")
+    cap = factors.position_cap(buffer.alphabet_size, n)
+    target = default_target(buffer.alphabet_size, n)
+
+    first: dict[bytes, int] = {}
+    stop_at = None
+    sym = buffer.symbols
+    for p in range(cap):
+        if p + n > len(sym):
+            # Grow lazily (saturation usually comes within a few multiples of
+            # n), clamped to max_symbols unless window p itself ends past it.
+            sym = buffer.ensure(min(cap - 1 + n, max(2 * len(sym), 8 * n + 256, 1024),
+                                    max(buffer.max_symbols, p + n))).symbols
+        window = sym[p : p + n]
+        if window not in first:
+            first[window] = p
+            if len(first) == target:
+                stop_at = p + extend_after
+        if p == stop_at:
+            break
+    count = len(first)
+    if count > target:
+        raise InvariantViolationError(
+            f"found {count} distinct factors of length {n}, exceeding the "
+            f"complexity target {target}; the word is outside the certified family"
+        )
+    if count < target:
+        raise SaturationError(
+            f"scan of length {n} hit the position cap {cap} at {count} factors "
+            f"(target {target})",
+            n=n,
+            positions_scanned=p + 1,
+        )
+    firsts = list(first.values())
+    return ScanResult(n, count, firsts, firsts[-1], p + 1)
 
 
 def desubstitute(U: bytes) -> tuple[bytes, bool, bool]:

@@ -17,6 +17,7 @@ from conftest import (
     concat_images,
     count_prefixes,
     desubstitute,
+    dictionary_scan,
     digits,
     standard_episturmian,
     unique_profile,
@@ -38,7 +39,7 @@ from tribalance import (
 )
 from tribalance import abelian
 from tribalance.abelian import _block_rows
-from tribalance.factors import FactorIndex, factor_index, scan_distinct_factors
+from tribalance.factors import FactorIndex, factor_index
 from tribalance.synchronized import synchronized_profile
 
 
@@ -568,9 +569,9 @@ def test_desubstitute_parikh_identity(tribo):
 
 
 def test_desubstitute_round_trip_exhaustive(tribo):
-    # Every factor of length <= 200, from the certified factor sets.
+    # Every factor of length <= 200, from the oracle's factor sets.
     for n in range(1, 201):
-        scan = scan_distinct_factors(tribo, n)
+        scan = dictionary_scan(tribo, n)
         for p in scan.first_positions:
             U = tribo.slice(p, n)
             assert reconstruct(*desubstitute(U)) == U

@@ -12,6 +12,7 @@ from conftest import (
     FixedWord,
     brute_factors,
     cap_positions,
+    dictionary_scan,
     digits,
     flat_suffix_automaton,
     full_region_index,
@@ -21,6 +22,7 @@ from conftest import (
 )
 from tribalance import (
     BufferLimitError,
+    InvalidInputError,
     InvariantViolationError,
     SaturationError,
     abelian_complexity,
@@ -73,10 +75,10 @@ def test_scan_certification_stops_at_target(tribo):
 
 
 def test_scan_extension_finds_nothing_new(tribo):
-    # The extended scan stops extend_after positions past the last new
-    # factor, not at the position cap (131,008 positions for n = 1983).
+    # The oracle's extended scan stops extend_after positions past the last
+    # new factor, not at the position cap (131,008 positions for n = 1983).
     for n in (7, 31, 200, 1983):
-        scan = scan_distinct_factors(tribo, n, extend_after=10 * n)
+        scan = dictionary_scan(tribo, n, extend_after=10 * n)
         assert scan.count == 2 * n + 1
         assert scan.positions_scanned == scan.last_new_position + 10 * n + 1
 
@@ -84,20 +86,20 @@ def test_scan_extension_finds_nothing_new(tribo):
 def test_scan_cap_failure_reports_position(monkeypatch):
     cap_positions(monkeypatch, 30)
     with pytest.raises(SaturationError) as excinfo:
-        scan_distinct_factors(tribonacci_word(), 100)
+        dictionary_scan(tribonacci_word(), 100)
     err = excinfo.value
     assert err.n == 100
     assert err.positions_scanned <= 30
 
 
 def test_scan_grows_up_to_the_buffer_cap_and_no_further():
-    # The scan reads windows up to start positions_scanned - 1, so a cap of
-    # exactly that many symbols suffices, and one fewer raises.
-    need = scan_distinct_factors(tribonacci_word(), 50, extend_after=500).positions_scanned + 49
-    scan = scan_distinct_factors(tribonacci_word(max_symbols=need), 50, extend_after=500)
+    # The oracle reads windows up to start positions_scanned - 1, so a cap
+    # of exactly that many symbols suffices, and one fewer raises.
+    need = dictionary_scan(tribonacci_word(), 50, extend_after=500).positions_scanned + 49
+    scan = dictionary_scan(tribonacci_word(max_symbols=need), 50, extend_after=500)
     assert scan.positions_scanned + 49 == need
     with pytest.raises(BufferLimitError):
-        scan_distinct_factors(tribonacci_word(max_symbols=need - 1), 50, extend_after=500)
+        dictionary_scan(tribonacci_word(max_symbols=need - 1), 50, extend_after=500)
 
 
 def fixed_point(images: list[str], n: int) -> "FixedWord":
@@ -115,10 +117,10 @@ def thue_morse():
 
 
 def test_scan_detects_wrong_complexity_target():
-    # The scan reaches the target n + 1 early; the extension window then
+    # The oracle reaches the target n + 1 early; the extension window then
     # exposes the excess instead of certifying it.
     with pytest.raises(InvariantViolationError, match="exceeding the complexity target 11"):
-        scan_distinct_factors(thue_morse(), 10, extend_after=2000)
+        dictionary_scan(thue_morse(), 10, extend_after=2000)
 
 
 def test_index_certify_rejects_excess_factors(tribo):
@@ -162,7 +164,7 @@ def test_certifying_queries_honour_the_buffer_cap(monkeypatch, query):
 @pytest.mark.parametrize("m", [2, 4])
 def test_scan_matches_index_on_other_alphabets(m, n, extend):
     buf = mbonacci_word(m)
-    scan = scan_distinct_factors(buf, n, extend_after=extend * n)
+    scan = dictionary_scan(buf, n, extend_after=extend * n)
     index = factor_index(buf, n)
     assert scan.count == default_target(m, n) == index.factor_count(n)
     assert scan.last_new_position == index.certify(n)
@@ -171,6 +173,36 @@ def test_scan_matches_index_on_other_alphabets(m, n, extend):
     firsts = [scanned[p : p + n] for p in scan.first_positions]
     assert [scanned.find(w) for w in firsts] == scan.first_positions
     assert set(firsts) == brute_factors(scanned, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_scan_view_equals_the_dictionary_oracle(m):
+    # The view reads the index; the oracle counts windows in a dictionary.
+    # They agree field for field: count, first starts, the last of them and
+    # the window starts up to it.
+    buf = mbonacci_word(m)
+    for n in [*range(1, 120), 200, 333, 500, 1000, 2000]:
+        assert scan_distinct_factors(buf, n) == dictionary_scan(buf, n)
+
+
+def test_scan_reads_the_index(monkeypatch, tribo):
+    def refuse(self, n):
+        raise AssertionError("first_runs was read")
+
+    monkeypatch.setattr(FactorIndex, "first_runs", refuse)
+    with pytest.raises(AssertionError, match="first_runs was read"):
+        scan_distinct_factors(tribo, 10)
+
+
+def test_scan_refuses_what_every_certified_query_refuses():
+    with pytest.raises(InvalidInputError, match="factor length must be an integer >= 1, got 0"):
+        scan_distinct_factors(tribonacci_word(), 0)
+    # The index's start region for n = 50 is 8 * 51 + 1024 = 1432 symbols;
+    # the oracle grows only as far as it reads (198 symbols here).
+    assert dictionary_scan(tribonacci_word(max_symbols=198), 50).count == 101
+    assert scan_distinct_factors(tribonacci_word(max_symbols=1432), 50).count == 101
+    with pytest.raises(BufferLimitError, match="index region of 1432 symbols"):
+        scan_distinct_factors(tribonacci_word(max_symbols=1431), 50)
 
 
 @pytest.mark.parametrize("images", [["01", "10"], ["001", "10"], ["01", "12", "20"]])
@@ -421,10 +453,10 @@ def test_index_counts_match_scanner(tribo):
     index = factor_index(tribo, 300)
     for n in range(1, 301):
         assert index.factor_count(n) == 2 * n + 1
-    # Dual route: the dictionary scanner agrees with the automaton.
+    # Dual route: the dictionary oracle agrees with the automaton.
     rng = random.Random(1)
     for n in [1, 2, 299] + [rng.randrange(3, 299) for _ in range(10)]:
-        assert scan_distinct_factors(tribo, n).count == index.factor_count(n)
+        assert dictionary_scan(tribo, n).count == index.factor_count(n)
 
 
 def test_index_counts_match_brute_force_small(tribo):
@@ -450,7 +482,7 @@ def test_index_cover_bound_is_sound_and_tight(tribo):
 def test_index_cover_matches_scanner_saturation(tribo):
     index = factor_index(tribo, 500)
     for n in (3, 10, 50, 137, 499):
-        scan = scan_distinct_factors(tribo, n)
+        scan = dictionary_scan(tribo, n)
         assert index.certify(n) == scan.last_new_position
 
 

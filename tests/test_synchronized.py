@@ -112,7 +112,18 @@ def test_each_call_builds_a_fresh_automaton():
     assert a is not b and a.trans is not b.trans and same_automaton(a, b)
 
 
-@pytest.mark.parametrize("n_from, n_to", [(0, 5), (5, 4), (1.5, 3), (1, 2.0), (1, 2**63 - 1)])
-def test_profile_refuses_bad_ranges(n_from, n_to):
-    with pytest.raises(InvalidInputError):
+@pytest.mark.parametrize("n_from, n_to, match", [
+    (0, 5, r"first length must be an integer in 1\.\.9223372036854775806, got 0$"),
+    (5, 4, r"last length must be an integer in 5\.\.9223372036854775806, got 4$"),
+    (1.5, 3, r"first length .* in 1\.\.9223372036854775806, got 1\.5$"),
+    (1, 2.0, r"last length must be an integer in 1\.\.9223372036854775806, got 2\.0$"),
+    (1, 2**63 - 1, r"last length .* in 1\.\.9223372036854775806, got 9223372036854775807$"),
+    # Both ends at 2**63 - 1: the first length is refused, and the message
+    # names a range that is not empty.
+    (2**63 - 1, 2**63 - 1,
+     r"first length .* in 1\.\.9223372036854775806, got 9223372036854775807$"),
+], ids=["0-5", "5-4", "1.5-3", "1-2.0", "1-9223372036854775807",
+        "9223372036854775807-9223372036854775807"])
+def test_profile_refuses_bad_ranges(n_from, n_to, match):
+    with pytest.raises(InvalidInputError, match=match):
         synchronized_profile(n_from, n_to)

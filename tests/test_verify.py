@@ -1,7 +1,7 @@
 """Single claims run on their own, and the suite runner's input checks.
 
 The saturation claim counts factors with the suffix-automaton index; the
-dictionary scanner, which shares no code with the index, is the oracle.
+tests' dictionary scan, which shares no code with the index, is the oracle.
 The batched oracle-equivalence claim is checked against the
 value-at-a-time loop it replaced, the round-trip claim against corrupted
 codec routes and prefix-count blocks that miss values, the uniqueness
@@ -16,14 +16,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import cap_positions, scalar_eq1_worst
+from conftest import cap_positions, dictionary_scan, scalar_eq1_worst
 
 from tribalance import (
     InvalidInputError,
     abelian,
     factor_index,
     numeration,
-    scan_distinct_factors,
     spectral,
     verify,
     words,
@@ -60,7 +59,7 @@ def fresh_run():
 @pytest.fixture(scope="module")
 def scans(fresh_run, tribo):
     samples = fresh_run[0].observed["samples"]
-    return {n: scan_distinct_factors(tribo, n, extend_after=10 * n) for n in samples}
+    return {n: dictionary_scan(tribo, n, extend_after=10 * n) for n in samples}
 
 
 def test_scanner_oracle_agrees_with_index_at_samples(tribo, scans):
